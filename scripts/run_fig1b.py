@@ -21,7 +21,6 @@ def run(argv=None):
     p.add_argument("--outdir", default="results")
     p.add_argument("--var-sqrt", type=float, nargs="*", default=[0.0, 0.005, 0.01, 0.02],
                    help="fading strengths to scan")
-    p.add_argument("--jobs", type=int, default=1)
     args = p.parse_args(argv)
 
     outdir = Path(args.outdir)
@@ -35,8 +34,7 @@ def run(argv=None):
             json.dump(cfg, fh)
             cfg_path = fh.name
         out = outdir / f"rate_vs_squeezing_var{var:g}.csv"
-        rc = cvfade_main(["sweep", "--config", cfg_path, "--out", str(out),
-                          "--jobs", str(args.jobs)])
+        rc = cvfade_main(["sweep", "--config", cfg_path, "--out", str(out)])
         if rc != 0:
             return rc
         print(f"-> {out}")

@@ -23,7 +23,6 @@ def run(argv=None):
     p.add_argument("--sigma-r2", type=float, nargs="*", default=[0.56],
                    help="Rytov variances to sweep (default: just 0.56)")
     p.add_argument("--n", type=int, default=None, help="Monte Carlo samples per distance")
-    p.add_argument("--jobs", type=int, default=1)
     args = p.parse_args(argv)
 
     outdir = Path(args.outdir)
@@ -38,7 +37,7 @@ def run(argv=None):
                 json.dump(cfg, fh)
                 cfg_path = fh.name
             out = outdir / f"rate_vs_distance_{tag}_sr{sr2:g}.csv"
-            argv_run = ["sweep", "--config", cfg_path, "--out", str(out), "--jobs", str(args.jobs)]
+            argv_run = ["sweep", "--config", cfg_path, "--out", str(out)]
             if args.n:
                 argv_run += ["--n", str(args.n)]
             rc = cvfade_main(argv_run)

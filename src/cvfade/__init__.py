@@ -8,7 +8,6 @@ from .channel import (
     FadingStats,
     apply_composite,
     apply_equivalent_fixed,
-    effective_excess_noise,
     fading_stats,
 )
 from .errors import (
@@ -24,7 +23,6 @@ from .gaussian import (
     CovarianceMatrix,
     apply_qnd,
     apply_squeezer,
-    condition_on_heterodyne,
     condition_on_homodyne,
     entropy_g,
     partial_trace,
@@ -42,12 +40,11 @@ from .sources import ProtocolParams, SourceState, build_source, variance_from_db
 __all__ = [
     "__version__",
     "BeamScenario", "EllipticSample", "rytov", "simulate", "transmittance", "turbulence_gaussian_params",
-    "CompositeChannel", "FadingStats", "apply_composite", "apply_equivalent_fixed",
-    "effective_excess_noise", "fading_stats",
+    "CompositeChannel", "FadingStats", "apply_composite", "apply_equivalent_fixed", "fading_stats",
     "ConfigError", "CvfadeError", "DegenerateInput", "DomainError", "InternalError",
     "NonPhysicalState", "NumericalFailure",
-    "CovarianceMatrix", "apply_qnd", "apply_squeezer", "condition_on_heterodyne",
-    "condition_on_homodyne", "entropy_g", "partial_trace", "symplectic_eigenvalues",
+    "CovarianceMatrix", "apply_qnd", "apply_squeezer", "condition_on_homodyne",
+    "entropy_g", "partial_trace", "symplectic_eigenvalues",
     "symplectic_form", "tensor", "tmsv", "vacuum", "von_neumann_entropy",
     "FiniteSizeParams", "KeyRateResult", "finite_size_penalty", "holevo_dr", "holevo_rr",
     "key_rate", "mutual_information",

@@ -278,13 +278,12 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def simulate(scenario: BeamScenario, n: int, seed: int, jobs: int = 1,
+def simulate(scenario: BeamScenario, n: int, seed: int,
              table: dict | None = None) -> SimulationResult:
     """Draw n transmittance samples; a pure function of (scenario, n, seed).
 
     Samples are generated in fixed-size chunks, each from its own
-    counter-advanced Philox stream, so the output is bit-identical for any
-    worker count.
+    counter-advanced Philox stream; this layout defines the sample values.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -314,14 +313,7 @@ def simulate(scenario: BeamScenario, n: int, seed: int, jobs: int = 1,
         return _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK
-    if jobs > 1 and n_chunks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(ci) for ci in range(n_chunks)]
-    samples = np.concatenate(parts)
+    samples = np.concatenate([run_chunk(ci) for ci in range(n_chunks)])
 
     metadata = {
         "generator": GENERATOR_NAME,

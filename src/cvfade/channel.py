@@ -7,7 +7,6 @@ whose covariance is the subchannel average.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -49,15 +48,6 @@ class FadingStats:
         """Degenerate (non-fluctuating) channel of transmittance eta."""
         return cls(eta, math.sqrt(eta))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_eta": self.mean_eta,
-                "mean_sqrt_eta": self.mean_sqrt_eta,
-                "var_sqrt": self.var_sqrt,
-            }
-        )
-
 
 def fading_stats(samples) -> FadingStats:
     """Moments of a transmittance sample set (pairwise summation, reproducible)."""
@@ -67,24 +57,6 @@ def fading_stats(samples) -> FadingStats:
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("transmittance samples must lie in [0, 1]")
     return FadingStats(float(arr.mean()), float(np.sqrt(arr).mean()))
-
-
-def effective_excess_noise(stats: FadingStats, quadrature_variance: float) -> float:
-    """Fading-induced excess noise for a quadrature of variance V_q (SNU).
-
-    Var(sqrt(eta)) * (V_q - 1); negative for sub-shot-noise quadratures.
-    """
-    if quadrature_variance <= 0.0:
-        raise DomainError("quadrature variance must be > 0")
-    return stats.var_sqrt * (quadrature_variance - 1.0)
-
-
-def fading_histogram(samples, bins: int = 200):
-    """Equal-width histogram over [0, 1] for diagnostics only (not used in
-    any security computation)."""
-    arr = np.asarray(samples, dtype=float)
-    counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
-    return edges, counts / arr.size
 
 
 def read_eta_csv(path) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, stats, keyrate, optimize, sweep, daily.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
-4 I/O error.  Outputs are byte-identical across reruns and worker counts.
+4 I/O error.  Outputs are byte-identical across reruns.  Work runs on one
+thread; --jobs is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,6 +42,8 @@ ROW_FIELDS = [
     "i_ab", "chi", "rate_asymptotic", "rate_finite", "flags",
 ]
 
+_JOBS_HELP = "accepted and ignored; work runs on one thread"
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cvfade", description=__doc__)
@@ -53,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path (sidecar: same path + .json)")
     sp.add_argument("--n", type=int, default=None, help="sample count override")
     sp.add_argument("--seed", type=int, default=None, help="seed override")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    sp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     st = sub.add_parser("stats", help="fading moments of an eta sample CSV -> JSON")
     st.add_argument("samples", help="CSV with single `eta` column")
@@ -69,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         kp.add_argument("--out", required=True, help="output CSV path")
         kp.add_argument("--n", type=int, default=None, help="Monte Carlo sample override")
         kp.add_argument("--seed", type=int, default=None, help="seed override")
-        kp.add_argument("--jobs", type=int, default=1, help="worker threads")
+        kp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
         kp.add_argument("--trace", action="store_true", help="write optimizer trace JSON next to the CSV")
 
     dp = sub.add_parser("daily", help="hourly key rates from a Cn^2 time series")
@@ -78,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
     dp.add_argument("--out", required=True)
     dp.add_argument("--n", type=int, default=None, help="Monte Carlo samples per hour")
     dp.add_argument("--seed", type=int, default=None)
-    dp.add_argument("--jobs", type=int, default=1)
+    dp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     return p
 
 
@@ -112,18 +114,28 @@ def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
+def _evaluate(variant, chan, finite, collect_trace=False):
+    """Key rate of one variant, optimized if it configures an optimizer.
+
+    Returns (result, v_s, v_m, optimization result or None).
+    """
+    if variant.optimizer is None:
+        params = variant.params
+        return key_rate(params, chan, finite), params.v_s, params.v_m, None
+    opt = optimize(variant.optimizer, variant.params, chan, finite, collect_trace=collect_trace)
+    return opt.result, opt.v_s, opt.v_m, opt
+
+
 def _variant_rows(config: ScenarioConfig, chan, sweep_variable="",
-                  sweep_value="", finite=None, trace_sink=None):
+                  sweep_value="", trace_sink=None):
     """One output row per protocol variant on a fixed channel."""
-    finite = finite if finite is not None else config.finite
     rows = []
     for variant in config.variants:
         params = variant.params
-        if variant.optimizer is not None:
-            opt = optimize(variant.optimizer, params, chan, finite,
-                           collect_trace=trace_sink is not None)
-            res, v_s, v_m = opt.result, opt.v_s, opt.v_m
-            flags = list(res.diagnostics["flags"])
+        res, v_s, v_m, opt = _evaluate(variant, chan, config.finite,
+                                       collect_trace=trace_sink is not None)
+        flags = list(res.diagnostics["flags"])
+        if opt is not None:
             if opt.no_positive_rate:
                 flags.append("no_positive_rate")
             if trace_sink is not None:
@@ -133,10 +145,6 @@ def _variant_rows(config: ScenarioConfig, chan, sweep_variable="",
                     "evaluations": opt.evaluations,
                     "trace": opt.trace,
                 })
-        else:
-            res = key_rate(params, chan, finite)
-            v_s, v_m = params.v_s, params.v_m
-            flags = list(res.diagnostics["flags"])
         st = chan.fading
         rows.append([
             variant.label, sweep_variable, sweep_value,
@@ -159,7 +167,7 @@ def cmd_simulate(args) -> int:
     if "distance" not in b:
         raise ConfigError("simulate requires channel.fading.beam.distance")
     scen = BeamScenario(**b)
-    result = simulate(scen, n=int(n), seed=seed, jobs=args.jobs)
+    result = simulate(scen, n=int(n), seed=seed)
 
     meta = _meta(config, seed, {"n": int(n)})
     text = render_csv(meta, ["eta"], ([v] for v in result.samples))
@@ -193,7 +201,7 @@ def _write_rate_table(args, config, rows, extra_meta=None, traces=None):
     seed = _effective_seed(config, args)
     meta = _meta(config, seed, extra_meta)
     write_text(args.out, render_csv(meta, ROW_FIELDS, rows))
-    if traces is not None and getattr(args, "trace", False):
+    if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
     print(f"wrote {args.out} ({len(rows)} rows)", file=sys.stderr)
     return EXIT_OK
@@ -202,19 +210,11 @@ def _write_rate_table(args, config, rows, extra_meta=None, traces=None):
 def cmd_keyrate(args, optimizing=False) -> int:
     config = _load(args)
     if not optimizing:
-        config = ScenarioConfig(
-            raw=config.raw,
-            seed=config.seed,
-            variants=tuple(replace(v, optimizer=None) for v in config.variants),
-            channel_doc=config.channel_doc,
-            finite=config.finite,
-            sweep=config.sweep,
-            daily=config.daily,
-        )
+        config = replace(config, variants=tuple(replace(v, optimizer=None) for v in config.variants))
     seed = _effective_seed(config, args)
-    stats, sim_meta = resolve_fading(config, seed, n_override=args.n, jobs=args.jobs)
+    stats, sim_meta = resolve_fading(config, seed, n_override=args.n)
     chan = build_channel(config, stats)
-    traces = [] if getattr(args, "trace", False) else None
+    traces = [] if args.trace else None
     rows = _variant_rows(config, chan, trace_sink=traces)
     extra = {"fading_simulation": sim_meta["coefficient_table_version"]} if sim_meta else None
     return _write_rate_table(args, config, rows, extra_meta=extra, traces=traces)
@@ -224,18 +224,16 @@ def cmd_optimize(args) -> int:
     return cmd_keyrate(args, optimizing=True)
 
 
-def _sweep_point(config, seed, variable, value, args):
-    """Channel + finite-size parameters for one sweep point."""
-    finite = config.finite
+def _sweep_point(config, seed, variable, value, n_override):
+    """Scenario and channel for one point of a channel or block-size sweep."""
     distance = None
-    stats_doc_override = None
     if variable == "distance":
         if "beam" not in config.channel_doc["fading"]:
             raise ConfigError("sweep over distance requires channel.fading.beam")
         distance = value
     if variable == "block_size":
-        base = finite if finite is not None else FiniteSizeParams(n=value)
-        finite = FiniteSizeParams(n=value, eps_bar=base.eps_bar, key_fraction=base.key_fraction)
+        base = config.finite if config.finite is not None else FiniteSizeParams(n=value)
+        config = replace(config, finite=replace(base, n=value))
     if variable in ("mean_eta_db", "var_sqrt"):
         fading = config.channel_doc["fading"]
         if "stats" not in fading:
@@ -247,22 +245,9 @@ def _sweep_point(config, seed, variable, value, args):
         else:
             s.pop("mean_sqrt_eta", None)
             s["var_sqrt"] = value
-        stats_doc_override = s
-
-    if stats_doc_override is not None:
-        raw = json.loads(json.dumps(config.raw))
-        raw["channel"]["fading"]["stats"] = stats_doc_override
-        point_config = ScenarioConfig(
-            raw=raw, seed=config.seed, variants=config.variants,
-            channel_doc=raw["channel"], finite=finite, sweep=config.sweep,
-            daily=config.daily,
-        )
-    else:
-        point_config = config
-    stats, _ = resolve_fading(point_config, seed, n_override=args.n,
-                              jobs=1, distance_override=distance)
-    chan = build_channel(point_config, stats)
-    return point_config, chan, finite
+        config = replace(config, channel_doc={**config.channel_doc, "fading": {**fading, "stats": s}})
+    stats, _ = resolve_fading(config, seed, n_override=n_override, distance_override=distance)
+    return config, build_channel(config, stats)
 
 
 def cmd_sweep(args) -> int:
@@ -274,7 +259,7 @@ def cmd_sweep(args) -> int:
     seed = _effective_seed(config, args)
 
     if variable in ("v_s", "v_m"):
-        stats, _ = resolve_fading(config, seed, n_override=args.n, jobs=args.jobs)
+        stats, _ = resolve_fading(config, seed, n_override=args.n)
         chan = build_channel(config, stats)
 
         def sweep_variant(v, value):
@@ -284,29 +269,23 @@ def cmd_sweep(args) -> int:
                 opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
             return replace(v, params=replace(v.params, **{variable: value}), optimizer=opt)
 
-        def run_point(value):
-            pc = ScenarioConfig(
-                raw=config.raw, seed=config.seed,
-                variants=tuple(sweep_variant(v, value) for v in config.variants),
-                channel_doc=config.channel_doc, finite=config.finite,
-                sweep=config.sweep, daily=config.daily,
-            )
-            return _variant_rows(pc, chan, sweep_variable=variable, sweep_value=value)
+        def point(value):
+            variants = tuple(sweep_variant(v, value) for v in config.variants)
+            return replace(config, variants=variants), chan
 
     else:
 
-        def run_point(value):
-            pc, chan, finite = _sweep_point(config, seed, variable, value, args)
-            return _variant_rows(pc, chan, sweep_variable=variable,
-                                 sweep_value=value, finite=finite)
+        def point(value):
+            return _sweep_point(config, seed, variable, value, args.n)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(run_point, values))
-    else:
-        chunks = [run_point(v) for v in values]
-    rows = [row for chunk in chunks for row in chunk]
-    return _write_rate_table(args, config, rows, extra_meta={"sweep_variable": variable})
+    traces = [] if args.trace else None
+    rows = []
+    for value in values:
+        point_config, chan = point(value)
+        rows += _variant_rows(point_config, chan, sweep_variable=variable,
+                              sweep_value=value, trace_sink=traces)
+    return _write_rate_table(args, config, rows, extra_meta={"sweep_variable": variable},
+                             traces=traces)
 
 
 def cmd_daily(args) -> int:
@@ -332,32 +311,20 @@ def cmd_daily(args) -> int:
             f"{variant.label}_rate_asymptotic", f"{variant.label}_rate_finite",
         ]
 
-    def run_hour(item):
-        index, (label, cn2) = item
+    rows = []
+    for index, (label, cn2) in enumerate(zip(series.labels, series.cn2)):
         scen = BeamScenario(cn2=cn2, **beam_doc)
-        result = simulate(scen, n=int(n), seed=seed + index, jobs=1)
+        result = simulate(scen, n=int(n), seed=seed + index)
         stats = fading_stats(result.samples)
         chan = build_channel(config, stats)
         row = [label, cn2, scen.rytov_variance,
                stats.mean_eta, stats.mean_sqrt_eta, stats.var_sqrt]
         for variant in config.variants:
-            if variant.optimizer is not None:
-                opt = optimize(variant.optimizer, variant.params, chan, config.finite)
-                res, v_s, v_m = opt.result, opt.v_s, opt.v_m
-            else:
-                res = key_rate(variant.params, chan, config.finite)
-                v_s, v_m = variant.params.v_s, variant.params.v_m
+            res, v_s, v_m, _ = _evaluate(variant, chan, config.finite)
             row += [v_s, v_m, res.rate_asymptotic, res.rate_finite]
-        return row
+        rows.append(row)
 
-    items = list(enumerate(zip(series.labels, series.cn2)))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_hour, items))
-    else:
-        rows = [run_hour(it) for it in items]
-
-    meta = _meta(config, seed, {"n_per_hour": int(n), "cn2_rows": len(items)})
+    meta = _meta(config, seed, {"n_per_hour": int(n), "cn2_rows": len(rows)})
     write_text(args.out, render_csv(meta, header, rows))
     print(f"wrote {args.out} ({len(rows)} rows)", file=sys.stderr)
     return EXIT_OK

@@ -7,7 +7,6 @@ Conventions (fixed repo-wide):
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -83,18 +82,6 @@ class CovarianceMatrix:
         if quadrature not in (X, P):
             raise DomainError(f"quadrature must be '{X}' or '{P}', got {quadrature!r}")
         return 2 * mode + (0 if quadrature == X else 1)
-
-    def to_json(self) -> str:
-        """Row-major nested-list serialization (ordering x1,p1,...,xN,pN)."""
-        return json.dumps({"n_modes": self.n_modes, "matrix": self.matrix.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CovarianceMatrix":
-        data = json.loads(text)
-        cm = cls(np.array(data["matrix"]))
-        if cm.n_modes != data["n_modes"]:
-            raise DomainError("n_modes field inconsistent with matrix size")
-        return cm
 
 
 def symplectic_eigenvalues(gamma: CovarianceMatrix) -> list[float]:
@@ -175,19 +162,6 @@ def condition_on_homodyne(gamma: CovarianceMatrix, mode: int, quadrature: str) -
     if not np.all(np.isfinite(pinv)):
         raise NumericalFailure("degenerate pseudoinverse in homodyne conditioning")
     return CovarianceMatrix(rest - sigma @ pinv @ sigma.T)
-
-
-def condition_on_heterodyne(gamma: CovarianceMatrix, mode: int) -> CovarianceMatrix:
-    """State of the remaining modes after a heterodyne (both-quadrature) measurement."""
-    if gamma.n_modes < 2:
-        raise DomainError("conditioning requires at least two modes")
-    gamma._check_mode(mode)
-    rest, sigma, block = _partition(gamma, mode)
-    try:
-        inv = np.linalg.inv(block + np.eye(2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("singular block in heterodyne conditioning") from exc
-    return CovarianceMatrix(rest - sigma @ inv @ sigma.T)
 
 
 def condition_on_heterodyne_record(

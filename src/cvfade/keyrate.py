@@ -7,9 +7,7 @@ use; negative rates are reported, never clipped.
 """
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +43,7 @@ class FiniteSizeParams:
 
 
 def finite_size_penalty(n: float, eps_bar: float = 1e-10) -> float:
-    """Default block-size penalty Delta(n) = 7 sqrt(log2(2/eps_bar) / n).
-
-    Swappable: key_rate accepts any (n, eps_bar) -> Delta callable.
-    """
+    """Block-size penalty Delta(n) = 7 sqrt(log2(2/eps_bar) / n)."""
     if n <= 0:
         raise DomainError("n must be positive")
     return 7.0 * math.sqrt(math.log2(2.0 / eps_bar) / n)
@@ -66,25 +61,10 @@ class KeyRateResult:
     diagnostics: dict | None = None
 
     def __post_init__(self):
-        expected = None
         if self.diagnostics and "beta" in self.diagnostics:
             expected = self.diagnostics["beta"] * self.i_ab - self.chi
             if expected != self.rate_asymptotic:
                 raise InternalError("rate_asymptotic must equal beta * i_ab - chi exactly")
-
-    def to_dict(self) -> dict:
-        return {
-            "i_ab": self.i_ab,
-            "chi": self.chi,
-            "rate_asymptotic": self.rate_asymptotic,
-            "rate_finite": self.rate_finite,
-            "n_block": self.n_block,
-        }
-
-    def to_json(self) -> str:
-        d = self.to_dict()
-        d["diagnostics"] = self.diagnostics
-        return json.dumps(d)
 
 
 def _split_sender_mode(gamma: CovarianceMatrix) -> CovarianceMatrix:
@@ -109,21 +89,6 @@ def _split_sender_mode(gamma: CovarianceMatrix) -> CovarianceMatrix:
     return gaussian.apply_symplectic(ext, s)
 
 
-def _receiver_variances(state_after_channel: CovarianceMatrix, protocol: ProtocolParams):
-    """(V_B, V_B|A) of the receiver's measured X quadrature."""
-    gamma = state_after_channel
-    b_mode = gamma.n_modes - 1
-    v_b = gamma.variance(b_mode, X)
-    if protocol.is_coherent:
-        cond = condition_on_heterodyne_record(gamma, 0, X)
-    else:
-        cond = condition_on_homodyne(gamma, 0, X)
-    v_b_given_a = cond.variance(cond.n_modes - 1, X)
-    if v_b_given_a <= 0.0:
-        raise DegenerateInput(f"conditional variance {v_b_given_a} <= 0")
-    return v_b, v_b_given_a
-
-
 def mutual_information(state_after_channel: CovarianceMatrix, protocol: ProtocolParams) -> float:
     """Shannon mutual information of the X-quadrature data, bits per use.
 
@@ -131,7 +96,15 @@ def mutual_information(state_after_channel: CovarianceMatrix, protocol: Protocol
     conditioning is an X homodyne for b=0 and the X half of a heterodyne
     record for b=1.
     """
-    v_b, v_b_given_a = _receiver_variances(state_after_channel, protocol)
+    gamma = state_after_channel
+    v_b = gamma.variance(gamma.n_modes - 1, X)
+    if protocol.is_coherent:
+        cond = condition_on_heterodyne_record(gamma, 0, X)
+    else:
+        cond = condition_on_homodyne(gamma, 0, X)
+    v_b_given_a = cond.variance(cond.n_modes - 1, X)
+    if v_b_given_a <= 0.0:
+        raise DegenerateInput(f"conditional variance {v_b_given_a} <= 0")
     if protocol.v_m == 0.0:
         return 0.0
     return 0.5 * math.log2(v_b / v_b_given_a)
@@ -176,7 +149,6 @@ def key_rate(
     protocol: ProtocolParams,
     chan: CompositeChannel,
     finite: FiniteSizeParams | None = None,
-    penalty_fn=finite_size_penalty,
     source: SourceState | None = None,
     state_after_channel: CovarianceMatrix | None = None,
 ) -> KeyRateResult:
@@ -194,11 +166,8 @@ def key_rate(
 
     flags = []
     if protocol.reconciliation == DIRECT and chan.mean_transmittance <= 0.5:
+        # direct reconciliation is generally insecure below mean transmittance 1/2
         flags.append("dr_low_transmittance")
-        warnings.warn(
-            "direct reconciliation with mean transmittance <= 1/2 is generally insecure",
-            stacklevel=2,
-        )
 
     i_ab = protocol.sifting * mutual_information(state_after_channel, protocol)
     if protocol.reconciliation == REVERSE:
@@ -210,25 +179,17 @@ def key_rate(
     rate_finite = None
     n_block = None
     if finite is not None:
-        delta = penalty_fn(finite.n, finite.eps_bar)
+        delta = finite_size_penalty(finite.n, finite.eps_bar)
         rate_finite = finite.key_fraction * (protocol.beta * i_ab - chi - delta)
         n_block = finite.n
 
-    v_b, v_b_given_a = _receiver_variances(state_after_channel, protocol)
-    diagnostics = {
-        "beta": protocol.beta,
-        "v_b": v_b,
-        "v_b_given_a": v_b_given_a,
-        "symplectic_spectrum": gaussian.symplectic_eigenvalues(state_after_channel),
-        "flags": flags,
-    }
     return KeyRateResult(
         i_ab=i_ab,
         chi=chi,
         rate_asymptotic=rate_asym,
         rate_finite=rate_finite,
         n_block=n_block,
-        diagnostics=diagnostics,
+        diagnostics={"beta": protocol.beta, "flags": flags},
     )
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .beam import BeamScenario
+from .beam import BeamScenario, simulate
 from .channel import CompositeChannel, FadingStats, fading_stats, read_eta_csv
 from .errors import ConfigError
 from .keyrate import FiniteSizeParams
@@ -368,7 +368,7 @@ def sweep_values(sweep: dict) -> list[float]:
 
 
 def resolve_fading(config: ScenarioConfig, seed: int, n_override: int | None = None,
-                   jobs: int = 1, distance_override: float | None = None):
+                   distance_override: float | None = None):
     """Materialize the fading segment into FadingStats (+ simulation metadata)."""
     fading = config.channel_doc["fading"]
     if "stats" in fading:
@@ -407,11 +407,8 @@ def resolve_fading(config: ScenarioConfig, seed: int, n_override: int | None = N
         scen = BeamScenario(**b)
     except Exception as exc:
         raise ConfigError(f"fading.beam: {exc}") from exc
-    from .beam import simulate
-    from .channel import fading_stats as fs
-
-    result = simulate(scen, n=int(n), seed=seed, jobs=jobs)
-    return fs(result.samples), result.metadata
+    result = simulate(scen, n=int(n), seed=seed)
+    return fading_stats(result.samples), result.metadata
 
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:

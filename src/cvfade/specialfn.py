@@ -27,7 +27,7 @@ def _i0_series(x):
 
 
 def _i1_series(x):
-    """I1(x)/x * 2 ... actually returns I1(x) by power series."""
+    """I1(x) by power series; valid (and fast) for 0 <= x <= ~25."""
     t = (x * x) / 4.0
     term = np.ones_like(x)
     acc = np.ones_like(x)
@@ -112,18 +112,4 @@ def lambert_w_exp(log_x):
         if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(u))):
             break
     out = np.exp(u)
-    return float(out[0]) if scalar else out
-
-
-def lambert_w(x):
-    """Principal-branch Lambert W for x >= 0 (the only branch the beam model uses)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0) or np.any(~np.isfinite(x)):
-        raise NumericalFailure("lambert_w requires finite x >= 0")
-    out = np.zeros_like(x)
-    pos = x > 0
-    if np.any(pos):
-        out[pos] = lambert_w_exp(np.log(x[pos]))
     return float(out[0]) if scalar else out

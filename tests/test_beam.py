@@ -222,11 +222,6 @@ class TestSimulate:
         b = simulate(self.SCEN, n=20_000, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_independent_of_worker_count(self):
-        a = simulate(self.SCEN, n=20_000, seed=42, jobs=1)
-        b = simulate(self.SCEN, n=20_000, seed=42, jobs=4)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_different_seeds_differ(self):
         a = simulate(self.SCEN, n=1_000, seed=1)
         b = simulate(self.SCEN, n=1_000, seed=2)

@@ -10,8 +10,6 @@ from cvfade.channel import (
     FadingStats,
     apply_composite,
     apply_equivalent_fixed,
-    effective_excess_noise,
-    fading_histogram,
     fading_stats,
     read_eta_csv,
 )
@@ -63,22 +61,42 @@ class TestFadingStats:
         assert 0.0 <= st_.var_sqrt <= 0.25 + 1e-12
 
 
+def fading_noise(params, stats, eta1=1.0):
+    """(x, p) noise that apply_equivalent_fixed adds to the signal block, over a
+    fixed channel of the same mean amplitude <sqrt(eta)>."""
+    src = build_source(params)
+    fixed = FadingStats.fixed(stats.mean_sqrt_eta**2)
+    fading_out = apply_equivalent_fixed(src, CompositeChannel(fading=stats, eta1=eta1))
+    fixed_out = apply_equivalent_fixed(src, CompositeChannel(fading=fixed, eta1=eta1))
+    return np.diag(fading_out.mode_block(src.signal_mode) - fixed_out.mode_block(src.signal_mode))
+
+
 class TestEffectiveExcessNoise:
+    """Fading adds eta_comb Var(sqrt(eta)) (V_q - 1) to each signal quadrature."""
+
     def test_formula(self):
         st_ = FadingStats(0.5, math.sqrt(0.49))
         assert st_.var_sqrt == pytest.approx(0.01)
-        assert effective_excess_noise(st_, 2.0) == pytest.approx(0.01, rel=1e-9)
+        noise = fading_noise(ProtocolParams(v_s=1.0, v_m=1.0, b=1), st_, eta1=0.8)  # V_q = 2
+        assert noise == pytest.approx([0.008, 0.008], rel=1e-9)
 
     def test_no_fading(self):
-        assert effective_excess_noise(FadingStats.fixed(0.8), 5.0) == pytest.approx(0.0, abs=1e-12)
+        noise = fading_noise(ProtocolParams(v_s=1.0, v_m=4.0, b=1), FadingStats.fixed(0.8))
+        assert noise == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_vacuum_quadrature_immune(self):
+        # untrusted preparation noise on p leaves the signal x quadrature at vacuum
         st_ = FadingStats(0.5, math.sqrt(0.5 - 0.055))
-        assert effective_excess_noise(st_, 1.0) == 0.0
+        params = ProtocolParams(v_s=1.0, v_m=0.0, b=0, v_an=1.0, prep_noise_trust="untrusted")
+        noise_x, noise_p = fading_noise(params, st_)
+        assert noise_x == 0.0
+        assert noise_p == pytest.approx(0.055, rel=1e-9)
 
     def test_negative_for_squeezed_quadrature(self):
         st_ = FadingStats(0.5, math.sqrt(0.48))
-        assert effective_excess_noise(st_, 0.5) < 0.0
+        noise_x, noise_p = fading_noise(ProtocolParams(v_s=0.5, v_m=0.0, b=0), st_)
+        assert noise_x < 0.0
+        assert noise_p > 0.0
 
 
 class TestCompositeChannel:
@@ -171,13 +189,6 @@ class TestApplyComposite:
         src = build_source(ProtocolParams(v_s=0.2, v_m=20.0, b=0))
         with pytest.raises(NonPhysicalState):
             apply_composite(src, CompositeChannel(fading=bad))
-
-
-def test_fading_histogram_is_normalized(rng):
-    samples = rng.uniform(0, 1, 1000)
-    edges, probs = fading_histogram(samples, bins=200)
-    assert len(edges) == 201
-    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_read_eta_csv(tmp_path):

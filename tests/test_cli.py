@@ -193,6 +193,21 @@ class TestSweepCommand:
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_trace_flag_writes_one_entry_per_point(self, tmp_path):
+        doc = {
+            "protocol": {
+                "family": "coherent", "optimizer": {"vm_max": 20.0, "grid": [3, 5]},
+            },
+            "channel": {"fading": {"stats": {"mean_eta": 0.8}}},
+            "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--trace"]) == 0
+        traces = json.loads((tmp_path / "sw.csv.trace.json").read_text())["traces"]
+        assert [(t["label"], t["sweep_value"]) for t in traces] == [("coherent", 0.0), ("coherent", 0.01)]
+        assert all(t["evaluations"] == len(t["trace"]) > 0 for t in traces)
+
     def test_jobs_do_not_change_output(self, tmp_path):
         doc = {
             "seed": 3,
