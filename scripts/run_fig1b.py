@@ -27,17 +27,17 @@ def run(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
 
     base = json.loads((SCENARIOS / "fig1b.scenario").read_text())
-    for var in args.var_sqrt:
-        cfg = json.loads(json.dumps(base))
-        cfg["channel"]["fading"]["stats"]["var_sqrt"] = var
-        with tempfile.NamedTemporaryFile("w", suffix=".scenario", delete=False) as fh:
-            json.dump(cfg, fh)
-            cfg_path = fh.name
-        out = outdir / f"rate_vs_squeezing_var{var:g}.csv"
-        rc = cvfade_main(["sweep", "--config", cfg_path, "--out", str(out)])
-        if rc != 0:
-            return rc
-        print(f"-> {out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for var in args.var_sqrt:
+            cfg = json.loads(json.dumps(base))
+            cfg["channel"]["fading"]["stats"]["var_sqrt"] = var
+            cfg_path = Path(tmp) / f"fig1b_var{var:g}.scenario"
+            cfg_path.write_text(json.dumps(cfg))
+            out = outdir / f"rate_vs_squeezing_var{var:g}.csv"
+            rc = cvfade_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+            if rc != 0:
+                return rc
+            print(f"-> {out}")
     return 0
 
 

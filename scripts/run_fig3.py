@@ -28,22 +28,22 @@ def run(argv=None):
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for name, tag in (("fig3.scenario", "loss4db"), ("fig3_text.scenario", "loss6db")):
-        base = json.loads((SCENARIOS / name).read_text())
-        for sr2 in args.sigma_r2:
-            cfg = json.loads(json.dumps(base))
-            cfg["channel"]["fading"]["beam"]["sigma_r2"] = sr2
-            with tempfile.NamedTemporaryFile("w", suffix=".scenario", delete=False) as fh:
-                json.dump(cfg, fh)
-                cfg_path = fh.name
-            out = outdir / f"rate_vs_distance_{tag}_sr{sr2:g}.csv"
-            argv_run = ["sweep", "--config", cfg_path, "--out", str(out)]
-            if args.n:
-                argv_run += ["--n", str(args.n)]
-            rc = cvfade_main(argv_run)
-            if rc != 0:
-                return rc
-            print(f"-> {out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, tag in (("fig3.scenario", "loss4db"), ("fig3_text.scenario", "loss6db")):
+            base = json.loads((SCENARIOS / name).read_text())
+            for sr2 in args.sigma_r2:
+                cfg = json.loads(json.dumps(base))
+                cfg["channel"]["fading"]["beam"]["sigma_r2"] = sr2
+                cfg_path = Path(tmp) / f"{tag}_sr{sr2:g}.scenario"
+                cfg_path.write_text(json.dumps(cfg))
+                out = outdir / f"rate_vs_distance_{tag}_sr{sr2:g}.csv"
+                argv_run = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+                if args.n:
+                    argv_run += ["--n", str(args.n)]
+                rc = cvfade_main(argv_run)
+                if rc != 0:
+                    return rc
+                print(f"-> {out}")
     return 0
 
 

@@ -33,7 +33,7 @@ from .gaussian import (
     vacuum,
     von_neumann_entropy,
 )
-from .keyrate import FiniteSizeParams, KeyRateResult, finite_size_penalty, holevo_dr, holevo_rr, key_rate, mutual_information
+from .keyrate import FiniteSizeParams, KeyRateResult, KeyRates, finite_size_penalty, holevo_dr, holevo_rr, key_rate, key_rates, mutual_information
 from .optimizer import OptimizationResult, OptimizationSpec, optimize
 from .sources import ProtocolParams, SourceState, build_source, variance_from_db, variance_to_db
 
@@ -46,8 +46,8 @@ __all__ = [
     "CovarianceMatrix", "apply_qnd", "apply_squeezer", "condition_on_homodyne",
     "entropy_g", "partial_trace", "symplectic_eigenvalues",
     "symplectic_form", "tensor", "tmsv", "vacuum", "von_neumann_entropy",
-    "FiniteSizeParams", "KeyRateResult", "finite_size_penalty", "holevo_dr", "holevo_rr",
-    "key_rate", "mutual_information",
+    "FiniteSizeParams", "KeyRateResult", "KeyRates", "finite_size_penalty", "holevo_dr", "holevo_rr",
+    "key_rate", "key_rates", "mutual_information",
     "OptimizationResult", "OptimizationSpec", "optimize",
     "ProtocolParams", "SourceState", "build_source", "variance_from_db", "variance_to_db",
 ]

@@ -118,39 +118,36 @@ class CompositeChannel:
         return self.eta_comb * self.fading.mean_eta
 
 
-def _scaled_output(source: SourceState, channel: CompositeChannel,
-                   diag_factor: float, cross_factor: float,
-                   extra_block: np.ndarray | None = None) -> CovarianceMatrix:
-    g = np.array(source.gamma.matrix)
-    n2 = g.shape[0]
-    b = slice(n2 - 2, n2)
-    block = g[b, b]
-    out = g.copy()
-    new_block = diag_factor * (block - np.eye(2)) + (1.0 + channel.eps_plus) * np.eye(2)
-    if extra_block is not None:
-        new_block = new_block + extra_block
-    out[b, b] = new_block
-    out[: n2 - 2, b] *= cross_factor
-    out[b, : n2 - 2] *= cross_factor
-    return CovarianceMatrix(out)
+def apply_composite_stack(gammas: np.ndarray, channels) -> np.ndarray:
+    """Composite channel applied to a stack of states, one channel per element.
+
+    `gammas` is (N, 2m, 2m) with the signal mode last; `channels` holds N
+    channels, or one for every element.  Signal block <- eta_comb <eta>
+    (gamma_B - 1) + (1 + eps_plus) 1; every trusted-to-signal cross block
+    scales by sqrt(eta_comb) <sqrt(eta)>; trusted blocks are untouched.
+    Physicality is not checked here.
+    """
+    diag = np.array([ch.eta_comb * ch.fading.mean_eta for ch in channels])
+    cross = np.array([math.sqrt(ch.eta_comb) * ch.fading.mean_sqrt_eta for ch in channels])
+    noise = np.array([1.0 + ch.eps_plus for ch in channels])
+    eye = np.eye(2)
+    d = gammas.shape[-1]
+    b = slice(d - 2, d)
+    out = gammas.copy()
+    out[:, b, b] = diag[:, None, None] * (gammas[:, b, b] - eye) + noise[:, None, None] * eye
+    out[:, : d - 2, b] *= cross[:, None, None]
+    out[:, b, : d - 2] *= cross[:, None, None]
+    return out
 
 
 def apply_composite(source: SourceState, channel: CompositeChannel) -> CovarianceMatrix:
     """State shared by the trusted parties after the composite channel.
 
-    Signal block <- eta_comb <eta> (gamma_B - 1) + (1 + eps_plus) 1; every
-    trusted-to-signal cross block scales by sqrt(eta_comb) <sqrt(eta)>;
-    trusted blocks are untouched.  Raises NonPhysicalState if the inputs are
-    mutually inconsistent.
+    The single-state form of apply_composite_stack.  Raises NonPhysicalState
+    if the inputs are mutually inconsistent.
     """
-    st = channel.fading
-    out = _scaled_output(
-        source,
-        channel,
-        diag_factor=channel.eta_comb * st.mean_eta,
-        cross_factor=math.sqrt(channel.eta_comb) * st.mean_sqrt_eta,
-    )
-    return require_physical(out)
+    out = apply_composite_stack(source.gamma.matrix[None], [channel])[0]
+    return require_physical(CovarianceMatrix(out))
 
 
 def apply_equivalent_fixed(source: SourceState, channel: CompositeChannel) -> CovarianceMatrix:
@@ -158,17 +155,17 @@ def apply_equivalent_fixed(source: SourceState, channel: CompositeChannel) -> Co
 
     Fixed transmittance <sqrt(eta)>^2 eta_comb plus per-quadrature excess
     noise eta_comb * Var(sqrt(eta)) * (V_q - 1) on the signal diagonal; exactly
-    entry-wise identical to apply_composite.
+    entry-wise identical to apply_composite.  Written out independently of
+    apply_composite_stack, so the two serve as checks on each other.
     """
     st = channel.fading
     t_eq = channel.eta_comb * st.mean_sqrt_eta**2
-    block = np.array(source.gamma.mode_block(source.signal_mode))
-    extra = channel.eta_comb * st.var_sqrt * (block - np.eye(2))
-    out = _scaled_output(
-        source,
-        channel,
-        diag_factor=t_eq,
-        cross_factor=math.sqrt(t_eq),
-        extra_block=extra,
-    )
-    return require_physical(out)
+    g = np.array(source.gamma.matrix)
+    n2 = g.shape[0]
+    b = slice(n2 - 2, n2)
+    block = g[b, b] - np.eye(2)
+    out = g.copy()
+    out[b, b] = t_eq * block + (1.0 + channel.eps_plus) * np.eye(2) + channel.eta_comb * st.var_sqrt * block
+    out[: n2 - 2, b] *= math.sqrt(t_eq)
+    out[b, : n2 - 2] *= math.sqrt(t_eq)
+    return require_physical(CovarianceMatrix(out))

@@ -18,7 +18,7 @@ from . import __version__
 from .beam import BeamScenario, simulate
 from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from .keyrate import FiniteSizeParams, key_rate
+from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import optimize
 from .outputs import render_csv, write_json, write_text
 from .scenario import (
@@ -114,45 +114,59 @@ def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
-def _evaluate(variant, chan, finite, collect_trace=False):
-    """Key rate of one variant, optimized if it configures an optimizer.
+def _evaluate_points(points, collect_trace=False):
+    """Key rates of every variant at every point of a sweep.
 
-    Returns (result, v_s, v_m, optimization result or None).
+    `points` holds one (config, chan) per point; the configs share one list of
+    variants, whose parameters may differ from point to point.  A variant
+    without an optimizer is evaluated at all points in one key_rates call; an
+    optimized variant runs its optimizer point by point.  Returns, per point
+    and variant, (result, v_s, v_m, optimization result or None).
     """
-    if variant.optimizer is None:
-        params = variant.params
-        return key_rate(params, chan, finite), params.v_s, params.v_m, None
-    opt = optimize(variant.optimizer, variant.params, chan, finite, collect_trace=collect_trace)
-    return opt.result, opt.v_s, opt.v_m, opt
+    table = [[None] * len(config.variants) for config, _ in points]
+    for j in range(len(table[0]) if points else 0):
+        variants = [config.variants[j] for config, _ in points]
+        if variants[0].optimizer is None:
+            params = [v.params for v in variants]
+            rates = key_rates(params[0], [chan for _, chan in points],
+                              [config.finite for config, _ in points],
+                              v_s=[p.v_s for p in params], v_m=[p.v_m for p in params])
+            for i, p in enumerate(params):
+                table[i][j] = (rates.result(i), p.v_s, p.v_m, None)
+            continue
+        for i, ((config, chan), variant) in enumerate(zip(points, variants)):
+            opt = optimize(variant.optimizer, variant.params, chan, config.finite,
+                           collect_trace=collect_trace)
+            table[i][j] = (opt.result, opt.v_s, opt.v_m, opt)
+    return table
 
 
-def _variant_rows(config: ScenarioConfig, chan, sweep_variable="",
-                  sweep_value="", trace_sink=None):
-    """One output row per protocol variant on a fixed channel."""
+def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
+    """One output row per (point, protocol variant), points outermost."""
     rows = []
-    for variant in config.variants:
-        params = variant.params
-        res, v_s, v_m, opt = _evaluate(variant, chan, config.finite,
-                                       collect_trace=trace_sink is not None)
-        flags = list(res.diagnostics["flags"])
-        if opt is not None:
-            if opt.no_positive_rate:
-                flags.append("no_positive_rate")
-            if trace_sink is not None:
-                trace_sink.append({
-                    "label": variant.label,
-                    "sweep_value": sweep_value,
-                    "evaluations": opt.evaluations,
-                    "trace": opt.trace,
-                })
+    table = _evaluate_points(points, collect_trace=trace_sink is not None)
+    for (config, chan), sweep_value, evaluated in zip(points, values, table):
         st = chan.fading
-        rows.append([
-            variant.label, sweep_variable, sweep_value,
-            v_s, v_m, params.v_an, params.b, params.beta, params.reconciliation,
-            st.mean_eta, st.mean_sqrt_eta, st.var_sqrt, chan.eta_comb, chan.eps_plus,
-            res.n_block, res.i_ab, res.chi, res.rate_asymptotic, res.rate_finite,
-            ";".join(flags),
-        ])
+        for variant, (res, v_s, v_m, opt) in zip(config.variants, evaluated):
+            params = variant.params
+            flags = list(res.diagnostics["flags"])
+            if opt is not None:
+                if opt.no_positive_rate:
+                    flags.append("no_positive_rate")
+                if trace_sink is not None:
+                    trace_sink.append({
+                        "label": variant.label,
+                        "sweep_value": sweep_value,
+                        "evaluations": opt.evaluations,
+                        "trace": opt.trace,
+                    })
+            rows.append([
+                variant.label, sweep_variable, sweep_value,
+                v_s, v_m, params.v_an, params.b, params.beta, params.reconciliation,
+                st.mean_eta, st.mean_sqrt_eta, st.var_sqrt, chan.eta_comb, chan.eps_plus,
+                res.n_block, res.i_ab, res.chi, res.rate_asymptotic, res.rate_finite,
+                ";".join(flags),
+            ])
     return rows
 
 
@@ -215,7 +229,7 @@ def cmd_keyrate(args, optimizing=False) -> int:
     stats, sim_meta = resolve_fading(config, seed, n_override=args.n)
     chan = build_channel(config, stats)
     traces = [] if args.trace else None
-    rows = _variant_rows(config, chan, trace_sink=traces)
+    rows = _rate_rows([(config, chan)], trace_sink=traces)
     extra = {"fading_simulation": sim_meta["coefficient_table_version"]} if sim_meta else None
     return _write_rate_table(args, config, rows, extra_meta=extra, traces=traces)
 
@@ -279,11 +293,8 @@ def cmd_sweep(args) -> int:
             return _sweep_point(config, seed, variable, value, args.n)
 
     traces = [] if args.trace else None
-    rows = []
-    for value in values:
-        point_config, chan = point(value)
-        rows += _variant_rows(point_config, chan, sweep_variable=variable,
-                              sweep_value=value, trace_sink=traces)
+    points = [point(value) for value in values]
+    rows = _rate_rows(points, sweep_variable=variable, values=values, trace_sink=traces)
     return _write_rate_table(args, config, rows, extra_meta={"sweep_variable": variable},
                              traces=traces)
 
@@ -311,18 +322,17 @@ def cmd_daily(args) -> int:
             f"{variant.label}_rate_asymptotic", f"{variant.label}_rate_finite",
         ]
 
-    rows = []
+    rows, points = [], []
     for index, (label, cn2) in enumerate(zip(series.labels, series.cn2)):
         scen = BeamScenario(cn2=cn2, **beam_doc)
         result = simulate(scen, n=int(n), seed=seed + index)
         stats = fading_stats(result.samples)
-        chan = build_channel(config, stats)
-        row = [label, cn2, scen.rytov_variance,
-               stats.mean_eta, stats.mean_sqrt_eta, stats.var_sqrt]
-        for variant in config.variants:
-            res, v_s, v_m, _ = _evaluate(variant, chan, config.finite)
+        points.append((config, build_channel(config, stats)))
+        rows.append([label, cn2, scen.rytov_variance,
+                     stats.mean_eta, stats.mean_sqrt_eta, stats.var_sqrt])
+    for row, evaluated in zip(rows, _evaluate_points(points)):
+        for res, v_s, v_m, _ in evaluated:
             row += [v_s, v_m, res.rate_asymptotic, res.rate_finite]
-        rows.append(row)
 
     meta = _meta(config, seed, {"n_per_hour": int(n), "cn2_rows": len(rows)})
     write_text(args.out, render_csv(meta, header, rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +26,18 @@ X = "x"
 P = "p"
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form with per-mode blocks [[0, 1], [-1, 0]]."""
+    """Block-diagonal symplectic form with per-mode blocks [[0, 1], [-1, 0]].
+
+    Built once per mode count and returned read-only.
+    """
     if n_modes < 1:
         raise DomainError("n_modes must be >= 1")
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j)
+    omega = np.kron(np.eye(n_modes), j)
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ The adversary is assumed to purify everything outside the trusted modes, so
 both Holevo bounds reduce to entropy differences of the trusted state before
 and after the reference party's measurement.  Rates are in bits per channel
 use; negative rates are reported, never clipped.
+
+`key_rates` computes a whole batch of points as stacked covariance arrays
+(Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)); `key_rate` is a batch of
+one.  `mutual_information`, `holevo_rr`, `holevo_dr` and
+`key_rate_equivalent_fixed` compute the same quantities one CovarianceMatrix
+at a time, through the equivalent fixed channel, as an independent check.
 """
 from __future__ import annotations
 
@@ -13,12 +19,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .channel import CompositeChannel, apply_composite, apply_equivalent_fixed
-from .errors import DegenerateInput, DomainError, InternalError
-from .gaussian import CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
-from .sources import DIRECT, REVERSE, ProtocolParams, SourceState, build_source
+from .channel import CompositeChannel, apply_composite_stack, apply_equivalent_fixed
+from .errors import DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
+from .gaussian import NU_TOL, CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
+from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
 _CHI_FLOOR = -1e-9  # below this a negative Holevo value is a logic error
+_NOT_FINITE = "covariance matrix entries must be finite"
+_LN2 = math.log(2.0)
+
+# the sender's heterodyne: balanced beamsplitter mixing mode 0 with a vacuum mode 1
+_R = 1.0 / math.sqrt(2.0)
+_SPLITTER = np.array(
+    [
+        [_R, 0.0, _R, 0.0],
+        [0.0, _R, 0.0, _R],
+        [-_R, 0.0, _R, 0.0],
+        [0.0, -_R, 0.0, _R],
+    ]
+)
+_SPLITTER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,255 @@ class KeyRateResult:
                 raise InternalError("rate_asymptotic must equal beta * i_ab - chi exactly")
 
 
+@dataclass(frozen=True)
+class KeyRates:
+    """Key-rate decomposition of a batch of points, one array element per point.
+
+    rate_finite is None without finite-size parameters; n_block then is too,
+    and otherwise holds each point's block size as given.
+    """
+
+    i_ab: np.ndarray
+    chi: np.ndarray
+    rate_asymptotic: np.ndarray
+    rate_finite: np.ndarray | None
+    n_block: tuple | None
+    dr_low_transmittance: np.ndarray
+    beta: float
+
+    def result(self, k: int) -> KeyRateResult:
+        """Point k as a KeyRateResult."""
+        flags = ["dr_low_transmittance"] if self.dr_low_transmittance[k] else []
+        return KeyRateResult(
+            i_ab=float(self.i_ab[k]),
+            chi=float(self.chi[k]),
+            rate_asymptotic=float(self.rate_asymptotic[k]),
+            rate_finite=None if self.rate_finite is None else float(self.rate_finite[k]),
+            n_block=None if self.n_block is None else self.n_block[k],
+            diagnostics={"beta": self.beta, "flags": flags},
+        )
+
+
+class _Failures:
+    """The first failed check of each point of a batch.
+
+    Checks run in the order the single-state route runs them, so a point's
+    first failure is the error that route raises for it.
+    """
+
+    def __init__(self, n: int):
+        self.failed = np.zeros(n, dtype=bool)
+        self.errors: dict[int, Exception] = {}
+
+    def check(self, bad: np.ndarray, error):
+        """Record `error(k)` (or the exception `error`) at each newly failing point k."""
+        new = bad & ~self.failed
+        if new.any():
+            for k in np.flatnonzero(new):
+                self.errors[int(k)] = error(int(k)) if callable(error) else error
+            self.failed |= new
+
+    def usable(self, stack: np.ndarray) -> np.ndarray:
+        """The stack with failed points replaced by the vacuum, safe for LAPACK."""
+        if not self.errors:
+            return stack
+        return np.where(self.failed[:, None, None], np.eye(stack.shape[-1]), stack)
+
+    def raise_first(self):
+        """Raise the error of the lowest failing point, as a point-by-point loop would."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    return np.isfinite(stack).all(axis=(1, 2))
+
+
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Per point: does the Cholesky factorization of its matrix succeed?"""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(m[None]) for m in stack])
+    return np.ones(len(stack), dtype=bool)
+
+
+def _eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues per point, and a mask of the points the solver failed on."""
+    try:
+        return np.linalg.eigvals(stack), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:  # pragma: no cover - eigvals rarely fails
+        if len(stack) == 1:
+            return np.ones(stack.shape[:-1], dtype=complex), np.ones(1, dtype=bool)
+        parts = [_eigvals(m[None]) for m in stack]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _spectra(stack: np.ndarray, fail: _Failures) -> np.ndarray:
+    """Symplectic spectra of an (N, 2m, 2m) stack: (N, m), descending, clipped to >= 1.
+
+    The checks of gaussian.symplectic_eigenvalues, per point: positive
+    definiteness, +/- pairing of the eigenvalues of i Omega gamma, nu >= 1.
+    """
+    d = stack.shape[-1]
+    stack = fail.usable(stack)
+    fail.check(~_positive_definite(stack + NU_TOL * np.eye(d)),
+               NonPhysicalState("covariance matrix is not positive definite"))
+    ev, bad = _eigvals((1j * gaussian.symplectic_form(d // 2)) @ fail.usable(stack))
+    fail.check(bad, NumericalFailure("eigenvalue solver did not converge"))
+    mags = np.sort(np.abs(ev), axis=-1)[:, ::-1]
+    nus = mags[:, ::2]  # each nu appears as a +/- pair
+    unpaired = np.max(np.abs(nus - mags[:, 1::2]), axis=-1) > 1e-6 * np.maximum(1.0, mags[:, 0])
+    fail.check(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
+    fail.check(np.any(nus < 1.0 - NU_TOL, axis=-1),
+               lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k].min():.12g}"))
+    return np.clip(nus, 1.0, None)
+
+
+def _entropies(nus: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy in bits per point: the sum of gaussian.entropy_g over a spectrum."""
+    h = 0.5 * (nus - 1.0)
+    g = (1.0 + h) * np.log1p(h) / _LN2 - h * np.log(h) / _LN2
+    return np.where(h > 0.0, g, 0.0).sum(axis=-1)
+
+
+def _condition_on_x(stack: np.ndarray, mode: int, fail: _Failures) -> np.ndarray:
+    """Remaining modes after an X homodyne on `mode`, per point (Schur complement)."""
+    i = 2 * mode
+    keep = [k for k in range(stack.shape[-1]) if k not in (i, i + 1)]
+    rest = stack[:, keep][:, :, keep]
+    sigma = stack[:, keep, i]
+    inv = 1.0 / stack[:, i, i]  # pseudoinverse of the projected block
+    fail.check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+    out = rest - (sigma * inv[:, None])[:, :, None] * sigma[:, None, :]
+    out = 0.5 * (out + out.transpose(0, 2, 1))
+    fail.check(~_finite(out), DomainError(_NOT_FINITE))
+    return out
+
+
+def _split_sender_mode_stack(stack: np.ndarray) -> np.ndarray:
+    """_split_sender_mode per point: a vacuum mode 1 mixed with mode 0."""
+    n, d, _ = stack.shape
+    ext = np.zeros((n, d + 2, d + 2))
+    ext[:, 2, 2] = ext[:, 3, 3] = 1.0
+    outer = np.r_[0, 1, 4 : d + 2]
+    ext[:, outer[:, None], outer] = stack
+    s = np.eye(d + 2)
+    s[0:4, 0:4] = _SPLITTER
+    ext = s @ ext @ s.T
+    return 0.5 * (ext + ext.transpose(0, 2, 1))
+
+
+def key_rates(
+    protocol: ProtocolParams,
+    chan,
+    finite=None,
+    v_s=None,
+    v_m=None,
+) -> KeyRates:
+    """Secure key rates of one protocol variant at a batch of points.
+
+    `chan` is one CompositeChannel or a sequence of them, one per point;
+    `finite` is None, one FiniteSizeParams or one per point; `v_s` and `v_m`
+    give each point's source variances and default to the protocol's own.
+    Inputs of length one apply to every point.
+
+    The source states, the channel and both Holevo conditionings run as
+    stacked arrays.  A point's result depends on its own inputs only: element
+    k equals, bit for bit, the batch of one at the same inputs.  Every check
+    of the single-state route runs per point; if any point fails, the error
+    of the lowest failing point is raised, as a point-by-point loop would.
+    """
+    chans = (chan,) if isinstance(chan, CompositeChannel) else tuple(chan)
+    finites = (finite,) if finite is None or isinstance(finite, FiniteSizeParams) else tuple(finite)
+    v_s = np.atleast_1d(np.asarray(protocol.v_s if v_s is None else v_s, dtype=float))
+    v_m = np.atleast_1d(np.asarray(protocol.v_m if v_m is None else v_m, dtype=float))
+    try:
+        (n,) = np.broadcast_shapes(v_s.shape, v_m.shape, (len(chans),), (len(finites),))
+    except ValueError as exc:
+        raise DomainError("batch inputs must have one value or one per point") from exc
+    v_s = np.broadcast_to(v_s, (n,))
+    v_m = np.broadcast_to(v_m, (n,))
+
+    fail = _Failures(n)
+    with np.errstate(all="ignore"):
+        fail.check(~((0.0 < v_s) & (v_s <= 1.0)),
+                   lambda k: DomainError(f"v_s must be in (0, 1], got {float(v_s[k])}"))
+        fail.check(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
+        if protocol.is_coherent:
+            fail.check(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
+        source = build_source_stack(protocol, np.where(fail.failed, 1.0, v_s), np.where(fail.failed, 0.0, v_m))
+        fail.check(~_finite(source), DomainError(_NOT_FINITE))
+        state = apply_composite_stack(fail.usable(source), chans)
+        fail.check(~_finite(state), DomainError(_NOT_FINITE))
+        s_total = _entropies(_spectra(state, fail))
+
+        # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
+        # with an X homodyne (b=0) or the X half of a heterodyne record (b=1)
+        v_b = state[:, -2, -2]
+        sigma = state[:, -2, 0]
+        if protocol.is_coherent:
+            v_b_given_a = v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
+        else:
+            inv = 1.0 / state[:, 0, 0]
+            fail.check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+            v_b_given_a = v_b - (sigma * inv) * sigma
+        fail.check(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
+        fail.check(v_b_given_a <= 0.0,
+                   lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
+        mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))
+
+        # chi = S(trusted state) - S(remainder | reference party's X data)
+        if protocol.reconciliation == REVERSE:
+            conditioned = _condition_on_x(state, state.shape[-1] // 2 - 1, fail)
+        elif protocol.is_coherent:
+            conditioned = _condition_on_x(_split_sender_mode_stack(state), 0, fail)
+        else:
+            conditioned = _condition_on_x(state, 0, fail)
+        holevo = s_total - _entropies(_spectra(conditioned, fail))
+        fail.check(holevo < _CHI_FLOOR,
+                   lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
+    fail.raise_first()
+
+    i_ab = protocol.sifting * mi
+    chi = protocol.sifting * np.maximum(holevo, 0.0)
+    rate_finite = n_block = None
+    if finites[0] is not None:
+        delta = np.array([finite_size_penalty(f.n, f.eps_bar) for f in finites])
+        key_fraction = np.array([f.key_fraction for f in finites])
+        rate_finite = key_fraction * (protocol.beta * i_ab - chi - delta)
+        n_block = tuple(f.n for f in finites) * (n // len(finites))
+    dr_low = np.zeros(n, dtype=bool)
+    if protocol.reconciliation == DIRECT:
+        # direct reconciliation is generally insecure below mean transmittance 1/2
+        dr_low |= np.array([ch.mean_transmittance <= 0.5 for ch in chans])
+    return KeyRates(
+        i_ab=i_ab,
+        chi=chi,
+        rate_asymptotic=protocol.beta * i_ab - chi,
+        rate_finite=rate_finite,
+        n_block=n_block,
+        dr_low_transmittance=dr_low,
+        beta=protocol.beta,
+    )
+
+
+def key_rate(
+    protocol: ProtocolParams,
+    chan: CompositeChannel,
+    finite: FiniteSizeParams | None = None,
+) -> KeyRateResult:
+    """Secure key rate of one protocol over one composite channel.
+
+    key_rates at a single point.  rate_asymptotic = beta I_AB - chi; with
+    finite-size parameters, rate_finite = key_fraction * (beta I_AB - chi -
+    Delta(n)).
+    """
+    return key_rates(protocol, chan, finite).result(0)
+
+
 def _split_sender_mode(gamma: CovarianceMatrix) -> CovarianceMatrix:
     """Model the sender's heterodyne: balanced beamsplitter with vacuum on mode 0.
 
@@ -77,15 +346,7 @@ def _split_sender_mode(gamma: CovarianceMatrix) -> CovarianceMatrix:
     order = [0, gamma.n_modes] + list(range(1, gamma.n_modes))
     ext = gaussian.partial_trace(ext, order)
     s = np.eye(2 * ext.n_modes)
-    r = 1.0 / math.sqrt(2.0)
-    s[0:4, 0:4] = np.array(
-        [
-            [r, 0.0, r, 0.0],
-            [0.0, r, 0.0, r],
-            [-r, 0.0, r, 0.0],
-            [0.0, -r, 0.0, r],
-        ]
-    )
+    s[0:4, 0:4] = _SPLITTER
     return gaussian.apply_symplectic(ext, s)
 
 
@@ -145,64 +406,36 @@ def holevo_dr(state_after_channel: CovarianceMatrix, protocol: ProtocolParams) -
     return _chi_from(state_after_channel, cond)
 
 
-def key_rate(
-    protocol: ProtocolParams,
-    chan: CompositeChannel,
-    finite: FiniteSizeParams | None = None,
-    source: SourceState | None = None,
-    state_after_channel: CovarianceMatrix | None = None,
-) -> KeyRateResult:
-    """Secure key rate of one protocol over one composite channel.
-
-    Composes source -> channel -> information quantities.  rate_asymptotic =
-    beta I_AB - chi; with finite-size parameters, rate_finite =
-    key_fraction * (beta I_AB - chi - Delta(n)).  Pass `source` and/or
-    `state_after_channel` to reuse precomputed pieces (the optimizer does).
-    """
-    if source is None:
-        source = build_source(protocol)
-    if state_after_channel is None:
-        state_after_channel = apply_composite(source, chan)
-
-    flags = []
-    if protocol.reconciliation == DIRECT and chan.mean_transmittance <= 0.5:
-        # direct reconciliation is generally insecure below mean transmittance 1/2
-        flags.append("dr_low_transmittance")
-
-    i_ab = protocol.sifting * mutual_information(state_after_channel, protocol)
-    if protocol.reconciliation == REVERSE:
-        chi = protocol.sifting * holevo_rr(state_after_channel)
-    else:
-        chi = protocol.sifting * holevo_dr(state_after_channel, protocol)
-    rate_asym = protocol.beta * i_ab - chi
-
-    rate_finite = None
-    n_block = None
-    if finite is not None:
-        delta = finite_size_penalty(finite.n, finite.eps_bar)
-        rate_finite = finite.key_fraction * (protocol.beta * i_ab - chi - delta)
-        n_block = finite.n
-
-    return KeyRateResult(
-        i_ab=i_ab,
-        chi=chi,
-        rate_asymptotic=rate_asym,
-        rate_finite=rate_finite,
-        n_block=n_block,
-        diagnostics={"beta": protocol.beta, "flags": flags},
-    )
-
-
 def key_rate_equivalent_fixed(
     protocol: ProtocolParams,
     chan: CompositeChannel,
     finite: FiniteSizeParams | None = None,
 ) -> KeyRateResult:
-    """key_rate evaluated through the equivalent fixed-channel representation.
+    """key_rate computed one CovarianceMatrix at a time through the equivalent fixed channel.
 
-    Exists for the dual-route fading-equivalence checks; must agree with
-    key_rate to numerical precision.
+    An independent route for checks: build_source -> apply_equivalent_fixed ->
+    mutual_information and holevo_rr / holevo_dr.  Agrees with key_rate to
+    numerical precision.
     """
-    source = build_source(protocol)
-    state = apply_equivalent_fixed(source, chan)
-    return key_rate(protocol, chan, finite, source=source, state_after_channel=state)
+    state = apply_equivalent_fixed(build_source(protocol), chan)
+    i_ab = protocol.sifting * mutual_information(state, protocol)
+    if protocol.reconciliation == REVERSE:
+        chi = protocol.sifting * holevo_rr(state)
+    else:
+        chi = protocol.sifting * holevo_dr(state, protocol)
+    flags = []
+    if protocol.reconciliation == DIRECT and chan.mean_transmittance <= 0.5:
+        flags.append("dr_low_transmittance")
+    rate_finite = n_block = None
+    if finite is not None:
+        delta = finite_size_penalty(finite.n, finite.eps_bar)
+        rate_finite = finite.key_fraction * (protocol.beta * i_ab - chi - delta)
+        n_block = finite.n
+    return KeyRateResult(
+        i_ab=i_ab,
+        chi=chi,
+        rate_asymptotic=protocol.beta * i_ab - chi,
+        rate_finite=rate_finite,
+        n_block=n_block,
+        diagnostics={"beta": protocol.beta, "flags": flags},
+    )

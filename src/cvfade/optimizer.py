@@ -1,8 +1,9 @@
 """Deterministic maximization of the key rate over squeezing and modulation.
 
-Two stages: a coarse grid (log-spaced in V_s, linear in V_m) followed by a
-bounded Nelder-Mead simplex refinement from the best grid point.  Everything
-is deterministic: identical inputs give identical optima.
+Two stages: a coarse grid (log-spaced in V_s, linear in V_m), evaluated as
+one batch by keyrate.key_rates, followed by a bounded Nelder-Mead simplex
+refinement from the best grid point, one evaluation at a time.  Everything is
+deterministic: identical inputs give identical optima.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .channel import CompositeChannel
 from .errors import ConfigError
-from .keyrate import FiniteSizeParams, KeyRateResult, key_rate
+from .keyrate import FiniteSizeParams, KeyRateResult, key_rate, key_rates
 from .sources import ProtocolParams, variance_from_db
 
 COHERENT = "coherent"
@@ -142,22 +143,26 @@ def optimize(
     """
     trace = []
     cache: dict[tuple[float, float], float] = {}
+    if spec.family == COHERENT:
+        protocol = replace(protocol_template, v_s=1.0, b=1, v_an=0.0)
+    else:
+        protocol = replace(protocol_template, b=0)
 
-    def protocol_at(v_s: float, v_m: float) -> ProtocolParams:
-        if spec.family == COHERENT:
-            return replace(protocol_template, v_s=1.0, v_m=v_m, b=1, v_an=0.0)
-        return replace(protocol_template, v_s=v_s, v_m=v_m, b=0)
+    def rates(points: list[tuple[float, float]]) -> list[float]:
+        """Objective at each (v_s, v_m); points not seen before are evaluated as one batch."""
+        new = list(dict.fromkeys(p for p in points if p not in cache))
+        if new:
+            v_s, v_m = np.array(new).T
+            res = key_rates(protocol, chan, finite, v_s=v_s, v_m=v_m)
+            values = res.rate_finite if finite is not None else res.rate_asymptotic
+            for p, r in zip(new, values.tolist()):
+                cache[p] = r
+                if collect_trace:
+                    trace.append((*p, r))
+        return [cache[p] for p in points]
 
     def rate(v_s: float, v_m: float) -> float:
-        key = (v_s, v_m)
-        if key in cache:
-            return cache[key]
-        res = key_rate(protocol_at(v_s, v_m), chan, finite)
-        r = res.rate_finite if finite is not None else res.rate_asymptotic
-        cache[key] = r
-        if collect_trace:
-            trace.append((v_s, v_m, r))
-        return r
+        return rates([(v_s, v_m)])[0]
 
     n_vs, n_vm = spec.grid
     vs_frozen = spec.family == COHERENT or not spec.optimize_vs
@@ -170,13 +175,12 @@ def optimize(
         vs_grid[-1] = 1.0
     vm_grid = np.linspace(spec.vm_range[0], spec.vm_range[1], n_vm)
 
+    grid = [(v_s, v_m) for v_s in vs_grid.tolist() for v_m in vm_grid.tolist()]
     best = None  # (rate, v_s, -v_m) lexicographic max
-    for v_s in vs_grid:
-        for v_m in vm_grid:
-            r = rate(float(v_s), float(v_m))
-            cand = (r, float(v_s), -float(v_m))
-            if best is None or cand > best:
-                best = cand
+    for (v_s, v_m), r in zip(grid, rates(grid)):
+        cand = (r, v_s, -v_m)
+        if best is None or cand > best:
+            best = cand
     grid_rate, grid_vs, neg_vm = best
     grid_vm = -neg_vm
 
@@ -212,7 +216,7 @@ def optimize(
     final = max(best, refined)
     v_s, v_m = final[1], -final[2]
 
-    res = key_rate(protocol_at(v_s, v_m), chan, finite)
+    res = key_rate(replace(protocol, v_s=v_s, v_m=v_m), chan, finite)
     return OptimizationResult(
         v_s=v_s,
         v_m=v_m,

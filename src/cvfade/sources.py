@@ -155,3 +155,44 @@ def build_source(params: ProtocolParams) -> SourceState:
             gamma = CovarianceMatrix(m)
 
     return SourceState(gamma, HOMODYNE_X)
+
+
+def build_source_stack(params: ProtocolParams, v_s: np.ndarray, v_m: np.ndarray) -> np.ndarray:
+    """Covariance matrices of build_source at each point (v_s[k], v_m[k]), stacked.
+
+    The other settings come from `params`; its own v_s and v_m are ignored.
+    Returns an (N, 2m, 2m) array in build_source's mode layout, written out in
+    closed form from the same construction.  The points are not validated.
+    """
+    n = v_s.size
+    if params.is_coherent:
+        mu = v_m + 1.0
+        c = np.sqrt(mu * mu - 1.0)
+        x_b, p_b, c_x, c_p = mu, mu, c, -c
+    else:
+        mu = np.sqrt(1.0 + v_m / v_s)
+        c = np.sqrt(mu * mu - 1.0)
+        # squeezer sqrt(V_s (V_s + V_m)) on the signal: x scales by r, p by 1/r
+        r = np.sqrt(np.sqrt(v_s * (v_s + v_m)))
+        q = 1.0 / r
+        x_b, p_b, c_x, c_p = (r * mu) * r, (q * mu) * q, c * r, -(c * q)
+    gamma = np.zeros((n, 4, 4))
+    gamma[:, 0, 0] = gamma[:, 1, 1] = mu
+    gamma[:, 2, 2] = x_b
+    gamma[:, 3, 3] = p_b
+    gamma[:, 0, 2] = gamma[:, 2, 0] = c_x
+    gamma[:, 1, 3] = gamma[:, 3, 1] = c_p
+    if params.v_an == 0.0:
+        return gamma
+    if params.prep_noise_trust == UNTRUSTED:
+        gamma[:, 3, 3] += params.v_an
+        return gamma
+    # modes (A, ancilla, B), then the QND coupling of the ancilla and the signal
+    three = np.zeros((n, 6, 6))
+    three[:, 2, 2] = three[:, 3, 3] = 1.0
+    outer = np.array([0, 1, 4, 5])
+    three[:, outer[:, None], outer] = gamma
+    qnd = np.eye(6)
+    qnd[5, 2] = qnd[3, 4] = math.sqrt(params.v_an)
+    three = qnd @ three @ qnd.T
+    return 0.5 * (three + three.transpose(0, 2, 1))

@@ -30,6 +30,8 @@ def test_symplectic_form_invariants():
         omega = symplectic_form(n)
         assert np.array_equal(omega, -omega.T)
         assert np.array_equal(omega @ omega, -np.eye(2 * n))
+        assert symplectic_form(n) is omega  # built once per mode count
+        assert not omega.flags.writeable
 
 
 class TestCovarianceMatrix:

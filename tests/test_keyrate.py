@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvfade.channel import CompositeChannel, FadingStats
-from cvfade.errors import DomainError, InternalError
+from cvfade.errors import CvfadeError, DomainError, InternalError, NonPhysicalState
 from cvfade.gaussian import entropy_g
 from cvfade.keyrate import (
     FiniteSizeParams,
@@ -16,9 +17,10 @@ from cvfade.keyrate import (
     holevo_rr,
     key_rate,
     key_rate_equivalent_fixed,
+    key_rates,
     mutual_information,
 )
-from cvfade.sources import ProtocolParams, build_source
+from cvfade.sources import ProtocolParams, build_source, variance_from_db
 from cvfade.channel import apply_composite
 
 
@@ -219,3 +221,219 @@ def test_internal_error_guard():
     with pytest.raises(InternalError):
         from cvfade.keyrate import KeyRateResult
         KeyRateResult(i_ab=1.0, chi=0.5, rate_asymptotic=0.123, diagnostics={"beta": 1.0})
+
+
+# --- the batched kernel against the CovarianceMatrix route -------------------
+
+FIELDS = ("i_ab", "chi", "rate_asymptotic", "rate_finite")
+FINITE_CHOICES = (None, FiniteSizeParams(n=1e6), FiniteSizeParams(n=1e8, eps_bar=1e-8, key_fraction=0.8))
+
+
+def bits(x):
+    """Exact bit pattern of a float (None passes through)."""
+    return None if x is None else float(x).hex()
+
+
+def fading_channel(mean_eta, var_fraction, **kw):
+    """Channel with Var(sqrt(eta)) a fraction of its largest value <eta>(1 - <eta>)."""
+    var = var_fraction * mean_eta * (1.0 - mean_eta)
+    return CompositeChannel(fading=FadingStats(mean_eta, math.sqrt(mean_eta - var)), **kw)
+
+
+@st.composite
+def channels(draw, mean_eta=st.floats(0.05, 1.0)):
+    return fading_channel(
+        draw(mean_eta), draw(st.floats(0.0, 0.9)),
+        eta1=draw(st.floats(0.3, 1.0)), eps1=draw(st.floats(0.0, 0.03)),
+        eps2=draw(st.floats(0.0, 0.05)), eps_atm=draw(st.floats(0.0, 0.03)),
+    )
+
+
+@st.composite
+def protocols(draw):
+    kw = dict(
+        reconciliation=draw(st.sampled_from(["dr", "rr"])),
+        beta=draw(st.floats(0.5, 1.0)),
+        sifting=draw(st.sampled_from([1.0, 0.9, 0.5])),
+    )
+    if draw(st.booleans()):
+        return ProtocolParams(v_s=1.0, v_m=1.0, b=1, **kw)
+    return ProtocolParams(
+        v_s=0.5, v_m=1.0, b=0, v_an=draw(st.sampled_from([0.0, 0.4, 2.0])),
+        prep_noise_trust=draw(st.sampled_from(["trusted", "untrusted"])), **kw,
+    )
+
+
+@st.composite
+def batches(draw):
+    """(protocol, finite, v_s, v_m, channels): the first points hold v_m = 0 and
+    v_m > 0, and mean transmittances below and above 1/2, in a drawn order."""
+    protocol = draw(protocols())
+    n = draw(st.integers(4, 12))
+    v_m = [0.0, draw(st.floats(0.1, 50.0))] + draw(st.lists(st.floats(0.0, 50.0), min_size=n - 2, max_size=n - 2))
+    chans = [
+        draw(channels(st.floats(0.05, 0.5))),  # mean transmittance <= 1/2
+        CompositeChannel(fading=FadingStats.fixed(draw(st.floats(0.55, 1.0)))),
+    ] + draw(st.lists(channels(), min_size=n - 2, max_size=n - 2))
+    v_s = [1.0] * n if protocol.is_coherent else draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return (protocol, draw(st.sampled_from(FINITE_CHOICES)),
+            [v_s[k] for k in order], [v_m[k] for k in order], [chans[k] for k in order])
+
+
+def single_state(protocol, chan, finite=None):
+    """The key rate one CovarianceMatrix at a time through the composite channel map.
+
+    Shares only the channel map with key_rates: spectra, conditionings and
+    entropies come from the gaussian module.  The channel map itself is
+    checked against the equivalent fixed channel (key_rate_equivalent_fixed).
+    """
+    state = apply_composite(build_source(protocol), chan)
+    i_ab = protocol.sifting * mutual_information(state, protocol)
+    holevo = holevo_rr(state) if protocol.reconciliation == "rr" else holevo_dr(state, protocol)
+    chi = protocol.sifting * holevo
+    rate_finite = None
+    if finite is not None:
+        delta = finite_size_penalty(finite.n, finite.eps_bar)
+        rate_finite = finite.key_fraction * (protocol.beta * i_ab - chi - delta)
+    return {"i_ab": i_ab, "chi": chi, "rate_asymptotic": protocol.beta * i_ab - chi, "rate_finite": rate_finite}
+
+
+def assert_matches_oracles(got, protocol, chan, finite=None):
+    """Within 1e-12 bits of the single-state route and 1e-9 of the equivalent fixed channel.
+
+    The equivalent fixed channel rounds differently (<sqrt(eta)>^2 need not
+    equal <eta> in floating point), and near-pure states amplify that through
+    g(nu) near nu = 1: on a noiseless <eta> = 0.5 channel the two differ by
+    1.2e-12 bits at v_m = 27 and by up to 3e-11 at v_m = 1e3, as they did
+    for the single-state key_rate before the kernel.
+    """
+    reference = single_state(protocol, chan, finite)
+    equivalent = key_rate_equivalent_fixed(protocol, chan, finite)
+    for field in FIELDS:
+        if finite is None and field == "rate_finite":
+            assert got.rate_finite is None and equivalent.rate_finite is None
+            continue
+        value = getattr(got, field)
+        assert abs(value - reference[field]) <= 1e-12, field
+        assert abs(value - getattr(equivalent, field)) <= 1e-9, field
+    assert got.diagnostics["flags"] == equivalent.diagnostics["flags"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=batches())
+def test_kernel_matches_oracle_and_batch_of_one(batch):
+    protocol, finite, v_s, v_m, chans = batch
+    rates = key_rates(protocol, chans, finite, v_s=v_s, v_m=v_m)
+    assert any(ch.mean_transmittance <= 0.5 for ch in chans) and any(ch.mean_transmittance > 0.5 for ch in chans)
+    for k, chan in enumerate(chans):
+        point = replace(protocol, v_s=v_s[k], v_m=v_m[k])
+        got = rates.result(k)
+        assert_matches_oracles(got, point, chan, finite)
+        one = key_rate(point, chan, finite)
+        assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
+        assert got.diagnostics == one.diagnostics
+        assert got.n_block == one.n_block == (None if finite is None else finite.n)
+        if v_m[k] == 0.0:
+            assert got.i_ab == 0.0
+
+
+def test_batch_inputs_broadcast():
+    p = ProtocolParams(v_s=0.4, v_m=3.0, b=0)
+    chan = fixed_channel(0.6, eps2=0.01)
+    rates = key_rates(p, chan, FiniteSizeParams(n=1e6), v_m=[0.0, 3.0, 7.0])
+    assert rates.rate_asymptotic.shape == (3,)
+    assert bits(rates.result(1).rate_finite) == bits(key_rate(p, chan, FiniteSizeParams(n=1e6)).rate_finite)
+    assert rates.n_block == (1e6, 1e6, 1e6)
+    with pytest.raises(DomainError):
+        key_rates(p, [chan, chan], None, v_m=[1.0, 2.0, 3.0])
+
+
+# --- extreme inputs -----------------------------------------------------------
+
+V_S_CAP = variance_from_db(-10.0)
+EXTREME_PROTOCOLS = [ProtocolParams(v_s=1.0, b=1, reconciliation=r, beta=0.95) for r in ("dr", "rr")] + [
+    ProtocolParams(v_s=V_S_CAP, b=0, reconciliation=r, v_an=v_an, prep_noise_trust=trust, beta=0.95)
+    for r in ("dr", "rr")
+    for v_an, trust in ((0.0, "trusted"), (1.0, "trusted"), (1.0, "untrusted"))
+]
+EXTREME_CHANNELS = [
+    CompositeChannel(fading=FadingStats.fixed(eta), eps2=eps)
+    for eta in (1e-6, 0.3, 0.5, 1.0 - 1e-9)  # 0.3: direct reconciliation below 1/2
+    for eps in (0.0, 0.01)
+] + [fading_channel(0.5, 0.04, eps2=eps) for eps in (0.0, 0.01)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CvfadeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}")
+def test_extreme_inputs_agree_with_oracle(protocol):
+    v_m = [0.0, 10.0, 1e3]
+    for chan in EXTREME_CHANNELS:
+        rates = outcome(key_rates, protocol, [chan], None, protocol.v_s, v_m)
+        for k, vm in enumerate(v_m):
+            point = replace(protocol, v_m=vm)
+            reference = outcome(single_state, point, chan)
+            one = outcome(key_rate, point, chan)
+            if isinstance(reference, type):
+                assert one is reference and isinstance(rates, type)
+                continue
+            got = rates.result(k)
+            assert_matches_oracles(got, point, chan)
+            assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
+
+
+def impossible_moments():
+    bad = FadingStats.__new__(FadingStats)
+    object.__setattr__(bad, "mean_eta", 0.05)
+    object.__setattr__(bad, "mean_sqrt_eta", 0.999)
+    return CompositeChannel(fading=bad)
+
+
+@pytest.mark.parametrize("family", ["coherent", "squeezed"])
+def test_failing_point_raises_its_error_from_any_batch(family):
+    protocol = ProtocolParams(v_s=1.0, v_m=5.0, b=1 if family == "coherent" else 0, reconciliation="dr")
+    good = [CompositeChannel(fading=FadingStats.fixed(eta), eps2=0.01) for eta in (1e-6, 0.3, 1.0 - 1e-9)]
+    bad = impossible_moments()
+    with pytest.raises(NonPhysicalState):
+        apply_composite(build_source(protocol), bad)  # the single-state channel map
+    with pytest.raises(NonPhysicalState):
+        key_rate(protocol, bad)
+    for position in range(4):
+        chans = good[:position] + [bad] + good[position:]
+        with pytest.raises(NonPhysicalState):
+            key_rates(protocol, chans, None, v_m=[1e3, 1e3, 1e3, 1e3])
+    # several failing points: the lowest one decides, as a point-by-point loop would
+    with pytest.raises(DomainError):
+        key_rates(protocol, [good[0], bad, good[1]], None, v_m=[-1.0, 5.0, 5.0])
+    with pytest.raises(NonPhysicalState):
+        key_rates(protocol, [good[0], bad, good[1]], None, v_m=[5.0, 5.0, math.nan])
+    with pytest.raises(DomainError):
+        key_rates(protocol, good, None, v_m=[5.0, math.inf, 5.0])
+
+
+# --- physical upper bound -----------------------------------------------------
+
+@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}")
+def test_rates_respect_plob_bound(protocol):
+    """R <= -log2(1 - eta) on fixed channels (Pirandola et al., Nat. Commun. 8, 15043 (2017))."""
+    rng = np.random.default_rng(15043)
+    n = 3000
+    chans = [
+        CompositeChannel(fading=FadingStats.fixed(float(eta)), eta1=float(eta1), eta2=float(eta2),
+                         eps1=float(e1), eps2=float(e2), eps_atm=float(ea))
+        for eta, eta1, eta2, e1, e2, ea in zip(
+            rng.uniform(1e-4, 1.0 - 1e-6, n), rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n),
+            rng.uniform(0.0, 0.03, n), rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.03, n))
+    ]
+    v_s = 1.0 if protocol.is_coherent else rng.uniform(V_S_CAP, 1.0, n)
+    rates = key_rates(replace(protocol, beta=1.0), chans, None, v_s=v_s, v_m=rng.uniform(0.0, 100.0, n))
+    plob = -np.log2(1.0 - np.array([ch.mean_transmittance for ch in chans]))
+    assert np.max(rates.rate_asymptotic - plob) < 0.0
