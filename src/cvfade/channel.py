@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,22 +63,32 @@ def fading_stats(samples) -> FadingStats:
 def read_eta_csv(path) -> np.ndarray:
     """Read a transmittance sample set from a CSV with single column `eta`.
 
-    Lines starting with '#' are ignored (metadata comments).
+    Lines starting with '#' are ignored (metadata comments); after the
+    header a '#' anywhere starts a comment, and blank lines are skipped.  The
+    body is parsed by numpy's C reader; a row with more than one cell, a cell
+    that is not a number or bytes that do not decode raise DomainError.
     """
-    values = []
     with open(path, newline="") as fh:
-        rows = (r for r in fh if not r.startswith("#"))
-        reader = csv.reader(rows)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["eta"]:
-            raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
-        for row in reader:
-            if not row:
-                continue
-            values.append(float(row[0]))
-    if not values:
+        try:
+            line = fh.readline()
+            while line.startswith("#"):
+                line = fh.readline()
+            header = next(csv.reader([line]), [])
+            if [h.strip() for h in header] != ["eta"]:
+                raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, dtype=float, delimiter=",", comments="#",
+                                    quotechar='"', ndmin=2)
+        except DomainError:
+            raise
+        except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
+            raise DomainError(f"cannot parse samples in {path}: {exc}") from exc
+    if values.shape[1] != 1:
+        raise DomainError(f"expected one cell per row in {path}, found {values.shape[1]}")
+    if values.size == 0:
         raise DomainError(f"no samples found in {path}")
-    return np.asarray(values, dtype=float)
+    return values.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -157,9 +168,13 @@ def apply_equivalent_fixed(source: SourceState, channel: CompositeChannel) -> Co
     noise eta_comb * Var(sqrt(eta)) * (V_q - 1) on the signal diagonal; exactly
     entry-wise identical to apply_composite.  Written out independently of
     apply_composite_stack, so the two serve as checks on each other.
+
+    The transmittance is taken as eta_comb * (<eta> - Var(sqrt(eta))): for a
+    fixed channel <sqrt(eta)>^2 can round one ulp above <eta> (eta = 0.5
+    does), and near-pure states amplify that ulp in the entropies.
     """
     st = channel.fading
-    t_eq = channel.eta_comb * st.mean_sqrt_eta**2
+    t_eq = channel.eta_comb * (st.mean_eta - st.var_sqrt)
     g = np.array(source.gamma.matrix)
     n2 = g.shape[0]
     b = slice(n2 - 2, n2)

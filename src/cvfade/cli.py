@@ -184,7 +184,7 @@ def cmd_simulate(args) -> int:
     result = simulate(scen, n=int(n), seed=seed)
 
     meta = _meta(config, seed, {"n": int(n)})
-    text = render_csv(meta, ["eta"], ([v] for v in result.samples))
+    text = render_csv(meta, ["eta"], result.samples)
     write_text(args.out, text)
     sidecar = dict(result.metadata)
     sidecar["config_sha256"] = config.config_hash()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def rotation(theta):
@@ -55,6 +56,26 @@ def two_mode_nu_closed_form(m):
         np.sqrt((delta + disc) / 2.0),
         np.sqrt(max((delta - disc) / 2.0, 0.0)),
     )
+
+
+LARGEST_SUBNORMAL = 2.225073858507201e-308
+SPECIAL_SAMPLES = (0.0, 1.0, 5e-324, 1e-310, LARGEST_SUBNORMAL, 2.2250738585072014e-308, -0.0)
+
+
+def sample_values():
+    """Doubles for sample files: 0, 1, the smallest subnormal and other
+    subnormals, transmittances in [0, 1] and any finite double."""
+    return st.one_of(
+        st.sampled_from(SPECIAL_SAMPLES),
+        st.floats(min_value=5e-324, max_value=LARGEST_SUBNORMAL),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+def hex_values(values):
+    """Exact bit patterns of a sequence of floats."""
+    return [float(v).hex() for v in values]
 
 
 @pytest.fixture

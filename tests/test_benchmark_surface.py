@@ -2,13 +2,19 @@
 
 perfbench/tracer.py wraps each function in TARGETS by module attribute, and the
 harness modules import cvfade names directly.  A deletion or rename that breaks
-either fails here, before it breaks a traced benchmark run.
+either fails here, before it breaks a traced benchmark run; so does a change
+that takes the CLI's CSV reading or rendering around the traced functions.
 """
 import ast
 import importlib
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+FIG3 = ROOT / "scenarios" / "fig3.scenario"
 
 
 def tracer_targets():
@@ -44,3 +50,41 @@ def test_harness_imports_resolve():
     for path, module_name, name in found:
         module = importlib.import_module(module_name)
         assert hasattr(module, name), f"perfbench/{path}: from {module_name} import {name}"
+
+
+def traced_calls(monkeypatch, target):
+    """Record calls of a TARGETS function the way tracer.Tracer.install wraps
+    it: under every cvfade module attribute bound to it."""
+    module_name, attr = target.split(".")
+    original = getattr(importlib.import_module(f"cvfade.{module_name}"), attr)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "cvfade" or name.startswith("cvfade."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    return calls
+
+
+def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
+    """The per-layer counters read outputs.render_csv's returned text (rows,
+    cells) and channel.read_eta_csv's returned array (.size); simulate and
+    stats must reach both through the attributes the tracer replaces."""
+    from cvfade.cli import main  # imports every layer
+
+    assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
+    rendered = traced_calls(monkeypatch, "outputs.render_csv")
+    read = traced_calls(monkeypatch, "channel.read_eta_csv")
+    samples = tmp_path / "eta.csv"
+    n = 1234
+    assert main(["simulate", "--config", str(FIG3), "--n", str(n), "--seed", "3", "--out", str(samples)]) == 0
+    assert len(rendered) == 1 and isinstance(rendered[0], str)
+    assert rendered[0].count("\n") - 2 == n  # one metadata line, one header line
+    assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
+    assert len(read) == 1 and isinstance(read[0], np.ndarray) and read[0].size == n

@@ -1,10 +1,13 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hex_values, sample_values
 from cvfade.channel import (
     CompositeChannel,
     FadingStats,
@@ -200,3 +203,68 @@ def test_read_eta_csv(tmp_path):
     bad.write_text("transmittance\n0.5\n")
     with pytest.raises(DomainError):
         read_eta_csv(bad)
+
+
+# --- the eta sample file against the reader it replaced ----------------------
+
+def csv_float_reader(path):
+    """The row-at-a-time reader (csv.reader plus float) that read_eta_csv
+    replaced, kept as the oracle for its values."""
+    values = []
+    with open(path, newline="") as fh:
+        rows = (r for r in fh if not r.startswith("#"))
+        reader = csv.reader(rows)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["eta"]:
+            raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
+        for row in reader:
+            if not row:
+                continue
+            values.append(float(row[0]))
+    if not values:
+        raise DomainError(f"no samples found in {path}")
+    return np.asarray(values, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(sample_values(), min_size=1, max_size=40), data=st.data())
+def test_reader_matches_csv_float_oracle(tmp_path_factory, values, data):
+    """.17g and repr files, LF and CRLF, '#' and blank lines between rows and
+    quoted cells read bit-identically with both readers."""
+    fmt = data.draw(st.sampled_from([lambda v: format(v, ".17g"), repr]))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["# metadata: {}"] if data.draw(st.booleans()) else []
+    lines.append("eta")
+    for v in values:
+        lines.append(data.draw(st.sampled_from(["", "", "# comment", "#"])))
+        cell = fmt(v)
+        lines.append(f'"{cell}"' if data.draw(st.booleans()) else cell)
+    path = tmp_path_factory.mktemp("eta") / "samples.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(eol.join(ln for ln in lines if ln != "" or data.draw(st.booleans())) + eol)
+    got = read_eta_csv(path)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(values),)
+    assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(values)
+
+
+@pytest.mark.parametrize("body", [
+    b"eta\n0.5\nabc\n",                       # a cell that is not a number
+    b"eta\n0.5\n\xff\xfe\n",                  # bytes that are not UTF-8
+    b"\xff\xfe",
+    b"eta\n0.5,0.7\n",                        # an extra cell (csv + float read 0.5)
+    b"eta\n0.5\n0.25,0.7\n",
+    b"eta\n0.5\n   \n",                       # a cell of spaces
+    b"# metadata: {}\r\neta\r\n",             # header only
+    b"eta\n# comment\n\n",
+    b"",
+    b"\neta\n0.5\n",                          # header not on the first line
+    b"eta,extra\n0.5,0.7\n",
+    b"x" * 200_000 + b"\n0.5\n",           # a header beyond csv's field size limit
+])
+def test_reader_rejects_malformed_files(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning leaks out of the reader
+        with pytest.raises(DomainError):
+            read_eta_csv(path)

@@ -1,11 +1,18 @@
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import hex_values, sample_values
+from cvfade.channel import read_eta_csv
 from cvfade.cli import main
+from cvfade.errors import DomainError
+from cvfade.outputs import _CHUNK, format_number, metadata_line, render_csv, write_text
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -331,3 +338,73 @@ def test_sifting_factor_halves_rate(tmp_path):
     full = float(read_rows(out_a)[0]["rate_asymptotic"])
     half = float(read_rows(out_b)[0]["rate_asymptotic"])
     assert half == pytest.approx(0.5 * full)
+
+
+# --- the eta sample file: bulk rendering and malformed input -----------------
+
+def row_renderer(meta, header, rows):
+    """The per-row renderer (csv.writer plus format_number) that rendered
+    sample files before render_csv's float-array path, kept as its oracle."""
+    buf = io.StringIO()
+    buf.write(metadata_line(meta) + "\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
+    return buf.getvalue()
+
+
+SIZES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(SIZES), values=st.lists(sample_values(), max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_float_array_renders_like_row_renderer_and_reads_back(tmp_path_factory, size, values, seed):
+    """Byte-identical to the per-row renderer at sizes around the chunk
+    length, and read_eta_csv gives back the same doubles."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    samples = np.concatenate([values, np.where(rng.random(size) < 0.5, rng.random(size), wide)])[:size]
+    rng.shuffle(samples)
+    meta = {"n": size, "seed": seed}
+    text = render_csv(meta, ["eta"], samples)
+    assert isinstance(text, str)
+    assert text == row_renderer(meta, ["eta"], ([v] for v in samples))
+    path = tmp_path_factory.mktemp("eta") / "etas.csv"
+    write_text(path, text)
+    if size == 0:
+        with pytest.raises(DomainError):
+            read_eta_csv(path)
+    else:
+        assert hex_values(read_eta_csv(path)) == hex_values(samples)
+
+
+MALFORMED_SAMPLES = {
+    "non_numeric": b"eta\n0.5\nabc\n",
+    "non_utf8": b"eta\n0.5\n\xff\xfe\n",
+    "extra_cell": b"eta\n0.5,0.7\n",
+    "extra_cell_later": b"eta\n0.5\n0.25,0.7\n",
+    "header_only": b"# metadata: {}\r\neta\r\n",
+    "nan": b"eta\n0.5\nnan\n",
+    "out_of_range": b"eta\n0.5\n1.5\n",
+    "negative": b"eta\n-0.25\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SAMPLES))
+def test_malformed_sample_file_exits_2_with_one_line(tmp_path, capsys, name):
+    samples = tmp_path / "etas.csv"
+    samples.write_bytes(MALFORMED_SAMPLES[name])
+    out = tmp_path / "stats.json"
+    assert main(["stats", str(samples), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    doc = {"protocol": {"family": "coherent", "v_m": 3.0},
+           "channel": {"fading": {"samples_file": str(samples)}}}
+    out = tmp_path / "kr.csv"
+    assert main(["keyrate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: samples_file: ") and err.count("\n") == 1, err
+    assert not out.exists()

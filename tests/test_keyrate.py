@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvfade.channel import CompositeChannel, FadingStats
+from cvfade.channel import CompositeChannel, FadingStats, fading_stats
 from cvfade.errors import CvfadeError, DomainError, InternalError, NonPhysicalState
 from cvfade.gaussian import entropy_g
 from cvfade.keyrate import (
@@ -20,6 +21,8 @@ from cvfade.keyrate import (
     key_rates,
     mutual_information,
 )
+from cvfade.outputs import render_csv, write_text
+from cvfade.scenario import build_channel, load_scenario, resolve_fading
 from cvfade.sources import ProtocolParams, build_source, variance_from_db
 from cvfade.channel import apply_composite
 
@@ -302,11 +305,11 @@ def single_state(protocol, chan, finite=None):
 def assert_matches_oracles(got, protocol, chan, finite=None):
     """Within 1e-12 bits of the single-state route and 1e-9 of the equivalent fixed channel.
 
-    The equivalent fixed channel rounds differently (<sqrt(eta)>^2 need not
-    equal <eta> in floating point), and near-pure states amplify that through
-    g(nu) near nu = 1: on a noiseless <eta> = 0.5 channel the two differ by
-    1.2e-12 bits at v_m = 27 and by up to 3e-11 at v_m = 1e3, as they did
-    for the single-state key_rate before the kernel.
+    The equivalent fixed channel rounds differently (its cross factor is
+    sqrt(eta_comb (<eta> - Var(sqrt(eta)))), not sqrt(eta_comb) <sqrt(eta)>),
+    and near-pure states amplify that through g(nu) near nu = 1: over 3000
+    random fixed and fading channels with v_m up to 1e3 the two differ by up
+    to 8e-12 bits.
     """
     reference = single_state(protocol, chan, finite)
     equivalent = key_rate_equivalent_fixed(protocol, chan, finite)
@@ -437,3 +440,78 @@ def test_rates_respect_plob_bound(protocol):
     rates = key_rates(replace(protocol, beta=1.0), chans, None, v_s=v_s, v_m=rng.uniform(0.0, 100.0, n))
     plob = -np.log2(1.0 - np.array([ch.mean_transmittance for ch in chans]))
     assert np.max(rates.rate_asymptotic - plob) < 0.0
+
+
+@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}")
+def test_equivalent_fixed_oracle_on_noiseless_half_channel(protocol):
+    """sqrt(0.5)^2 rounds one ulp above 0.5; the oracle must still run at <eta> = 0.5.
+
+    Near-pure states amplify a one-ulp transmittance error through g(nu) near
+    nu = 1 (5e-12 bits of chi when the oracle used <sqrt(eta)>^2).
+    """
+    chan = fixed_channel(0.5)
+    assert chan.fading.mean_sqrt_eta**2 > chan.fading.mean_eta
+    for v_m in np.geomspace(1.0, 1e3, 31):
+        point = replace(protocol, v_m=float(v_m))
+        got, oracle = key_rate(point, chan), key_rate_equivalent_fixed(point, chan)
+        assert abs(got.chi - oracle.chi) <= 1e-12
+        assert abs(got.rate_asymptotic - oracle.rate_asymptotic) <= 1e-12
+
+
+def sample_set_channels(rng, n):
+    """n channels built from random transmittance sample sets in [0, 0.999],
+    with the sample-averaged fading PLOB bound <-log2(1 - eta1 eta2 eta)> of each.
+
+    Every other channel has zero excess noise; shapes run from near-constant
+    to strongly bimodal sample sets.
+    """
+    chans, bounds = [], []
+    for k in range(n):
+        samples = 0.999 * rng.beta(*rng.uniform(0.2, 8.0, 2), size=rng.integers(1, 80))
+        eta1, eta2 = rng.uniform(0.2, 1.0, 2)
+        eps1, eps2, eps_atm = rng.uniform(0.0, 0.03, 3) if k % 2 else (0.0, 0.0, 0.0)
+        chans.append(CompositeChannel(fading=fading_stats(samples), eta1=eta1, eta2=eta2,
+                                      eps1=eps1, eps2=eps2, eps_atm=eps_atm))
+        bounds.append(float(np.mean(-np.log2(1.0 - eta1 * eta2 * samples))))
+    return chans, np.array(bounds)
+
+
+@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}")
+def test_fading_rates_respect_sample_averaged_plob_bound(protocol):
+    """R <= <-log2(1 - eta1 eta2 eta)> over the samples on fading channels
+    (Pirandola, Phys. Rev. Research 3, 013279 (2021))."""
+    rng = np.random.default_rng(13279)
+    n = 400
+    chans, bounds = sample_set_channels(rng, n)
+    v_s = 1.0 if protocol.is_coherent else rng.uniform(V_S_CAP, 1.0, n)
+    rates = key_rates(replace(protocol, beta=1.0), chans, None, v_s=v_s, v_m=10.0 ** rng.uniform(-1.0, 3.0, n))
+    assert np.max(rates.rate_asymptotic - bounds) < 0.0
+
+
+def test_samples_file_rates_respect_sample_averaged_plob_bound(tmp_path):
+    """The fading PLOB bound through a samples_file written by render_csv and
+    read back by read_eta_csv, for every family and reconciliation."""
+    samples = 0.999 * np.random.default_rng(3279).beta(0.6, 0.9, size=5000)
+    path = tmp_path / "etas.csv"
+    write_text(path, render_csv({"seed": 0}, ["eta"], samples))
+    protocols = [
+        {"label": f"{family}_{rec}", "family": family, "reconciliation": rec, "beta": 1.0,
+         "v_m": 20.0, **({"v_s": V_S_CAP} if family == "squeezed" else {})}
+        for family in ("coherent", "squeezed") for rec in ("dr", "rr")
+    ]
+    eta1, eta2 = 0.9, 0.8
+    for noise in ({}, {"eps1": 0.01, "eps2": 0.02, "eps_atm": 0.01}):
+        doc = {"protocols": protocols,
+               "channel": {"eta1": eta1, "eta2": eta2, "fading": {"samples_file": str(path)}, **noise}}
+        scenario = tmp_path / "samples.scenario"
+        scenario.write_text(json.dumps(doc))
+        config = load_scenario(scenario)
+        stats, _ = resolve_fading(config, config.seed)
+        assert stats == fading_stats(samples)
+        chan = build_channel(config, stats)
+        bound = float(np.mean(-np.log2(1.0 - eta1 * eta2 * samples)))
+        for variant in config.variants:
+            rates = key_rates(variant.params, [chan], None, v_m=np.geomspace(0.5, 100.0, 40))
+            assert np.max(rates.rate_asymptotic) < bound, variant.label
