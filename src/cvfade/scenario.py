@@ -125,7 +125,7 @@ PROTOCOL_SCHEMA = {
             "vs_cap_db": {"type": "number", "max": 0.0, "doc": "squeezing cap in dB (squeezed family)"},
             "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000)"},
             "grid": {"type": "list_int", "doc": "[n_vs, n_vm] coarse grid (default [25, 25])"},
-            "tolerance": {"type": "number", "min_excl": 0.0, "doc": "refinement tolerance, bits (default 1e-6)"},
+            "tolerance": {"type": "number", "min_excl": 0.0, "doc": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
             "optimize_vs": {"type": "bool", "doc": "false freezes V_s at the configured value (V_m-only search)"},
         },
     },
@@ -154,6 +154,8 @@ def _validate_node(value, node, path):
     elif t == "list_number":
         if not isinstance(value, list) or not value or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             raise ConfigError(f"{path}: expected non-empty list of numbers")
+        for i, v in enumerate(value):
+            _finite(v, f"{path}[{i}]")
     elif t == "list_int":
         if not isinstance(value, list) or len(value) != 2 or not all(isinstance(v, int) and v >= 2 for v in value):
             raise ConfigError(f"{path}: expected [n_vs, n_vm] with entries >= 2")
@@ -164,7 +166,7 @@ def _validate_node(value, node, path):
     elif t == "number":
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number")
-        _check_bounds(float(value), node, path)
+        _check_bounds(_finite(value, path), node, path)
     elif t == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected boolean")
@@ -175,6 +177,17 @@ def _validate_node(value, node, path):
             raise ConfigError(f"{path}: must be one of {node['enum']}, got {value!r}")
     else:  # pragma: no cover - schema authoring error
         raise ConfigError(f"{path}: unknown schema type {t}")
+
+
+def _finite(value, path) -> float:
+    """value as a float; json accepts NaN and Infinity literals, the schema does not."""
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {x}")
+    return x
 
 
 def _check_bounds(value, node, path):
@@ -305,8 +318,8 @@ def load_scenario(path) -> ScenarioConfig:
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or an over-long integer
         raise ConfigError(f"scenario is not valid JSON: {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario document must be a JSON object")
@@ -440,8 +453,8 @@ class Cn2Series:
             raise ConfigError("cn2 series must be non-empty with matching labels")
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError("cn2 series labels must be unique")
-        if any(c <= 0 for c in self.cn2):
-            raise ConfigError("cn2 values must be > 0")
+        if not all(math.isfinite(c) and c > 0 for c in self.cn2):
+            raise ConfigError("cn2 values must be finite and > 0")
 
 
 def read_cn2_csv(path) -> Cn2Series:
@@ -457,10 +470,14 @@ def read_cn2_csv(path) -> Cn2Series:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != 2:
+                    raise ConfigError(f"expected two cells `<label>,cn2` per row in {path}, got {len(row)}")
                 labels.append(row[0].strip())
                 values.append(float(row[1]))
     except OSError as exc:
         raise ConfigError(f"cannot read cn2 series: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad cn2 value in {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"malformed cn2 CSV {path}: {exc}") from exc
     return Cn2Series(tuple(labels), tuple(values))

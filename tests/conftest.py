@@ -81,3 +81,11 @@ def hex_values(values):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# Cn^2 series the reader must reject with ConfigError (the CLI: exit 2)
+MALFORMED_CN2 = {
+    "one_cell_row": "hour,cn2\n01\n",
+    "field_over_csv_limit": "hour,cn2\n" + "x" * 200000 + ",1e-15\n",
+    "nan": "hour,cn2\n00,nan\n",
+}

@@ -7,6 +7,7 @@ that takes the CLI's CSV reading or rendering around the traced functions.
 """
 import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -88,3 +89,30 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert rendered[0].count("\n") - 2 == n  # one metadata line, one header line
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
     assert len(read) == 1 and isinstance(read[0], np.ndarray) and read[0].size == n
+
+
+def test_optimizer_evaluation_counter(tmp_path, monkeypatch):
+    """The tracer's optimizer counter reads OptimizationResult.evaluations, the
+    number of distinct (v_s, v_m) points one optimize call evaluated."""
+    from cvfade.cli import main  # imports every layer
+
+    assert "optimizer.optimize" in tracer_targets()
+    results = traced_calls(monkeypatch, "optimizer.optimize")
+    doc = {
+        "protocols": [
+            {"label": "coherent", "family": "coherent", "beta": 0.95,
+             "optimizer": {"vm_max": 40.0, "grid": [2, 9]}},
+            {"label": "squeezed", "family": "squeezed", "beta": 0.95,
+             "optimizer": {"vs_cap_db": -6.0, "vm_max": 40.0, "grid": [7, 9]}},
+        ],
+        "channel": {"eta1_db": -3.0, "eps2": 0.01, "fading": {"stats": {"mean_eta": 0.6}}},
+        "finite_size": {"n": 1e6},
+        "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]},
+    }
+    cfg = tmp_path / "opt.scenario"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "opt.csv"), "--trace"]) == 0
+    assert len(results) == 4
+    for result in results:
+        assert type(result.evaluations) is int
+        assert result.evaluations == len({(v_s, v_m) for v_s, v_m, _ in result.trace})

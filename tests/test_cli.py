@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hex_values, sample_values
+from conftest import MALFORMED_CN2, hex_values, sample_values
 from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError
@@ -407,4 +407,73 @@ def test_malformed_sample_file_exits_2_with_one_line(tmp_path, capsys, name):
     assert main(["keyrate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: samples_file: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_malformed_cn2_series_exits_2_with_one_line(tmp_path, capsys):
+    cfg = reduced_daily_cfg(tmp_path)
+    out = tmp_path / "daily.csv"
+    for name, text in MALFORMED_CN2.items():
+        series = tmp_path / f"{name}.csv"
+        series.write_text(text)
+        assert main(["daily", str(series), "--config", cfg, "--out", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+FINITE_DOC = {
+    "protocol": {"family": "squeezed", "v_s": 0.5, "beta": 0.95,
+                 "optimizer": {"vs_cap_db": -3.0, "vm_max": 20.0, "grid": [3, 3], "tolerance": 1e-6}},
+    "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+    "finite_size": {"n": 1e6},
+    "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]},
+}
+NONFINITE_FIELDS = {
+    "finite_size.n": ("finite_size", "n"),
+    "optimizer.tolerance": ("protocol", "optimizer", "tolerance"),
+    "optimizer.vm_max": ("protocol", "optimizer", "vm_max"),
+    "channel.eps2": ("channel", "eps2"),
+    "fading.stats.mean_eta": ("channel", "fading", "stats", "mean_eta"),
+    "sweep.values": ("sweep", "values"),
+}
+
+
+def _with_block_size(literal):
+    return json.dumps(FINITE_DOC).replace('"n": 1000000.0', f'"n": {literal}').encode()
+
+
+UNREADABLE_SCENARIOS = {
+    "utf16_bom": b"\xff\xfe{}",
+    "integer_beyond_float_range": _with_block_size("1" + "0" * 400),
+    "integer_beyond_digit_limit": _with_block_size("1" + "0" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_SCENARIOS))
+def test_unreadable_scenario_exits_2_with_one_line(tmp_path, capsys, name):
+    cfg = tmp_path / "bad.scenario"
+    cfg.write_bytes(UNREADABLE_SCENARIOS[name])
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", sorted(NONFINITE_FIELDS))
+def test_non_finite_scenario_number_exits_2(tmp_path, capsys, field, value):
+    """json reads NaN and Infinity literals; the scenario schema rejects them."""
+    doc = json.loads(json.dumps(FINITE_DOC))
+    *parents, key = NONFINITE_FIELDS[field]
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = [0.0, value] if key == "values" else value
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
+from scipy.optimize import minimize
 
 from cvfade.channel import CompositeChannel, FadingStats
 from cvfade.errors import ConfigError
-from cvfade.keyrate import FiniteSizeParams, key_rate
+from cvfade.keyrate import FiniteSizeParams, key_rate, key_rate_equivalent_fixed
 from cvfade.optimizer import OptimizationSpec, optimize
 from cvfade.sources import ProtocolParams
 
@@ -128,3 +130,39 @@ class TestOptimize:
             ProtocolParams(v_s=1.0, v_m=out.v_m, b=1, beta=0.95), ch, FiniteSizeParams(n=1e6)
         )
         assert direct.rate_finite == pytest.approx(out.result.rate_finite, abs=1e-12)
+
+
+# <eta> = 0.5, Var(sqrt(eta)) = 0.01, eta1 = -4 dB, eps2 = 0.025, beta = 0.95, n = 1e6
+ORACLE_CASES = {
+    "squeezed_cap10db": (OptimizationSpec(family="squeezed", vs_cap_db=-10.0, vm_range=(0.0, 100.0)),
+                         ProtocolParams(v_s=0.5, v_m=1.0, b=0, beta=0.95)),
+    "coherent": (OptimizationSpec(family="coherent", vm_range=(0.0, 100.0)),
+                 ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.95)),
+    "frozen_vs": (OptimizationSpec(family="squeezed", vm_range=(0.0, 100.0), optimize_vs=False),
+                  ProtocolParams(v_s=0.3, v_m=1.0, b=0, beta=0.95)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_matches_independent_multistart_search(case):
+    """The optimum is within 1e-6 bits of bounded scipy Nelder-Mead run from
+    several starts through the equivalent-fixed-channel route."""
+    spec, template = ORACLE_CASES[case]
+    ch = fading_channel(0.5, 0.01, eta1=10.0 ** -0.4, eps2=0.025)
+    finite = FiniteSizeParams(n=1e6)
+    vs_free = spec.family == "squeezed" and spec.optimize_vs
+
+    def loss(u):  # u in the unit box: (log10 V_s scaled, V_m scaled) or (V_m scaled,)
+        v_s = 10.0 ** (spec.vs_cap_db / 10.0 * (1.0 - u[0])) if vs_free else template.v_s
+        params = replace(template, v_s=v_s, v_m=spec.vm_range[1] * u[-1])
+        return -key_rate_equivalent_fixed(params, ch, finite).rate_finite
+
+    vm_starts = (0.02, 0.25, 0.75)
+    starts = [[a, b] for a in (0.25, 0.75) for b in vm_starts] if vs_free else [[b] for b in vm_starts]
+    reference = max(
+        -minimize(loss, x0, method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(x0),
+                  options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000}).fun
+        for x0 in starts
+    )
+    out = optimize(spec, template, ch, finite)
+    assert out.result.rate_finite >= reference - 1e-6

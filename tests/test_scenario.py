@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MALFORMED_CN2
 from cvfade.errors import ConfigError
 from cvfade.scenario import (
     SCHEMA,
@@ -190,3 +191,8 @@ def test_read_cn2_csv_errors(tmp_path):
     dup.write_text("hour,cn2\n0,1e-15\n0,2e-15\n")
     with pytest.raises(ConfigError):
         read_cn2_csv(dup)
+    for name, text in MALFORMED_CN2.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            read_cn2_csv(path)
