@@ -141,8 +141,7 @@ class EllipticSample:
             raise DomainError(f"phi must lie in [0, pi/2], got {self.phi}")
 
 
-def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float,
-                               tracking: bool = False, table: dict | None = None):
+def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, tracking: bool = False):
     """Mean vector and covariance of v = (x0, y0, Theta1, Theta2).
 
     Centroid wander is zero-mean isotropic with variance proportional to
@@ -152,7 +151,7 @@ def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float,
     """
     if sigma_r2 < 0 or omega <= 0 or w0 <= 0:
         raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega > 0, w0 > 0")
-    t = table if table is not None else load_coefficient_table()
+    t = load_coefficient_table()
     norm = t["rytov_normalization"]
     s = norm * sigma_r2 * omega ** (5.0 / 6.0)
     base = (1.0 + t["theta_gain"] * s) ** 2
@@ -278,8 +277,7 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def simulate(scenario: BeamScenario, n: int, seed: int,
-             table: dict | None = None) -> SimulationResult:
+def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
     """Draw n transmittance samples; a pure function of (scenario, n, seed).
 
     Samples are generated in fixed-size chunks, each from its own
@@ -289,10 +287,8 @@ def simulate(scenario: BeamScenario, n: int, seed: int,
         raise DomainError("n must be >= 1")
     if not 0 <= int(seed) < 2**64:
         raise DomainError("seed must fit in 64 bits")
-    t = table if table is not None else load_coefficient_table()
     mu, cov = turbulence_gaussian_params(
-        scenario.rytov_variance, scenario.fresnel_omega, scenario.w0,
-        tracking=scenario.tracking, table=t,
+        scenario.rytov_variance, scenario.fresnel_omega, scenario.w0, tracking=scenario.tracking,
     )
     var_bw = cov[0, 0]
     theta_cov = cov[2:, 2:]
@@ -321,6 +317,6 @@ def simulate(scenario: BeamScenario, n: int, seed: int,
         "n": int(n),
         "chunk_size": _CHUNK,
         "scenario": scenario.to_dict(),
-        "coefficient_table_version": t["version"],
+        "coefficient_table_version": load_coefficient_table()["version"],
     }
     return SimulationResult(samples=samples, metadata=metadata)

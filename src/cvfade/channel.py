@@ -60,13 +60,62 @@ def fading_stats(samples) -> FadingStats:
     return FadingStats(float(arr.mean()), float(np.sqrt(arr).mean()))
 
 
+_LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
+_BLOCK = 4096  # lines per numpy call when locating a rejected line
+
+
+def _load_body(lines) -> np.ndarray:
+    """numpy's C reader over the lines after the header: one row per data line."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, **_LOADTXT)
+
+
+def _rejected_line(path) -> str | None:
+    """Where and why read_eta_csv rejects a sample file: "line N ...", 1-based.
+
+    The error path of read_eta_csv, whose numpy row numbers skip the header
+    and blank lines.  Every line must decode, and each line after the header
+    must hold at most one number; the body is checked a block at a time, then
+    line by line in the first failing block.  None if no single line fails.
+    """
+    with open(path, newline="", errors="surrogateescape") as fh:
+        lines, encoding = fh.readlines(), fh.encoding
+    header = next((k for k, line in enumerate(lines) if not line.startswith("#")), len(lines))
+
+    def rejection(a, b):
+        """Why lines a .. b - 1 are rejected, or None; up to the header they need only decode."""
+        try:
+            "".join(lines[a:b]).encode(encoding)
+        except UnicodeEncodeError:
+            return f"does not decode as {encoding}"
+        if a <= header:
+            return None
+        try:
+            cells = _load_body(lines[a:b]).shape[1]
+        except ValueError:
+            return "is not a number"
+        return None if cells == 1 else f"has {cells} cells, expected one"
+
+    bounds = [0, *range(header + 1, len(lines), _BLOCK), len(lines)]
+    for a, b in zip(bounds, bounds[1:]):
+        if rejection(a, b):
+            for k in range(a, b):
+                reason = rejection(k, k + 1)
+                if reason:
+                    return f"line {k + 1} {reason}"
+            return None
+    return None
+
+
 def read_eta_csv(path) -> np.ndarray:
     """Read a transmittance sample set from a CSV with single column `eta`.
 
     Lines starting with '#' are ignored (metadata comments); after the
     header a '#' anywhere starts a comment, and blank lines are skipped.  The
     body is parsed by numpy's C reader; a row with more than one cell, a cell
-    that is not a number or bytes that do not decode raise DomainError.
+    that is not a number or bytes that do not decode raise DomainError naming
+    the file's first such line.
     """
     with open(path, newline="") as fh:
         try:
@@ -76,16 +125,13 @@ def read_eta_csv(path) -> np.ndarray:
             header = next(csv.reader([line]), [])
             if [h.strip() for h in header] != ["eta"]:
                 raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(fh, dtype=float, delimiter=",", comments="#",
-                                    quotechar='"', ndmin=2)
+            values = _load_body(fh)
+            if values.shape[1] != 1:
+                raise ValueError(f"found {values.shape[1]} cells per row, expected one")
         except DomainError:
             raise
         except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
-            raise DomainError(f"cannot parse samples in {path}: {exc}") from exc
-    if values.shape[1] != 1:
-        raise DomainError(f"expected one cell per row in {path}, found {values.shape[1]}")
+            raise DomainError(f"cannot parse samples in {path}: {_rejected_line(path) or exc}") from exc
     if values.size == 0:
         raise DomainError(f"no samples found in {path}")
     return values.reshape(-1)

@@ -277,6 +277,8 @@ def cmd_sweep(args) -> int:
         chan = build_channel(config, stats)
 
         def sweep_variant(v, value):
+            if variable == "v_s" and v.params.is_coherent:
+                return v  # the coherent family fixes v_s = 1
             # sweeping a source parameter freezes it in any configured optimizer
             opt = v.optimizer
             if opt is not None:

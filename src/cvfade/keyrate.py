@@ -10,6 +10,9 @@ use; negative rates are reported, never clipped.
 one.  `mutual_information`, `holevo_rr`, `holevo_dr` and
 `key_rate_equivalent_fixed` compute the same quantities one CovarianceMatrix
 at a time, through the equivalent fixed channel, as an independent check.
+
+Errors: `key_rates` raises at the first failed check and re-runs a failing
+batch point by point, so the error never depends on how points were batched.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import gaussian
 from .channel import CompositeChannel, apply_composite_stack, apply_equivalent_fixed
-from .errors import DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
+from .errors import CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .gaussian import NU_TOL, CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
 from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
@@ -116,81 +119,37 @@ class KeyRates:
         )
 
 
-class _Failures:
-    """The first failed check of each point of a batch.
-
-    Checks run in the order the single-state route runs them, so a point's
-    first failure is the error that route raises for it.
-    """
-
-    def __init__(self, n: int):
-        self.failed = np.zeros(n, dtype=bool)
-        self.errors: dict[int, Exception] = {}
-
-    def check(self, bad: np.ndarray, error):
-        """Record `error(k)` (or the exception `error`) at each newly failing point k."""
-        new = bad & ~self.failed
-        if new.any():
-            for k in np.flatnonzero(new):
-                self.errors[int(k)] = error(int(k)) if callable(error) else error
-            self.failed |= new
-
-    def usable(self, stack: np.ndarray) -> np.ndarray:
-        """The stack with failed points replaced by the vacuum, safe for LAPACK."""
-        if not self.errors:
-            return stack
-        return np.where(self.failed[:, None, None], np.eye(stack.shape[-1]), stack)
-
-    def raise_first(self):
-        """Raise the error of the lowest failing point, as a point-by-point loop would."""
-        if self.errors:
-            raise self.errors[min(self.errors)]
+def _check(bad: np.ndarray, error):
+    """Raise `error(k)` (or the exception `error`) if any point fails; k is the first."""
+    if bad.any():
+        raise error(int(np.argmax(bad))) if callable(error) else error
 
 
 def _finite(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack).all(axis=(1, 2))
 
 
-def _positive_definite(stack: np.ndarray) -> np.ndarray:
-    """Per point: does the Cholesky factorization of its matrix succeed?"""
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(m[None]) for m in stack])
-    return np.ones(len(stack), dtype=bool)
-
-
-def _eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues per point, and a mask of the points the solver failed on."""
-    try:
-        return np.linalg.eigvals(stack), np.zeros(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:  # pragma: no cover - eigvals rarely fails
-        if len(stack) == 1:
-            return np.ones(stack.shape[:-1], dtype=complex), np.ones(1, dtype=bool)
-        parts = [_eigvals(m[None]) for m in stack]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _spectra(stack: np.ndarray, fail: _Failures) -> np.ndarray:
+def _spectra(stack: np.ndarray) -> np.ndarray:
     """Symplectic spectra of an (N, 2m, 2m) stack: (N, m), descending, clipped to >= 1.
 
-    The checks of gaussian.symplectic_eigenvalues, per point: positive
-    definiteness, +/- pairing of the eigenvalues of i Omega gamma, nu >= 1.
+    The checks of gaussian.symplectic_eigenvalues: positive definiteness,
+    +/- pairing of the eigenvalues of i Omega gamma, nu >= 1.
     """
     d = stack.shape[-1]
-    stack = fail.usable(stack)
-    fail.check(~_positive_definite(stack + NU_TOL * np.eye(d)),
-               NonPhysicalState("covariance matrix is not positive definite"))
-    ev, bad = _eigvals((1j * gaussian.symplectic_form(d // 2)) @ fail.usable(stack))
-    fail.check(bad, NumericalFailure("eigenvalue solver did not converge"))
+    try:
+        np.linalg.cholesky(stack + NU_TOL * np.eye(d))
+    except np.linalg.LinAlgError:
+        raise NonPhysicalState("covariance matrix is not positive definite") from None
+    try:
+        ev = np.linalg.eigvals((1j * gaussian.symplectic_form(d // 2)) @ stack)
+    except np.linalg.LinAlgError:  # pragma: no cover - eigvals rarely fails
+        raise NumericalFailure("eigenvalue solver did not converge") from None
     mags = np.sort(np.abs(ev), axis=-1)[:, ::-1]
     nus = mags[:, ::2]  # each nu appears as a +/- pair
     unpaired = np.max(np.abs(nus - mags[:, 1::2]), axis=-1) > 1e-6 * np.maximum(1.0, mags[:, 0])
-    fail.check(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
-    fail.check(np.any(nus < 1.0 - NU_TOL, axis=-1),
-               lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k].min():.12g}"))
+    _check(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
+    _check(np.any(nus < 1.0 - NU_TOL, axis=-1),
+           lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k].min():.12g}"))
     return np.clip(nus, 1.0, None)
 
 
@@ -201,17 +160,17 @@ def _entropies(nus: np.ndarray) -> np.ndarray:
     return np.where(h > 0.0, g, 0.0).sum(axis=-1)
 
 
-def _condition_on_x(stack: np.ndarray, mode: int, fail: _Failures) -> np.ndarray:
+def _condition_on_x(stack: np.ndarray, mode: int) -> np.ndarray:
     """Remaining modes after an X homodyne on `mode`, per point (Schur complement)."""
     i = 2 * mode
     keep = [k for k in range(stack.shape[-1]) if k not in (i, i + 1)]
     rest = stack[:, keep][:, :, keep]
     sigma = stack[:, keep, i]
     inv = 1.0 / stack[:, i, i]  # pseudoinverse of the projected block
-    fail.check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+    _check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
     out = rest - (sigma * inv[:, None])[:, :, None] * sigma[:, None, :]
     out = 0.5 * (out + out.transpose(0, 2, 1))
-    fail.check(~_finite(out), DomainError(_NOT_FINITE))
+    _check(~_finite(out), DomainError(_NOT_FINITE))
     return out
 
 
@@ -226,6 +185,48 @@ def _split_sender_mode_stack(stack: np.ndarray) -> np.ndarray:
     s[0:4, 0:4] = _SPLITTER
     ext = s @ ext @ s.T
     return 0.5 * (ext + ext.transpose(0, 2, 1))
+
+
+def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np.ndarray):
+    """(I_AB, chi) per point before sifting, raising at the first failed check.
+
+    Checks run in the order of the single-state route; the error raised is
+    that of the first check any point fails.
+    """
+    _check(~((0.0 < v_s) & (v_s <= 1.0)), lambda k: DomainError(f"v_s must be in (0, 1], got {float(v_s[k])}"))
+    _check(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
+    if protocol.is_coherent:
+        _check(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
+    source = build_source_stack(protocol, v_s, v_m)
+    _check(~_finite(source), DomainError(_NOT_FINITE))
+    state = apply_composite_stack(source, chans)
+    _check(~_finite(state), DomainError(_NOT_FINITE))
+    s_total = _entropies(_spectra(state))
+
+    # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
+    # with an X homodyne (b=0) or the X half of a heterodyne record (b=1)
+    v_b = state[:, -2, -2]
+    sigma = state[:, -2, 0]
+    if protocol.is_coherent:
+        v_b_given_a = v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
+    else:
+        inv = 1.0 / state[:, 0, 0]
+        _check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+        v_b_given_a = v_b - (sigma * inv) * sigma
+    _check(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
+    _check(v_b_given_a <= 0.0, lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
+    mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))
+
+    # chi = S(trusted state) - S(remainder | reference party's X data)
+    if protocol.reconciliation == REVERSE:
+        conditioned = _condition_on_x(state, state.shape[-1] // 2 - 1)
+    elif protocol.is_coherent:
+        conditioned = _condition_on_x(_split_sender_mode_stack(state), 0)
+    else:
+        conditioned = _condition_on_x(state, 0)
+    holevo = s_total - _entropies(_spectra(conditioned))
+    _check(holevo < _CHI_FLOOR, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
+    return mi, holevo
 
 
 def key_rates(
@@ -244,9 +245,12 @@ def key_rates(
 
     The source states, the channel and both Holevo conditionings run as
     stacked arrays.  A point's result depends on its own inputs only: element
-    k equals, bit for bit, the batch of one at the same inputs.  Every check
-    of the single-state route runs per point; if any point fails, the error
-    of the lowest failing point is raised, as a point-by-point loop would.
+    k equals, bit for bit, the batch of one at the same inputs.
+
+    Every check of the single-state route runs, and the batch raises at the
+    first one that fails.  A failing batch of several points is then re-run
+    point by point: the lowest failing point raises its own first error, the
+    one key_rate raises at that point alone.
     """
     chans = (chan,) if isinstance(chan, CompositeChannel) else tuple(chan)
     finites = (finite,) if finite is None or isinstance(finite, FiniteSizeParams) else tuple(finite)
@@ -259,45 +263,15 @@ def key_rates(
     v_s = np.broadcast_to(v_s, (n,))
     v_m = np.broadcast_to(v_m, (n,))
 
-    fail = _Failures(n)
     with np.errstate(all="ignore"):
-        fail.check(~((0.0 < v_s) & (v_s <= 1.0)),
-                   lambda k: DomainError(f"v_s must be in (0, 1], got {float(v_s[k])}"))
-        fail.check(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
-        if protocol.is_coherent:
-            fail.check(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
-        source = build_source_stack(protocol, np.where(fail.failed, 1.0, v_s), np.where(fail.failed, 0.0, v_m))
-        fail.check(~_finite(source), DomainError(_NOT_FINITE))
-        state = apply_composite_stack(fail.usable(source), chans)
-        fail.check(~_finite(state), DomainError(_NOT_FINITE))
-        s_total = _entropies(_spectra(state, fail))
-
-        # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
-        # with an X homodyne (b=0) or the X half of a heterodyne record (b=1)
-        v_b = state[:, -2, -2]
-        sigma = state[:, -2, 0]
-        if protocol.is_coherent:
-            v_b_given_a = v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
-        else:
-            inv = 1.0 / state[:, 0, 0]
-            fail.check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
-            v_b_given_a = v_b - (sigma * inv) * sigma
-        fail.check(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
-        fail.check(v_b_given_a <= 0.0,
-                   lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
-        mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))
-
-        # chi = S(trusted state) - S(remainder | reference party's X data)
-        if protocol.reconciliation == REVERSE:
-            conditioned = _condition_on_x(state, state.shape[-1] // 2 - 1, fail)
-        elif protocol.is_coherent:
-            conditioned = _condition_on_x(_split_sender_mode_stack(state), 0, fail)
-        else:
-            conditioned = _condition_on_x(state, 0, fail)
-        holevo = s_total - _entropies(_spectra(conditioned, fail))
-        fail.check(holevo < _CHI_FLOOR,
-                   lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
-    fail.raise_first()
+        try:
+            mi, holevo = _information_terms(protocol, chans, v_s, v_m)
+        except CvfadeError:
+            if n == 1:
+                raise
+            for k in range(n):
+                _information_terms(protocol, (chans[k % len(chans)],), v_s[k : k + 1], v_m[k : k + 1])
+            raise
 
     i_ab = protocol.sifting * mi
     chi = protocol.sifting * np.maximum(holevo, 0.0)

@@ -109,10 +109,6 @@ class SourceState:
             raise DomainError(f"unknown measurement {self.alice_measurement!r}")
         object.__setattr__(self, "signal_mode", self.gamma.n_modes - 1)
 
-    @property
-    def trusted_modes(self) -> list[int]:
-        return list(range(self.gamma.n_modes - 1))
-
 
 def build_source(params: ProtocolParams) -> SourceState:
     """Pure-state (or deliberately impure, for untrusted prep noise) EB source.

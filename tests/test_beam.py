@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -17,12 +18,17 @@ from cvfade.channel import fading_stats
 from cvfade.errors import ConfigError, DomainError
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
 def overlap_eta(w1, w2, x0, y0, phi, aperture, nr=128, nth=512):
     """Brute-force aperture integral of a normalized elliptic Gaussian intensity.
 
     Gauss-Legendre in radius, uniform (spectrally accurate) in angle.
     """
-    u, wu = np.polynomial.legendre.leggauss(nr)
+    u, wu = _legendre_nodes(nr)
     r = 0.5 * aperture * (u + 1.0)
     wr = 0.5 * aperture * wu
     th = (np.arange(nth) + 0.5) * 2.0 * np.pi / nth

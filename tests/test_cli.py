@@ -228,6 +228,25 @@ class TestSweepCommand:
         main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "6"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_vs_sweep_leaves_coherent_variant_at_vs_1(self, tmp_path):
+        doc = {
+            "protocols": [
+                {"label": "coh", "family": "coherent", "optimizer": {"vm_max": 20.0, "grid": [3, 5]}},
+                {"label": "sq", "family": "squeezed", "v_s": 0.5, "v_m": 3.0},
+            ],
+            "channel": {"fading": {"stats": {"mean_eta": 0.6}}},
+            "sweep": {"variable": "v_s", "values": [1.0, 0.5, 0.2]},
+        }
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        coh = [r for r in rows if r["label"] == "coh"]
+        sq = [r for r in rows if r["label"] == "sq"]
+        assert [float(r["v_s"]) for r in coh] == [1.0, 1.0, 1.0]
+        assert len({(r["v_m"], r["rate_asymptotic"]) for r in coh}) == 1
+        assert [float(r["v_s"]) for r in sq] == [1.0, 0.5, 0.2]
+        assert len({r["rate_asymptotic"] for r in sq}) == 3
+
     def test_fig1b_shipped_scenario_trend(self, tmp_path):
         out = tmp_path / "fig1b.csv"
         assert main(["sweep", "--config", str(SCENARIOS / "fig1b.scenario"), "--out", str(out)]) == 0
@@ -316,6 +335,18 @@ def test_exit_code_io_error(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", "/nonexistent-dir/x.csv", "--n", "10"]) == 4
 
 
+def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "protocol": {"family": "coherent", "v_m": 1e12},
+        "channel": {"fading": {"stats": {"mean_eta": 0.5}}},
+    })
+    out = tmp_path / "kr.csv"
+    assert main(["keyrate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: symplectic eigenvalue below 1: min nu = 0.99996874927\n")
+    assert not out.exists()
+
+
 def test_config_dir_environment_variable(tmp_path, monkeypatch):
     write_cfg(tmp_path, BEAM_DOC, name="fromenv.scenario")
     monkeypatch.setenv("CVFADE_CONFIG_DIR", str(tmp_path))
@@ -389,6 +420,11 @@ MALFORMED_SAMPLES = {
     "nan": b"eta\n0.5\nnan\n",
     "out_of_range": b"eta\n0.5\n1.5\n",
     "negative": b"eta\n-0.25\n",
+    "non_numeric_after_blank": b"# m\neta\n0.5\n\n0.6\nabc\n",
+}
+# the file line each parse error names (numpy's row numbers skip the header and blank lines)
+MALFORMED_SAMPLE_LINES = {
+    "non_numeric": 3, "non_utf8": 3, "extra_cell": 2, "extra_cell_later": 3, "non_numeric_after_blank": 6,
 }
 
 
@@ -400,6 +436,8 @@ def test_malformed_sample_file_exits_2_with_one_line(tmp_path, capsys, name):
     assert main(["stats", str(samples), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name in MALFORMED_SAMPLE_LINES:
+        assert f"{samples}: line {MALFORMED_SAMPLE_LINES[name]} " in err, err
     assert not out.exists()
     doc = {"protocol": {"family": "coherent", "v_m": 3.0},
            "channel": {"fading": {"samples_file": str(samples)}}}

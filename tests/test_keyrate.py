@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -419,6 +420,29 @@ def test_failing_point_raises_its_error_from_any_batch(family):
         key_rates(protocol, [good[0], bad, good[1]], None, v_m=[5.0, 5.0, math.nan])
     with pytest.raises(DomainError):
         key_rates(protocol, good, None, v_m=[5.0, math.inf, 5.0])
+
+    # points failing at different stages, in every order: the batch raises the
+    # lowest failing point's own error, type and message, as key_rate does
+    failing = [(good[0], -1.0), (good[1], math.nan), (bad, 5.0)]  # domain, non-finite, Cholesky
+    if family == "coherent":  # nu < 1; the spectrum does not pair up
+        failing += [(fixed_channel(0.5), 1e12), (good[2], 1e12)]
+    else:  # nu < 1; a zero conditional variance
+        failing += [(fixed_channel(0.5, eps2=0.01), 1e15), (good[0], 1e100)]
+    points = [(good[1], 5.0)] + failing
+
+    def error(call):
+        with pytest.raises(CvfadeError) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    alone = [error(lambda: key_rate(replace(protocol, v_m=v_m), chan)) for chan, v_m in points[1:]]
+    assert len(set(alone)) == len(failing)
+    for size in (2, 3, len(points)):
+        for batch in itertools.permutations(range(len(points)), size):
+            lowest = next(k for k in batch if k > 0)
+            got = error(lambda: key_rates(protocol, [points[k][0] for k in batch], None,
+                                          v_m=[points[k][1] for k in batch]))
+            assert got == alone[lowest - 1]
 
 
 # --- physical upper bound -----------------------------------------------------
