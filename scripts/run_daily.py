@@ -19,7 +19,6 @@ def run(argv=None):
     p.add_argument("--outdir", default="results")
     p.add_argument("--cn2", default=str(SCENARIOS / "prague-like.csv"),
                    help="Cn^2 time-series CSV (default: shipped synthetic series)")
-    p.add_argument("--n", type=int, default=None, help="Monte Carlo samples per hour")
     args = p.parse_args(argv)
 
     outdir = Path(args.outdir)
@@ -27,10 +26,7 @@ def run(argv=None):
 
     for name, tag in (("fig2b_caption.scenario", "loss2.2db"), ("fig2b_text.scenario", "loss4.5db")):
         out = outdir / f"hourly_rates_{tag}.csv"
-        argv_run = ["daily", args.cn2, "--config", str(SCENARIOS / name), "--out", str(out)]
-        if args.n:
-            argv_run += ["--n", str(args.n)]
-        rc = cvfade_main(argv_run)
+        rc = cvfade_main(["daily", args.cn2, "--config", str(SCENARIOS / name), "--out", str(out)])
         if rc != 0:
             return rc
         print(f"-> {out}")

@@ -22,7 +22,6 @@ def run(argv=None):
     p.add_argument("--outdir", default="results", help="output directory (default: results/)")
     p.add_argument("--sigma-r2", type=float, nargs="*", default=[0.56],
                    help="Rytov variances to sweep (default: just 0.56)")
-    p.add_argument("--n", type=int, default=None, help="Monte Carlo samples per distance")
     args = p.parse_args(argv)
 
     outdir = Path(args.outdir)
@@ -37,10 +36,7 @@ def run(argv=None):
                 cfg_path = Path(tmp) / f"{tag}_sr{sr2:g}.scenario"
                 cfg_path.write_text(json.dumps(cfg))
                 out = outdir / f"rate_vs_distance_{tag}_sr{sr2:g}.csv"
-                argv_run = ["sweep", "--config", str(cfg_path), "--out", str(out)]
-                if args.n:
-                    argv_run += ["--n", str(args.n)]
-                rc = cvfade_main(argv_run)
+                rc = cvfade_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
                 if rc != 0:
                     return rc
                 print(f"-> {out}")

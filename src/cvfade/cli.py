@@ -3,7 +3,8 @@
 Subcommands: simulate, stats, keyrate, optimize, sweep, daily.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 4 I/O error.  Outputs are byte-identical across reruns.  Work runs on one
-thread; --jobs is accepted and ignored.
+thread; --jobs is accepted and ignored.  Only `simulate` draws random samples:
+rate tables record --seed in their metadata line and do not depend on it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .beam import BeamScenario, simulate
+from .beam import fading_moments, simulate
 from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
@@ -23,6 +24,7 @@ from .optimizer import optimize
 from .outputs import render_csv, write_json, write_text
 from .scenario import (
     ScenarioConfig,
+    beam_scenario,
     build_channel,
     load_scenario,
     read_cn2_csv,
@@ -65,37 +67,27 @@ def _parser() -> argparse.ArgumentParser:
         ("keyrate", "key rates at the configured protocol parameters"),
         ("optimize", "key rates optimized over squeezing and modulation"),
         ("sweep", "key-rate table over the configured sweep"),
+        ("daily", "hourly key rates from a Cn^2 time series"),
     ):
         kp = sub.add_parser(name, help=description)
+        if name == "daily":
+            kp.add_argument("cn2", help="CSV with `<label>,cn2` columns")
         kp.add_argument("--config", required=True)
         kp.add_argument("--out", required=True, help="output CSV path")
-        kp.add_argument("--n", type=int, default=None, help="Monte Carlo sample override")
-        kp.add_argument("--seed", type=int, default=None, help="seed override")
+        kp.add_argument("--seed", type=int, default=None, help="seed recorded in the metadata line")
         kp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-        kp.add_argument("--trace", action="store_true", help="write optimizer trace JSON next to the CSV")
-
-    dp = sub.add_parser("daily", help="hourly key rates from a Cn^2 time series")
-    dp.add_argument("cn2", help="CSV with `<label>,cn2` columns")
-    dp.add_argument("--config", required=True)
-    dp.add_argument("--out", required=True)
-    dp.add_argument("--n", type=int, default=None, help="Monte Carlo samples per hour")
-    dp.add_argument("--seed", type=int, default=None)
-    dp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+        if name != "daily":
+            kp.add_argument("--trace", action="store_true", help="write optimizer trace JSON next to the CSV")
     return p
 
 
-def _config_path(arg: str) -> str:
-    """Resolve --config, falling back to $CVFADE_CONFIG_DIR for bare names."""
-    if Path(arg).exists():
-        return arg
+def _load(args) -> ScenarioConfig:
+    """The --config scenario, falling back to $CVFADE_CONFIG_DIR for bare names."""
+    path = Path(args.config)
     base = os.environ.get("CVFADE_CONFIG_DIR")
-    if base and (Path(base) / arg).exists():
-        return str(Path(base) / arg)
-    return arg  # let load_scenario report the miss
-
-
-def _load(args) -> "ScenarioConfig":
-    return load_scenario(_config_path(args.config))
+    if not path.exists() and base and (Path(base) / path).exists():
+        path = Path(base) / path
+    return load_scenario(path)  # which reports a miss
 
 
 def _effective_seed(config: ScenarioConfig, args) -> int:
@@ -153,6 +145,8 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
             if opt is not None:
                 if opt.no_positive_rate:
                     flags.append("no_positive_rate")
+                if opt.round_cap_reached:
+                    flags.append("optimizer_round_cap")
                 if trace_sink is not None:
                     trace_sink.append({
                         "label": variant.label,
@@ -172,16 +166,12 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    if "beam" not in config.channel_doc["fading"]:
+    fading = config.channel_doc["fading"]
+    if "beam" not in fading:
         raise ConfigError("simulate requires channel.fading.beam in the scenario")
     seed = _effective_seed(config, args)
-    b = dict(config.channel_doc["fading"]["beam"])
-    n = args.n if args.n is not None else b.pop("n_samples", 100000)
-    b.pop("n_samples", None)
-    if "distance" not in b:
-        raise ConfigError("simulate requires channel.fading.beam.distance")
-    scen = BeamScenario(**b)
-    result = simulate(scen, n=int(n), seed=seed)
+    n = args.n if args.n is not None else fading["beam"].get("n_samples", 100000)
+    result = simulate(beam_scenario(config), n=int(n), seed=seed)
 
     meta = _meta(config, seed, {"n": int(n)})
     text = render_csv(meta, ["eta"], result.samples)
@@ -211,10 +201,9 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _write_rate_table(args, config, rows, extra_meta=None, traces=None):
-    seed = _effective_seed(config, args)
-    meta = _meta(config, seed, extra_meta)
-    write_text(args.out, render_csv(meta, ROW_FIELDS, rows))
+def _write_rate_table(args, config, rows, extra_meta=None, traces=None, header=ROW_FIELDS):
+    meta = _meta(config, _effective_seed(config, args), extra_meta)
+    write_text(args.out, render_csv(meta, header, rows))
     if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
     print(f"wrote {args.out} ({len(rows)} rows)", file=sys.stderr)
@@ -225,43 +214,46 @@ def cmd_keyrate(args, optimizing=False) -> int:
     config = _load(args)
     if not optimizing:
         config = replace(config, variants=tuple(replace(v, optimizer=None) for v in config.variants))
-    seed = _effective_seed(config, args)
-    stats, sim_meta = resolve_fading(config, seed, n_override=args.n)
-    chan = build_channel(config, stats)
+    chan = build_channel(config, resolve_fading(config))
     traces = [] if args.trace else None
     rows = _rate_rows([(config, chan)], trace_sink=traces)
-    extra = {"fading_simulation": sim_meta["coefficient_table_version"]} if sim_meta else None
-    return _write_rate_table(args, config, rows, extra_meta=extra, traces=traces)
+    return _write_rate_table(args, config, rows, traces=traces)
 
 
 def cmd_optimize(args) -> int:
     return cmd_keyrate(args, optimizing=True)
 
 
-def _sweep_point(config, seed, variable, value, n_override):
-    """Scenario and channel for one point of a channel or block-size sweep."""
-    distance = None
+def _sweep_point(config, variable, value, chan):
+    """Scenario and channel at one sweep point; `chan` is the sweep's channel,
+    resolved once, when the variable leaves the channel alone."""
+    fading = config.channel_doc["fading"]
     if variable == "distance":
-        if "beam" not in config.channel_doc["fading"]:
+        if "beam" not in fading:
             raise ConfigError("sweep over distance requires channel.fading.beam")
-        distance = value
-    if variable == "block_size":
-        base = config.finite if config.finite is not None else FiniteSizeParams(n=value)
-        config = replace(config, finite=replace(base, n=value))
+        return config, build_channel(config, resolve_fading(config, distance=value))
     if variable in ("mean_eta_db", "var_sqrt"):
-        fading = config.channel_doc["fading"]
         if "stats" not in fading:
             raise ConfigError(f"sweep over {variable} requires channel.fading.stats")
         s = dict(fading["stats"])
-        if variable == "mean_eta_db":
-            s.pop("mean_eta", None)
-            s["mean_eta_db"] = value
-        else:
-            s.pop("mean_sqrt_eta", None)
-            s["var_sqrt"] = value
+        s.pop("mean_eta" if variable == "mean_eta_db" else "mean_sqrt_eta", None)
+        s[variable] = value
         config = replace(config, channel_doc={**config.channel_doc, "fading": {**fading, "stats": s}})
-    stats, _ = resolve_fading(config, seed, n_override=n_override, distance_override=distance)
-    return config, build_channel(config, stats)
+        return config, build_channel(config, resolve_fading(config))
+    if variable == "block_size":
+        base = config.finite if config.finite is not None else FiniteSizeParams(n=value)
+        return replace(config, finite=replace(base, n=value)), chan
+
+    def sweep_variant(v):
+        if variable == "v_s" and v.params.is_coherent:
+            return v  # the coherent family fixes v_s = 1
+        # sweeping a source parameter freezes it in any configured optimizer
+        opt = v.optimizer
+        if opt is not None:
+            opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
+        return replace(v, params=replace(v.params, **{variable: value}), optimizer=opt)
+
+    return replace(config, variants=tuple(sweep_variant(v) for v in config.variants)), chan
 
 
 def cmd_sweep(args) -> int:
@@ -270,32 +262,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep command requires a sweep section")
     variable = config.sweep["variable"]
     values = sweep_values(config.sweep)
-    seed = _effective_seed(config, args)
-
-    if variable in ("v_s", "v_m"):
-        stats, _ = resolve_fading(config, seed, n_override=args.n)
-        chan = build_channel(config, stats)
-
-        def sweep_variant(v, value):
-            if variable == "v_s" and v.params.is_coherent:
-                return v  # the coherent family fixes v_s = 1
-            # sweeping a source parameter freezes it in any configured optimizer
-            opt = v.optimizer
-            if opt is not None:
-                opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
-            return replace(v, params=replace(v.params, **{variable: value}), optimizer=opt)
-
-        def point(value):
-            variants = tuple(sweep_variant(v, value) for v in config.variants)
-            return replace(config, variants=variants), chan
-
-    else:
-
-        def point(value):
-            return _sweep_point(config, seed, variable, value, args.n)
-
+    shared = variable in ("block_size", "v_s", "v_m")
+    chan = build_channel(config, resolve_fading(config)) if shared else None
     traces = [] if args.trace else None
-    points = [point(value) for value in values]
+    points = [_sweep_point(config, variable, value, chan) for value in values]
     rows = _rate_rows(points, sweep_variable=variable, values=values, trace_sink=traces)
     return _write_rate_table(args, config, rows, extra_meta={"sweep_variable": variable},
                              traces=traces)
@@ -307,15 +277,11 @@ def cmd_daily(args) -> int:
     fading = config.channel_doc["fading"]
     if "beam" not in fading:
         raise ConfigError("daily requires channel.fading.beam geometry in the scenario")
-    beam_doc = dict(fading["beam"])
-    if "cn2" in beam_doc or "sigma_r2" in beam_doc:
+    if "cn2" in fading["beam"] or "sigma_r2" in fading["beam"]:
         raise ConfigError(
             "daily drives turbulence from the cn2 series; remove cn2/sigma_r2 from the beam section"
         )
-    seed = _effective_seed(config, args)
-    n = args.n if args.n is not None else config.daily.get("n_samples", 20000)
-    beam_doc.pop("n_samples", None)
-    beam_doc.setdefault("distance", 2200.0)
+    distance = fading["beam"].get("distance", 2200.0)
 
     header = ["label", "cn2", "sigma_r2", "mean_eta", "mean_sqrt_eta", "var_sqrt"]
     for variant in config.variants:
@@ -325,10 +291,9 @@ def cmd_daily(args) -> int:
         ]
 
     rows, points = [], []
-    for index, (label, cn2) in enumerate(zip(series.labels, series.cn2)):
-        scen = BeamScenario(cn2=cn2, **beam_doc)
-        result = simulate(scen, n=int(n), seed=seed + index)
-        stats = fading_stats(result.samples)
+    for label, cn2 in zip(series.labels, series.cn2):
+        scen = beam_scenario(config, distance=distance, cn2=cn2)
+        stats = fading_moments(scen)
         points.append((config, build_channel(config, stats)))
         rows.append([label, cn2, scen.rytov_variance,
                      stats.mean_eta, stats.mean_sqrt_eta, stats.var_sqrt])
@@ -336,10 +301,7 @@ def cmd_daily(args) -> int:
         for res, v_s, v_m, _ in evaluated:
             row += [v_s, v_m, res.rate_asymptotic, res.rate_finite]
 
-    meta = _meta(config, seed, {"n_per_hour": int(n), "cn2_rows": len(rows)})
-    write_text(args.out, render_csv(meta, header, rows))
-    print(f"wrote {args.out} ({len(rows)} rows)", file=sys.stderr)
-    return EXIT_OK
+    return _write_rate_table(args, config, rows, extra_meta={"cn2_rows": len(rows)}, header=header)
 
 
 _COMMANDS = {

@@ -7,8 +7,9 @@ on that lattice in (log10 V_s, V_m) from the best grid point: a 3x3 stencil
 one grid cell wide.  The search moves to any strictly better stencil point and
 keeps its step; when the centre stays best it stops if the stencil's rate
 spread is below the tolerance, and halves the step otherwise (Kolda, Lewis &
-Torczon, SIAM Rev. 45, 385 (2003)).  Everything is deterministic: identical
-inputs give identical optima.
+Torczon, SIAM Rev. 45, 385 (2003)).  A search still running after a fixed
+number of rounds ends there and says so.  Everything is deterministic:
+identical inputs give identical optima.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ SQUEEZED = "squeezed"
 
 # the search ends once every free step is below this fraction of its box width
 _STEP_FLOOR = 1e-12
+# ... or after this many rounds: on a wide V_m box the shared step can shrink
+# before the search starts moving along V_s, which it then crawls up
+_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ class OptimizationResult:
     result: KeyRateResult
     no_positive_rate: bool
     evaluations: int
+    round_cap_reached: bool  # ended at _MAX_ROUNDS, not by its own stopping tests
     trace: list = field(default_factory=list)
 
 
@@ -132,7 +137,10 @@ def optimize(
     step = [(b - a) / (n - 1) for a, b, n in zip(lo, hi, spec.grid)]
     free = [k for k in (0, 1) if step[k] > 0.0]
     centre = [(math.log10(best[1]), best[1]), (-best[2], -best[2])]  # (x, value) per axis
-    while any(step[k] >= _STEP_FLOOR * (hi[k] - lo[k]) for k in free):
+    round_cap_reached = False
+    for _ in range(_MAX_ROUNDS):
+        if not any(step[k] >= _STEP_FLOOR * (hi[k] - lo[k]) for k in free):
+            break
         axes = []
         for k, (x, value) in enumerate(centre):
             moves = {x: value}
@@ -149,6 +157,8 @@ def optimize(
             break
         else:
             step = [h / 2.0 for h in step]
+    else:
+        round_cap_reached = True
     v_s, v_m = best[1], -best[2]
 
     res = key_rate(replace(protocol, v_s=v_s, v_m=v_m), chan, finite)
@@ -158,5 +168,6 @@ def optimize(
         result=res,
         no_positive_rate=(best[0] <= 0.0),
         evaluations=len(cache),
+        round_cap_reached=round_cap_reached,
         trace=trace,
     )

@@ -1,10 +1,12 @@
 """Scenario configuration: JSON documents validated against a published schema.
 
 A scenario describes one or more protocol variants, a composite channel whose
-fading segment comes from explicit moments, a sample file, or a beam Monte
-Carlo, plus optional finite-size, sweep and simulation sections.  Unknown keys
-are rejected.  docs/scenario_schema.json is generated from SCHEMA below and a
-test keeps the two in sync.
+fading segment comes from explicit moments, a sample file, or an elliptic-beam
+link, plus optional finite-size and sweep sections.  Rate commands take a beam
+link's moments from the fixed quadrature rule of beam.fading_moments; only
+`simulate` draws samples from it.  Unknown keys are rejected.
+docs/scenario_schema.json is generated from SCHEMA below and a test keeps the
+two in sync.
 """
 from __future__ import annotations
 
@@ -15,9 +17,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .beam import BeamScenario, simulate
+from .beam import BeamScenario, fading_moments
 from .channel import CompositeChannel, FadingStats, fading_stats, read_eta_csv
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .keyrate import FiniteSizeParams
 from .optimizer import OptimizationSpec
 from .sources import ProtocolParams, variance_from_db
@@ -25,11 +27,37 @@ from .sources import ProtocolParams, variance_from_db
 SWEEP_VARIABLES = ("distance", "mean_eta_db", "var_sqrt", "block_size", "v_s", "v_m")
 
 # schema node: {"type": ..., "required": bool, "doc": str, ...bounds/enums/children}
+PROTOCOL_SCHEMA = {
+    "label": {"type": "string", "doc": "row label in outputs"},
+    "family": {"type": "string", "enum": ("coherent", "squeezed"), "required": True, "doc": "protocol family"},
+    "v_s": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "squeezed-quadrature variance, SNU"},
+    "v_s_db": {"type": "number", "max": 0.0, "doc": "v_s in dB (<= 0)"},
+    "v_m": {"type": "number", "min": 0.0, "doc": "modulation variance, SNU"},
+    "v_an": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise, SNU"},
+    "v_an_db": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise as positive dB"},
+    "prep_noise_trust": {"type": "string", "enum": ("trusted", "untrusted"), "doc": "attribution of v_an"},
+    "reconciliation": {"type": "string", "enum": ("dr", "rr"), "doc": "default rr"},
+    "beta": {"type": "number", "min": 0.0, "max": 1.0, "doc": "reconciliation efficiency"},
+    "sifting": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "kept fraction after sifting (default 1)"},
+    "optimizer": {
+        "type": "object",
+        "doc": "presence means: optimize (v_s under cap for squeezed) and v_m",
+        "children": {
+            "vs_cap_db": {"type": "number", "max": 0.0, "doc": "squeezing cap in dB (squeezed family)"},
+            "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000)"},
+            "grid": {"type": "list_int", "doc": "[n_vs, n_vm] coarse grid (default [25, 25])"},
+            "tolerance": {"type": "number", "min_excl": 0.0, "doc": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
+            "optimize_vs": {"type": "bool", "doc": "false freezes V_s at the configured value (V_m-only search)"},
+        },
+    },
+}
+
+
 SCHEMA = {
     "description": {"type": "string", "doc": "free-text note; no effect on computation"},
-    "seed": {"type": "int", "min": 0, "doc": "64-bit RNG seed for anything stochastic"},
-    "protocol": {"type": "object", "doc": "single protocol variant", "children": "PROTOCOL"},
-    "protocols": {"type": "list", "doc": "list of protocol variants", "children": "PROTOCOL"},
+    "seed": {"type": "int", "min": 0, "doc": "64-bit RNG seed of `simulate`; rate tables record it but do not depend on it"},
+    "protocol": {"type": "object", "doc": "single protocol variant", "children": PROTOCOL_SCHEMA},
+    "protocols": {"type": "list", "doc": "list of protocol variants", "children": PROTOCOL_SCHEMA},
     "channel": {
         "type": "object",
         "required": True,
@@ -60,7 +88,7 @@ SCHEMA = {
                     "samples_file": {"type": "string", "doc": "CSV with single `eta` column"},
                     "beam": {
                         "type": "object",
-                        "doc": "elliptic-beam Monte Carlo scenario",
+                        "doc": "elliptic-beam link: rate commands use its quadrature moments, `simulate` samples it",
                         "children": {
                             "wavelength": {"type": "number", "min_excl": 0.0, "required": True, "doc": "m"},
                             "w0": {"type": "number", "min_excl": 0.0, "required": True, "doc": "initial beam-spot radius, m"},
@@ -69,7 +97,7 @@ SCHEMA = {
                             "cn2": {"type": "number", "min": 0.0, "doc": "refractive-index structure constant, m^(-2/3)"},
                             "sigma_r2": {"type": "number", "min": 0.0, "doc": "Rytov variance given directly"},
                             "tracking": {"type": "bool", "doc": "receiver-side beam tracking"},
-                            "n_samples": {"type": "int", "min": 1, "doc": "Monte Carlo sample count (default 100000)"},
+                            "n_samples": {"type": "int", "min": 1, "doc": "sample count of `simulate` (default 100000); rate commands ignore it"},
                         },
                     },
                 },
@@ -99,58 +127,26 @@ SCHEMA = {
     },
     "daily": {
         "type": "object",
-        "doc": "geometry defaults for the `daily` command",
+        "doc": "accepted and ignored",
         "children": {
-            "n_samples": {"type": "int", "min": 1, "doc": "Monte Carlo samples per hour (default 20000)"},
+            "n_samples": {"type": "int", "min": 1, "doc": "ignored: `daily` uses the quadrature moments"},
         },
     },
 }
-
-PROTOCOL_SCHEMA = {
-    "label": {"type": "string", "doc": "row label in outputs"},
-    "family": {"type": "string", "enum": ("coherent", "squeezed"), "required": True, "doc": "protocol family"},
-    "v_s": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "squeezed-quadrature variance, SNU"},
-    "v_s_db": {"type": "number", "max": 0.0, "doc": "v_s in dB (<= 0)"},
-    "v_m": {"type": "number", "min": 0.0, "doc": "modulation variance, SNU"},
-    "v_an": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise, SNU"},
-    "v_an_db": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise as positive dB"},
-    "prep_noise_trust": {"type": "string", "enum": ("trusted", "untrusted"), "doc": "attribution of v_an"},
-    "reconciliation": {"type": "string", "enum": ("dr", "rr"), "doc": "default rr"},
-    "beta": {"type": "number", "min": 0.0, "max": 1.0, "doc": "reconciliation efficiency"},
-    "sifting": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "kept fraction after sifting (default 1)"},
-    "optimizer": {
-        "type": "object",
-        "doc": "presence means: optimize (v_s under cap for squeezed) and v_m",
-        "children": {
-            "vs_cap_db": {"type": "number", "max": 0.0, "doc": "squeezing cap in dB (squeezed family)"},
-            "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000)"},
-            "grid": {"type": "list_int", "doc": "[n_vs, n_vm] coarse grid (default [25, 25])"},
-            "tolerance": {"type": "number", "min_excl": 0.0, "doc": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
-            "optimize_vs": {"type": "bool", "doc": "false freezes V_s at the configured value (V_m-only search)"},
-        },
-    },
-}
-
 
 def _validate_node(value, node, path):
     t = node["type"]
     if t == "object":
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected object")
-        children = node["children"]
-        if children == "PROTOCOL":
-            children = PROTOCOL_SCHEMA
-        _validate_dict(value, children, path)
+        _validate_dict(value, node["children"], path)
     elif t == "list":
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected non-empty list")
-        children = node["children"]
-        if children == "PROTOCOL":
-            children = PROTOCOL_SCHEMA
         for i, item in enumerate(value):
             if not isinstance(item, dict):
                 raise ConfigError(f"{path}[{i}]: expected object")
-            _validate_dict(item, children, f"{path}[{i}]")
+            _validate_dict(item, node["children"], f"{path}[{i}]")
     elif t == "list_number":
         if not isinstance(value, list) or not value or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             raise ConfigError(f"{path}: expected non-empty list of numbers")
@@ -224,11 +220,8 @@ def schema_document() -> dict:
                     entry[bound] = list(node[bound]) if bound == "enum" else node[bound]
             if node.get("required"):
                 entry["required"] = True
-            children = node.get("children")
-            if children == "PROTOCOL":
-                entry["properties"] = convert(PROTOCOL_SCHEMA)
-            elif isinstance(children, dict):
-                entry["properties"] = convert(children)
+            if "children" in node:
+                entry["properties"] = convert(node["children"])
             out[key] = entry
         return out
 
@@ -257,7 +250,6 @@ class ScenarioConfig:
     channel_doc: dict
     finite: FiniteSizeParams | None
     sweep: dict | None
-    daily: dict
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -364,7 +356,6 @@ def load_scenario(path) -> ScenarioConfig:
         channel_doc=ch,
         finite=finite,
         sweep=sweep,
-        daily=raw.get("daily", {}),
     )
 
 
@@ -380,9 +371,22 @@ def sweep_values(sweep: dict) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def resolve_fading(config: ScenarioConfig, seed: int, n_override: int | None = None,
-                   distance_override: float | None = None):
-    """Materialize the fading segment into FadingStats (+ simulation metadata)."""
+def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:
+    """channel.fading.beam as a BeamScenario, with keys such as `distance` or
+    `cn2` overridden and n_samples, which only `simulate` reads, dropped."""
+    beam = {k: v for k, v in config.channel_doc["fading"]["beam"].items() if k != "n_samples"}
+    beam.update(override)
+    if "distance" not in beam:
+        raise ConfigError("fading.beam: distance is required (except for the daily command)")
+    try:
+        return BeamScenario(**beam)
+    except DomainError as exc:
+        raise ConfigError(f"fading.beam: {exc}") from exc
+
+
+def resolve_fading(config: ScenarioConfig, **beam_override) -> FadingStats:
+    """The fading segment's moments: explicit, of a sample file, or a beam
+    link's quadrature moments (`beam_override` as in beam_scenario)."""
     fading = config.channel_doc["fading"]
     if "stats" in fading:
         s = fading["stats"]
@@ -398,30 +402,18 @@ def resolve_fading(config: ScenarioConfig, seed: int, n_override: int | None = N
         else:
             mean_sqrt = s.get("mean_sqrt_eta", math.sqrt(mean_eta))
         try:
-            return FadingStats(mean_eta, mean_sqrt), None
+            return FadingStats(mean_eta, mean_sqrt)
         except Exception as exc:
             raise ConfigError(f"fading.stats: {exc}") from exc
     if "samples_file" in fading:
         try:
             samples = read_eta_csv(fading["samples_file"])
-            return fading_stats(samples), None
+            return fading_stats(samples)
         except OSError as exc:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
         except Exception as exc:
             raise ConfigError(f"samples_file: {exc}") from exc
-    b = dict(fading["beam"])
-    n = n_override if n_override is not None else b.pop("n_samples", 100000)
-    b.pop("n_samples", None)
-    if distance_override is not None:
-        b["distance"] = distance_override
-    if "distance" not in b:
-        raise ConfigError("fading.beam: distance is required (except for the daily command)")
-    try:
-        scen = BeamScenario(**b)
-    except Exception as exc:
-        raise ConfigError(f"fading.beam: {exc}") from exc
-    result = simulate(scen, n=int(n), seed=seed)
-    return fading_stats(result.samples), result.metadata
+    return fading_moments(beam_scenario(config, **beam_override))
 
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:

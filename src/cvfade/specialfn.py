@@ -13,30 +13,17 @@ from .errors import NumericalFailure
 _SERIES_CUTOFF = 20.0  # power series below, asymptotic expansion above
 
 
-def _i0_series(x):
-    """I0(x) by power series; valid (and fast) for 0 <= x <= ~25."""
+def _iv_series(x, nu):
+    """Iv(x) for v = 0 or 1 by power series; valid (and fast) for 0 <= x <= ~25."""
     t = (x * x) / 4.0
     term = np.ones_like(x)
     acc = np.ones_like(x)
     for k in range(1, 60):
-        term = term * t / (k * k)
+        term = term * t / (k * (k + nu))
         acc = acc + term
         if np.all(term <= 1e-18 * acc):
             break
-    return acc
-
-
-def _i1_series(x):
-    """I1(x) by power series; valid (and fast) for 0 <= x <= ~25."""
-    t = (x * x) / 4.0
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * t / (k * (k + 1))
-        acc = acc + term
-        if np.all(term <= 1e-18 * acc):
-            break
-    return 0.5 * x * acc
+    return 0.5 * x * acc if nu else acc
 
 
 def _iv_asymptotic(x, mu):
@@ -60,36 +47,30 @@ def _iv_asymptotic(x, mu):
     return acc / np.sqrt(2.0 * np.pi * x)
 
 
-def bessel_i0e(x):
-    """Exponentially scaled modified Bessel function e^-x I0(x) for x >= 0."""
+def _bessel_ive(x, nu, name):
+    """e^-x Iv(x) for v = 0 or 1 and x >= 0: series below the cutoff, asymptotic above."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if np.any(x < 0) or np.any(~np.isfinite(x)):
-        raise NumericalFailure("bessel_i0e requires finite x >= 0")
+        raise NumericalFailure(f"{name} requires finite x >= 0")
     out = np.empty_like(x)
     lo = x < _SERIES_CUTOFF
     if np.any(lo):
-        out[lo] = _i0_series(x[lo]) * np.exp(-x[lo])
+        out[lo] = _iv_series(x[lo], nu) * np.exp(-x[lo])
     if np.any(~lo):
-        out[~lo] = _iv_asymptotic(x[~lo], 0.0)
+        out[~lo] = _iv_asymptotic(x[~lo], 4.0 * nu * nu)
     return float(out[0]) if scalar else out
+
+
+def bessel_i0e(x):
+    """Exponentially scaled modified Bessel function e^-x I0(x) for x >= 0."""
+    return _bessel_ive(x, 0, "bessel_i0e")
 
 
 def bessel_i1e(x):
     """Exponentially scaled modified Bessel function e^-x I1(x) for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0) or np.any(~np.isfinite(x)):
-        raise NumericalFailure("bessel_i1e requires finite x >= 0")
-    out = np.empty_like(x)
-    lo = x < _SERIES_CUTOFF
-    if np.any(lo):
-        out[lo] = _i1_series(x[lo]) * np.exp(-x[lo])
-    if np.any(~lo):
-        out[~lo] = _iv_asymptotic(x[~lo], 4.0)
-    return float(out[0]) if scalar else out
+    return _bessel_ive(x, 1, "bessel_i1e")
 
 
 def lambert_w_exp(log_x):

@@ -1,13 +1,16 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvfade import beam
 from cvfade.beam import (
     BeamScenario,
     EllipticSample,
+    fading_moments,
     load_coefficient_table,
     rytov,
     simulate,
@@ -16,6 +19,9 @@ from cvfade.beam import (
 )
 from cvfade.channel import fading_stats
 from cvfade.errors import ConfigError, DomainError
+from cvfade.scenario import read_cn2_csv
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,3 +279,69 @@ class TestSimulate:
             simulate(self.SCEN, n=0, seed=1)
         with pytest.raises(DomainError):
             simulate(self.SCEN, n=10, seed=-1)
+
+
+# --- the fixed quadrature rule of the rate commands ---------------------------
+
+def link(**kw):
+    return BeamScenario(**{"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, **kw})
+
+
+def daily_links():
+    """The `daily` geometry (2.2 km, 3 cm aperture) at the lowest and highest
+    Cn^2 of the shipped series."""
+    cn2 = read_cn2_csv(SCENARIOS / "prague-like.csv").cn2
+    return [link(aperture=0.03, distance=2200.0, cn2=c) for c in (min(cn2), max(cn2))]
+
+
+QUADRATURE_LINKS = [link(distance=d, sigma_r2=0.56) for d in (250.0, 1750.0, 3250.0)] + [
+    link(distance=2200.0, sigma_r2=1.5),
+    link(distance=1750.0, sigma_r2=0.56, tracking=True),
+] + daily_links()
+LINK_IDS = ["250m", "1750m", "3250m", "2200m-sr1.5", "tracking", "daily-low-cn2", "daily-high-cn2"]
+
+
+@pytest.mark.parametrize("scen", QUADRATURE_LINKS, ids=LINK_IDS)
+def test_quadrature_agrees_with_monte_carlo(scen):
+    """Within 4 standard errors of 123 x 8192 samples, the errors by batch
+    means over the Philox chunks."""
+    chunks = simulate(scen, n=123 * beam._CHUNK, seed=90501).samples.reshape(123, beam._CHUNK)
+    moments = fading_moments(scen)
+    for f, want in ((lambda eta: eta, moments.mean_eta), (np.sqrt, moments.mean_sqrt_eta)):
+        batch = f(chunks).mean(axis=1)
+        se = batch.std(ddof=1) / math.sqrt(batch.size)
+        assert abs(batch.mean() - want) <= 4.0 * se
+
+
+@pytest.mark.parametrize("scen", QUADRATURE_LINKS + [link(distance=2200.0, sigma_r2=3.0)],
+                         ids=LINK_IDS + ["2200m-sr3"])
+def test_quadrature_converged(scen, monkeypatch):
+    """Doubling the nodes on every axis moves neither moment by 1e-7."""
+    moments = fading_moments(scen)
+    monkeypatch.setattr(beam, "_RULE_NODES", tuple(2 * n for n in beam._RULE_NODES))
+    doubled = fading_moments(scen)
+    assert abs(doubled.mean_eta - moments.mean_eta) < 1e-7
+    assert abs(doubled.mean_sqrt_eta - moments.mean_sqrt_eta) < 1e-7
+
+
+@pytest.mark.parametrize("scen", [link(distance=1000.0, sigma_r2=0.0), link(distance=1000.0, cn2=0.0),
+                                  link(distance=1000.0, sigma_r2=0.0, tracking=True)])
+def test_quadrature_without_turbulence_is_the_deterministic_transmittance(scen):
+    mu, _ = turbulence_gaussian_params(0.0, scen.fresnel_omega, scen.w0)
+    eta = transmittance(EllipticSample(0.0, 0.0, mu[2], mu[2], 0.0), scen)
+    moments = fading_moments(scen)
+    assert moments.mean_eta == pytest.approx(eta, rel=1e-14)
+    assert moments.mean_sqrt_eta == pytest.approx(math.sqrt(eta), rel=1e-14)
+
+
+def test_quadrature_fading_variance_peaks():
+    """Acceptance criterion 7's peak windows and levels hold on the quadrature
+    Var(sqrt(eta)) too."""
+    distances = np.arange(250.0, 3501.0, 250.0)
+    for sr2, lo, hi, level in ((0.56, 1250.0, 2250.0, 2.7e-3), (0.25, 1500.0, 2500.0, 1.2e-3),
+                               (0.09, 1750.0, 2750.0, 4.0e-4)):
+        variances = [fading_moments(link(distance=float(d), sigma_r2=sr2)).var_sqrt for d in distances]
+        i = int(np.argmax(variances))
+        assert 0 < i < len(distances) - 1
+        assert lo <= distances[i] <= hi
+        assert level / 2.0 <= variances[i] <= 2.0 * level

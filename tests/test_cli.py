@@ -247,6 +247,25 @@ class TestSweepCommand:
         assert [float(r["v_s"]) for r in sq] == [1.0, 0.5, 0.2]
         assert len({r["rate_asymptotic"] for r in sq}) == 3
 
+    @pytest.mark.parametrize("variable,values,resolutions", [
+        ("block_size", [1e5, 1e6, 1e7], 1), ("v_m", [1.0, 3.0, 5.0], 1), ("distance", [1000.0, 2000.0], 2),
+    ])
+    def test_beam_channel_resolved_once_unless_swept(self, tmp_path, monkeypatch, variable, values, resolutions):
+        import cvfade.scenario
+
+        calls = []
+        moments = cvfade.scenario.fading_moments
+
+        def counted(scen):
+            calls.append(scen)
+            return moments(scen)
+
+        monkeypatch.setattr(cvfade.scenario, "fading_moments", counted)
+        doc = {**BEAM_DOC, "sweep": {"variable": variable, "values": values}}
+        assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "sw.csv")]) == 0
+        assert len(calls) == resolutions
+        assert len(read_rows(tmp_path / "sw.csv")) == len(values)
+
     def test_fig1b_shipped_scenario_trend(self, tmp_path):
         out = tmp_path / "fig1b.csv"
         assert main(["sweep", "--config", str(SCENARIOS / "fig1b.scenario"), "--out", str(out)]) == 0
@@ -328,6 +347,47 @@ class TestDailyCommand:
         cfg = write_cfg(tmp_path, doc, "bad_daily.scenario")
         assert main(["daily", str(SCENARIOS / "prague-like.csv"), "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", ["keyrate", "optimize", "sweep", "daily"])
+def test_rate_commands_take_no_sample_count(command, capsys):
+    argv = [command] + (["series.csv"] if command == "daily" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "x.scenario", "--out", "x.csv", "--n", "1000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 1000" in capsys.readouterr().err
+
+
+def test_beam_rate_tables_do_not_depend_on_seed(tmp_path):
+    """Beam links enter the rate commands through the quadrature moments: the
+    seed reaches the metadata line only."""
+    doc = {**BEAM_DOC, "protocol": {"family": "coherent", "v_m": 3.0, "beta": 0.95,
+                                    "optimizer": {"vm_max": 40.0, "grid": [2, 9]}},
+           "sweep": {"variable": "distance", "values": [1000.0, 2000.0]}}
+    cfg = write_cfg(tmp_path, doc)
+    daily_cfg = reduced_daily_cfg(tmp_path)
+    for command in ("keyrate", "optimize", "sweep", "daily"):
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{command}_{seed}.csv"
+            argv = [command, "--config", cfg] if command != "daily" else [
+                "daily", str(SCENARIOS / "prague-like.csv"), "--config", daily_cfg]
+            assert main(argv + ["--out", str(out), "--seed", seed]) == 0
+            meta, body = out.read_bytes().split(b"\r\n", 1)
+            assert json.loads(meta.split(b": ", 1)[1])["seed"] == int(seed)
+            blobs.append(body)
+        assert blobs[0] == blobs[1], command
+
+
+def test_optimizer_round_cap_is_flagged(tmp_path):
+    doc = {
+        "protocol": {"family": "squeezed", "beta": 0.95,
+                     "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
+        "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+    }
+    out = tmp_path / "op.csv"
+    assert main(["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert "optimizer_round_cap" in read_rows(out)[0]["flags"].split(";")
 
 
 def test_exit_code_io_error(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from cvfade.keyrate import (
     key_rates,
     mutual_information,
 )
+from cvfade.beam import _transmittance_rule
+from cvfade.optimizer import optimize
 from cvfade.outputs import render_csv, write_text
-from cvfade.scenario import build_channel, load_scenario, resolve_fading
+from cvfade.scenario import beam_scenario, build_channel, load_scenario, read_cn2_csv, resolve_fading, sweep_values
 from cvfade.sources import ProtocolParams, build_source, variance_from_db
 from cvfade.channel import apply_composite
 
@@ -532,10 +535,69 @@ def test_samples_file_rates_respect_sample_averaged_plob_bound(tmp_path):
         scenario = tmp_path / "samples.scenario"
         scenario.write_text(json.dumps(doc))
         config = load_scenario(scenario)
-        stats, _ = resolve_fading(config, config.seed)
+        stats = resolve_fading(config)
         assert stats == fading_stats(samples)
         chan = build_channel(config, stats)
         bound = float(np.mean(-np.log2(1.0 - eta1 * eta2 * samples)))
         for variant in config.variants:
             rates = key_rates(variant.params, [chan], None, v_m=np.geomspace(0.5, 100.0, 40))
             assert np.max(rates.rate_asymptotic) < bound, variant.label
+
+
+def beam_links():
+    """(config, channel, PLOB bound) on every geometry the shipped beam
+    scenarios reach: each fig3 distance, and the 2.2 km `daily` link at every
+    hour of the synthetic Cn^2 series.  The bound <-log2(1 - eta_comb eta)> is
+    averaged over the quadrature rule that gives the channel its moments."""
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    fig3 = load_scenario(scenarios / "fig3.scenario")
+    overrides = [(fig3, {"distance": d}) for d in sweep_values(fig3.sweep)]
+    for name in ("fig2b_caption.scenario", "fig2b_text.scenario"):
+        daily = load_scenario(scenarios / name)
+        overrides += [(daily, {"cn2": c}) for c in read_cn2_csv(scenarios / "prague-like.csv").cn2]
+    for config, override in overrides:
+        chan = build_channel(config, resolve_fading(config, **override))
+        eta, weights = _transmittance_rule(beam_scenario(config, **override))
+        yield config, chan, float(np.average(-np.log2(1.0 - chan.eta_comb * eta), weights=weights))
+
+
+def test_optimized_beam_rates_respect_quadrature_plob_bound():
+    """Optimized rate_asymptotic at beta = 1 stays below the fading PLOB bound
+    on the beam links of the shipped scenarios."""
+    for config, chan, bound in beam_links():
+        for variant in config.variants:
+            out = optimize(variant.optimizer, replace(variant.params, beta=1.0), chan)
+            assert out.result.rate_asymptotic < bound, (variant.label, chan)
+
+
+NOISES = ("eps1", "eps2", "eps_atm")
+NOISE_CLASSES = [ProtocolParams(v_s=1.0, b=1, reconciliation=r, beta=beta)
+                 for r in ("dr", "rr") for beta in (0.95, 1.0)] + [
+    ProtocolParams(v_s=0.5, b=0, reconciliation=r, beta=beta, v_an=v_an, prep_noise_trust=trust)
+    for r in ("dr", "rr") for beta in (0.95, 1.0)
+    for v_an, trust in ((0.0, "trusted"), (1.0, "trusted"), (1.0, "untrusted"))
+]
+
+
+@pytest.mark.parametrize("protocol", NOISE_CLASSES,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-beta{p.beta:g}-van{p.v_an:g}-{p.prep_noise_trust}")
+def test_more_excess_noise_never_raises_the_rate(protocol):
+    """eps1, eps2 and eps_atm enter only through eps_plus, and raising any of
+    them never raises the rate, with fading or without.  (Raising eta1 at
+    fixed V_s, V_m can lower an RR rate, so transmittance has no such test.)"""
+    rng = np.random.default_rng(7)
+    n = 300
+    base, raised = [], []
+    for k in range(n):
+        noise = dict(zip(NOISES, rng.uniform(0.0, 0.05, 3)))
+        chan = fading_channel(rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.9) * (k % 2),
+                              eta1=rng.uniform(0.3, 1.0), eta2=rng.uniform(0.3, 1.0), **noise)
+        which = NOISES[k % 3]
+        base.append(chan)
+        raised.append(replace(chan, **{which: noise[which] + rng.uniform(1e-4, 0.05)}))
+    v_s = 1.0 if protocol.is_coherent else np.tile(rng.uniform(V_S_CAP, 1.0, n), 2)
+    v_m = np.tile(rng.uniform(0.5, 50.0, n), 2)
+    rates = key_rates(protocol, base + raised, FiniteSizeParams(n=1e8), v_s=v_s, v_m=v_m)
+    for field in ("rate_asymptotic", "rate_finite"):
+        values = getattr(rates, field)
+        assert np.all(values[n:] <= values[:n]), field

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -105,6 +106,19 @@ class TestOptimize:
         out = optimize(spec, ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.9), ch)
         assert out.no_positive_rate
         assert out.result.rate_asymptotic <= 0.0
+
+    def test_search_ends_at_round_cap(self):
+        """On a wide V_m box the shared step shrinks before the search moves
+        along V_s, which it then crawls up one tiny step per round; the round
+        cap ends it in bounded time and the result says so."""
+        ch = fading_channel(0.5, 0.0, eps2=0.01)
+        template = ProtocolParams(v_s=1.0, v_m=0.0, b=0, beta=0.95)
+        spec = OptimizationSpec(family="squeezed", vs_cap_db=-3.0, vm_range=(0.0, 1e12), grid=(5, 5))
+        start = time.perf_counter()
+        out = optimize(spec, template, ch)
+        assert time.perf_counter() - start < 5.0
+        assert out.round_cap_reached
+        assert not optimize(replace(spec, vm_range=(0.0, 100.0)), template, ch).round_cap_reached
 
     def test_capped_squeezed_beats_coherent_under_moderate_fading(self):
         # beta = 0.95, <eta> = 0.5, Var = 0.01, eps_+ = 0.01: a -3 dB squeezing

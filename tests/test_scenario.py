@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_CN2
+from cvfade.beam import BeamScenario, fading_moments
 from cvfade.errors import ConfigError
 from cvfade.scenario import (
     SCHEMA,
+    beam_scenario,
     load_scenario,
     read_cn2_csv,
     resolve_fading,
@@ -97,8 +99,7 @@ class TestResolution:
         }
         cfg = load_scenario(write_config(tmp_path, doc))
         assert cfg.variants[0].params.v_s == pytest.approx(10 ** -0.3)
-        stats, meta = resolve_fading(cfg, seed=0)
-        assert meta is None
+        stats = resolve_fading(cfg)
         assert stats.mean_eta == pytest.approx(0.5, abs=1e-4)
         assert stats.var_sqrt == pytest.approx(0.01, abs=1e-6)
         from cvfade.scenario import build_channel
@@ -121,22 +122,34 @@ class TestResolution:
         doc = json.loads(json.dumps(MINIMAL))
         doc["channel"]["fading"] = {"samples_file": str(csv)}
         cfg = load_scenario(write_config(tmp_path, doc))
-        stats, _ = resolve_fading(cfg, seed=0)
+        stats = resolve_fading(cfg)
         assert stats.mean_eta == pytest.approx(0.625)
 
-    def test_beam_fading_runs_simulation(self, tmp_path):
+    def test_beam_fading_uses_quadrature_moments(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["seed"] = 5
-        doc["channel"]["fading"] = {
-            "beam": {
-                "wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02,
-                "distance": 1500.0, "sigma_r2": 0.25, "n_samples": 2000,
-            }
-        }
+        beam = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1500.0, "sigma_r2": 0.25}
+        doc["channel"]["fading"] = {"beam": {**beam, "n_samples": 2000}}
         cfg = load_scenario(write_config(tmp_path, doc))
-        stats, meta = resolve_fading(cfg, seed=cfg.seed)
-        assert meta["n"] == 2000
+        stats = resolve_fading(cfg)
+        assert stats == fading_moments(BeamScenario(**beam))
         assert 0.0 < stats.mean_eta < 1.0
+        assert resolve_fading(cfg, distance=2500.0) == fading_moments(BeamScenario(**{**beam, "distance": 2500.0}))
+        # neither the seed nor the sample count reaches the moments
+        doc["seed"] = 6
+        doc["channel"]["fading"]["beam"]["n_samples"] = 10
+        assert resolve_fading(load_scenario(write_config(tmp_path, doc))) == stats
+
+    def test_beam_scenario_errors_are_config_errors(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["channel"]["fading"] = {"beam": {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "sigma_r2": 0.25}}
+        cfg = load_scenario(write_config(tmp_path, doc))
+        with pytest.raises(ConfigError, match="distance is required"):
+            resolve_fading(cfg)
+        with pytest.raises(ConfigError, match="fading.beam: distance must be > 0"):
+            beam_scenario(cfg, distance=-1.0)
+        with pytest.raises(ConfigError, match="fading.beam: give exactly one of cn2 / sigma_r2"):
+            beam_scenario(cfg, distance=100.0, cn2=1e-15)
 
     def test_sweep_values(self):
         assert sweep_values({"values": [1, 2, 3]}) == [1.0, 2.0, 3.0]
