@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import FadingStats
 from .errors import ConfigError, DomainError, NumericalFailure
-from .specialfn import bessel_i0e, bessel_i1e, lambert_w_exp
+from .specialfn import bessel_i0e, bessel_i0e_minus_exp, bessel_i1e, lambert_w_exp
 
 DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "beam_spread_model.json"
 GENERATOR_NAME = "philox"
@@ -37,6 +37,10 @@ _CHUNK_STRIDE = 2**40  # Philox counter stride between chunks (>> draws used)
 # fading_moments' nodes in s, chi and each Theta coordinate; doubling every
 # count moves no moment by more than 1e-9 on the geometries in tests/test_beam.py
 _RULE_NODES = (24, 8, 8)
+# below this z = a^2 xi^2, series stand in for L and lambda, and the W1 -> W2
+# limit for eta0's last term; their truncation errors are then below 1e-17
+# relative in L and lambda and 1e-17 absolute in eta0
+_SMALL_Z = 1e-5
 _TABLE_KEYS = (
     "version",
     "rytov_normalization",
@@ -189,85 +193,67 @@ def _wander_and_theta(scenario: BeamScenario):
     return cov[0, 0], mu[2], chol
 
 
-def _one_minus_i0e(z):
-    """1 - e^-z I0(z), series below z = 1e-3 to avoid cancellation."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 1e-3
-    zs = z[small]
-    out[small] = zs - 0.75 * zs**2 + (5.0 / 12.0) * zs**3
-    zb = z[~small]
-    if zb.size:
-        out[~small] = 1.0 - bessel_i0e(zb)
-    return out
-
-
 def _scale_shape(z):
-    """Scale R(z) and shape lambda(z) with z = a^2 xi^2 (dimensionless).
+    """Log term L(z) and shape lambda(z) with z = a^2 xi^2 (dimensionless).
 
-    R(z)      = [ln(2 (1 - e^(-z/2)) / (1 - e^-z I0(z)))]^(-1/lambda)
-    lambda(z) = 2 z e^-z I1(z) / (1 - e^-z I0(z)) / ln(...)
-    Small-z branch uses series expansions (lambda -> 2).
+    L(z)      = ln(2 (1 - e^(-z/2)) / D(z)),  D(z) = 1 - e^-z I0(z)
+    lambda(z) = 2 z e^-z I1(z) / (D(z) L(z))
+    The scale is R(z) = L^(-1/lambda), so (x/R)^lambda = x^lambda L.  With
+    M = e^-z (I0(z) - 1), D = (1 - e^-z) - M and the excess
+    2 (1 - e^(-z/2)) - D = (1 - e^(-z/2))^2 + M are free of cancellation, so L
+    = log1p(excess / D) keeps full precision as z -> 0, where L ~ z/2.  Below
+    _SMALL_Z series take over (lambda -> 2), since at z = 0 the ratios are 0/0.
     """
-    z = np.asarray(z, dtype=float)
-    d = _one_minus_i0e(z)
-    lnterm = np.empty_like(z)
-    lam = np.empty_like(z)
-    small = z < 1e-3
-    zs = z[small]
-    lnterm[small] = 0.5 * zs - zs**2 / 8.0 + zs**3 / 96.0
-    lam[small] = 2.0
-    zb = z[~small]
-    if zb.size:
-        num = -2.0 * np.expm1(-0.5 * zb)
-        lnterm[~small] = np.log(num / d[~small])
-        lam[~small] = 2.0 * zb * bessel_i1e(zb) / d[~small] / lnterm[~small]
-    return lnterm ** (-1.0 / lam), lam
+    small = z < _SMALL_Z
+    if np.any(small):
+        lnterm = np.empty_like(z)
+        lam = np.full_like(z, 2.0)
+        zs = z[small]
+        lnterm[small] = 0.5 * zs - zs**2 / 8.0 + zs**3 / 96.0
+        if not np.all(small):
+            lnterm[~small], lam[~small] = _scale_shape(z[~small])
+        return lnterm, lam
+    m = bessel_i0e_minus_exp(z)
+    d = -np.expm1(-z) - m
+    lnterm = np.log1p((np.expm1(-0.5 * z) ** 2 + m) / d)
+    return lnterm, 2.0 * z * bessel_i1e(z) / (d * lnterm)
 
 
-def _eta0(w1sq, w2sq, a):
-    """Centered-beam transmittance of an elliptic Gaussian spot through a disk."""
-    inv1, inv2 = 1.0 / w1sq, 1.0 / w2sq
-    u = a * a * np.abs(inv1 - inv2)
-    v = a * a * (inv1 + inv2)
-    t1 = bessel_i0e(u) * np.exp(u - v)  # I0(u) e^-v without overflow (v >= u)
+def _eta0(e1, e2):
+    """Centered-beam transmittance of an elliptic Gaussian spot through a disk,
+    from e_i = a^2 / W_i^2."""
+    u = np.abs(e1 - e2)
+    t1 = bessel_i0e(u) * np.exp(u - (e1 + e2))  # I0(u) e^-v without overflow (v = e1 + e2 >= u)
 
-    w1, w2 = np.sqrt(w1sq), np.sqrt(w2sq)
-    z = a * a * (1.0 / w1 - 1.0 / w2) ** 2
-    small = z < 1e-3
-    q = np.empty_like(z)   # q = [(W1+W2)^2 / |W1^2 - W2^2|] / R
-    lam = np.empty_like(z)
-    zs = z[small]
-    # closed-form limit of G/R as W2 -> W1 (G and R both diverge)
-    q[small] = a * (w1[small] + w2[small]) / (math.sqrt(2.0) * w1[small] * w2[small]) * (1.0 - zs / 8.0)
-    lam[small] = 2.0
-    if np.any(~small):
-        r_big, lam_big = _scale_shape(z[~small])
-        g_big = (w1[~small] + w2[~small]) / np.abs(w1[~small] - w2[~small])
-        q[~small] = g_big / r_big
-        lam[~small] = lam_big
-    t3 = -2.0 * np.expm1(-0.5 * z) * np.exp(-(q**lam))
+    s1, s2 = np.sqrt(e1), np.sqrt(e2)  # a / W_i
+    z = (s1 - s2) ** 2
+    lnterm, lam = _scale_shape(z)
+    # q^lambda = (G/R)^lambda = G^lambda L with G = (W1+W2)/|W1-W2| = (s1+s2)/|s1-s2|
+    with np.errstate(divide="ignore", invalid="ignore"):  # G = inf at W1 = W2: replaced below
+        qlam = ((s1 + s2) / np.abs(s1 - s2)) ** lam * lnterm
+    small = z < _SMALL_Z
+    if np.any(small):
+        # G and R both diverge as W2 -> W1: closed-form limit of G/R, squared (lambda = 2)
+        qlam[small] = ((s1[small] + s2[small]) / math.sqrt(2.0) * (1.0 - z[small] / 8.0)) ** 2
+    t3 = -2.0 * np.expm1(-0.5 * z) * np.exp(-qlam)
     return 1.0 - t1 - t3
 
 
 def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
     """Vectorized single-shot transmittance for parameter arrays."""
     a = scenario.aperture
-    w0sq = scenario.w0**2
-    w1sq = w0sq * np.exp(theta1)
-    w2sq = w0sq * np.exp(theta2)
+    a2w0 = (a / scenario.w0) ** 2
+    e1 = a2w0 * np.exp(-theta1)  # a^2 / W1^2
+    e2 = a2w0 * np.exp(-theta2)
     r0 = np.hypot(x0, y0)
-    chi = phi - np.arctan2(y0, x0)
+    cos2chi = np.cos(2.0 * (phi - np.arctan2(y0, x0)))
     # W_eff^2(chi) = 4 a^2 / W(zeta); zeta handled in log form so the huge
-    # exponentials of narrow beams never overflow
-    log_zeta = (
-        np.log(4.0 * a * a / np.sqrt(w1sq * w2sq))
-        + (a * a / w1sq) * (1.0 + 2.0 * np.cos(chi) ** 2)
-        + (a * a / w2sq) * (1.0 + 2.0 * np.sin(chi) ** 2)
-    )
+    # exponentials of narrow beams never overflow; 1 + 2 cos^2 = 2 + cos 2chi
+    log_zeta = (math.log(4.0 * a2w0) - 0.5 * (theta1 + theta2)
+                + e1 * (2.0 + cos2chi) + e2 * (2.0 - cos2chi))
     z = lambert_w_exp(log_zeta)  # = 4 a^2 / W_eff^2
-    scale, shape = _scale_shape(z)
-    eta = _eta0(w1sq, w2sq, a) * np.exp(-((r0 / a / scale) ** shape))
+    lnterm, shape = _scale_shape(z)
+    eta = _eta0(e1, e2) * np.exp(-((r0 / a) ** shape) * lnterm)
     if not np.all(np.isfinite(eta)):
         raise NumericalFailure("transmittance evaluation produced non-finite values")
     return np.clip(eta, 0.0, 1.0)

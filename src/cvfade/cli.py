@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .beam import fading_moments, simulate
+from .beam import GENERATOR_NAME, fading_moments, simulate
 from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
@@ -98,7 +98,6 @@ def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     meta = {
         "config_sha256": config.config_hash(),
         "seed": seed,
-        "generator": "philox",
         "package": f"cvfade {__version__}",
     }
     if extra:
@@ -145,13 +144,15 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
             if opt is not None:
                 if opt.no_positive_rate:
                     flags.append("no_positive_rate")
-                if opt.round_cap_reached:
+                if opt.stop == "round_cap":
                     flags.append("optimizer_round_cap")
                 if trace_sink is not None:
                     trace_sink.append({
                         "label": variant.label,
                         "sweep_value": sweep_value,
                         "evaluations": opt.evaluations,
+                        "rounds": opt.rounds,
+                        "stop": opt.stop,
                         "trace": opt.trace,
                     })
             rows.append([
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> int:
     n = args.n if args.n is not None else fading["beam"].get("n_samples", 100000)
     result = simulate(beam_scenario(config), n=int(n), seed=seed)
 
-    meta = _meta(config, seed, {"n": int(n)})
+    meta = _meta(config, seed, {"n": int(n), "generator": GENERATOR_NAME})
     text = render_csv(meta, ["eta"], result.samples)
     write_text(args.out, text)
     sidecar = dict(result.metadata)

@@ -79,7 +79,9 @@ class OptimizationResult:
     result: KeyRateResult
     no_positive_rate: bool
     evaluations: int
-    round_cap_reached: bool  # ended at _MAX_ROUNDS, not by its own stopping tests
+    rounds: int  # compass rounds run after the grid
+    # what ended the search: "tolerance" (converged), "step_floor" or "round_cap"
+    stop: str
     trace: list = field(default_factory=list)
 
 
@@ -137,10 +139,12 @@ def optimize(
     step = [(b - a) / (n - 1) for a, b, n in zip(lo, hi, spec.grid)]
     free = [k for k in (0, 1) if step[k] > 0.0]
     centre = [(math.log10(best[1]), best[1]), (-best[2], -best[2])]  # (x, value) per axis
-    round_cap_reached = False
-    for _ in range(_MAX_ROUNDS):
+    rounds, stop = 0, "round_cap"
+    while rounds < _MAX_ROUNDS:
         if not any(step[k] >= _STEP_FLOOR * (hi[k] - lo[k]) for k in free):
+            stop = "step_floor"
             break
+        rounds += 1
         axes = []
         for k, (x, value) in enumerate(centre):
             moves = {x: value}
@@ -154,11 +158,10 @@ def optimize(
         if cand > best:
             best, centre = cand, [s, m]
         elif max(values) - min(values) < spec.tolerance:
+            stop = "tolerance"
             break
         else:
             step = [h / 2.0 for h in step]
-    else:
-        round_cap_reached = True
     v_s, v_m = best[1], -best[2]
 
     res = key_rate(replace(protocol, v_s=v_s, v_m=v_m), chan, finite)
@@ -168,6 +171,7 @@ def optimize(
         result=res,
         no_positive_rate=(best[0] <= 0.0),
         evaluations=len(cache),
-        round_cap_reached=round_cap_reached,
+        rounds=rounds,
+        stop=stop,
         trace=trace,
     )

@@ -1,8 +1,8 @@
 """Deterministic CSV/JSON writers shared by the CLI commands.
 
-Every CSV starts with a `# metadata:` comment line (config hash, seed,
-generator) followed by an RFC-4180-style header row.  No timestamps anywhere:
-reruns with identical inputs must be byte-identical.
+Every CSV starts with a `# metadata:` comment line (config hash, seed, and
+for sample files the generator) followed by an RFC-4180-style header row.
+No timestamps anywhere: reruns with identical inputs must be byte-identical.
 """
 from __future__ import annotations
 

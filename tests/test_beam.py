@@ -1,10 +1,12 @@
 import functools
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from cvfade import beam
 from cvfade.beam import (
@@ -224,6 +226,151 @@ class TestTransmittance:
     def test_phi_range_validated(self):
         with pytest.raises(DomainError):
             EllipticSample(x0=0.0, y0=0.0, theta1=0.0, theta2=0.0, phi=2.0)
+
+
+# --- the transmittance against its formulas evaluated exactly -----------------
+
+def _decimal_i0_i1(z):
+    """I0(z) and I1(z) by their power series, in the current decimal context."""
+    t = z * z / 4
+    i0 = i1 = term0 = term1 = Decimal(1)
+    k = 0
+    while term0 > i0.scaleb(-60):
+        k += 1
+        term0 = term0 * t / (k * k)
+        term1 = term1 * t / (k * (k + 1))
+        i0 += term0
+        i1 += term1
+    return i0, i1 * z / 2
+
+
+def _decimal_scale_shape(z):
+    """L(z) = R^-lambda and lambda(z) straight from their definitions, z > 0."""
+    i0, i1 = _decimal_i0_i1(z)
+    d = 1 - (-z).exp() * i0
+    lnterm = (2 * (1 - (-z / 2).exp()) / d).ln()
+    return lnterm, 2 * z * (-z).exp() * i1 / d / lnterm
+
+
+def exact_transmittance(x0, y0, theta1, theta2, phi, scen):
+    """(eta, eta0) of one beam realization, written as Vasylyev, Semenov & Vogel
+    write them (W1, W2, W_eff, R, lambda, (W1+W2)^2/|W1^2-W2^2|) and evaluated in
+    50-digit decimals, so that none of their cancellations costs precision;
+    W(zeta) from scipy.special.lambertw."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, w0 = Decimal(scen.aperture), Decimal(scen.w0)
+        W1, W2 = w0 * (Decimal(theta1) / 2).exp(), w0 * (Decimal(theta2) / 2).exp()
+        r0 = Decimal(math.hypot(x0, y0))
+        chi = phi - math.atan2(y0, x0)
+        zeta = 4 * a * a / (W1 * W2) * (a * a / W1**2 * (1 + 2 * Decimal(math.cos(chi) ** 2))
+                                        + a * a / W2**2 * (1 + 2 * Decimal(math.sin(chi) ** 2))).exp()
+        w_eff = 2 * a / Decimal(float(np.real(sps.lambertw(float(zeta))))).sqrt()
+        lnterm, lam = _decimal_scale_shape(4 * a * a / w_eff**2)
+        R = lnterm ** (-1 / lam)
+        i0, _ = _decimal_i0_i1(a * a * abs(1 / W1**2 - 1 / W2**2))
+        eta0 = 1 - i0 * (-a * a * (1 / W1**2 + 1 / W2**2)).exp()
+        if W1 != W2:  # else the last term's factor 1 - e^0 is 0
+            lnterm0, lam0 = _decimal_scale_shape(a * a * (1 / W1 - 1 / W2) ** 2)
+            q = (W1 + W2) ** 2 / abs(W1**2 - W2**2) / lnterm0 ** (-1 / lam0)
+            eta0 -= 2 * (1 - (-a * a / 2 * (1 / W1 - 1 / W2) ** 2).exp()) * (-(q**lam0)).exp()
+        return float(eta0 * (-((r0 / (a * R)) ** lam)).exp()), float(eta0)
+
+
+def _model_draws(scen, n, rng):
+    """n draws of (x0, y0, Theta1, Theta2, phi) from the scenario's turbulence."""
+    mu, cov = turbulence_gaussian_params(scen.rytov_variance, scen.fresnel_omega, scen.w0, scen.tracking)
+    zn = rng.standard_normal((n, 4))
+    th = mu[2] + zn[:, 2:] @ np.linalg.cholesky(cov[2:, 2:]).T
+    sd = math.sqrt(cov[0, 0])
+    return sd * zn[:, 0], sd * zn[:, 1], th[:, 0], th[:, 1], rng.uniform(0.0, math.pi / 2.0, n)
+
+
+def _effective_z(x0, y0, theta1, theta2, phi, scen):
+    """4 a^2 / W_eff^2, the argument of the scale/shape functions in the exponent."""
+    a2 = scen.aperture**2
+    w1sq, w2sq = scen.w0**2 * np.exp(theta1), scen.w0**2 * np.exp(theta2)
+    chi = phi - np.arctan2(y0, x0)
+    zeta = 4 * a2 / np.sqrt(w1sq * w2sq) * np.exp(a2 / w1sq * (1 + 2 * np.cos(chi) ** 2)
+                                                  + a2 / w2sq * (1 + 2 * np.sin(chi) ** 2))
+    return np.real(sps.lambertw(zeta))
+
+
+def _model_case(**kw):
+    def build(rng, n):
+        scen = link(distance=1750.0, **kw)
+        return scen, _model_draws(scen, n, rng)
+    return build
+
+
+def _tracked(rng, n):
+    scen, params = _model_case(sigma_r2=0.56, tracking=True)(rng, n)
+    assert np.all(np.hypot(params[0], params[1]) == 0.0)  # r0 = 0
+    return scen, params
+
+
+def _near_circular(rng, n):
+    """W2 = W1 exactly, and within 1e-8 to 3 % of it."""
+    scen = link(distance=1750.0, sigma_r2=0.56)
+    x0, y0, t1, _, phi = _model_draws(scen, n, rng)
+    t2 = t1 + rng.choice([0.0, 1e-8, 1e-5, 1e-3, 0.03], n) * rng.standard_normal(n)
+    z0 = scen.aperture**2 * (np.exp(-t1 / 2) - np.exp(-t2 / 2)) ** 2 / scen.w0**2  # eta0's z
+    assert np.any(z0 == 0) and np.any((z0 > 0) & (z0 < beam._SMALL_Z))
+    assert np.any((z0 >= beam._SMALL_Z) & (z0 < 1e-3))
+    return scen, (x0, y0, t1, t2, phi)
+
+
+def _wide(rng, n):
+    """Beams 60 to 100 aperture radii wide, off axis by up to 3 beam radii."""
+    scen = link(distance=1750.0, sigma_r2=0.56)
+    e1 = rng.uniform(1e-4, 2.4e-4, n)  # a^2 / W1^2
+    e2 = e1 * rng.uniform(0.99, 1.01, n)
+    t1, t2 = np.log(scen.aperture**2 / (e1 * scen.w0**2)), np.log(scen.aperture**2 / (e2 * scen.w0**2))
+    r0, ang = rng.uniform(0.0, 3.0, n) * scen.aperture / np.sqrt(e1), rng.uniform(0.0, 2 * np.pi, n)
+    params = (r0 * np.cos(ang), r0 * np.sin(ang), t1, t2, rng.uniform(0.0, math.pi / 2.0, n))
+    assert np.all(_effective_z(*params, scen) < 1e-3)
+    return scen, params
+
+
+def _tiny_aperture(rng, n):
+    """A 2 mm aperture at 3 km: 4 a^2 / W_eff^2 in [5e-3, 1e-2], where 1 - e^-z I0(z)
+    cancels, and r0 up to ~20 a, which magnifies any error in L."""
+    scen = link(aperture=0.002, distance=3000.0, sigma_r2=0.56)
+    return scen, _model_draws(scen, n, rng)
+
+
+TRANSMITTANCE_CASES = {
+    "sr0.1": _model_case(sigma_r2=0.1),
+    "sr3": _model_case(sigma_r2=3.0),
+    "tracking": _tracked,
+    "near-circular": _near_circular,
+    "wide": _wide,
+    "tiny-aperture": _tiny_aperture,
+}
+
+
+@pytest.mark.parametrize("case", TRANSMITTANCE_CASES)
+def test_transmittance_matches_exact_formulas(case):
+    """_transmittance_batch folds the formulas (e_i = a^2/W_i^2, cos 2chi,
+    (x/R)^lambda = x^lambda L, G from a/W_i) and evaluates them in floats.  It
+    must agree within 1e-12 relative, plus two ulps of 1 in eta0 = 1 - t1 - t3,
+    which cancels for wide beams (eta0 ~ 2e-4 here) as it is evaluated."""
+    scen, params = TRANSMITTANCE_CASES[case](np.random.default_rng(20240811), 200)
+    ours = beam._transmittance_batch(*params, scen)
+    eta, eta0 = np.array([exact_transmittance(*p, scen) for p in zip(*params)]).T
+    assert np.all(np.abs(ours - eta) <= 1e-12 * eta + 2 * np.finfo(float).eps * eta / eta0)
+
+
+def test_scale_shape_matches_exact_formulas():
+    """L and lambda keep full precision on both sides of the series switch and
+    where 1 - e^-z I0(z) cancels."""
+    z = np.concatenate([np.logspace(-8, 1.3, 120), [beam._SMALL_Z * (1 - 1e-9), beam._SMALL_Z, 1e-3]])
+    lnterm, lam = beam._scale_shape(z)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = np.array([[float(v) for v in _decimal_scale_shape(Decimal(x))] for x in z])
+    assert np.max(np.abs(lnterm - want[:, 0]) / want[:, 0]) < 2e-15
+    assert np.max(np.abs(lam - want[:, 1]) / want[:, 1]) < 2e-15
 
 
 class TestSimulate:

@@ -390,6 +390,47 @@ def test_optimizer_round_cap_is_flagged(tmp_path):
     assert "optimizer_round_cap" in read_rows(out)[0]["flags"].split(";")
 
 
+def test_trace_records_rounds_and_stop_reason(tmp_path):
+    """Each --trace entry says how many compass rounds ran and what ended the
+    search; the CSV is the same with and without --trace."""
+    doc = {
+        "protocols": [
+            {"label": "converged", "family": "coherent", "beta": 0.95,
+             "optimizer": {"vm_max": 20.0, "grid": [3, 5]}},
+            {"label": "floored", "family": "coherent", "beta": 0.95,
+             "optimizer": {"vm_max": 20.0, "grid": [3, 5], "tolerance": 1e-300}},
+            {"label": "capped", "family": "squeezed", "beta": 0.95,
+             "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
+        ],
+        "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert main(["optimize", "--config", cfg, "--out", str(plain)]) == 0
+    assert main(["optimize", "--config", cfg, "--out", str(traced), "--trace"]) == 0
+    assert plain.read_bytes() == traced.read_bytes()
+    traces = json.loads((tmp_path / "traced.csv.trace.json").read_text())["traces"]
+    assert [(t["label"], t["stop"]) for t in traces] == [
+        ("converged", "tolerance"), ("floored", "step_floor"), ("capped", "round_cap")]
+    assert 0 < traces[0]["rounds"] < traces[1]["rounds"] < traces[2]["rounds"] == 1000
+
+
+def test_generator_recorded_by_simulate_only(tmp_path):
+    """Only `simulate` draws random numbers, so only its CSV and sidecar name the generator."""
+    cfg = write_cfg(tmp_path, BEAM_DOC)
+    samples, rates = tmp_path / "eta.csv", tmp_path / "kr.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(samples), "--n", "100"]) == 0
+    assert main(["keyrate", "--config", cfg, "--out", str(rates)]) == 0
+
+    def meta(path):
+        return json.loads(path.read_text().split("\n", 1)[0].removeprefix("# metadata: "))
+
+    assert meta(samples)["generator"] == "philox"
+    assert json.loads((tmp_path / "eta.csv.json").read_text())["generator"] == "philox"
+    assert "generator" not in meta(rates)
+    assert meta(rates)["seed"] == BEAM_DOC["seed"]
+
+
 def test_exit_code_io_error(tmp_path):
     cfg = write_cfg(tmp_path, BEAM_DOC)
     assert main(["simulate", "--config", cfg, "--out", "/nonexistent-dir/x.csv", "--n", "10"]) == 4

@@ -117,8 +117,19 @@ class TestOptimize:
         start = time.perf_counter()
         out = optimize(spec, template, ch)
         assert time.perf_counter() - start < 5.0
-        assert out.round_cap_reached
-        assert not optimize(replace(spec, vm_range=(0.0, 100.0)), template, ch).round_cap_reached
+        assert (out.stop, out.rounds) == ("round_cap", 1000)
+        assert optimize(replace(spec, vm_range=(0.0, 100.0)), template, ch).stop == "tolerance"
+
+    def test_search_ends_by_tolerance_or_step_floor(self):
+        """With the default tolerance the stencil's rate spread ends the search;
+        with a tolerance no spread reaches, the step floor does."""
+        spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0, vm_range=(0.0, 60.0), grid=(13, 13))
+        ch = fading_channel(0.5, 0.0)
+        converged = optimize(spec, SQ_TEMPLATE, ch)
+        floored = optimize(replace(spec, tolerance=1e-300), SQ_TEMPLATE, ch)
+        assert converged.stop == "tolerance"
+        assert floored.stop == "step_floor"
+        assert 0 < converged.rounds < floored.rounds
 
     def test_capped_squeezed_beats_coherent_under_moderate_fading(self):
         # beta = 0.95, <eta> = 0.5, Var = 0.01, eps_+ = 0.01: a -3 dB squeezing

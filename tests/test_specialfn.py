@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvfade.errors import NumericalFailure
-from cvfade.specialfn import bessel_i0e, bessel_i1e, lambert_w_exp
+from cvfade.specialfn import bessel_i0e, bessel_i0e_minus_exp, bessel_i1e, lambert_w_exp
 
 # dense around the series/asymptotic switchover at 20, plus extremes
 BESSEL_GRID = np.concatenate([
@@ -18,14 +18,27 @@ BESSEL_GRID = np.concatenate([
 def test_i0e_matches_reference():
     ours = bessel_i0e(BESSEL_GRID)
     ref = sps.i0e(BESSEL_GRID)
-    assert np.max(np.abs(ours - ref) / ref) < 1e-10
+    assert np.max(np.abs(ours - ref) / ref) < 2e-15
 
 
 def test_i1e_matches_reference():
     grid = BESSEL_GRID[BESSEL_GRID > 0]
     ours = bessel_i1e(grid)
     ref = sps.i1e(grid)
-    assert np.max(np.abs(ours - ref) / ref) < 1e-10
+    assert np.max(np.abs(ours - ref) / ref) < 2e-15
+
+
+def test_i0e_minus_exp():
+    # against scipy's difference where it does not cancel, and below 1e-4
+    # against the series' two leading terms, whose truncation is < 1e-18 there
+    big = np.concatenate([np.linspace(1.0, 50.0, 200), [1e3, 1e6]])
+    ref = sps.i0e(big) - np.exp(-big)
+    assert np.max(np.abs(bessel_i0e_minus_exp(big) - ref) / ref) < 1e-14
+    small = np.logspace(-150, -4, 100)
+    t = small * small / 4
+    ref = np.exp(-small) * t * (1 + t / 4)
+    assert np.max(np.abs(bessel_i0e_minus_exp(small) - ref) / ref) < 1e-15
+    assert bessel_i0e_minus_exp(0.0) == 0.0
 
 
 def test_bessel_endpoints():
@@ -38,6 +51,13 @@ def test_lambert_w_matches_reference():
     ours = lambert_w_exp(np.log(grid))
     ref = np.real(sps.lambertw(grid))
     assert np.max(np.abs(ours - ref) / ref) < 1e-10
+
+
+def test_lambert_w_on_beam_log_arguments():
+    # the range of log(zeta) the beam model passes, where Newton stops after 5 steps
+    y = np.linspace(1.0, 13.0, 2000)
+    ref = np.real(sps.lambertw(np.exp(y)))
+    assert np.max(np.abs(lambert_w_exp(y) - ref) / ref) < 2e-15
 
 
 def test_lambert_w_exp_consistency():
@@ -67,5 +87,7 @@ def test_domain_errors():
         bessel_i0e(-1.0)
     with pytest.raises(NumericalFailure):
         bessel_i1e(np.array([1.0, -2.0]))
+    with pytest.raises(NumericalFailure):
+        bessel_i0e_minus_exp(np.inf)
     with pytest.raises(NumericalFailure):
         lambert_w_exp(np.nan)
