@@ -266,14 +266,21 @@ def _resolve_eta(doc, name, default=1.0):
     return default if lin is None else float(lin)
 
 
+def _variance_from_db_key(doc, key, path):
+    try:
+        return variance_from_db(doc[key])
+    except DomainError as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from exc
+
+
 def _resolve_protocol(doc, path) -> ProtocolVariant:
     family = doc["family"]
     if "v_s" in doc and "v_s_db" in doc:
         raise ConfigError(f"{path}: give only one of v_s / v_s_db")
     if "v_an" in doc and "v_an_db" in doc:
         raise ConfigError(f"{path}: give only one of v_an / v_an_db")
-    v_s = doc.get("v_s", variance_from_db(doc["v_s_db"]) if "v_s_db" in doc else 1.0)
-    v_an = doc.get("v_an", variance_from_db(doc["v_an_db"]) if "v_an_db" in doc else 0.0)
+    v_s = doc.get("v_s", _variance_from_db_key(doc, "v_s_db", path) if "v_s_db" in doc else 1.0)
+    v_an = doc.get("v_an", _variance_from_db_key(doc, "v_an_db", path) if "v_an_db" in doc else 0.0)
     b = 1 if family == "coherent" else 0
     try:
         params = ProtocolParams(
@@ -367,7 +374,11 @@ def sweep_values(sweep: dict) -> list[float]:
         if start <= 0 or stop <= 0:
             raise ConfigError("log spacing requires positive start/stop")
         la, lb = math.log10(start), math.log10(stop)
-        return [10.0 ** (la + (lb - la) * i / (steps - 1)) for i in range(steps)]
+        try:
+            return [10.0 ** (la + (lb - la) * i / (steps - 1)) for i in range(steps)]
+        except OverflowError:  # 10 ** log10(stop) can round past the float maximum
+            raise ConfigError(f"sweep: a log-spaced value from {start} to {stop} overflows "
+                              "the float range") from None
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 

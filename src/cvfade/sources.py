@@ -29,9 +29,13 @@ def variance_from_db(db: float) -> float:
     """Squeezing expressed in dB to a variance in SNU: V = 10^(dB/10).
 
     Negative dB means squeezing (V < 1); the conversion is bit-exact
-    ``10.0 ** (db / 10.0)``.
+    ``10.0 ** (db / 10.0)``; a variance beyond the float range (about
+    3083 dB) raises DomainError.
     """
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db} dB is a variance beyond the float range") from None
 
 
 def variance_to_db(v: float) -> float:

@@ -512,6 +512,56 @@ def test_float_array_renders_like_row_renderer_and_reads_back(tmp_path_factory, 
         assert hex_values(read_eta_csv(path)) == hex_values(samples)
 
 
+def _any_bit_pattern(rng, n):
+    """Uniform 64-bit patterns (every exponent, subnormals, NaN payloads),
+    with +-0, +-inf, NaN, 1 and the smallest subnormal spliced in."""
+    x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 5e-324]
+    if n:
+        x[rng.integers(0, n, len(special))] = special
+    return x
+
+
+def _decade_bit_patterns(rng, n):
+    """Uniform bit patterns of the doubles in [1e-7, 1]."""
+    lo, hi = np.array([1e-7, 1.0]).view(np.int64)
+    return rng.integers(lo, hi, n, endpoint=True).view(np.float64)
+
+
+def _ties(rng, n):
+    """j * 2^-s with j * 5^s of 18 digits, the last a 5 (j odd): exact ties at
+    the 17th significant digit, in the decades from [1, 10) to [1e-8, 1e-7)."""
+    s = rng.integers(17, 26, n)
+    five = np.int64(5) ** s
+    j = rng.integers(-(-10**17 // five), (10**18 - 1) // five, endpoint=True) | 1
+    return j * 2.0 ** -s.astype(np.float64)
+
+
+# 10^-k's nearest double and its four neighbours on each side, for k = 0..30;
+# among them 0.99999999999999994, which parses to the double just below 1
+POW10_NEIGHBOURS = (np.array([float(f"1e-{k}") for k in range(31)]).view(np.int64)[:, None]
+                    + np.arange(-4, 5)).ravel().view(np.float64)
+FLOAT_ARRAYS = {
+    "any_bit_pattern": _any_bit_pattern,
+    "decade_bit_patterns": _decade_bit_patterns,
+    "ties": _ties,
+    "powers_of_ten": lambda rng, n: rng.choice(POW10_NEIGHBOURS, n),
+    "float32": lambda rng, n: rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
+    "float32_decades": lambda rng, n: _decade_bit_patterns(rng, n).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLOAT_ARRAYS))
+@settings(max_examples=12, deadline=None)
+@given(size=st.sampled_from(SIZES + (3 * _CHUNK + 5,)), seed=st.integers(0, 2**32 - 1))
+def test_float_array_renders_each_value_as_17g(kind, size, seed):
+    """Byte-identical to the per-row '%.17g' renderer on every kind of double,
+    including ties at the 17th digit and the neighbours of powers of ten."""
+    values = FLOAT_ARRAYS[kind](np.random.default_rng(seed), size)
+    assert values.shape == (size,)
+    assert render_csv({}, ["eta"], values) == row_renderer({}, ["eta"], ([v] for v in values))
+
+
 MALFORMED_SAMPLES = {
     "non_numeric": b"eta\n0.5\nabc\n",
     "non_utf8": b"eta\n0.5\n\xff\xfe\n",
@@ -616,3 +666,32 @@ def test_non_finite_scenario_number_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def _exits_2_with_one_line(capsys, argv, out):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("command", ["keyrate", "optimize"])
+def test_anti_squeezing_beyond_float_range_exits_2(tmp_path, capsys, command):
+    """10^(v_an_db / 10) overflows from about 3083 dB."""
+    doc = json.loads((SCENARIOS / "fig1b.scenario").read_text())
+    del doc["protocol"]["v_s"], doc["sweep"]
+    doc["protocol"].update(v_s_db=-3, v_an_db=1e308)
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, [command, "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert "v_an_db" in err, err
+
+
+@pytest.mark.parametrize("variable", ["v_m", "block_size", "distance"])
+def test_log_sweep_to_the_float_maximum_exits_2(tmp_path, capsys, variable):
+    """10 ** log10(stop) rounds past the largest double."""
+    sweep = {"variable": variable, "start": 1.0, "stop": 1.7976931348623157e308, "steps": 3, "spacing": "log"}
+    doc = dict(BEAM_DOC if variable == "distance" else FINITE_DOC, sweep=sweep)
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err.startswith("error: sweep: ") and "float range" in err, err
