@@ -35,7 +35,7 @@ from .gaussian import (
 )
 from .keyrate import FiniteSizeParams, KeyRateResult, KeyRates, finite_size_penalty, holevo_dr, holevo_rr, key_rate, key_rates, mutual_information
 from .optimizer import OptimizationResult, OptimizationSpec, optimize
-from .sources import ProtocolParams, SourceState, build_source, variance_from_db, variance_to_db
+from .sources import ProtocolParams, build_source, variance_from_db, variance_to_db
 
 __all__ = [
     "__version__",
@@ -49,5 +49,5 @@ __all__ = [
     "FiniteSizeParams", "KeyRateResult", "KeyRates", "finite_size_penalty", "holevo_dr", "holevo_rr",
     "key_rate", "key_rates", "mutual_information",
     "OptimizationResult", "OptimizationSpec", "optimize",
-    "ProtocolParams", "SourceState", "build_source", "variance_from_db", "variance_to_db",
+    "ProtocolParams", "build_source", "variance_from_db", "variance_to_db",
 ]

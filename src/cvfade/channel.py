@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 from .gaussian import CovarianceMatrix, require_physical
-from .sources import SourceState
 
 
 @dataclass(frozen=True)
@@ -197,17 +196,17 @@ def apply_composite_stack(gammas: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def apply_composite(source: SourceState, channel: CompositeChannel) -> CovarianceMatrix:
+def apply_composite(source: CovarianceMatrix, channel: CompositeChannel) -> CovarianceMatrix:
     """State shared by the trusted parties after the composite channel.
 
     The single-state form of apply_composite_stack.  Raises NonPhysicalState
     if the inputs are mutually inconsistent.
     """
-    out = apply_composite_stack(source.gamma.matrix[None], [channel])[0]
+    out = apply_composite_stack(source.matrix[None], [channel])[0]
     return require_physical(CovarianceMatrix(out))
 
 
-def apply_equivalent_fixed(source: SourceState, channel: CompositeChannel) -> CovarianceMatrix:
+def apply_equivalent_fixed(source: CovarianceMatrix, channel: CompositeChannel) -> CovarianceMatrix:
     """Equivalent fixed-channel representation of the fading mixture.
 
     Fixed transmittance <sqrt(eta)>^2 eta_comb plus per-quadrature excess
@@ -221,7 +220,7 @@ def apply_equivalent_fixed(source: SourceState, channel: CompositeChannel) -> Co
     """
     st = channel.fading
     t_eq = channel.eta_comb * (st.mean_eta - st.var_sqrt)
-    g = np.array(source.gamma.matrix)
+    g = np.array(source.matrix)
     n2 = g.shape[0]
     b = slice(n2 - 2, n2)
     block = g[b, b] - np.eye(2)

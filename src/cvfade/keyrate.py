@@ -7,9 +7,11 @@ use; negative rates are reported, never clipped.
 
 `key_rates` computes a whole batch of points as stacked covariance arrays
 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)); `key_rate` is a batch of
-one.  `mutual_information`, `holevo_rr`, `holevo_dr` and
-`key_rate_equivalent_fixed` compute the same quantities one CovarianceMatrix
-at a time, through the equivalent fixed channel, as an independent check.
+one.  `mutual_information`, `holevo_rr` and `holevo_dr` compute I_AB and chi
+one CovarianceMatrix at a time; `key_rate_equivalent_fixed` runs them through
+the equivalent fixed channel as an independent check of the state and its
+entropies.  Both routes turn I_AB and chi into rates through one function,
+so sifting, the finite-size correction and the flags are written once.
 
 Errors: `key_rates` raises at the first failed check and re-runs a failing
 batch point by point, so the error never depends on how points were batched.
@@ -229,6 +231,38 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
     return mi, holevo
 
 
+def _assemble(protocol: ProtocolParams, chans, finites, mi: np.ndarray, holevo: np.ndarray) -> KeyRates:
+    """Key rates from each point's I_AB and Holevo bound before sifting.
+
+    The rate policy shared by key_rates and key_rate_equivalent_fixed:
+    sifting, chi clipped at 0, beta, the finite-size penalty and key
+    fraction, and the direct-reconciliation flag.  `chans` and `finites`
+    hold one entry per point or one for every point.
+    """
+    n = mi.size
+    i_ab = protocol.sifting * mi
+    chi = protocol.sifting * np.maximum(holevo, 0.0)
+    rate_finite = n_block = None
+    if finites[0] is not None:
+        delta = np.array([finite_size_penalty(f.n, f.eps_bar) for f in finites])
+        key_fraction = np.array([f.key_fraction for f in finites])
+        rate_finite = key_fraction * (protocol.beta * i_ab - chi - delta)
+        n_block = tuple(f.n for f in finites) * (n // len(finites))
+    dr_low = np.zeros(n, dtype=bool)
+    if protocol.reconciliation == DIRECT:
+        # direct reconciliation is generally insecure below mean transmittance 1/2
+        dr_low |= np.array([ch.mean_transmittance <= 0.5 for ch in chans])
+    return KeyRates(
+        i_ab=i_ab,
+        chi=chi,
+        rate_asymptotic=protocol.beta * i_ab - chi,
+        rate_finite=rate_finite,
+        n_block=n_block,
+        dr_low_transmittance=dr_low,
+        beta=protocol.beta,
+    )
+
+
 def key_rates(
     protocol: ProtocolParams,
     chan,
@@ -273,27 +307,7 @@ def key_rates(
                 _information_terms(protocol, (chans[k % len(chans)],), v_s[k : k + 1], v_m[k : k + 1])
             raise
 
-    i_ab = protocol.sifting * mi
-    chi = protocol.sifting * np.maximum(holevo, 0.0)
-    rate_finite = n_block = None
-    if finites[0] is not None:
-        delta = np.array([finite_size_penalty(f.n, f.eps_bar) for f in finites])
-        key_fraction = np.array([f.key_fraction for f in finites])
-        rate_finite = key_fraction * (protocol.beta * i_ab - chi - delta)
-        n_block = tuple(f.n for f in finites) * (n // len(finites))
-    dr_low = np.zeros(n, dtype=bool)
-    if protocol.reconciliation == DIRECT:
-        # direct reconciliation is generally insecure below mean transmittance 1/2
-        dr_low |= np.array([ch.mean_transmittance <= 0.5 for ch in chans])
-    return KeyRates(
-        i_ab=i_ab,
-        chi=chi,
-        rate_asymptotic=protocol.beta * i_ab - chi,
-        rate_finite=rate_finite,
-        n_block=n_block,
-        dr_low_transmittance=dr_low,
-        beta=protocol.beta,
-    )
+    return _assemble(protocol, chans, finites, mi, holevo)
 
 
 def key_rate(
@@ -385,31 +399,14 @@ def key_rate_equivalent_fixed(
     chan: CompositeChannel,
     finite: FiniteSizeParams | None = None,
 ) -> KeyRateResult:
-    """key_rate computed one CovarianceMatrix at a time through the equivalent fixed channel.
+    """key_rate with I_AB and chi computed one CovarianceMatrix at a time.
 
-    An independent route for checks: build_source -> apply_equivalent_fixed ->
-    mutual_information and holevo_rr / holevo_dr.  Agrees with key_rate to
-    numerical precision.
+    An independent route to the state and its entropies, for checks:
+    build_source -> apply_equivalent_fixed -> mutual_information and
+    holevo_rr / holevo_dr.  The rate policy applied to them is key_rates'
+    own.  Agrees with key_rate to numerical precision.
     """
     state = apply_equivalent_fixed(build_source(protocol), chan)
-    i_ab = protocol.sifting * mutual_information(state, protocol)
-    if protocol.reconciliation == REVERSE:
-        chi = protocol.sifting * holevo_rr(state)
-    else:
-        chi = protocol.sifting * holevo_dr(state, protocol)
-    flags = []
-    if protocol.reconciliation == DIRECT and chan.mean_transmittance <= 0.5:
-        flags.append("dr_low_transmittance")
-    rate_finite = n_block = None
-    if finite is not None:
-        delta = finite_size_penalty(finite.n, finite.eps_bar)
-        rate_finite = finite.key_fraction * (protocol.beta * i_ab - chi - delta)
-        n_block = finite.n
-    return KeyRateResult(
-        i_ab=i_ab,
-        chi=chi,
-        rate_asymptotic=protocol.beta * i_ab - chi,
-        rate_finite=rate_finite,
-        n_block=n_block,
-        diagnostics={"beta": protocol.beta, "flags": flags},
-    )
+    mi = mutual_information(state, protocol)
+    holevo = holevo_rr(state) if protocol.reconciliation == REVERSE else holevo_dr(state, protocol)
+    return _assemble(protocol, (chan,), (finite,), np.array([mi]), np.array([holevo])).result(0)

@@ -10,6 +10,10 @@ spread is below the tolerance, and halves the step otherwise (Kolda, Lewis &
 Torczon, SIAM Rev. 45, 385 (2003)).  A search still running after a fixed
 number of rounds ends there and says so.  Everything is deterministic:
 identical inputs give identical optima.
+
+Each point is evaluated once: the best point's result is its element of the
+key_rates batch that evaluated it, and the trace lists the evaluated points in
+evaluation order.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from .channel import CompositeChannel
 from .errors import ConfigError
-from .keyrate import FiniteSizeParams, KeyRateResult, key_rate, key_rates
+from .keyrate import FiniteSizeParams, KeyRateResult, KeyRates, key_rates
 from .sources import ProtocolParams, variance_from_db
 
 COHERENT = "coherent"
@@ -37,8 +41,9 @@ _MAX_ROUNDS = 1000
 class OptimizationSpec:
     """Search region and termination settings.
 
-    vs_cap_db: most-negative allowed squeezing in dB (<= 0); the coherent
-    family ignores it and fixes V_s = 1.  vm_range: inclusive modulation
+    vs_cap_db: most-negative allowed squeezing in dB (<= 0, with a variance
+    that does not underflow to 0); the coherent family ignores it and fixes
+    V_s = 1.  vm_range: inclusive modulation
     bounds in SNU.  grid: (n_vs, n_vm) coarse densities; one grid cell is
     also the search's initial step.  tolerance: stencil rate spread, bits;
     the search stops once the centre stays best and the rates of its stencil
@@ -59,6 +64,8 @@ class OptimizationSpec:
             raise ConfigError(f"unknown protocol family {self.family!r}")
         if self.vs_cap_db > 0:
             raise ConfigError("vs_cap_db must be <= 0 dB")
+        if self.vs_min == 0.0:
+            raise ConfigError(f"vs_cap_db {self.vs_cap_db} dB is a variance that underflows to 0")
         lo, hi = self.vm_range
         if not (0.0 <= lo < hi):
             raise ConfigError("vm_range must satisfy 0 <= lo < hi")
@@ -100,8 +107,9 @@ def optimize(
     >= every evaluated point.  no_positive_rate flags a best rate <= 0 (the
     argmax is still returned).
     """
-    trace = []
-    cache: dict[tuple[float, float], float] = {}
+    # per evaluated point, in evaluation order: its objective, and the batch
+    # and index that computed it
+    cache: dict[tuple[float, float], tuple[float, KeyRates, int]] = {}
     if spec.family == COHERENT:
         protocol = replace(protocol_template, v_s=1.0, b=1, v_an=0.0)
     else:
@@ -114,11 +122,9 @@ def optimize(
             v_s, v_m = np.array(new).T
             res = key_rates(protocol, chan, finite, v_s=v_s, v_m=v_m)
             values = res.rate_finite if finite is not None else res.rate_asymptotic
-            for p, r in zip(new, values.tolist()):
-                cache[p] = r
-                if collect_trace:
-                    trace.append((*p, r))
-        return [cache[p] for p in points]
+            for k, (p, r) in enumerate(zip(new, values.tolist())):
+                cache[p] = (r, res, k)
+        return [cache[p][0] for p in points]
 
     n_vs, n_vm = spec.grid
     if spec.family == COHERENT:
@@ -163,15 +169,14 @@ def optimize(
         else:
             step = [h / 2.0 for h in step]
     v_s, v_m = best[1], -best[2]
-
-    res = key_rate(replace(protocol, v_s=v_s, v_m=v_m), chan, finite)
+    _, batch, k = cache[v_s, v_m]
     return OptimizationResult(
         v_s=v_s,
         v_m=v_m,
-        result=res,
+        result=batch.result(k),
         no_positive_rate=(best[0] <= 0.0),
         evaluations=len(cache),
         rounds=rounds,
         stop=stop,
-        trace=trace,
+        trace=[(*p, r) for p, (r, _, _) in cache.items()] if collect_trace else [],
     )

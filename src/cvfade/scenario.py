@@ -259,8 +259,6 @@ class ScenarioConfig:
 
 def _resolve_eta(doc, name, default=1.0):
     lin, db = doc.get(name), doc.get(f"{name}_db")
-    if lin is not None and db is not None:
-        raise ConfigError(f"channel: give only one of {name} / {name}_db")
     if db is not None:
         return 10.0 ** (db / 10.0)
     return default if lin is None else float(lin)
@@ -335,6 +333,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("protocol labels must be unique")
 
     ch = raw["channel"]
+    for name in ("eta1", "eta2"):
+        if name in ch and f"{name}_db" in ch:
+            raise ConfigError(f"channel: give only one of {name} / {name}_db")
     fading = ch["fading"]
     if sum(k in fading for k in ("stats", "samples_file", "beam")) != 1:
         raise ConfigError("channel.fading: give exactly one of stats / samples_file / beam")
@@ -379,7 +380,11 @@ def sweep_values(sweep: dict) -> list[float]:
         except OverflowError:  # 10 ** log10(stop) can round past the float maximum
             raise ConfigError(f"sweep: a log-spaced value from {start} to {stop} overflows "
                               "the float range") from None
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):  # (stop - start) * i can overflow
+        raise ConfigError(f"sweep: a linear-spaced value from {start} to {stop} overflows "
+                          "the float range")
+    return values
 
 
 def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:

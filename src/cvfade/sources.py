@@ -1,22 +1,22 @@
 """Entanglement-based equivalents of the prepare-and-measure signal sources.
 
-Mode layout convention (fixed): mode 0 is the sender's kept mode, an optional
-prep-noise ancilla sits in the middle, and the signal mode travelling to the
-receiver is always last.
+A source is its covariance matrix: build_source returns one CovarianceMatrix,
+build_source_stack the same construction for a batch of points.  Mode layout
+convention (fixed): mode 0 is the sender's kept mode, an optional prep-noise
+ancilla sits in the middle, and the signal mode travelling to the receiver is
+always last (mode n_modes - 1).  The sender's measurement follows from the
+protocol family: heterodyne for b=1, X homodyne for b=0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussian
 from .errors import DomainError
 from .gaussian import CovarianceMatrix
-
-HOMODYNE_X = "homodyne-x"
-HETERODYNE = "heterodyne"
 
 DIRECT = "dr"
 REVERSE = "rr"
@@ -100,21 +100,7 @@ class ProtocolParams:
         return (self.v_s + self.v_m, 1.0 / self.v_s + self.b * self.v_m + self.v_an)
 
 
-@dataclass(frozen=True)
-class SourceState:
-    """Multimode state of (trusted modes ..., signal mode), plus sender metadata."""
-
-    gamma: CovarianceMatrix
-    alice_measurement: str
-    signal_mode: int = field(init=False)
-
-    def __post_init__(self):
-        if self.alice_measurement not in (HOMODYNE_X, HETERODYNE):
-            raise DomainError(f"unknown measurement {self.alice_measurement!r}")
-        object.__setattr__(self, "signal_mode", self.gamma.n_modes - 1)
-
-
-def build_source(params: ProtocolParams) -> SourceState:
+def build_source(params: ProtocolParams) -> CovarianceMatrix:
     """Pure-state (or deliberately impure, for untrusted prep noise) EB source.
 
     Coherent protocol (b=1): two-mode squeezed vacuum with mu = V_m + 1; the
@@ -133,7 +119,7 @@ def build_source(params: ProtocolParams) -> SourceState:
     adversary).
     """
     if params.is_coherent:
-        return SourceState(gaussian.tmsv(params.v_m + 1.0), HETERODYNE)
+        return gaussian.tmsv(params.v_m + 1.0)
 
     mu = math.sqrt(1.0 + params.v_m / params.v_s)
     gamma = gaussian.tmsv(mu)
@@ -154,7 +140,7 @@ def build_source(params: ProtocolParams) -> SourceState:
             m[3, 3] += params.v_an
             gamma = CovarianceMatrix(m)
 
-    return SourceState(gamma, HOMODYNE_X)
+    return gamma
 
 
 def build_source_stack(params: ProtocolParams, v_s: np.ndarray, v_m: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def fading_noise(params, stats, eta1=1.0):
     fixed = FadingStats.fixed(stats.mean_sqrt_eta**2)
     fading_out = apply_equivalent_fixed(src, CompositeChannel(fading=stats, eta1=eta1))
     fixed_out = apply_equivalent_fixed(src, CompositeChannel(fading=fixed, eta1=eta1))
-    return np.diag(fading_out.mode_block(src.signal_mode) - fixed_out.mode_block(src.signal_mode))
+    return np.diag(fading_out.mode_block(src.n_modes - 1) - fixed_out.mode_block(src.n_modes - 1))
 
 
 class TestEffectiveExcessNoise:
@@ -124,21 +124,21 @@ class TestApplyComposite:
     def test_identity_channel(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
         out = apply_composite(src, CompositeChannel(fading=FadingStats.fixed(1.0)))
-        assert np.allclose(out.matrix, src.gamma.matrix, atol=1e-12)
+        assert np.allclose(out.matrix, src.matrix, atol=1e-12)
 
     def test_pure_fading_no_fluctuations(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
         out = apply_composite(src, CompositeChannel(fading=FadingStats.fixed(0.5)))
         assert np.allclose(out.mode_block(1), 1.5 * np.eye(2), atol=1e-12)
         assert np.allclose(
-            out.cross_block(0, 1), math.sqrt(0.5) * src.gamma.cross_block(0, 1), atol=1e-12
+            out.cross_block(0, 1), math.sqrt(0.5) * src.cross_block(0, 1), atol=1e-12
         )
 
     def test_fluctuations_only_touch_correlations(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
         out = apply_composite(src, CompositeChannel(fading=FadingStats(0.5, 0.69)))
         assert np.allclose(out.mode_block(1), 1.5 * np.eye(2), atol=1e-12)
-        assert np.allclose(out.cross_block(0, 1), 0.69 * src.gamma.cross_block(0, 1), atol=1e-12)
+        assert np.allclose(out.cross_block(0, 1), 0.69 * src.cross_block(0, 1), atol=1e-12)
 
     def test_monotone_decorrelation_in_fading_strength(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from conftest import MALFORMED_CN2, hex_values, sample_values
 from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError
+from cvfade.keyrate import key_rate
 from cvfade.outputs import _CHUNK, format_number, metadata_line, render_csv, write_text
+from cvfade.scenario import build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -695,3 +698,67 @@ def test_log_sweep_to_the_float_maximum_exits_2(tmp_path, capsys, variable):
     out = tmp_path / "x.csv"
     err = _exits_2_with_one_line(capsys, ["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
     assert err.startswith("error: sweep: ") and "float range" in err, err
+
+
+@pytest.mark.parametrize("variable", ["v_m", "block_size"])
+def test_linear_sweep_that_overflows_exits_2(tmp_path, capsys, variable):
+    """(stop - start) * i overflows before the division by steps - 1."""
+    sweep = {"variable": variable, "start": 1e6, "stop": 1.7976931348623157e308, "steps": 3}
+    doc = dict(FINITE_DOC, sweep=sweep)
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err.startswith("error: sweep: ") and "float range" in err, err
+
+
+def test_squeezing_cap_whose_variance_underflows_exits_2(tmp_path, capsys):
+    """10^(vs_cap_db / 10) is 0.0 below about -3234 dB."""
+    doc = {"protocol": {"family": "squeezed", "optimizer": {"vs_cap_db": -4000, "vm_max": 10, "grid": [3, 3]}},
+           "channel": {"fading": {"stats": {"mean_eta": 0.5}}}}
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert "vs_cap_db" in err, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "keyrate"])
+@pytest.mark.parametrize("segment", ["eta1", "eta2"])
+def test_fixed_segment_given_twice_exits_2(tmp_path, capsys, segment, command):
+    """A fixed segment given both linearly and in dB is rejected when the scenario loads."""
+    doc = json.loads(json.dumps(BEAM_DOC))
+    doc["channel"].update({segment: 0.5, f"{segment}_db": -3.0})
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, [command, "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err == f"error: channel: give only one of {segment} / {segment}_db\n", err
+
+
+@pytest.mark.parametrize("scenario", ["fig1b", "fig3"])
+def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario):
+    """Every optimized row reports exactly key_rate at its (v_s, v_m), and its
+    trace lists each evaluated point once, the best at the row's objective."""
+    doc = json.loads((SCENARIOS / f"{scenario}.scenario").read_text())
+    if scenario == "fig3":
+        doc["sweep"] = {"variable": "distance", "values": [1750.0]}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--trace"]) == 0
+    config = load_scenario(cfg)
+    variable = config.sweep["variable"]
+    variants = {v.label: v for v in config.variants}
+    rows = read_rows(out)
+    traces = json.loads((tmp_path / "rows.csv.trace.json").read_text())["traces"]
+    assert [(t["label"], t["sweep_value"]) for t in traces] == [
+        (row["label"], float(row["sweep_value"])) for row in rows]
+    for row, entry in zip(rows, traces):
+        beam = {"distance": float(row["sweep_value"])} if variable == "distance" else {}
+        chan = build_channel(config, resolve_fading(config, **beam))
+        params = replace(variants[row["label"]].params, v_s=float(row["v_s"]), v_m=float(row["v_m"]))
+        want = key_rate(params, chan, config.finite)
+        for name in ("i_ab", "chi", "rate_asymptotic", "rate_finite"):
+            assert row[name] == format_number(getattr(want, name)), name
+        optimizer_flags = ("no_positive_rate", "optimizer_round_cap")
+        assert [f for f in row["flags"].split(";") if f and f not in optimizer_flags] == want.diagnostics["flags"]
+
+        trace = entry["trace"]
+        assert entry["evaluations"] == len(trace)
+        assert len({(v_s, v_m) for v_s, v_m, _ in trace}) == len(trace)
+        objective = want.rate_asymptotic if config.finite is None else want.rate_finite
+        assert max(r for _, _, r in trace) == objective

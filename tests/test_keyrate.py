@@ -486,6 +486,38 @@ def test_equivalent_fixed_oracle_on_noiseless_half_channel(protocol):
         assert abs(got.rate_asymptotic - oracle.rate_asymptotic) <= 1e-12
 
 
+POLICY_PROTOCOLS = [
+    ProtocolParams(v_s=1.0, v_m=4.0, b=1, beta=0.95),
+    ProtocolParams(v_s=1.0, v_m=4.0, b=1, beta=0.9, reconciliation="dr", sifting=0.5),
+    ProtocolParams(v_s=0.4, v_m=6.0, b=0, beta=0.95, sifting=0.75),
+    ProtocolParams(v_s=0.4, v_m=6.0, b=0, beta=0.9, reconciliation="dr", v_an=0.5, prep_noise_trust="untrusted"),
+]
+POLICY_FINITE = [None, FiniteSizeParams(n=1e6), FiniteSizeParams(n=1e8, eps_bar=1e-6, key_fraction=0.7)]
+
+
+@pytest.mark.parametrize("mean_eta", [0.4, 0.5, 0.8])
+@pytest.mark.parametrize("finite", POLICY_FINITE, ids=["asymptotic", "n1e6", "n1e8-kf0.7"])
+@pytest.mark.parametrize("protocol", POLICY_PROTOCOLS,
+                         ids=lambda p: f"b{p.b}-{p.reconciliation}-sift{p.sifting:g}")
+def test_equivalent_fixed_applies_the_rate_policy_of_key_rate(protocol, finite, mean_eta):
+    """The oracle turns its own I_AB and chi into rates exactly as key_rate does:
+    sifting, the finite-size rate and block, and the flag of DR at <eta> <= 1/2."""
+    chan = CompositeChannel(fading=FadingStats(mean_eta, math.sqrt(mean_eta - 0.01)), eps2=0.01)
+    got, oracle = key_rate(protocol, chan, finite), key_rate_equivalent_fixed(protocol, chan, finite)
+    low = protocol.reconciliation == "dr" and mean_eta <= 0.5
+    assert got.diagnostics == oracle.diagnostics == {
+        "beta": protocol.beta, "flags": ["dr_low_transmittance"] if low else []}
+    assert got.n_block == oracle.n_block == (None if finite is None else finite.n)
+    for result in (got, oracle):
+        if finite is None:
+            assert result.rate_finite is None
+        else:
+            delta = finite_size_penalty(finite.n, finite.eps_bar)
+            assert result.rate_finite == finite.key_fraction * (result.rate_asymptotic - delta)
+    for name in ("i_ab", "chi", "rate_asymptotic"):
+        assert getattr(oracle, name) == pytest.approx(getattr(got, name), abs=1e-9)
+
+
 def sample_set_channels(rng, n):
     """n channels built from random transmittance sample sets in [0, 0.999],
     with the sample-averaged fading PLOB bound <-log2(1 - eta1 eta2 eta)> of each.

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from cvfade.errors import DomainError
 from cvfade.gaussian import condition_on_homodyne, symplectic_eigenvalues, tmsv, von_neumann_entropy
 from cvfade.sources import (
-    HETERODYNE,
-    HOMODYNE_X,
     ProtocolParams,
     build_source,
     variance_from_db,
@@ -52,42 +50,39 @@ def test_db_conversion_bit_exact():
 class TestBuildSource:
     def test_squeezed_example(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
-        assert src.alice_measurement == HOMODYNE_X
-        assert src.signal_mode == 1
-        assert np.allclose(src.gamma.mode_block(1), 2.0 * np.eye(2), atol=1e-12)
-        cond = condition_on_homodyne(src.gamma, 0, "x")
+        assert src.n_modes == 2
+        assert np.allclose(src.mode_block(1), 2.0 * np.eye(2), atol=1e-12)
+        cond = condition_on_homodyne(src, 0, "x")
         assert cond.variance(0, "x") == pytest.approx(0.5, abs=1e-12)
 
     def test_coherent_example(self):
         src = build_source(ProtocolParams(v_s=1.0, v_m=3.0, b=1))
-        assert src.alice_measurement == HETERODYNE
-        assert np.allclose(src.gamma.matrix, tmsv(4.0).matrix, atol=1e-12)
+        assert np.allclose(src.matrix, tmsv(4.0).matrix, atol=1e-12)
 
     def test_trusted_prep_noise(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0, v_an=0.3))
-        assert src.gamma.n_modes == 3
-        assert src.signal_mode == 2
-        assert np.allclose(src.gamma.mode_block(2), np.diag([2.0, 2.3]), atol=1e-12)
-        assert symplectic_eigenvalues(src.gamma) == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
+        assert src.n_modes == 3
+        assert np.allclose(src.mode_block(2), np.diag([2.0, 2.3]), atol=1e-12)
+        assert symplectic_eigenvalues(src) == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
 
     def test_untrusted_prep_noise_is_impure(self):
         src = build_source(
             ProtocolParams(v_s=0.5, v_m=1.5, b=0, v_an=0.3, prep_noise_trust="untrusted")
         )
-        assert src.gamma.n_modes == 2
-        assert np.allclose(src.gamma.mode_block(1), np.diag([2.0, 2.3]), atol=1e-12)
-        assert von_neumann_entropy(src.gamma) > 1e-3
+        assert src.n_modes == 2
+        assert np.allclose(src.mode_block(1), np.diag([2.0, 2.3]), atol=1e-12)
+        assert von_neumann_entropy(src) > 1e-3
 
     def test_no_modulation_is_product_state(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=0.0, b=0))
-        assert np.allclose(src.gamma.cross_block(0, 1), np.zeros((2, 2)), atol=1e-12)
-        assert np.allclose(src.gamma.mode_block(1), np.diag([0.5, 2.0]), atol=1e-12)
+        assert np.allclose(src.cross_block(0, 1), np.zeros((2, 2)), atol=1e-12)
+        assert np.allclose(src.mode_block(1), np.diag([0.5, 2.0]), atol=1e-12)
 
     def test_trusted_noise_does_not_touch_x(self):
         base = build_source(ProtocolParams(v_s=0.3, v_m=2.0, b=0))
         noisy = build_source(ProtocolParams(v_s=0.3, v_m=2.0, b=0, v_an=1.7))
-        b_base = base.gamma.mode_block(base.signal_mode)
-        b_noisy = noisy.gamma.mode_block(noisy.signal_mode)
+        b_base = base.mode_block(base.n_modes - 1)
+        b_noisy = noisy.mode_block(noisy.n_modes - 1)
         assert b_noisy[0, 0] == pytest.approx(b_base[0, 0], abs=1e-12)
         assert b_noisy[1, 1] == pytest.approx(b_base[1, 1] + 1.7, abs=1e-12)
 
@@ -102,7 +97,7 @@ def test_reduced_signal_identity(v_s, v_m, v_an):
     params = ProtocolParams(v_s=v_s, v_m=v_m, b=0, v_an=v_an)
     src = build_source(params)
     want = np.diag(params.signal_variances())
-    assert np.allclose(src.gamma.mode_block(src.signal_mode), want, atol=1e-10)
+    assert np.allclose(src.mode_block(src.n_modes - 1), want, atol=1e-10)
 
 
 def test_reduced_signal_identity_bulk(rng):
@@ -117,7 +112,7 @@ def test_reduced_signal_identity_bulk(rng):
             params = ProtocolParams(v_s=v_s, v_m=v_m, b=0, v_an=rng.uniform(0.0, 5.0))
         src = build_source(params)
         want = np.diag(params.signal_variances())
-        assert np.allclose(src.gamma.mode_block(src.signal_mode), want, atol=1e-10)
+        assert np.allclose(src.mode_block(src.n_modes - 1), want, atol=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,14 +121,13 @@ def test_entanglement_based_link(v):
     # V_s = 1/V with V_m = V - 1/V reproduces the two-mode squeezed vacuum exactly
     params = ProtocolParams(v_s=1.0 / v, v_m=v - 1.0 / v, b=0)
     src = build_source(params)
-    assert np.allclose(src.gamma.matrix, tmsv(v).matrix, atol=1e-10)
+    assert np.allclose(src.matrix, tmsv(v).matrix, atol=1e-10)
 
 
 def test_families_share_reduced_signal_at_unit_vs():
     coherent = build_source(ProtocolParams(v_s=1.0, v_m=3.0, b=1))
     squeezed = build_source(ProtocolParams(v_s=1.0, v_m=3.0, b=0))
-    assert coherent.alice_measurement != squeezed.alice_measurement
     # x statistics agree; they differ in the modulated p quadrature only
-    assert coherent.gamma.variance(1, "x") == pytest.approx(squeezed.gamma.variance(1, "x"))
-    assert coherent.gamma.variance(1, "p") == pytest.approx(4.0)
-    assert squeezed.gamma.variance(1, "p") == pytest.approx(1.0)
+    assert coherent.variance(1, "x") == pytest.approx(squeezed.variance(1, "x"))
+    assert coherent.variance(1, "p") == pytest.approx(4.0)
+    assert squeezed.variance(1, "p") == pytest.approx(1.0)
