@@ -11,7 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cvfade.cli import main as cvfade_main
+from cvfade.__main__ import main as cvfade_main
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"

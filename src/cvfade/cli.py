@@ -144,8 +144,8 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
             if opt is not None:
                 if opt.no_positive_rate:
                     flags.append("no_positive_rate")
-                if opt.stop == "round_cap":
-                    flags.append("optimizer_round_cap")
+                if opt.stop in ("round_cap", "step_floor"):
+                    flags.append(f"optimizer_{opt.stop}")
                 if trace_sink is not None:
                     trace_sink.append({
                         "label": variant.label,

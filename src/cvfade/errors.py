@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the batch check that raises them."""
 
 
 class CvfadeError(Exception):
@@ -27,3 +27,9 @@ class ConfigError(CvfadeError):
 
 class InternalError(CvfadeError):
     """An internal consistency check failed (indicates a bug, not bad input)."""
+
+
+def check_batch(bad, error):
+    """Raise `error(k)` (or the exception `error`) if any point of a batch is `bad`; k is the first."""
+    if bad.any():
+        raise error(int(bad.argmax())) if callable(error) else error

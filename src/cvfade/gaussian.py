@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonPhysicalState, NumericalFailure
+from .errors import DomainError, NonPhysicalState, NumericalFailure, check_batch
 
 _LN2 = math.log(2.0)
 
@@ -91,31 +91,48 @@ class CovarianceMatrix:
         return 2 * mode + (0 if quadrature == X else 1)
 
 
-def symplectic_eigenvalues(gamma: CovarianceMatrix) -> list[float]:
-    """Symplectic spectrum: one nu per mode, sorted descending, clipped to >= 1.
+def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of an (N, 2m, 2m) stack of covariance matrices.
 
-    Computed as the absolute eigenvalues of i*Omega*gamma, deduplicated into
-    pairs.  Values in [1 - NU_TOL, 1) are clipped to 1; anything lower raises.
-    Positive definiteness is checked first: |eig(i Omega gamma)| >= 1 alone
-    does not rule out indefinite matrices (their spectra turn complex while
-    keeping large moduli).
+    Returns (N, m): one nu per mode, sorted descending, clipped to >= 1.  The
+    nu are the moduli of the eigenvalues of i*Omega*gamma (Williamson, Am. J.
+    Math. 58, 141 (1936)).  With L the Cholesky factor of gamma, nu =
+    sqrt(det gamma) = L_00 L_11 for m = 1; for m >= 2 the nu are the positive
+    eigenvalues of the Hermitian i*L^T*Omega*L, which is similar to
+    i*Omega*gamma; its spectrum is +/- nu.
+
+    Checks, each raising for the first point that fails: positive
+    definiteness of gamma + NU_TOL*I (|eig(i Omega gamma)| >= 1 alone does not
+    rule out indefinite matrices), of gamma itself, +/- pairing of the
+    spectrum, and nu >= 1 - NU_TOL; values in [1 - NU_TOL, 1) are clipped to 1.
     """
+    d = stack.shape[-1]
+    m = d // 2
     try:
-        np.linalg.cholesky(gamma.matrix + NU_TOL * np.eye(2 * gamma.n_modes))
-    except np.linalg.LinAlgError as exc:
-        raise NonPhysicalState("covariance matrix is not positive definite") from exc
-    omega = symplectic_form(gamma.n_modes)
-    try:
-        ev = np.linalg.eigvals(1j * omega @ gamma.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals rarely fails
-        raise NumericalFailure("eigenvalue solver did not converge") from exc
-    mags = np.sort(np.abs(ev))[::-1]
-    nus = mags[::2]  # each nu appears as a +/- pair
-    if np.max(np.abs(mags[::2] - mags[1::2])) > 1e-6 * max(1.0, mags[0]):
-        raise NumericalFailure("symplectic spectrum did not pair up")
-    if np.any(nus < 1.0 - NU_TOL):
-        raise NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus.min():.12g}")
-    return [float(v) for v in np.clip(nus, 1.0, None)]
+        np.linalg.cholesky(stack + NU_TOL * np.eye(d))
+        factor = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        raise NonPhysicalState("covariance matrix is not positive definite") from None
+    if m == 1:
+        # sqrt(det gamma) without forming det gamma, which overflows once entries pass ~1e154
+        nus = factor[:, 0, :1] * factor[:, 1, 1:]
+    else:
+        form = factor.transpose(0, 2, 1) @ symplectic_form(m) @ factor
+        try:
+            ev = np.linalg.eigvalsh(1j * form)  # ascending: -nu, then +nu
+        except np.linalg.LinAlgError:  # pragma: no cover - eigvalsh rarely fails
+            raise NumericalFailure("eigenvalue solver did not converge") from None
+        nus = ev[:, m:][:, ::-1]
+        unpaired = np.abs(nus + ev[:, :m]).max(axis=-1) > 1e-6 * np.maximum(1.0, nus[:, 0])
+        check_batch(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
+    check_batch(nus[:, -1] < 1.0 - NU_TOL,  # the smallest nu
+                lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k, -1]:.12g}"))
+    return np.maximum(nus, 1.0)
+
+
+def symplectic_eigenvalues(gamma: CovarianceMatrix) -> list[float]:
+    """Symplectic spectrum of one state: symplectic_spectra of a stack of one."""
+    return [float(v) for v in symplectic_spectra(gamma.matrix[None])[0]]
 
 
 def entropy_g(nu: float) -> float:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import gaussian
 from .channel import CompositeChannel, apply_composite_stack, apply_equivalent_fixed
-from .errors import CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from .gaussian import NU_TOL, CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
+from .errors import CvfadeError, DegenerateInput, DomainError, InternalError, NumericalFailure, check_batch
+from .gaussian import CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
 from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
 _CHI_FLOOR = -1e-9  # below this a negative Holevo value is a logic error
@@ -121,38 +121,8 @@ class KeyRates:
         )
 
 
-def _check(bad: np.ndarray, error):
-    """Raise `error(k)` (or the exception `error`) if any point fails; k is the first."""
-    if bad.any():
-        raise error(int(np.argmax(bad))) if callable(error) else error
-
-
 def _finite(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack).all(axis=(1, 2))
-
-
-def _spectra(stack: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of an (N, 2m, 2m) stack: (N, m), descending, clipped to >= 1.
-
-    The checks of gaussian.symplectic_eigenvalues: positive definiteness,
-    +/- pairing of the eigenvalues of i Omega gamma, nu >= 1.
-    """
-    d = stack.shape[-1]
-    try:
-        np.linalg.cholesky(stack + NU_TOL * np.eye(d))
-    except np.linalg.LinAlgError:
-        raise NonPhysicalState("covariance matrix is not positive definite") from None
-    try:
-        ev = np.linalg.eigvals((1j * gaussian.symplectic_form(d // 2)) @ stack)
-    except np.linalg.LinAlgError:  # pragma: no cover - eigvals rarely fails
-        raise NumericalFailure("eigenvalue solver did not converge") from None
-    mags = np.sort(np.abs(ev), axis=-1)[:, ::-1]
-    nus = mags[:, ::2]  # each nu appears as a +/- pair
-    unpaired = np.max(np.abs(nus - mags[:, 1::2]), axis=-1) > 1e-6 * np.maximum(1.0, mags[:, 0])
-    _check(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
-    _check(np.any(nus < 1.0 - NU_TOL, axis=-1),
-           lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k].min():.12g}"))
-    return np.clip(nus, 1.0, None)
 
 
 def _entropies(nus: np.ndarray) -> np.ndarray:
@@ -169,10 +139,10 @@ def _condition_on_x(stack: np.ndarray, mode: int) -> np.ndarray:
     rest = stack[:, keep][:, :, keep]
     sigma = stack[:, keep, i]
     inv = 1.0 / stack[:, i, i]  # pseudoinverse of the projected block
-    _check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+    check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
     out = rest - (sigma * inv[:, None])[:, :, None] * sigma[:, None, :]
     out = 0.5 * (out + out.transpose(0, 2, 1))
-    _check(~_finite(out), DomainError(_NOT_FINITE))
+    check_batch(~_finite(out), DomainError(_NOT_FINITE))
     return out
 
 
@@ -195,15 +165,15 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
     Checks run in the order of the single-state route; the error raised is
     that of the first check any point fails.
     """
-    _check(~((0.0 < v_s) & (v_s <= 1.0)), lambda k: DomainError(f"v_s must be in (0, 1], got {float(v_s[k])}"))
-    _check(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
+    check_batch(~((0.0 < v_s) & (v_s <= 1.0)), lambda k: DomainError(f"v_s must be in (0, 1], got {float(v_s[k])}"))
+    check_batch(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
     if protocol.is_coherent:
-        _check(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
+        check_batch(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
     source = build_source_stack(protocol, v_s, v_m)
-    _check(~_finite(source), DomainError(_NOT_FINITE))
+    check_batch(~_finite(source), DomainError(_NOT_FINITE))
     state = apply_composite_stack(source, chans)
-    _check(~_finite(state), DomainError(_NOT_FINITE))
-    s_total = _entropies(_spectra(state))
+    check_batch(~_finite(state), DomainError(_NOT_FINITE))
+    s_total = _entropies(gaussian.symplectic_spectra(state))
 
     # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
     # with an X homodyne (b=0) or the X half of a heterodyne record (b=1)
@@ -213,10 +183,10 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
         v_b_given_a = v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
     else:
         inv = 1.0 / state[:, 0, 0]
-        _check(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+        check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
         v_b_given_a = v_b - (sigma * inv) * sigma
-    _check(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
-    _check(v_b_given_a <= 0.0, lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
+    check_batch(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
+    check_batch(v_b_given_a <= 0.0, lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
     mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))
 
     # chi = S(trusted state) - S(remainder | reference party's X data)
@@ -226,8 +196,8 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
         conditioned = _condition_on_x(_split_sender_mode_stack(state), 0)
     else:
         conditioned = _condition_on_x(state, 0)
-    holevo = s_total - _entropies(_spectra(conditioned))
-    _check(holevo < _CHI_FLOOR, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
+    holevo = s_total - _entropies(gaussian.symplectic_spectra(conditioned))
+    check_batch(holevo < _CHI_FLOOR, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
     return mi, holevo
 
 

@@ -393,21 +393,24 @@ def test_optimizer_round_cap_is_flagged(tmp_path):
     assert "optimizer_round_cap" in read_rows(out)[0]["flags"].split(";")
 
 
+# one search that converges, one that the step floor ends, one that the round cap ends
+STOP_DOC = {
+    "protocols": [
+        {"label": "converged", "family": "coherent", "beta": 0.95,
+         "optimizer": {"vm_max": 20.0, "grid": [3, 5]}},
+        {"label": "floored", "family": "coherent", "beta": 0.95,
+         "optimizer": {"vm_max": 20.0, "grid": [3, 5], "tolerance": 1e-300}},
+        {"label": "capped", "family": "squeezed", "beta": 0.95,
+         "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
+    ],
+    "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+}
+
+
 def test_trace_records_rounds_and_stop_reason(tmp_path):
     """Each --trace entry says how many compass rounds ran and what ended the
     search; the CSV is the same with and without --trace."""
-    doc = {
-        "protocols": [
-            {"label": "converged", "family": "coherent", "beta": 0.95,
-             "optimizer": {"vm_max": 20.0, "grid": [3, 5]}},
-            {"label": "floored", "family": "coherent", "beta": 0.95,
-             "optimizer": {"vm_max": 20.0, "grid": [3, 5], "tolerance": 1e-300}},
-            {"label": "capped", "family": "squeezed", "beta": 0.95,
-             "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
-        ],
-        "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
-    }
-    cfg = write_cfg(tmp_path, doc)
+    cfg = write_cfg(tmp_path, STOP_DOC)
     plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
     assert main(["optimize", "--config", cfg, "--out", str(plain)]) == 0
     assert main(["optimize", "--config", cfg, "--out", str(traced), "--trace"]) == 0
@@ -416,6 +419,15 @@ def test_trace_records_rounds_and_stop_reason(tmp_path):
     assert [(t["label"], t["stop"]) for t in traces] == [
         ("converged", "tolerance"), ("floored", "step_floor"), ("capped", "round_cap")]
     assert 0 < traces[0]["rounds"] < traces[1]["rounds"] < traces[2]["rounds"] == 1000
+
+
+def test_rows_flag_a_search_that_did_not_converge(tmp_path):
+    """A search ended by the step floor or the round cap says so in its row's flags."""
+    out = tmp_path / "rows.csv"
+    assert main(["optimize", "--config", write_cfg(tmp_path, STOP_DOC), "--out", str(out)]) == 0
+    assert [(row["label"], row["flags"]) for row in read_rows(out)] == [
+        ("converged", ""), ("floored", "optimizer_step_floor"),
+        ("capped", "no_positive_rate;optimizer_round_cap")]
 
 
 def test_generator_recorded_by_simulate_only(tmp_path):
@@ -441,13 +453,13 @@ def test_exit_code_io_error(tmp_path):
 
 def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
-        "protocol": {"family": "coherent", "v_m": 1e12},
+        "protocol": {"family": "squeezed", "v_m": 1e15},
         "channel": {"fading": {"stats": {"mean_eta": 0.5}}},
     })
     out = tmp_path / "kr.csv"
     assert main(["keyrate", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: symplectic eigenvalue below 1: min nu = 0.99996874927\n")
+        "numerical failure: symplectic eigenvalue below 1: min nu = 0.901387818866\n")
     assert not out.exists()
 
 
@@ -754,7 +766,7 @@ def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario):
         want = key_rate(params, chan, config.finite)
         for name in ("i_ab", "chi", "rate_asymptotic", "rate_finite"):
             assert row[name] == format_number(getattr(want, name)), name
-        optimizer_flags = ("no_positive_rate", "optimizer_round_cap")
+        optimizer_flags = ("no_positive_rate", "optimizer_round_cap", "optimizer_step_floor")
         assert [f for f in row["flags"].split(";") if f and f not in optimizer_flags] == want.diagnostics["flags"]
 
         trace = entry["trace"]

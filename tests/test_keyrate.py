@@ -426,11 +426,12 @@ def test_failing_point_raises_its_error_from_any_batch(family):
 
     # points failing at different stages, in every order: the batch raises the
     # lowest failing point's own error, type and message, as key_rate does
-    failing = [(good[0], -1.0), (good[1], math.nan), (bad, 5.0)]  # domain, non-finite, Cholesky
-    if family == "coherent":  # nu < 1; the spectrum does not pair up
-        failing += [(fixed_channel(0.5), 1e12), (good[2], 1e12)]
-    else:  # nu < 1; a zero conditional variance
-        failing += [(fixed_channel(0.5, eps2=0.01), 1e15), (good[0], 1e100)]
+    # domain, non-finite, Cholesky, nu < 1
+    failing = [(good[0], -1.0), (good[1], math.nan), (bad, 5.0), (fixed_channel(0.5, eps2=0.01), 1e15)]
+    if family == "coherent":  # a negative conditional variance
+        failing.append((fixed_channel(0.5), 1e24))
+    else:  # a zero conditional variance
+        failing.append((good[0], 1e100))
     points = [(good[1], 5.0)] + failing
 
     def error(call):
