@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -125,17 +125,6 @@ class BeamScenario:
             return self.sigma_r2
         return rytov(self.cn2, self.wavenumber, self.distance)
 
-    def to_dict(self) -> dict:
-        return {
-            "wavelength": self.wavelength,
-            "w0": self.w0,
-            "aperture": self.aperture,
-            "distance": self.distance,
-            "cn2": self.cn2,
-            "sigma_r2": self.sigma_r2,
-            "tracking": self.tracking,
-        }
-
 
 @dataclass(frozen=True)
 class EllipticSample:
@@ -158,18 +147,26 @@ def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, trackin
     Centroid wander is zero-mean isotropic with variance proportional to
     W0^2 sigma_R^2 Omega^(-7/6) (zero under tracking); the log-semiaxis
     moments are functions of sigma_R^2 Omega^(5/6).  Coefficients come from
-    the versioned table.
+    the versioned table.  Raises DomainError where a moment leaves the float
+    range.
     """
     if sigma_r2 < 0 or omega <= 0 or w0 <= 0:
         raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega > 0, w0 > 0")
     t = load_coefficient_table()
     norm = t["rytov_normalization"]
-    s = norm * sigma_r2 * omega ** (5.0 / 6.0)
-    base = (1.0 + t["theta_gain"] * s) ** 2
-    mean_theta = math.log(base / (omega**2 * math.sqrt(base + t["theta_variance"] * s)))
-    var_theta = math.log1p(t["theta_variance"] * s / base)
-    cov_theta = math.log1p(-t["theta_covariance"] * s / base)
-    var_bw = 0.0 if tracking else t["centroid_wander"] * w0**2 * norm * sigma_r2 * omega ** (-7.0 / 6.0)
+    try:
+        s = norm * sigma_r2 * omega ** (5.0 / 6.0)
+        base = (1.0 + t["theta_gain"] * s) ** 2
+        mean_theta = math.log(base / (omega**2 * math.sqrt(base + t["theta_variance"] * s)))
+        var_theta = math.log1p(t["theta_variance"] * s / base)
+        cov_theta = math.log1p(-t["theta_covariance"] * s / base)
+        var_bw = 0.0 if tracking else t["centroid_wander"] * w0**2 * norm * sigma_r2 * omega ** (-7.0 / 6.0)
+        moments = (mean_theta, var_theta, cov_theta, var_bw)
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: the log of an underflowed 0
+        moments = (math.nan,)
+    if not all(map(math.isfinite, moments)):
+        raise DomainError(f"Rytov variance {sigma_r2:g} and Fresnel parameter {omega:g} "
+                          "put the beam's turbulence moments beyond the float range")
 
     mu = np.array([0.0, 0.0, mean_theta, mean_theta])
     cov = np.zeros((4, 4))
@@ -182,9 +179,12 @@ def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, trackin
 def _wander_and_theta(scenario: BeamScenario):
     """Centroid-wander variance, mean Theta and the Cholesky factor of the
     (Theta1, Theta2) covariance, zero when there is no turbulence."""
-    mu, cov = turbulence_gaussian_params(
-        scenario.rytov_variance, scenario.fresnel_omega, scenario.w0, tracking=scenario.tracking,
-    )
+    try:
+        sigma_r2, omega = scenario.rytov_variance, scenario.fresnel_omega
+    except OverflowError:
+        raise DomainError("the beam geometry puts the Rytov variance or the Fresnel "
+                          "parameter beyond the float range") from None
+    mu, cov = turbulence_gaussian_params(sigma_r2, omega, scenario.w0, tracking=scenario.tracking)
     theta_cov = cov[2:, 2:]
     if theta_cov[0, 0] > 0:
         chol = np.linalg.cholesky(theta_cov)
@@ -229,7 +229,7 @@ def _eta0(e1, e2):
     z = (s1 - s2) ** 2
     lnterm, lam = _scale_shape(z)
     # q^lambda = (G/R)^lambda = G^lambda L with G = (W1+W2)/|W1-W2| = (s1+s2)/|s1-s2|
-    with np.errstate(divide="ignore", invalid="ignore"):  # G = inf at W1 = W2: replaced below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # G = inf at W1 = W2: replaced below
         qlam = ((s1 + s2) / np.abs(s1 - s2)) ** lam * lnterm
     small = z < _SMALL_Z
     if np.any(small):
@@ -242,18 +242,23 @@ def _eta0(e1, e2):
 def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
     """Vectorized single-shot transmittance for parameter arrays."""
     a = scenario.aperture
-    a2w0 = (a / scenario.w0) ** 2
+    try:
+        a2w0 = (a / scenario.w0) ** 2
+        log_4a2w0 = math.log(4.0 * a2w0)
+    except (OverflowError, ValueError):  # the square overflows, or underflows to 0
+        raise DomainError(f"aperture / w0 = {a / scenario.w0:g} squares beyond the float range") from None
     e1 = a2w0 * np.exp(-theta1)  # a^2 / W1^2
     e2 = a2w0 * np.exp(-theta2)
     r0 = np.hypot(x0, y0)
     cos2chi = np.cos(2.0 * (phi - np.arctan2(y0, x0)))
     # W_eff^2(chi) = 4 a^2 / W(zeta); zeta handled in log form so the huge
     # exponentials of narrow beams never overflow; 1 + 2 cos^2 = 2 + cos 2chi
-    log_zeta = (math.log(4.0 * a2w0) - 0.5 * (theta1 + theta2)
+    log_zeta = (log_4a2w0 - 0.5 * (theta1 + theta2)
                 + e1 * (2.0 + cos2chi) + e2 * (2.0 - cos2chi))
     z = lambert_w_exp(log_zeta)  # = 4 a^2 / W_eff^2
     lnterm, shape = _scale_shape(z)
-    eta = _eta0(e1, e2) * np.exp(-((r0 / a) ** shape) * lnterm)
+    with np.errstate(over="ignore"):  # (r0 / a)^shape = inf far outside a tiny aperture: eta = 0
+        eta = _eta0(e1, e2) * np.exp(-((r0 / a) ** shape) * lnterm)
     if not np.all(np.isfinite(eta)):
         raise NumericalFailure("transmittance evaluation produced non-finite values")
     return np.clip(eta, 0.0, 1.0)
@@ -315,7 +320,7 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
         "seed": int(seed),
         "n": int(n),
         "chunk_size": _CHUNK,
-        "scenario": scenario.to_dict(),
+        "scenario": asdict(scenario),
         "coefficient_table_version": load_coefficient_table()["version"],
     }
     return SimulationResult(samples=samples, metadata=metadata)

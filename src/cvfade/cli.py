@@ -225,22 +225,18 @@ def cmd_optimize(args) -> int:
     return cmd_keyrate(args, optimizing=True)
 
 
+# the fading section each channel variable of a sweep overrides
+_SWEPT_FADING = {"distance": "beam", "mean_eta_db": "stats", "var_sqrt": "stats"}
+
+
 def _sweep_point(config, variable, value, chan):
     """Scenario and channel at one sweep point; `chan` is the sweep's channel,
     resolved once, when the variable leaves the channel alone."""
-    fading = config.channel_doc["fading"]
-    if variable == "distance":
-        if "beam" not in fading:
-            raise ConfigError("sweep over distance requires channel.fading.beam")
-        return config, build_channel(config, resolve_fading(config, distance=value))
-    if variable in ("mean_eta_db", "var_sqrt"):
-        if "stats" not in fading:
-            raise ConfigError(f"sweep over {variable} requires channel.fading.stats")
-        s = dict(fading["stats"])
-        s.pop("mean_eta" if variable == "mean_eta_db" else "mean_sqrt_eta", None)
-        s[variable] = value
-        config = replace(config, channel_doc={**config.channel_doc, "fading": {**fading, "stats": s}})
-        return config, build_channel(config, resolve_fading(config))
+    section = _SWEPT_FADING.get(variable)
+    if section is not None:
+        if section not in config.channel_doc["fading"]:
+            raise ConfigError(f"sweep over {variable} requires channel.fading.{section}")
+        return config, build_channel(config, resolve_fading(config, **{variable: value}))
     if variable == "block_size":
         base = config.finite if config.finite is not None else FiniteSizeParams(n=value)
         return replace(config, finite=replace(base, n=value)), chan
@@ -263,8 +259,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep command requires a sweep section")
     variable = config.sweep["variable"]
     values = sweep_values(config.sweep)
-    shared = variable in ("block_size", "v_s", "v_m")
-    chan = build_channel(config, resolve_fading(config)) if shared else None
+    chan = None if variable in _SWEPT_FADING else build_channel(config, resolve_fading(config))
     traces = [] if args.trace else None
     points = [_sweep_point(config, variable, value, chan) for value in values]
     rows = _rate_rows(points, sweep_variable=variable, values=values, trace_sink=traces)

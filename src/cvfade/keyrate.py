@@ -29,9 +29,10 @@ from .errors import CvfadeError, DegenerateInput, DomainError, InternalError, Nu
 from .gaussian import CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
 from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
-_CHI_FLOOR = -1e-9  # below this a negative Holevo value is a logic error
+_CHI_FLOOR = -1e-9  # a Holevo value below this and below rounding's reach is a logic error (_check_holevo)
 _NOT_FINITE = "covariance matrix entries must be finite"
 _LN2 = math.log(2.0)
+_EPS = np.finfo(float).eps
 
 # the sender's heterodyne: balanced beamsplitter mixing mode 0 with a vacuum mode 1
 _R = 1.0 / math.sqrt(2.0)
@@ -132,6 +133,23 @@ def _entropies(nus: np.ndarray) -> np.ndarray:
     return np.where(h > 0.0, g, 0.0).sum(axis=-1)
 
 
+def _check_holevo(holevo: np.ndarray, total: np.ndarray, conditioned: np.ndarray):
+    """Raise InternalError at the first point whose Holevo value lies below
+    -max(1e-9, B).  B bounds the entropy that rounding gives the two
+    near-pure states: an error of eps |gamma| moves each nu^2 by about
+    eps |gamma|^2, so B sums g(1 + eps (tr gamma)^2) over the modes of both.
+    B is computed only at points already below -1e-9."""
+    low = holevo < _CHI_FLOOR
+    if low.any():
+        rounding = 0.0
+        for stack in (total[low], conditioned[low]):
+            trace = np.trace(stack, axis1=1, axis2=2)
+            rounding = rounding + stack.shape[-1] // 2 * _entropies(1.0 + _EPS * trace[:, None] ** 2)
+        floor = np.full(holevo.shape, _CHI_FLOOR)
+        floor[low] = np.minimum(_CHI_FLOOR, -rounding)
+        check_batch(holevo < floor, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {float(floor[k]):.3g}"))
+
+
 def _condition_on_x(stack: np.ndarray, mode: int) -> np.ndarray:
     """Remaining modes after an X homodyne on `mode`, per point (Schur complement)."""
     i = 2 * mode
@@ -197,7 +215,7 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
     else:
         conditioned = _condition_on_x(state, 0)
     holevo = s_total - _entropies(gaussian.symplectic_spectra(conditioned))
-    check_batch(holevo < _CHI_FLOOR, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {_CHI_FLOOR}"))
+    _check_holevo(holevo, state, conditioned)
     return mi, holevo
 
 
@@ -331,8 +349,7 @@ def mutual_information(state_after_channel: CovarianceMatrix, protocol: Protocol
 
 def _chi_from(total: CovarianceMatrix, conditioned: CovarianceMatrix) -> float:
     chi = gaussian.von_neumann_entropy(total) - gaussian.von_neumann_entropy(conditioned)
-    if chi < _CHI_FLOOR:
-        raise InternalError(f"Holevo bound came out {chi} < {_CHI_FLOOR}")
+    _check_holevo(np.array([chi]), total.matrix[None], conditioned.matrix[None])
     return max(chi, 0.0)
 
 

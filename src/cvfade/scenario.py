@@ -257,18 +257,14 @@ class ScenarioConfig:
         ).hexdigest()
 
 
-def _resolve_eta(doc, name, default=1.0):
-    lin, db = doc.get(name), doc.get(f"{name}_db")
-    if db is not None:
-        return 10.0 ** (db / 10.0)
-    return default if lin is None else float(lin)
-
-
-def _variance_from_db_key(doc, key, path):
+def _linear(doc, name, default, path):
+    """doc[name], or doc[name + "_db"] converted from dB, or `default`."""
+    if f"{name}_db" not in doc:
+        return doc.get(name, default)
     try:
-        return variance_from_db(doc[key])
+        return variance_from_db(doc[f"{name}_db"])
     except DomainError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from exc
+        raise ConfigError(f"{path}.{name}_db: {exc}") from exc
 
 
 def _resolve_protocol(doc, path) -> ProtocolVariant:
@@ -277,8 +273,8 @@ def _resolve_protocol(doc, path) -> ProtocolVariant:
         raise ConfigError(f"{path}: give only one of v_s / v_s_db")
     if "v_an" in doc and "v_an_db" in doc:
         raise ConfigError(f"{path}: give only one of v_an / v_an_db")
-    v_s = doc.get("v_s", _variance_from_db_key(doc, "v_s_db", path) if "v_s_db" in doc else 1.0)
-    v_an = doc.get("v_an", _variance_from_db_key(doc, "v_an_db", path) if "v_an_db" in doc else 0.0)
+    v_s = _linear(doc, "v_s", 1.0, path)
+    v_an = _linear(doc, "v_an", 0.0, path)
     b = 1 if family == "coherent" else 0
     try:
         params = ProtocolParams(
@@ -400,15 +396,24 @@ def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:
         raise ConfigError(f"fading.beam: {exc}") from exc
 
 
-def resolve_fading(config: ScenarioConfig, **beam_override) -> FadingStats:
+_STATS_ALTERNATIVE = {"mean_eta": "mean_eta_db", "mean_eta_db": "mean_eta",
+                      "mean_sqrt_eta": "var_sqrt", "var_sqrt": "mean_sqrt_eta"}
+
+
+def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
     """The fading segment's moments: explicit, of a sample file, or a beam
-    link's quadrature moments (`beam_override` as in beam_scenario)."""
+    link's quadrature moments.  `override` replaces keys of the stats section,
+    each dropping its alternative (mean_eta_db drops mean_eta, var_sqrt drops
+    mean_sqrt_eta and vice versa), or of the beam section as in beam_scenario."""
     fading = config.channel_doc["fading"]
     if "stats" in fading:
-        s = fading["stats"]
+        s = dict(fading["stats"])
+        for key, value in override.items():
+            s.pop(_STATS_ALTERNATIVE[key], None)
+            s[key] = value
         if ("mean_eta" in s) == ("mean_eta_db" in s):
             raise ConfigError("fading.stats: give exactly one of mean_eta / mean_eta_db")
-        mean_eta = s["mean_eta"] if "mean_eta" in s else 10.0 ** (s["mean_eta_db"] / 10.0)
+        mean_eta = _linear(s, "mean_eta", None, "fading.stats")
         if "mean_sqrt_eta" in s and "var_sqrt" in s:
             raise ConfigError("fading.stats: give only one of mean_sqrt_eta / var_sqrt")
         if "var_sqrt" in s:
@@ -429,7 +434,7 @@ def resolve_fading(config: ScenarioConfig, **beam_override) -> FadingStats:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
         except Exception as exc:
             raise ConfigError(f"samples_file: {exc}") from exc
-    return fading_moments(beam_scenario(config, **beam_override))
+    return fading_moments(beam_scenario(config, **override))
 
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:
@@ -437,8 +442,8 @@ def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChanne
     try:
         return CompositeChannel(
             fading=stats,
-            eta1=_resolve_eta(ch, "eta1"),
-            eta2=_resolve_eta(ch, "eta2"),
+            eta1=float(_linear(ch, "eta1", 1.0, "channel")),
+            eta2=float(_linear(ch, "eta2", 1.0, "channel")),
             eps1=ch.get("eps1", 0.0),
             eps2=ch.get("eps2", 0.0),
             eps_atm=ch.get("eps_atm", 0.0),

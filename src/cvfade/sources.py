@@ -26,11 +26,12 @@ UNTRUSTED = "untrusted"
 
 
 def variance_from_db(db: float) -> float:
-    """Squeezing expressed in dB to a variance in SNU: V = 10^(dB/10).
+    """A quantity in dB on a linear scale: 10^(dB/10).
 
-    Negative dB means squeezing (V < 1); the conversion is bit-exact
-    ``10.0 ** (db / 10.0)``; a variance beyond the float range (about
-    3083 dB) raises DomainError.
+    Used for every dB key: variances in SNU (negative dB is squeezing, V < 1)
+    and transmittances alike.  The conversion is bit-exact
+    ``10.0 ** (db / 10.0)``; a value beyond the float range (about 3083 dB)
+    raises DomainError.
     """
     try:
         return 10.0 ** (db / 10.0)

@@ -15,7 +15,7 @@ from cvfade.cli import main
 from cvfade.errors import DomainError
 from cvfade.keyrate import key_rate
 from cvfade.outputs import _CHUNK, format_number, metadata_line, render_csv, write_text
-from cvfade.scenario import build_channel, load_scenario, resolve_fading
+from cvfade.scenario import SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -740,6 +740,51 @@ def test_fixed_segment_given_twice_exits_2(tmp_path, capsys, segment, command):
     out = tmp_path / "x.csv"
     err = _exits_2_with_one_line(capsys, [command, "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
     assert err == f"error: channel: give only one of {segment} / {segment}_db\n", err
+
+
+EDGE_VARIANTS = [{"label": "coh", "family": "coherent", "v_m": 3.0},
+                 {"label": "sq", "family": "squeezed", "v_s_db": -3.0, "v_m": 3.0}]
+BEAM_EDGES = [(key, value) for key in ("distance", "wavelength", "w0", "aperture") for value in (1e-300, 1e300)]
+BEAM_EDGES += [("sigma_r2", 1e300), ("distance", 1e-30)]
+EDGE_CASES = (
+    [("sweep", variable, value) for variable in SWEEP_VARIABLES for value in (-1e300, -1.0, 0.0, 1e-300, 1e300)]
+    + [("sweep", "mean_eta_db", 4000.0)]
+    + [(command, key, value) for command in ("keyrate", "simulate") for key, value in BEAM_EDGES]
+)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
+@pytest.mark.parametrize("command,variable,value", EDGE_CASES)
+def test_extreme_sweep_and_beam_values_exit_cleanly(tmp_path, capsys, command, variable, value):
+    """Each sweep variable at the ends of the float range, and beam geometry
+    beyond it, gives rows, one `error:` line or one numerical-failure line."""
+    beam = BEAM_DOC["channel"]["fading"]["beam"]
+    if command != "sweep":
+        fading = {"beam": {**beam, variable: value}}
+    else:
+        fading = {"beam": beam} if variable == "distance" else {"stats": {"mean_eta": 0.5}}
+    doc = {"protocols": EDGE_VARIANTS, "channel": {"fading": fading}}
+    if command == "sweep":
+        doc.update(sweep={"variable": variable, "values": [value]}, finite_size={"n": 1e8})
+    argv = [command, "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "x.csv")]
+    code = main(argv + (["--n", "50"] if command == "simulate" else []))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3) and err.count("\n") == 1, err
+    assert err.startswith({0: "wrote ", 2: "error: ", 3: "numerical failure: "}[code]), err
+    if value == 4000.0:
+        assert err == "error: fading.stats.mean_eta_db: 4000.0 dB is a variance beyond the float range\n"
+    if command != "sweep":
+        assert code == (0 if value == 1e-30 else 2), err
+
+
+def test_lossless_optimize_gives_chi_0(tmp_path):
+    """Rounding of the near-pure states at v_m = 1000 is not a Holevo-bound error."""
+    doc = {"protocol": {"family": "coherent", "optimizer": {"vm_max": 1000.0, "grid": [5, 5]}},
+           "channel": {"fading": {"stats": {"mean_eta": 1.0}}}}
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert float(row["chi"]) == 0.0
 
 
 @pytest.mark.parametrize("scenario", ["fig1b", "fig3"])

@@ -1,5 +1,4 @@
-"""The package entry points: a lazy `import cvfade`, and a CLI entry that runs on one thread."""
-import importlib
+"""The package entry points: an `import cvfade` that loads no numpy, and a CLI entry that runs on one thread."""
 import json
 import os
 import subprocess
@@ -7,8 +6,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import cvfade
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,17 +37,6 @@ def test_import_loads_no_numpy_and_leaves_the_environment_alone():
     code = ("import os, sys, cvfade; before = 'numpy' in sys.modules; import cvfade.cli; "
             "print(before, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert run_python(["-c", code], child_env()).split() == ["False", "True", "None"]
-
-
-def test_every_public_name_is_its_submodule_object():
-    names = [name for name in cvfade.__all__ if name != "__version__"]
-    assert len(set(names)) == len(names)
-    for name in names:
-        value = getattr(cvfade, name)
-        assert value.__module__.startswith("cvfade.")
-        assert getattr(importlib.import_module(value.__module__), name) is value, name
-    with pytest.raises(AttributeError):
-        cvfade.no_such_name  # noqa: B018
 
 
 @pytest.fixture

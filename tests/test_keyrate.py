@@ -230,6 +230,40 @@ def test_internal_error_guard():
         KeyRateResult(i_ab=1.0, chi=0.5, rate_asymptotic=0.123, diagnostics={"beta": 1.0})
 
 
+LOSSLESS = CompositeChannel(fading=FadingStats(1.0, 1.0))
+
+
+@pytest.mark.parametrize("reconciliation", ["rr", "dr"])
+def test_lossless_holevo_rounding_is_not_an_error(reconciliation):
+    """On a lossless noiseless channel chi is 0 and only rounding of the
+    near-pure states moves it; at v_m in the hundreds that reaches -1.4e-9
+    bits, below the fixed -1e-9 floor, and must still give a rate."""
+    protocol = ProtocolParams(reconciliation=reconciliation)
+    v_m = np.geomspace(0.01, 1e3, 2000)
+    assert key_rates(protocol, LOSSLESS, v_m=v_m).chi.max() < 1e-8
+    for vm in v_m[v_m > 100.0]:
+        assert key_rate_equivalent_fixed(replace(protocol, v_m=float(vm)), LOSSLESS).chi < 1e-8
+
+
+def test_planted_negative_holevo_raises_on_both_routes(monkeypatch):
+    """A chi of -1e-6 on an ordinary state lies far below the rounding bound."""
+    import scipy.optimize
+
+    from cvfade import keyrate
+    from cvfade.gaussian import CovarianceMatrix
+
+    nu = scipy.optimize.brentq(lambda x: entropy_g(x) - 1e-6, 1.0, 1.01, xtol=1e-15)
+    planted = nu * np.eye(2)  # one thermal mode of entropy 1e-6 bits, in place of the conditioned state
+    protocol = ProtocolParams(v_m=10.0)
+    assert key_rate(protocol, LOSSLESS).chi == key_rate_equivalent_fixed(protocol, LOSSLESS).chi == 0.0
+    monkeypatch.setattr(keyrate, "_condition_on_x", lambda stack, mode: np.broadcast_to(planted, (len(stack), 2, 2)))
+    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode, quadrature: CovarianceMatrix(planted))
+    for route in (key_rate, key_rate_equivalent_fixed):
+        with pytest.raises(InternalError, match=r"^Holevo bound came out \S+ < -1e-09$") as raised:
+            route(protocol, LOSSLESS)
+        assert float(str(raised.value).split()[4]) == pytest.approx(-1e-6, rel=1e-6)
+
+
 # --- the batched kernel against the CovarianceMatrix route -------------------
 
 FIELDS = ("i_ab", "chi", "rate_asymptotic", "rate_finite")

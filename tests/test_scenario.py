@@ -151,6 +151,21 @@ class TestResolution:
         with pytest.raises(ConfigError, match="fading.beam: give exactly one of cn2 / sigma_r2"):
             beam_scenario(cfg, distance=100.0, cn2=1e-15)
 
+    @pytest.mark.parametrize("override", [
+        {"mean_eta": 0.55}, {"mean_eta_db": -3.0}, {"mean_sqrt_eta": 0.72}, {"var_sqrt": 0.015},
+    ])
+    @pytest.mark.parametrize("shape", [{}, {"mean_sqrt_eta": 0.7}, {"var_sqrt": 0.02}])
+    @pytest.mark.parametrize("mean", [{"mean_eta": 0.6}, {"mean_eta_db": -2.5}])
+    def test_stats_override_is_the_scenario_written_with_it(self, tmp_path, mean, shape, override):
+        """An override replaces its key and that key's alternative, bit for bit."""
+        ((key, _),) = override.items()
+        pair = next(p for p in (("mean_eta", "mean_eta_db"), ("mean_sqrt_eta", "var_sqrt")) if key in p)
+        stats = {**mean, **shape}
+        written = {**{k: v for k, v in stats.items() if k not in pair}, **override}
+        docs = [{**MINIMAL, "channel": {"fading": {"stats": s}}} for s in (stats, written)]
+        base, expected = (load_scenario(write_config(tmp_path, d, f"{i}.scenario")) for i, d in enumerate(docs))
+        assert resolve_fading(base, **override) == resolve_fading(expected)
+
     def test_sweep_values(self):
         assert sweep_values({"values": [1, 2, 3]}) == [1.0, 2.0, 3.0]
         assert sweep_values({"start": 0.0, "stop": 1.0, "steps": 3}) == [0.0, 0.5, 1.0]
