@@ -150,8 +150,8 @@ def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, trackin
     the versioned table.  Raises DomainError where a moment leaves the float
     range.
     """
-    if sigma_r2 < 0 or omega <= 0 or w0 <= 0:
-        raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega > 0, w0 > 0")
+    if sigma_r2 < 0 or omega < 0 or w0 <= 0:  # omega = 0 (an underflow) is reported below
+        raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega >= 0, w0 > 0")
     t = load_coefficient_table()
     norm = t["rytov_normalization"]
     try:

@@ -105,7 +105,7 @@ def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
-def _evaluate_points(points, collect_trace=False):
+def _evaluate_points(points):
     """Key rates of every variant at every point of a sweep.
 
     `points` holds one (config, chan) per point; the configs share one list of
@@ -126,8 +126,7 @@ def _evaluate_points(points, collect_trace=False):
                 table[i][j] = (rates.result(i), p.v_s, p.v_m, None)
             continue
         for i, ((config, chan), variant) in enumerate(zip(points, variants)):
-            opt = optimize(variant.optimizer, variant.params, chan, config.finite,
-                           collect_trace=collect_trace)
+            opt = optimize(variant.optimizer, variant.params, chan, config.finite)
             table[i][j] = (opt.result, opt.v_s, opt.v_m, opt)
     return table
 
@@ -135,9 +134,10 @@ def _evaluate_points(points, collect_trace=False):
 def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
     """One output row per (point, protocol variant), points outermost."""
     rows = []
-    table = _evaluate_points(points, collect_trace=trace_sink is not None)
+    table = _evaluate_points(points)
     for (config, chan), sweep_value, evaluated in zip(points, values, table):
         st = chan.fading
+        n_block = None if config.finite is None else config.finite.n
         for variant, (res, v_s, v_m, opt) in zip(config.variants, evaluated):
             params = variant.params
             flags = list(res.diagnostics["flags"])
@@ -159,7 +159,7 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
                 variant.label, sweep_variable, sweep_value,
                 v_s, v_m, params.v_an, params.b, params.beta, params.reconciliation,
                 st.mean_eta, st.mean_sqrt_eta, st.var_sqrt, chan.eta_comb, chan.eps_plus,
-                res.n_block, res.i_ab, res.chi, res.rate_asymptotic, res.rate_finite,
+                n_block, res.i_ab, res.chi, res.rate_asymptotic, res.rate_finite,
                 ";".join(flags),
             ])
     return rows

@@ -101,15 +101,16 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     eigenvalues of the Hermitian i*L^T*Omega*L, which is similar to
     i*Omega*gamma; its spectrum is +/- nu.
 
-    Checks, each raising for the first point that fails: positive
-    definiteness of gamma + NU_TOL*I (|eig(i Omega gamma)| >= 1 alone does not
-    rule out indefinite matrices), of gamma itself, +/- pairing of the
-    spectrum, and nu >= 1 - NU_TOL; values in [1 - NU_TOL, 1) are clipped to 1.
+    Checks, in this order, each raising for the first point that fails:
+    finite entries (DomainError), positive definiteness of gamma, which its
+    Cholesky factor decides (|eig(i Omega gamma)| >= 1 alone does not rule out
+    indefinite matrices), +/- pairing of the spectrum, and nu >= 1 - NU_TOL;
+    values in [1 - NU_TOL, 1) are clipped to 1.  Callers need not check the
+    stack first.
     """
-    d = stack.shape[-1]
-    m = d // 2
+    check_batch(~np.isfinite(stack).all(axis=(1, 2)), DomainError("covariance matrix entries must be finite"))
+    m = stack.shape[-1] // 2
     try:
-        np.linalg.cholesky(stack + NU_TOL * np.eye(d))
         factor = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         raise NonPhysicalState("covariance matrix is not positive definite") from None

@@ -30,7 +30,6 @@ from .gaussian import CovarianceMatrix, X, condition_on_heterodyne_record, condi
 from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
 _CHI_FLOOR = -1e-9  # a Holevo value below this and below rounding's reach is a logic error (_check_holevo)
-_NOT_FINITE = "covariance matrix entries must be finite"
 _LN2 = math.log(2.0)
 _EPS = np.finfo(float).eps
 
@@ -83,7 +82,6 @@ class KeyRateResult:
     chi: float
     rate_asymptotic: float
     rate_finite: float | None = None
-    n_block: float | None = None
     diagnostics: dict | None = None
 
     def __post_init__(self):
@@ -97,15 +95,14 @@ class KeyRateResult:
 class KeyRates:
     """Key-rate decomposition of a batch of points, one array element per point.
 
-    rate_finite is None without finite-size parameters; n_block then is too,
-    and otherwise holds each point's block size as given.
+    rate_finite is None without finite-size parameters.  The block size and
+    the other inputs are the caller's; they are not echoed here.
     """
 
     i_ab: np.ndarray
     chi: np.ndarray
     rate_asymptotic: np.ndarray
     rate_finite: np.ndarray | None
-    n_block: tuple | None
     dr_low_transmittance: np.ndarray
     beta: float
 
@@ -117,13 +114,8 @@ class KeyRates:
             chi=float(self.chi[k]),
             rate_asymptotic=float(self.rate_asymptotic[k]),
             rate_finite=None if self.rate_finite is None else float(self.rate_finite[k]),
-            n_block=None if self.n_block is None else self.n_block[k],
             diagnostics={"beta": self.beta, "flags": flags},
         )
-
-
-def _finite(stack: np.ndarray) -> np.ndarray:
-    return np.isfinite(stack).all(axis=(1, 2))
 
 
 def _entropies(nus: np.ndarray) -> np.ndarray:
@@ -159,9 +151,7 @@ def _condition_on_x(stack: np.ndarray, mode: int) -> np.ndarray:
     inv = 1.0 / stack[:, i, i]  # pseudoinverse of the projected block
     check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
     out = rest - (sigma * inv[:, None])[:, :, None] * sigma[:, None, :]
-    out = 0.5 * (out + out.transpose(0, 2, 1))
-    check_batch(~_finite(out), DomainError(_NOT_FINITE))
-    return out
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def _split_sender_mode_stack(stack: np.ndarray) -> np.ndarray:
@@ -187,10 +177,9 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
     check_batch(v_m < 0.0, lambda k: DomainError(f"v_m must be >= 0, got {float(v_m[k])}"))
     if protocol.is_coherent:
         check_batch(v_s != 1.0, DomainError("both-quadrature modulation (b=1) requires v_s = 1"))
-    source = build_source_stack(protocol, v_s, v_m)
-    check_batch(~_finite(source), DomainError(_NOT_FINITE))
-    state = apply_composite_stack(source, chans)
-    check_batch(~_finite(state), DomainError(_NOT_FINITE))
+    # a non-finite source entry stays non-finite through the channel, and
+    # symplectic_spectra checks the state's entries before anything else
+    state = apply_composite_stack(build_source_stack(protocol, v_s, v_m), chans)
     s_total = _entropies(gaussian.symplectic_spectra(state))
 
     # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
@@ -203,7 +192,7 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
         inv = 1.0 / state[:, 0, 0]
         check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
         v_b_given_a = v_b - (sigma * inv) * sigma
-    check_batch(~np.isfinite(v_b_given_a), DomainError(_NOT_FINITE))
+    check_batch(~np.isfinite(v_b_given_a), DomainError("covariance matrix entries must be finite"))
     check_batch(v_b_given_a <= 0.0, lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
     mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))
 
@@ -227,16 +216,14 @@ def _assemble(protocol: ProtocolParams, chans, finites, mi: np.ndarray, holevo: 
     fraction, and the direct-reconciliation flag.  `chans` and `finites`
     hold one entry per point or one for every point.
     """
-    n = mi.size
     i_ab = protocol.sifting * mi
     chi = protocol.sifting * np.maximum(holevo, 0.0)
-    rate_finite = n_block = None
+    rate_finite = None
     if finites[0] is not None:
         delta = np.array([finite_size_penalty(f.n, f.eps_bar) for f in finites])
         key_fraction = np.array([f.key_fraction for f in finites])
         rate_finite = key_fraction * (protocol.beta * i_ab - chi - delta)
-        n_block = tuple(f.n for f in finites) * (n // len(finites))
-    dr_low = np.zeros(n, dtype=bool)
+    dr_low = np.zeros(mi.size, dtype=bool)
     if protocol.reconciliation == DIRECT:
         # direct reconciliation is generally insecure below mean transmittance 1/2
         dr_low |= np.array([ch.mean_transmittance <= 0.5 for ch in chans])
@@ -245,7 +232,6 @@ def _assemble(protocol: ProtocolParams, chans, finites, mi: np.ndarray, holevo: 
         chi=chi,
         rate_asymptotic=protocol.beta * i_ab - chi,
         rate_finite=rate_finite,
-        n_block=n_block,
         dr_low_transmittance=dr_low,
         beta=protocol.beta,
     )

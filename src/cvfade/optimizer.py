@@ -18,7 +18,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class OptimizationResult:
     rounds: int  # compass rounds run after the grid
     # what ended the search: "tolerance" (converged), "step_floor" or "round_cap"
     stop: str
-    trace: list = field(default_factory=list)
+    trace: list  # (v_s, v_m, objective) per evaluated point, in evaluation order
 
 
 def optimize(
@@ -97,7 +97,6 @@ def optimize(
     protocol_template: ProtocolParams,
     chan: CompositeChannel,
     finite: FiniteSizeParams | None = None,
-    collect_trace: bool = False,
 ) -> OptimizationResult:
     """Maximize the key rate over (V_s, V_m) within the spec's caps.
 
@@ -105,31 +104,29 @@ def optimize(
     given, rate_asymptotic otherwise.  Ties break toward larger V_s, then
     smaller V_m.  The returned point never violates the caps and its rate is
     >= every evaluated point.  no_positive_rate flags a best rate <= 0 (the
-    argmax is still returned).
+    argmax is still returned).  The template must be of the spec's family
+    (b = 1 for coherent, b = 0 for squeezed); where V_s is not searched it
+    keeps the template's value, which is 1 for a coherent template.
     """
+    if (spec.family == COHERENT) != protocol_template.is_coherent:
+        raise ConfigError(f"a {spec.family} optimizer cannot search a template with b = {protocol_template.b}")
     # per evaluated point, in evaluation order: its objective, and the batch
     # and index that computed it
     cache: dict[tuple[float, float], tuple[float, KeyRates, int]] = {}
-    if spec.family == COHERENT:
-        protocol = replace(protocol_template, v_s=1.0, b=1, v_an=0.0)
-    else:
-        protocol = replace(protocol_template, b=0)
 
     def rates(points: list[tuple[float, float]]) -> list[float]:
         """Objective at each (v_s, v_m); points not seen before are evaluated as one batch."""
         new = list(dict.fromkeys(p for p in points if p not in cache))
         if new:
             v_s, v_m = np.array(new).T
-            res = key_rates(protocol, chan, finite, v_s=v_s, v_m=v_m)
+            res = key_rates(protocol_template, chan, finite, v_s=v_s, v_m=v_m)
             values = res.rate_finite if finite is not None else res.rate_asymptotic
             for k, (p, r) in enumerate(zip(new, values.tolist())):
                 cache[p] = (r, res, k)
         return [cache[p][0] for p in points]
 
     n_vs, n_vm = spec.grid
-    if spec.family == COHERENT:
-        vs_grid = np.array([1.0])
-    elif not spec.optimize_vs:
+    if spec.family == COHERENT or not spec.optimize_vs:
         vs_grid = np.array([protocol_template.v_s])
     else:
         vs_grid = np.logspace(math.log10(spec.vs_min), 0.0, n_vs)
@@ -178,5 +175,5 @@ def optimize(
         evaluations=len(cache),
         rounds=rounds,
         stop=stop,
-        trace=[(*p, r) for p, (r, _, _) in cache.items()] if collect_trace else [],
+        trace=[(*p, r) for p, (r, _, _) in cache.items()],
     )

@@ -278,7 +278,7 @@ def _resolve_protocol(doc, path) -> ProtocolVariant:
     b = 1 if family == "coherent" else 0
     try:
         params = ProtocolParams(
-            v_s=1.0 if family == "coherent" else v_s,
+            v_s=v_s,
             v_m=doc.get("v_m", 0.0),
             b=b,
             v_an=v_an,

@@ -39,12 +39,6 @@ def variance_from_db(db: float) -> float:
         raise DomainError(f"{db} dB is a variance beyond the float range") from None
 
 
-def variance_to_db(v: float) -> float:
-    if v <= 0:
-        raise DomainError("variance must be positive")
-    return 10.0 * math.log10(v)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Signal-source and post-processing parameters.

@@ -771,6 +771,7 @@ def test_extreme_sweep_and_beam_values_exit_cleanly(tmp_path, capsys, command, v
     err = capsys.readouterr().err
     assert code in (0, 2, 3) and err.count("\n") == 1, err
     assert err.startswith({0: "wrote ", 2: "error: ", 3: "numerical failure: "}[code]), err
+    assert "turbulence_gaussian_params" not in err, err  # the message speaks of the scenario, not the code
     if value == 4000.0:
         assert err == "error: fading.stats.mean_eta_db: 4000.0 dB is a variance beyond the float range\n"
     if command != "sweep":

@@ -98,6 +98,16 @@ class TestSymplecticEigenvalues:
             with pytest.raises(NonPhysicalState, match="not positive definite"):
                 symplectic_spectra(matrix[None])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_checked_first(self, bad):
+        """A non-finite entry raises DomainError, also in a stack where a point
+        before or after it is not positive definite."""
+        broken = np.eye(4)
+        broken[1, 3] = broken[3, 1] = bad
+        for stack in ([np.eye(4), broken, -np.eye(4)], [-np.eye(4), np.eye(4), broken]):
+            with pytest.raises(DomainError, match="entries must be finite"):
+                symplectic_spectra(np.array(stack))
+
     def test_stack_is_spectra_of_its_points(self):
         stack = np.array([tmsv(2.0).matrix, tensor(vacuum(1), CovarianceMatrix(3.0 * np.eye(2))).matrix])
         assert symplectic_spectra(stack) == pytest.approx(np.array([[1.0, 1.0], [3.0, 1.0]]), abs=1e-12)

@@ -151,7 +151,6 @@ class TestFiniteSize:
         for n in (1e4, 1e6, 1e8):
             res = key_rate(p, fixed_channel(0.6), FiniteSizeParams(n=n))
             assert res.rate_finite <= res.rate_asymptotic
-            assert res.n_block == n
 
     def test_rate_finite_applies_penalty(self):
         p = ProtocolParams(v_s=0.5, v_m=2.0, b=0, beta=0.95)
@@ -374,7 +373,6 @@ def test_kernel_matches_oracle_and_batch_of_one(batch):
         one = key_rate(point, chan, finite)
         assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
         assert got.diagnostics == one.diagnostics
-        assert got.n_block == one.n_block == (None if finite is None else finite.n)
         if v_m[k] == 0.0:
             assert got.i_ab == 0.0
 
@@ -385,7 +383,6 @@ def test_batch_inputs_broadcast():
     rates = key_rates(p, chan, FiniteSizeParams(n=1e6), v_m=[0.0, 3.0, 7.0])
     assert rates.rate_asymptotic.shape == (3,)
     assert bits(rates.result(1).rate_finite) == bits(key_rate(p, chan, FiniteSizeParams(n=1e6)).rate_finite)
-    assert rates.n_block == (1e6, 1e6, 1e6)
     with pytest.raises(DomainError):
         key_rates(p, [chan, chan], None, v_m=[1.0, 2.0, 3.0])
 
@@ -542,7 +539,6 @@ def test_equivalent_fixed_applies_the_rate_policy_of_key_rate(protocol, finite, 
     low = protocol.reconciliation == "dr" and mean_eta <= 0.5
     assert got.diagnostics == oracle.diagnostics == {
         "beta": protocol.beta, "flags": ["dr_low_transmittance"] if low else []}
-    assert got.n_block == oracle.n_block == (None if finite is None else finite.n)
     for result in (got, oracle):
         if finite is None:
             assert result.rate_finite is None

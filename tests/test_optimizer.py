@@ -61,7 +61,7 @@ class TestOptimize:
         spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0,
                                 vm_range=(0.0, 40.0), grid=(7, 7))
         ch = fading_channel(0.5, 0.01, eps2=0.01)
-        out = optimize(spec, SQ_TEMPLATE, ch, collect_trace=True)
+        out = optimize(spec, SQ_TEMPLATE, ch)
         best_rate = out.result.rate_asymptotic
         assert out.trace
         assert all(best_rate >= r - 1e-12 for (_, _, r) in out.trace)
@@ -92,6 +92,12 @@ class TestOptimize:
         out = optimize(spec, COH_TEMPLATE, fading_channel(0.5, 0.0))
         assert out.v_s == 1.0
         assert out.result.rate_asymptotic > 0.0
+
+    @pytest.mark.parametrize("family,template", [("coherent", SQ_TEMPLATE), ("squeezed", COH_TEMPLATE)])
+    def test_template_of_the_other_family_is_rejected(self, family, template):
+        spec = OptimizationSpec(family=family, vm_range=(0.0, 10.0), grid=(3, 3))
+        with pytest.raises(ConfigError, match=f"{family} optimizer cannot search a template with b = {template.b}"):
+            optimize(spec, template, fading_channel(0.5, 0.0))
 
     def test_frozen_vs_search(self):
         spec = OptimizationSpec(family="squeezed", vm_range=(0.0, 60.0),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import MALFORMED_CN2
 from cvfade.beam import BeamScenario, fading_moments
+from cvfade.cli import main
 from cvfade.errors import ConfigError
 from cvfade.scenario import (
     SCHEMA,
@@ -75,6 +76,21 @@ class TestValidation:
         doc["channel"]["eta1"] = 1.5
         with pytest.raises(ConfigError, match="must be <= 1"):
             load_scenario(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("key,value", [("v_s", 0.5), ("v_s_db", -3.0)])
+    def test_coherent_protocol_rejects_squeezing(self, tmp_path, capsys, key, value):
+        """The coherent family requires v_s = 1; any other value exits 2 instead of being replaced."""
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["protocol"][key] = value
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == "protocols[0]: both-quadrature modulation (b=1) requires v_s = 1"
+        assert main(["keyrate", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not (tmp_path / "x.csv").exists()
+        doc["protocol"] = {**MINIMAL["protocol"], "v_s": 1.0}
+        assert load_scenario(write_config(tmp_path, doc)).variants[0].params.v_s == 1.0
 
     def test_duplicate_labels_rejected(self, tmp_path):
         doc = {

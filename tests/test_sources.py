@@ -9,7 +9,6 @@ from cvfade.sources import (
     ProtocolParams,
     build_source,
     variance_from_db,
-    variance_to_db,
 )
 
 
@@ -42,9 +41,6 @@ class TestProtocolParams:
 def test_db_conversion_bit_exact():
     assert variance_from_db(-3.0) == 10.0 ** (-0.3)
     assert variance_from_db(0.0) == 1.0
-    assert variance_to_db(0.5) == pytest.approx(-3.0103, abs=1e-4)
-    with pytest.raises(DomainError):
-        variance_to_db(0.0)
 
 
 class TestBuildSource:
