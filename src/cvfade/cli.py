@@ -12,16 +12,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .beam import GENERATOR_NAME, fading_moments, simulate
 from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
-from .optimizer import optimize
-from .outputs import render_csv, write_json, write_text
+from .optimizer import OptimizationResult, optimize
+from .outputs import float_text, render_csv, write_json, write_text
 from .scenario import (
     ScenarioConfig,
     beam_scenario,
@@ -105,48 +107,93 @@ def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
-def _evaluate_points(points):
-    """Key rates of every variant at every point of a sweep.
+@dataclass(frozen=True)
+class _VariantRates:
+    """One protocol variant's key rates at every point of a sweep, one array
+    element per point; `optimized` holds each point's OptimizationResult."""
+
+    v_s: np.ndarray
+    v_m: np.ndarray
+    i_ab: np.ndarray
+    chi: np.ndarray
+    rate_asymptotic: np.ndarray
+    rate_finite: np.ndarray | None
+    flags: list[str]
+    optimized: list[OptimizationResult] | None = None
+
+
+def _evaluate_points(points) -> list[_VariantRates]:
+    """Key rates of every variant at every point of a sweep, per variant.
 
     `points` holds one (config, chan) per point; the configs share one list of
     variants, whose parameters may differ from point to point.  A variant
     without an optimizer is evaluated at all points in one key_rates call; an
-    optimized variant runs its optimizer point by point.  Returns, per point
-    and variant, (result, v_s, v_m, optimization result or None).
+    optimized variant runs its optimizer point by point.
     """
-    table = [[None] * len(config.variants) for config, _ in points]
-    for j in range(len(table[0]) if points else 0):
+    evaluated = []
+    for j in range(len(points[0][0].variants) if points else 0):
         variants = [config.variants[j] for config, _ in points]
         if variants[0].optimizer is None:
             params = [v.params for v in variants]
+            v_s = np.array([p.v_s for p in params], dtype=float)
+            v_m = np.array([p.v_m for p in params], dtype=float)
             rates = key_rates(params[0], [chan for _, chan in points],
-                              [config.finite for config, _ in points],
-                              v_s=[p.v_s for p in params], v_m=[p.v_m for p in params])
-            for i, p in enumerate(params):
-                table[i][j] = (rates.result(i), p.v_s, p.v_m, None)
+                              [config.finite for config, _ in points], v_s=v_s, v_m=v_m)
+            evaluated.append(_VariantRates(
+                v_s, v_m, rates.i_ab, rates.chi, rates.rate_asymptotic, rates.rate_finite,
+                [";".join(rates.flags(k)) for k in range(len(points))]))
             continue
-        for i, ((config, chan), variant) in enumerate(zip(points, variants)):
-            opt = optimize(variant.optimizer, variant.params, chan, config.finite)
-            table[i][j] = (opt.result, opt.v_s, opt.v_m, opt)
-    return table
+        opts = [optimize(variant.optimizer, variant.params, chan, config.finite)
+                for (config, chan), variant in zip(points, variants)]
+        flags = []
+        for opt in opts:
+            point_flags = list(opt.result.diagnostics["flags"])
+            if opt.no_positive_rate:
+                point_flags.append("no_positive_rate")
+            if opt.stop in ("round_cap", "step_floor"):
+                point_flags.append(f"optimizer_{opt.stop}")
+            flags.append(";".join(point_flags))
+        results = [opt.result for opt in opts]
+        evaluated.append(_VariantRates(
+            np.array([opt.v_s for opt in opts]), np.array([opt.v_m for opt in opts]),
+            np.array([r.i_ab for r in results]), np.array([r.chi for r in results]),
+            np.array([r.rate_asymptotic for r in results]),
+            None if results[0].rate_finite is None else np.array([r.rate_finite for r in results]),
+            flags, opts))
+    return evaluated
 
 
-def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
-    """One output row per (point, protocol variant), points outermost."""
-    rows = []
-    table = _evaluate_points(points)
-    for (config, chan), sweep_value, evaluated in zip(points, values, table):
-        st = chan.fading
-        n_block = None if config.finite is None else config.finite.n
-        for variant, (res, v_s, v_m, opt) in zip(config.variants, evaluated):
-            params = variant.params
-            flags = list(res.diagnostics["flags"])
-            if opt is not None:
-                if opt.no_positive_rate:
-                    flags.append("no_positive_rate")
-                if opt.stop in ("round_cap", "step_floor"):
-                    flags.append(f"optimizer_{opt.stop}")
-                if trace_sink is not None:
+def _cell(value):
+    """A scalar cell: a float as the CSV writes floats, an int or None as it is."""
+    return float_text(value) if isinstance(value, float) else value
+
+
+def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
+    """ROW_FIELDS columns with one row per (point, protocol variant), points outermost."""
+    evaluated = _evaluate_points(points)
+    variants = points[0][0].variants
+    n_points, n_variants = len(points), len(variants)
+
+    def interleaved(per_variant):
+        """Point-major column from one float array or None per variant."""
+        if per_variant[0] is None:
+            return [None] * (n_points * n_variants)
+        return np.array(per_variant, dtype=float).T.ravel()
+
+    def per_point(column):
+        """Point-major column from one value per point."""
+        if all(isinstance(v, float) for v in column):
+            return np.repeat(np.array(column, dtype=float), n_variants)
+        return [_cell(v) for v in column for _ in range(n_variants)]
+
+    def tiled(cells):
+        return list(cells) * n_points
+
+    if trace_sink is not None:
+        for i, sweep_value in enumerate(values):
+            for variant, rates in zip(variants, evaluated):
+                if rates.optimized is not None:
+                    opt = rates.optimized[i]
                     trace_sink.append({
                         "label": variant.label,
                         "sweep_value": sweep_value,
@@ -155,14 +202,29 @@ def _rate_rows(points, sweep_variable="", values=("",), trace_sink=None):
                         "stop": opt.stop,
                         "trace": opt.trace,
                     })
-            rows.append([
-                variant.label, sweep_variable, sweep_value,
-                v_s, v_m, params.v_an, params.b, params.beta, params.reconciliation,
-                st.mean_eta, st.mean_sqrt_eta, st.var_sqrt, chan.eta_comb, chan.eps_plus,
-                n_block, res.i_ab, res.chi, res.rate_asymptotic, res.rate_finite,
-                ";".join(flags),
-            ])
-    return rows
+    stats = [chan.fading for _, chan in points]
+    return [
+        tiled(v.label for v in variants),
+        [sweep_variable] * (n_points * n_variants),
+        per_point(values),
+        interleaved([r.v_s for r in evaluated]),
+        interleaved([r.v_m for r in evaluated]),
+        tiled(_cell(v.params.v_an) for v in variants),
+        tiled(v.params.b for v in variants),
+        tiled(_cell(v.params.beta) for v in variants),
+        tiled(v.params.reconciliation for v in variants),
+        per_point([st.mean_eta for st in stats]),
+        per_point([st.mean_sqrt_eta for st in stats]),
+        per_point([st.var_sqrt for st in stats]),
+        per_point([chan.eta_comb for _, chan in points]),
+        per_point([chan.eps_plus for _, chan in points]),
+        per_point([None if config.finite is None else config.finite.n for config, _ in points]),
+        interleaved([r.i_ab for r in evaluated]),
+        interleaved([r.chi for r in evaluated]),
+        interleaved([r.rate_asymptotic for r in evaluated]),
+        interleaved([r.rate_finite for r in evaluated]),
+        [flags for point in zip(*(r.flags for r in evaluated)) for flags in point],
+    ]
 
 
 def cmd_simulate(args) -> int:
@@ -175,7 +237,7 @@ def cmd_simulate(args) -> int:
     result = simulate(beam_scenario(config), n=int(n), seed=seed)
 
     meta = _meta(config, seed, {"n": int(n), "generator": GENERATOR_NAME})
-    text = render_csv(meta, ["eta"], result.samples)
+    text = render_csv(meta, ["eta"], [result.samples])
     write_text(args.out, text)
     sidecar = dict(result.metadata)
     sidecar["config_sha256"] = config.config_hash()
@@ -202,12 +264,12 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _write_rate_table(args, config, rows, extra_meta=None, traces=None, header=ROW_FIELDS):
+def _write_rate_table(args, config, columns, extra_meta=None, traces=None, header=ROW_FIELDS):
     meta = _meta(config, _effective_seed(config, args), extra_meta)
-    write_text(args.out, render_csv(meta, header, rows))
+    write_text(args.out, render_csv(meta, header, columns))
     if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
-    print(f"wrote {args.out} ({len(rows)} rows)", file=sys.stderr)
+    print(f"wrote {args.out} ({len(columns[0])} rows)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -217,8 +279,8 @@ def cmd_keyrate(args, optimizing=False) -> int:
         config = replace(config, variants=tuple(replace(v, optimizer=None) for v in config.variants))
     chan = build_channel(config, resolve_fading(config))
     traces = [] if args.trace else None
-    rows = _rate_rows([(config, chan)], trace_sink=traces)
-    return _write_rate_table(args, config, rows, traces=traces)
+    columns = _rate_columns([(config, chan)], trace_sink=traces)
+    return _write_rate_table(args, config, columns, traces=traces)
 
 
 def cmd_optimize(args) -> int:
@@ -262,8 +324,8 @@ def cmd_sweep(args) -> int:
     chan = None if variable in _SWEPT_FADING else build_channel(config, resolve_fading(config))
     traces = [] if args.trace else None
     points = [_sweep_point(config, variable, value, chan) for value in values]
-    rows = _rate_rows(points, sweep_variable=variable, values=values, trace_sink=traces)
-    return _write_rate_table(args, config, rows, extra_meta={"sweep_variable": variable},
+    columns = _rate_columns(points, sweep_variable=variable, values=values, trace_sink=traces)
+    return _write_rate_table(args, config, columns, extra_meta={"sweep_variable": variable},
                              traces=traces)
 
 
@@ -286,18 +348,24 @@ def cmd_daily(args) -> int:
             f"{variant.label}_rate_asymptotic", f"{variant.label}_rate_finite",
         ]
 
-    rows, points = [], []
-    for label, cn2 in zip(series.labels, series.cn2):
+    rytov, stats, points = [], [], []
+    for cn2 in series.cn2:
         scen = beam_scenario(config, distance=distance, cn2=cn2)
-        stats = fading_moments(scen)
-        points.append((config, build_channel(config, stats)))
-        rows.append([label, cn2, scen.rytov_variance,
-                     stats.mean_eta, stats.mean_sqrt_eta, stats.var_sqrt])
-    for row, evaluated in zip(rows, _evaluate_points(points)):
-        for res, v_s, v_m, _ in evaluated:
-            row += [v_s, v_m, res.rate_asymptotic, res.rate_finite]
-
-    return _write_rate_table(args, config, rows, extra_meta={"cn2_rows": len(rows)}, header=header)
+        stats.append(fading_moments(scen))
+        points.append((config, build_channel(config, stats[-1])))
+        rytov.append(scen.rytov_variance)
+    columns = [
+        list(series.labels),
+        np.array(series.cn2, dtype=float),
+        np.array(rytov, dtype=float),
+        np.array([st.mean_eta for st in stats], dtype=float),
+        np.array([st.mean_sqrt_eta for st in stats], dtype=float),
+        np.array([st.var_sqrt for st in stats], dtype=float),
+    ]
+    for rates in _evaluate_points(points):
+        columns += [rates.v_s, rates.v_m, rates.rate_asymptotic,
+                    [None] * len(stats) if rates.rate_finite is None else rates.rate_finite]
+    return _write_rate_table(args, config, columns, extra_meta={"cn2_rows": len(stats)}, header=header)
 
 
 _COMMANDS = {

@@ -19,6 +19,11 @@ _LN2 = math.log(2.0)
 
 #: tolerance below which a symplectic eigenvalue counts as non-physical
 NU_TOL = 1e-9
+#: largest trace of a covariance matrix whose spectrum is resolved to NU_TOL:
+#: eps * tr(gamma) < NU_TOL / 10, about 4.5e5.  Behind a channel the spectrum's
+#: own rounding stays within 3.2 eps tr(gamma) (measured against exact
+#: spectra up to v_m = 1e5), so below this it stays under a third of NU_TOL.
+TRACE_MAX = NU_TOL / (10.0 * np.finfo(float).eps)
 #: relative symmetry tolerance enforced at construction
 SYM_TOL = 1e-12
 
@@ -102,13 +107,17 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     i*Omega*gamma; its spectrum is +/- nu.
 
     Checks, in this order, each raising for the first point that fails:
-    finite entries (DomainError), positive definiteness of gamma, which its
-    Cholesky factor decides (|eig(i Omega gamma)| >= 1 alone does not rule out
-    indefinite matrices), +/- pairing of the spectrum, and nu >= 1 - NU_TOL;
-    values in [1 - NU_TOL, 1) are clipped to 1.  Callers need not check the
-    stack first.
+    finite entries (DomainError), tr gamma < TRACE_MAX (NumericalFailure: a
+    larger state's rounding, not its physics, would decide the checks after
+    this one), positive definiteness of gamma, which its Cholesky factor
+    decides (|eig(i Omega gamma)| >= 1 alone does not rule out indefinite
+    matrices), +/- pairing of the spectrum, and nu >= 1 - NU_TOL; values in
+    [1 - NU_TOL, 1) are clipped to 1.  Callers need not check the stack first.
     """
     check_batch(~np.isfinite(stack).all(axis=(1, 2)), DomainError("covariance matrix entries must be finite"))
+    trace = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
+    check_batch(trace >= TRACE_MAX, lambda k: NumericalFailure(
+        f"symplectic spectrum not resolved: tr gamma = {trace[k]:.6g} >= {TRACE_MAX:.6g}"))
     m = stack.shape[-1] // 2
     try:
         factor = np.linalg.cholesky(stack)

@@ -106,15 +106,18 @@ class KeyRates:
     dr_low_transmittance: np.ndarray
     beta: float
 
+    def flags(self, k: int) -> list[str]:
+        """Point k's flags."""
+        return ["dr_low_transmittance"] if self.dr_low_transmittance[k] else []
+
     def result(self, k: int) -> KeyRateResult:
         """Point k as a KeyRateResult."""
-        flags = ["dr_low_transmittance"] if self.dr_low_transmittance[k] else []
         return KeyRateResult(
             i_ab=float(self.i_ab[k]),
             chi=float(self.chi[k]),
             rate_asymptotic=float(self.rate_asymptotic[k]),
             rate_finite=None if self.rate_finite is None else float(self.rate_finite[k]),
-            diagnostics={"beta": self.beta, "flags": flags},
+            diagnostics={"beta": self.beta, "flags": self.flags(k)},
         )
 
 

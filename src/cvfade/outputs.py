@@ -5,38 +5,59 @@ for sample files the generator) followed by an RFC-4180-style header row.
 No timestamps anywhere: reruns with identical inputs must be byte-identical.
 Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
-A 1-D float array (a sample file's `eta` column) is rendered by a numpy
-kernel that writes the same bytes as `'%.17g'` for every double in [1e-4, 1),
-one chunk of _CHUNK values at a time.  It scales x by 10^(16-k), with
-k = floor(log10 x), and gets the exact product as hi + lo with Dekker's
-two-product (T. J. Dekker, Numer. Math. 18, 224-242, 1971; 10^p is exact for
-p <= 22).  Since hi >= 10^16 > 2^53 is an even integer, int(hi) + rint(lo) is
-the round-half-even 17-digit integer that `'%.17g'` prints.  A k off by one
-next to a power of ten is re-done with k +- 1.  No double in [1e-4, 1) rounds
-up to a power of ten at 17 digits, so nothing carries into k.  The digits go
-through a 4-digit lookup table into fixed-width rows of 24 bytes, in which the
-characters `%g` leaves out (unused leading zeros, trailing zeros) are NUL
-bytes that one bytes.translate deletes.  Every other value (0, 1, negatives,
-subnormals, +-inf, NaN and the other decades) is formatted by `'%.17g'` itself
-and spliced back in order.
+render_csv takes a table as columns, one per header field, and renders every
+table the same way.  A column is a float array or a sequence of str, int or
+None cells.  Cells are written as csv.writer's default dialect writes them:
+str cells quoted when they hold a comma, a quote, CR or LF; ints as str(int);
+None as an empty cell.
+
+Float columns are rendered by a numpy kernel that writes the same bytes as
+`'%.17g'` for every double that format prints in fixed notation, the signed
+values with 1e-4 <= |x| < 1e17, one chunk of about _CHUNK cells at a time.
+It scales |x| by 10^(16-k), with k = floor(log10 |x|), and gets the exact
+product as hi + lo with Dekker's two-product (T. J. Dekker, Numer. Math. 18,
+224-242, 1971; 10^p is exact for p <= 22, and here p <= 20).  Since
+hi >= 10^16 > 2^53 is an even integer, int(hi) + rint(lo) is the
+round-half-even 17-digit integer D that `'%.17g'` prints.  A k off by one next
+to a power of ten is re-done with k +- 1.  Nothing carries into the next
+decade: the largest double below 10^j lies at least 2^-53 10^j under it for
+j >= 0, and 8.3 10^(j-17) or more under 0.1, 0.01 and 0.001, more than half a
+unit in the 17th digit.  For k >= 0 the integer part I = D // 10^(16-k) and
+the fraction's digits F * 10^(k+1) are written apart.  Digits go through a
+4-digit lookup table into fixed-width rows of uint32 words, in which the
+characters `%g` leaves out (leading zeros of I, trailing zeros of the
+fraction, a point with no fraction after it) are NUL bytes that one
+bytes.translate deletes.  Every other value (0, +-inf, NaN, subnormals and the
+values `%g` writes with an exponent) is formatted by `'%.17g'` itself into its
+cell's slot, which is wide enough for any of them.
+
+A run of adjacent cell columns takes one marker word per row in the same
+rows; the text of the runs, joined in Python, replaces the markers in order.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
+import itertools
 import json
 
 import numpy as np
 
-# Values per kernel call on the float-array path of render_csv: large enough to
-# amortize numpy's per-call cost, small enough that the kernel's temporaries
-# stay near 1 MB.
+# Cells per chunk of render_csv: large enough to amortize numpy's per-call
+# cost, small enough that the kernel's temporaries stay near 1 MB.
 _CHUNK = 8192
 
-# The kernel's domain: '%.17g' writes these as 0.<0-3 zeros><1-17 digits>.
-_KERNEL_LO, _KERNEL_HI = 1e-4, 1.0
-_POW10 = np.array([10.0 ** p for p in range(23)])  # exact for p <= 22
+# The kernel's domain: '%.17g' writes these in fixed notation, 0.<0-3 zeros><digits> or <I>[.<digits>].
+_KERNEL_LO, _KERNEL_HI = 1e-4, 1e17
+_POW10 = np.array([10.0 ** p for p in range(21)])  # exact for p <= 22
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+
+# What marks a cell run's place in the kernel's rows: no '%.17g' text holds it.
+_MARK = "!"
+
+
+def float_text(x: float) -> str:
+    """A float as every CSV cell writes it."""
+    return "%.17g" % x
 
 
 def _split(a):
@@ -59,112 +80,184 @@ def _words(raw: bytes):
     return np.frombuffer(raw, dtype=np.uint32)
 
 
+def _padded(texts, size: int) -> bytes:
+    return b"".join(t.encode("ascii").ljust(size, b"\0") for t in texts)
+
+
+# The separator a cell starts with: a line's first cell ends the line before it.
+_SEPARATORS = (",", "\r\n")
+
+
 @functools.cache
 def _tables():
     """The kernel's lookup tables, built on first use so that importing the
-    module costs nothing: the 4-digit groups and the word before them."""
+    module costs nothing."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000).T  # of 0-9999
-    kept = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]  # not a trailing zero
+    trailing = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]  # not a trailing zero
+    leading = np.logical_or.accumulate(digits != 0, axis=1)  # not a leading zero
     chars = digits + ord("0")
-    # 4-digit groups as uint32 words: entries 0-9999 keep every digit, entries
-    # 10000-19999 (a group after which only zero groups follow) NUL its trailing zeros.
-    groups = _words(chars.tobytes() + (chars * kept).tobytes())
-    # NUL-padded leading zeros and the first digit, at index
-    # 10 * (number of leading zeros) + first digit
-    leads = _words(b"".join(bytes(3 - nz) + b"0" * nz + bytes([ord("0") + d])
-                            for nz in range(4) for d in range(10)))
-    return groups, leads
+    # 4-digit groups as uint32 words: 0-9999 keep every digit, 10000-19999 (a
+    # group after which only zero groups follow) NUL its trailing zeros, and
+    # 20000-29999 (a group before which only zero groups come) its leading zeros
+    groups = _words(chars.tobytes() + (chars * trailing).tobytes() + (chars * leading).tobytes())
+    # two words before the digits, at index 10 * (first cell of a line)
+    # + 5 * (negative) + kind: kind 0 for |x| >= 1 (the integer part follows),
+    # kind z + 1 for 0.<z zeros><digits>
+    heads = _words(_padded((sep + "-" * neg + ("0." + "0" * (kind - 1) if kind else "")
+                            for sep in _SEPARATORS for neg in (0, 1) for kind in range(5)), 8)).reshape(20, 2).T.copy()
+    # the word of the fraction's first digit, at index first digit + 10 * (no
+    # fraction) + 11 * (a point before it)
+    firsts = _words(_padded((point + d for point in ("", ".") for d in (*"0123456789", "")), 4))
+    marks = _words(_padded((sep + _MARK for sep in _SEPARATORS), 4))
+    return groups, heads, firsts, marks
 
 
-_LINE_START = _words(b"\r\n0.")[0]
-# The row of a value the kernel leaves out: CRLF and "!", which marks where its cell goes.
-_SPLICE_ROW = _words(b"\r\n!" + bytes(21))
+def _int_words(i, n: int):
+    """Integers below 10^(4n) as n words of 4-digit groups, leading zeros NUL."""
+    groups = _tables()[0]
+    words = np.empty((i.size, n), dtype=np.uint32)
+    above_zero = np.ones(i.size, dtype=bool)  # every group before this one is 0
+    for j in range(n):
+        scale = _POW10_INT[4 * (n - 1 - j)]
+        g = i // scale
+        i = i - g * scale
+        words[:, j] = groups[g + 20000 * above_zero]
+        above_zero &= g == 0
+    return words
 
 
-def _kernel_rows(x):
-    """CRLF + '%.17g' % v for each v of a float64 array in [1e-4, 1), as
-    24-byte rows (six uint32 words) whose NUL bytes are to be dropped."""
-    groups, leads = _tables()
-    k = np.floor(np.log10(x)).astype(np.intp)
-    hi, lo = _times_pow10(x, 16 - k)
+def _kernel_rows(x, first: int):
+    """Separator + '%.17g' % v for each v of a float64 array, as rows of
+    uint32 words whose NUL bytes are to be dropped.  The first `first` values
+    start a line (CRLF); the others follow a comma."""
+    groups, heads, firsts, _ = _tables()
+    a = np.abs(x)
+    left_out = np.flatnonzero(~((a >= _KERNEL_LO) & (a < _KERNEL_HI)))
+    a[left_out] = 0.5  # any value the kernel covers: these slots are overwritten below
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - k)
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     off = np.flatnonzero(low | high)
-    if off.size:  # log10 rounded across a power of ten: x * 10^(16-k) has 16 or 18 digits
+    if off.size:  # log10 rounded across a power of ten: |x| * 10^(16-k) has 16 or 18 digits
         k[off] += high[off].astype(np.intp) - low[off]
-        hi[off], lo[off] = _times_pow10(x[off], 16 - k[off])
-    # no carry to 10^17: below 1, 0.1, 0.01 and 0.001 the largest double's
-    # x * 10^(16-k) is 8.3 or more under 10^17
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        hi[off], lo[off] = _times_pow10(a[off], 16 - k[off])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # D, 17 digits
+    k_max = int(k.max()) if k.size else -1
+    n_int = (k_max + 4) // 4  # words of the integer part
+    if n_int:
+        k_int = np.maximum(k, -1)
+        scale = _POW10_INT[16 - k_int]
+        whole = digits // scale  # 0 for |x| < 1
+        digits = (digits - whole * scale) * _POW10_INT[k_int + 1]  # the fraction's digits, left-aligned
     head = digits // 10**8  # first digit and groups 1, 2
     tail = digits - head * 10**8  # groups 3, 4
     lead = head // 10**4
     g2 = head - lead * 10**4
-    first = lead // 10**4
-    g1 = lead - first * 10**4
+    first_digit = lead // 10**4
+    g1 = lead - first_digit * 10**4
     g3 = tail // 10**4
     g4 = tail - g3 * 10**4
     zero4 = g4 == 0
     zero34 = zero4 & (g3 == 0)
     zero234 = zero34 & (g2 == 0)
-    rows = np.empty((x.size, 6), dtype=np.uint32)
-    rows[:, 0] = _LINE_START
-    rows[:, 1] = leads[10 * (-1 - k) + first]
-    rows[:, 2] = groups[g1 + 10000 * zero234]
-    rows[:, 3] = groups[g2 + 10000 * zero34]
-    rows[:, 4] = groups[g3 + 10000 * zero4]
-    rows[:, 5] = groups[g4 + 10000]
+    kind = np.maximum(-k, 0)
+    kind[:first] += 10
+    negative = x < 0
+    if negative.any():
+        kind += 5 * negative
+    rows = np.empty((x.size, 7 + n_int), dtype=np.uint32)
+    rows[:, 0] = heads[0][kind]
+    rows[:, 1] = heads[1][kind]
+    if n_int:
+        rows[:, 2:2 + n_int] = _int_words(whole, n_int)
+        no_fraction = digits == 0
+        rows[:, 2 + n_int] = firsts[first_digit + 10 * no_fraction + 11 * ((k >= 0) & ~no_fraction)]
+    else:  # |x| < 1: the fraction is D
+        rows[:, 2] = firsts[first_digit]
+    rows[:, 3 + n_int] = groups[g1 + 10000 * zero234]
+    rows[:, 4 + n_int] = groups[g2 + 10000 * zero34]
+    rows[:, 5 + n_int] = groups[g3 + 10000 * zero4]
+    rows[:, 6 + n_int] = groups[g4 + 10000]
+    if left_out.size:  # 28 bytes or more: room for a separator and any '%.17g' text
+        texts = (_SEPARATORS[int(i < first)] + float_text(v) for i, v in zip(left_out.tolist(), x[left_out].tolist()))
+        rows[left_out] = _words(_padded(texts, 4 * rows.shape[1])).reshape(left_out.size, -1)
     return rows
 
 
-def _render_values(values) -> str:
-    """CRLF + '%.17g' % v for each v of a 1-D float array."""
-    with np.errstate(invalid="ignore"):  # a float32 signalling NaN is still 'nan'
-        x = np.array(values, dtype=np.float64)
-    left_out = np.flatnonzero(~((x >= _KERNEL_LO) & (x < _KERNEL_HI)))
-    cells = ["%.17g" % v for v in x[left_out].tolist()]
-    x[left_out] = 0.5  # any value the kernel covers: these rows become marks below
-    rows = _kernel_rows(x)
-    rows[left_out] = _SPLICE_ROW
-    pieces = rows.tobytes().translate(None, b"\0").decode("ascii").split("!")
-    return "".join(p + c for p, c in zip(pieces, cells)) + pieces[-1]
+def _is_floats(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def format_number(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
+def _quoted(cell: str) -> str:
+    """A str cell as csv.writer's default dialect writes it."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cell_texts(column, lone: bool) -> list[str]:
+    """The text of each cell of a str/int/None column, each distinct cell
+    converted once.  A row of one empty cell is written as "" (csv.writer does)."""
+    texts = {}
+    for cell in set(column):
+        text = "" if cell is None else _quoted(cell) if isinstance(cell, str) else str(cell)
+        texts[cell] = '""' if lone and text == "" else text
+    return list(map(texts.__getitem__, column))
+
+
+def _render_rows(columns, size: int) -> str:
+    """CRLF + the cells of each row, comma-separated, for rows of the given
+    columns (float arrays, or lists of cell text)."""
+    _, _, _, marks = _tables()
+    is_floats = [_is_floats(c) for c in columns]
+    floats = [c for c, f in zip(columns, is_floats) if f]
+    if floats:
+        with np.errstate(invalid="ignore"):  # a float32 signalling NaN is still 'nan'
+            x = np.concatenate(floats, dtype=np.float64)
+        blocks = iter(_kernel_rows(x, size if is_floats[0] else 0).reshape(len(floats), size, -1))
+    rows, runs = [], []
+    for i, column in enumerate(columns):
+        if is_floats[i]:
+            rows.append(next(blocks))
+        elif i and not is_floats[i - 1]:
+            runs[-1].append(column)  # a run of cell columns takes one marker
+        else:
+            rows.append(np.full((size, 1), marks[int(i == 0)], dtype=np.uint32))
+            runs.append([column])
+    text = (np.hstack(rows) if len(rows) > 1 else rows[0]).tobytes().translate(None, b"\0").decode("ascii")
+    if not runs:
+        return text
+    pieces = text.split(_MARK)
+    cells = itertools.chain.from_iterable(zip(*(run[0] if len(run) == 1 else map(",".join, zip(*run))
+                                                for run in runs)))
+    return "".join(itertools.chain.from_iterable(zip(pieces, cells))) + pieces[-1]
 
 
 def metadata_line(meta: dict) -> str:
     return "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def render_csv(meta: dict, header: list[str], rows) -> str:
-    """Metadata line, header and rows as CSV text with CRLF line ends.
+def render_csv(meta: dict, header: list[str], columns) -> str:
+    """Metadata line, header and the table's rows as CSV text with CRLF line ends.
 
-    `rows` is an iterable of mixed-type rows (strings pass through csv
-    quoting, numbers go through format_number), or a 1-D float array, which
-    is rendered as one column in chunks with the same `.17g` bytes.
+    `columns` holds one column per header field, all of one length: a float
+    array, whose cells are '%.17g' text, or a sequence of str, int or None
+    cells.
     """
-    buf = io.StringIO()
-    buf.write(metadata_line(meta) + "\r\n")
-    if isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind == "f":
-        # each value's line starts with the CRLF that ends the line before it
-        csv.writer(buf, lineterminator="").writerow(header)
-        for start in range(0, rows.size, _CHUNK):
-            buf.write(_render_values(rows[start:start + _CHUNK]))
-        buf.write("\r\n")
-        return buf.getvalue()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
-    return buf.getvalue()
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    size = len(columns[0]) if columns else 0
+    if any(len(c) != size for c in columns):
+        raise ValueError("columns of different lengths")
+    lone = len(columns) == 1
+    columns = [c if _is_floats(c) else _cell_texts(c, lone) for c in columns]
+    step = max(1, _CHUNK // max(1, len(columns)))
+    out = [metadata_line(meta), "\r\n", ",".join(_cell_texts(header, lone))]
+    out += [_render_rows([c[start:start + step] for c in columns], min(step, size - start))
+            for start in range(0, size, step)]
+    out.append("\r\n")
+    return "".join(out)
 
 
 def write_text(path, text: str):

@@ -6,7 +6,10 @@ either fails here, before it breaks a traced benchmark run; so does a change
 that takes the CLI's CSV reading or rendering around the traced functions.
 """
 import ast
+import csv
 import importlib
+import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -89,6 +92,42 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert rendered[0].count("\n") - 2 == n  # one metadata line, one header line
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
     assert len(read) == 1 and isinstance(read[0], np.ndarray) and read[0].size == n
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rate_tables_reach_render_csv_once(tmp_path, monkeypatch):
+    """sweep, keyrate --trace, optimize and daily each render their table in
+    one outputs.render_csv call, through the attributes the tracer replaces.
+    The text it returns is the file written, so the rows and cells the tracer
+    counts in it (fading_sweep's outputs.render_csv.ns_per_cell divides by
+    them) are the table's."""
+    from cvfade.cli import ROW_FIELDS, main  # imports every layer
+
+    csv_rows_cells = load_tracer().csv_rows_cells
+    rendered = traced_calls(monkeypatch, "outputs.render_csv")
+    daily_header = 6 + 4 * 3  # three variants in fig2b_caption
+    runs = {
+        "sweep": (["sweep", "--config", str(PERFBENCH / "fading_sweep.scenario")], 500 * 3, len(ROW_FIELDS)),
+        "keyrate": (["keyrate", "--config", str(FIG3), "--trace"], 3, len(ROW_FIELDS)),
+        "optimize": (["optimize", "--config", str(FIG3)], 3, len(ROW_FIELDS)),
+        "daily": (["daily", str(ROOT / "scenarios" / "prague-like.csv"),
+                   "--config", str(ROOT / "scenarios" / "fig2b_caption.scenario")], 24, daily_header),
+    }
+    for command, (argv, rows, columns) in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main(argv + ["--out", str(out), "--jobs", "1"]) == 0, command
+        assert len(rendered) == 1 and isinstance(rendered[0], str), command
+        text = rendered.pop()
+        assert text == out.read_bytes().decode(), command
+        assert csv_rows_cells(text) == [rows, rows * columns], command
+        table = list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
+        assert len(table) == rows + 1 and {len(row) for row in table} == {columns}, command
 
 
 def test_optimizer_evaluation_counter(tmp_path, monkeypatch):

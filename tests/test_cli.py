@@ -14,7 +14,7 @@ from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError
 from cvfade.keyrate import key_rate
-from cvfade.outputs import _CHUNK, format_number, metadata_line, render_csv, write_text
+from cvfade.outputs import _CHUNK, metadata_line, render_csv, write_text
 from cvfade.scenario import SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
@@ -385,8 +385,8 @@ def test_beam_rate_tables_do_not_depend_on_seed(tmp_path):
 def test_optimizer_round_cap_is_flagged(tmp_path):
     doc = {
         "protocol": {"family": "squeezed", "beta": 0.95,
-                     "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
-        "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+                     "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e5, "grid": [5, 5]}},
+        "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.1}}},
     }
     out = tmp_path / "op.csv"
     assert main(["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
@@ -400,8 +400,8 @@ STOP_DOC = {
          "optimizer": {"vm_max": 20.0, "grid": [3, 5]}},
         {"label": "floored", "family": "coherent", "beta": 0.95,
          "optimizer": {"vm_max": 20.0, "grid": [3, 5], "tolerance": 1e-300}},
-        {"label": "capped", "family": "squeezed", "beta": 0.95,
-         "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e12, "grid": [5, 5]}},
+        {"label": "capped", "family": "squeezed", "beta": 0.9,
+         "optimizer": {"vs_cap_db": -3.0, "vm_max": 1e5, "grid": [5, 2]}},
     ],
     "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
 }
@@ -427,7 +427,7 @@ def test_rows_flag_a_search_that_did_not_converge(tmp_path):
     assert main(["optimize", "--config", write_cfg(tmp_path, STOP_DOC), "--out", str(out)]) == 0
     assert [(row["label"], row["flags"]) for row in read_rows(out)] == [
         ("converged", ""), ("floored", "optimizer_step_floor"),
-        ("capped", "no_positive_rate;optimizer_round_cap")]
+        ("capped", "optimizer_round_cap")]
 
 
 def test_generator_recorded_by_simulate_only(tmp_path):
@@ -459,7 +459,28 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys):
     out = tmp_path / "kr.csv"
     assert main(["keyrate", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: symplectic eigenvalue below 1: min nu = 0.901387818866\n")
+        "numerical failure: symplectic spectrum not resolved: tr gamma = 5e+14 >= 450360\n")
+    assert not out.exists()
+
+
+# the reproducers of tests/test_keyrate.py::UNRESOLVED as scenarios
+UNRESOLVED_DOCS = {
+    "lossless_vm_1e6": {"protocol": {"family": "squeezed", "v_s_db": -10.0, "v_m": 1e6},
+                        "channel": {"fading": {"stats": {"mean_eta": 1.0}}}},
+    **{f"rr_vm_{v_m:g}": {"protocol": {"family": "squeezed", "v_s": 0.1, "v_m": v_m, "v_an": 0.5,
+                                       "prep_noise_trust": "untrusted", "beta": 0.95, "reconciliation": "rr"},
+                          "channel": {"eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5, "var_sqrt": 0.01}}}}
+       for v_m in (1e35, 1e150)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRESOLVED_DOCS))
+def test_unresolved_spectrum_exits_3_with_one_line(tmp_path, capsys, name):
+    out = tmp_path / "kr.csv"
+    assert main(["keyrate", "--config", write_cfg(tmp_path, UNRESOLVED_DOCS[name]), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: symplectic spectrum not resolved: tr gamma = ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
@@ -489,9 +510,21 @@ def test_sifting_factor_halves_rate(tmp_path):
 
 # --- the eta sample file: bulk rendering and malformed input -----------------
 
+def format_number(x) -> str:
+    """A cell as the per-row renderer wrote it."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, int):
+        return str(x)
+    return format(float(x), ".17g")
+
+
 def row_renderer(meta, header, rows):
     """The per-row renderer (csv.writer plus format_number) that rendered
-    sample files before render_csv's float-array path, kept as its oracle."""
+    every table before render_csv took columns, kept as the oracle of every
+    table render_csv writes."""
     buf = io.StringIO()
     buf.write(metadata_line(meta) + "\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -515,7 +548,7 @@ def test_float_array_renders_like_row_renderer_and_reads_back(tmp_path_factory, 
     samples = np.concatenate([values, np.where(rng.random(size) < 0.5, rng.random(size), wide)])[:size]
     rng.shuffle(samples)
     meta = {"n": size, "seed": seed}
-    text = render_csv(meta, ["eta"], samples)
+    text = render_csv(meta, ["eta"], [samples])
     assert isinstance(text, str)
     assert text == row_renderer(meta, ["eta"], ([v] for v in samples))
     path = tmp_path_factory.mktemp("eta") / "etas.csv"
@@ -543,19 +576,38 @@ def _decade_bit_patterns(rng, n):
     return rng.integers(lo, hi, n, endpoint=True).view(np.float64)
 
 
-def _ties(rng, n):
-    """j * 2^-s with j * 5^s of 18 digits, the last a 5 (j odd): exact ties at
-    the 17th significant digit, in the decades from [1, 10) to [1e-8, 1e-7)."""
-    s = rng.integers(17, 26, n)
+def _ties(rng, n, s_range=(17, 26)):
+    """j * 2^-s with j * 5^s of 18 digits, the last a 5 (j odd, below 2^53):
+    exact ties at the 17th significant digit, in the decade [10^(17-s),
+    10^(18-s)).  The default s draws the decades from [1, 10) to [1e-8, 1e-7)."""
+    s = rng.integers(*s_range, n)
     five = np.int64(5) ** s
-    j = rng.integers(-(-10**17 // five), (10**18 - 1) // five, endpoint=True) | 1
+    j = rng.integers(-(-10**17 // five), np.minimum((10**18 - 1) // five, 2**53 - 1), endpoint=True) | 1
     return j * 2.0 ** -s.astype(np.float64)
+
+
+def _wide_bit_patterns(rng, n):
+    """Uniform bit patterns of the doubles in [1e-5, 1e18]: every decade of
+    the kernel's domain [1e-4, 1e17) and a decade past each end."""
+    lo, hi = np.array([1e-5, 1e18]).view(np.int64)
+    return rng.integers(lo, hi, n, endpoint=True).view(np.float64)
+
+
+def _negated(rng, n):
+    """Values of every other kind, negated."""
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN is still 'nan'
+        pool = np.concatenate([FLOAT_ARRAYS[kind](rng, n) for kind in sorted(FLOAT_ARRAYS) if kind != "negated"],
+                              dtype=np.float64)
+    return -rng.choice(pool, n)
 
 
 # 10^-k's nearest double and its four neighbours on each side, for k = 0..30;
 # among them 0.99999999999999994, which parses to the double just below 1
 POW10_NEIGHBOURS = (np.array([float(f"1e-{k}") for k in range(31)]).view(np.int64)[:, None]
                     + np.arange(-4, 5)).ravel().view(np.float64)
+# the same for 10^0 ... 10^17, the decades of numbers >= 1 that '%.17g' writes without an exponent
+POW10_NEIGHBOURS_ABOVE_1 = (np.array([float(f"1e{k}") for k in range(18)]).view(np.int64)[:, None]
+                            + np.arange(-4, 5)).ravel().view(np.float64)
 FLOAT_ARRAYS = {
     "any_bit_pattern": _any_bit_pattern,
     "decade_bit_patterns": _decade_bit_patterns,
@@ -563,6 +615,11 @@ FLOAT_ARRAYS = {
     "powers_of_ten": lambda rng, n: rng.choice(POW10_NEIGHBOURS, n),
     "float32": lambda rng, n: rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
     "float32_decades": lambda rng, n: _decade_bit_patterns(rng, n).astype(np.float32),
+    "wide_bit_patterns": _wide_bit_patterns,
+    # [1e16, 1e17) holds no ties: its doubles are even integers
+    "wide_ties": lambda rng, n: _ties(rng, n, s_range=(2, 18)),
+    "powers_of_ten_above_1": lambda rng, n: rng.choice(POW10_NEIGHBOURS_ABOVE_1, n),
+    "negated": _negated,
 }
 
 
@@ -574,7 +631,42 @@ def test_float_array_renders_each_value_as_17g(kind, size, seed):
     including ties at the 17th digit and the neighbours of powers of ten."""
     values = FLOAT_ARRAYS[kind](np.random.default_rng(seed), size)
     assert values.shape == (size,)
-    assert render_csv({}, ["eta"], values) == row_renderer({}, ["eta"], ([v] for v in values))
+    assert render_csv({}, ["eta"], [values]) == row_renderer({}, ["eta"], ([v] for v in values))
+
+
+# cells the csv dialect quotes (comma, quote, CR, LF), the empty cell, the
+# renderer's own marker and non-ASCII text, ints and None
+TRICKY_CELLS = ["", ",", '"', "\r", "\n", 'a"b,c', "x\r\ny", "!", "é!", " plain ", 0, -7, 10**20, None]
+cell_texts = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "!", "a", "é", " "]), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(FLOAT_ARRAYS) + ["cells"] * 3), min_size=1, max_size=6),
+       texts=st.lists(cell_texts, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_table_renders_like_row_renderer(kinds, texts, seed, data):
+    """Any mix of float columns of every kind and str/int/None cell columns
+    renders byte-identically to the per-row renderer, at table lengths around
+    the chunk length."""
+    rows_per_chunk = _CHUNK // len(kinds)
+    size = data.draw(st.sampled_from((0, 1, 2, rows_per_chunk - 1, rows_per_chunk, rows_per_chunk + 1)))
+    rng = np.random.default_rng(seed)
+    pool = TRICKY_CELLS + texts
+    columns = [[pool[i] for i in rng.integers(0, len(pool), size)] if kind == "cells" else FLOAT_ARRAYS[kind](rng, size)
+               for kind in kinds]
+    header = data.draw(st.lists(cell_texts, min_size=len(kinds), max_size=len(kinds)))
+    meta = {"kinds": kinds}
+    text = render_csv(meta, header, columns)
+    assert text == row_renderer(meta, header, zip(*columns))
+
+
+@pytest.mark.parametrize("header, column", [
+    ([""], ["", None, "a", ""]),  # a lone empty cell is written as ""
+    (["x"], []),
+    (["x"], np.array([])),
+    (["a,b"], ['"', "\r\n"]),
+])
+def test_one_column_tables_render_like_row_renderer(header, column):
+    assert render_csv({}, header, [column]) == row_renderer({}, header, ([v] for v in column))
 
 
 MALFORMED_SAMPLES = {

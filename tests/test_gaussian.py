@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_physical_two_mode, random_symplectic_two_mode, rotation, two_mode_nu_closed_form
 from cvfade.channel import CompositeChannel, FadingStats, apply_composite
-from cvfade.errors import DomainError, NonPhysicalState
+from cvfade.errors import DomainError, NonPhysicalState, NumericalFailure
 from cvfade.gaussian import (
+    TRACE_MAX,
     CovarianceMatrix,
     apply_qnd,
     apply_squeezer,
@@ -108,6 +109,20 @@ class TestSymplecticEigenvalues:
             with pytest.raises(DomainError, match="entries must be finite"):
                 symplectic_spectra(np.array(stack))
 
+    def test_unresolvable_stack_is_checked_after_finite_entries(self):
+        """A point with tr gamma >= TRACE_MAX raises NumericalFailure naming the
+        first such point's trace, also when a later point is not positive
+        definite; one just below the limit passes, and non-finite entries
+        still come first."""
+        below = np.nextafter(TRACE_MAX / 2, 0.0) * np.eye(2)
+        at, far = TRACE_MAX / 2 * np.eye(2), 1e150 * np.eye(2)
+        assert np.trace(below) < TRACE_MAX <= np.trace(at)
+        assert symplectic_spectra(below[None])[0, 0] == below[0, 0]
+        with pytest.raises(NumericalFailure, match=f"tr gamma = {TRACE_MAX:.6g} >= {TRACE_MAX:.6g}$"):
+            symplectic_spectra(np.array([below, at, far, -np.eye(2)]))
+        with pytest.raises(DomainError, match="entries must be finite"):
+            symplectic_spectra(np.array([far, np.full((2, 2), np.nan)]))
+
     def test_stack_is_spectra_of_its_points(self):
         stack = np.array([tmsv(2.0).matrix, tensor(vacuum(1), CovarianceMatrix(3.0 * np.eye(2))).matrix])
         assert symplectic_spectra(stack) == pytest.approx(np.array([[1.0, 1.0], [3.0, 1.0]]), abs=1e-12)
@@ -185,7 +200,7 @@ EXACT_CASES = [
     for p in (ProtocolParams(v_s=1.0, v_m=v_m, b=1), ProtocolParams(v_s=V_S_CAP, v_m=v_m, b=0),
               ProtocolParams(v_s=V_S_CAP, v_m=v_m, b=0, v_an=1.0, prep_noise_trust="trusted"))
     for stage in STAGES
-] + [(ProtocolParams(v_s=1.0, v_m=1e12, b=1), stage) for stage in STAGES[1:]]
+] + [(ProtocolParams(v_s=1.0, v_m=1e5, b=1), stage) for stage in STAGES[1:]]
 
 
 @pytest.mark.parametrize("protocol, stage", EXACT_CASES,
@@ -195,8 +210,9 @@ def test_spectra_within_a_few_ulps_of_norm_of_exact(protocol, stage):
     spectra are, on pure sources with v_m up to 1e3 (trusted-ancilla 6 x 6
     ones among them), their states behind the <eta> = 0.5 noiseless channel,
     those states after the receiver's X homodyne, and a coherent source with
-    v_m = 1e12 behind the same channel.  The Cholesky route stays within 2.5
-    on these; the general eigenvalues of i Omega gamma reach 4.2.
+    v_m = 1e5 behind the same channel, near TRACE_MAX (at v_m = 1e12 the
+    Cholesky route stayed within 2.5 and the general eigenvalues of
+    i Omega gamma reached 4.2; such states now raise NumericalFailure).
 
     Left out: near-pure states behind transmittance near 1, where a one-ulp
     change of the entries already moves the exact nu by ~100 eps ||gamma||.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvfade.channel import CompositeChannel, FadingStats, fading_stats
-from cvfade.errors import CvfadeError, DomainError, InternalError, NonPhysicalState
+from cvfade.errors import CvfadeError, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from cvfade.gaussian import entropy_g
 from cvfade.keyrate import (
     FiniteSizeParams,
@@ -427,10 +427,11 @@ def test_extreme_inputs_agree_with_oracle(protocol):
             assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
 
 
-def impossible_moments():
+def impossible_moments(mean_eta=0.05, mean_sqrt_eta=0.999):
+    """A channel with unchecked moments: by default its states are not positive definite."""
     bad = FadingStats.__new__(FadingStats)
-    object.__setattr__(bad, "mean_eta", 0.05)
-    object.__setattr__(bad, "mean_sqrt_eta", 0.999)
+    object.__setattr__(bad, "mean_eta", mean_eta)
+    object.__setattr__(bad, "mean_sqrt_eta", mean_sqrt_eta)
     return CompositeChannel(fading=bad)
 
 
@@ -456,13 +457,11 @@ def test_failing_point_raises_its_error_from_any_batch(family):
         key_rates(protocol, good, None, v_m=[5.0, math.inf, 5.0])
 
     # points failing at different stages, in every order: the batch raises the
-    # lowest failing point's own error, type and message, as key_rate does
-    # domain, non-finite, Cholesky, nu < 1
-    failing = [(good[0], -1.0), (good[1], math.nan), (bad, 5.0), (fixed_channel(0.5, eps2=0.01), 1e15)]
-    if family == "coherent":  # a negative conditional variance
-        failing.append((fixed_channel(0.5), 1e24))
-    else:  # a zero conditional variance
-        failing.append((good[0], 1e100))
+    # lowest failing point's own error, type and message, as key_rate does:
+    # domain, non-finite, a state too large to resolve, Cholesky, and nu < 1
+    # (<sqrt(eta)>^2 one percent above <eta>)
+    failing = [(good[0], -1.0), (good[1], math.nan), (fixed_channel(0.5, eps2=0.01), 1e15), (bad, 5.0),
+               (impossible_moments(0.5, 1.01 * math.sqrt(0.5)), 5.0)]
     points = [(good[1], 5.0)] + failing
 
     def error(call):
@@ -471,6 +470,7 @@ def test_failing_point_raises_its_error_from_any_batch(family):
         return type(info.value), str(info.value)
 
     alone = [error(lambda: key_rate(replace(protocol, v_m=v_m), chan)) for chan, v_m in points[1:]]
+    assert [kind for kind, _ in alone] == [DomainError, DomainError, NumericalFailure, NonPhysicalState, NonPhysicalState]
     assert len(set(alone)) == len(failing)
     for size in (2, 3, len(points)):
         for batch in itertools.permutations(range(len(points)), size):
@@ -478,6 +478,26 @@ def test_failing_point_raises_its_error_from_any_batch(family):
             got = error(lambda: key_rates(protocol, [points[k][0] for k in batch], None,
                                           v_m=[points[k][1] for k in batch]))
             assert got == alone[lowest - 1]
+
+
+# States whose spectrum rounding, not their physics, would decide the checks:
+# squeezed at -10 dB with v_m = 1e6 on a lossless channel (its min nu came out
+# 0.999999998719, below 1 - NU_TOL), and a squeezed RR point whose chi came out
+# exactly 0, and its rate +2.68 bits, at every v_m from 1e35 to 1e150.
+UNRESOLVED = {
+    "lossless_vm_1e6": (ProtocolParams(v_s=variance_from_db(-10.0), v_m=1e6, b=0), fixed_channel(1.0)),
+    **{f"rr_vm_{v_m:g}": (ProtocolParams(v_s=0.1, v_m=v_m, b=0, v_an=0.5, prep_noise_trust="untrusted", beta=0.95),
+                          CompositeChannel(fading=FadingStats(0.5, math.sqrt(0.5 - 0.01)), eps2=0.01))
+       for v_m in (1e35, 1e150)},
+}
+
+
+@pytest.mark.parametrize("route", [key_rate, key_rate_equivalent_fixed])
+@pytest.mark.parametrize("name", sorted(UNRESOLVED))
+def test_unresolved_spectrum_raises_numerical_failure(name, route):
+    protocol, chan = UNRESOLVED[name]
+    with pytest.raises(NumericalFailure, match="symplectic spectrum not resolved: tr gamma = "):
+        route(protocol, chan)
 
 
 # --- physical upper bound -----------------------------------------------------
@@ -585,7 +605,7 @@ def test_samples_file_rates_respect_sample_averaged_plob_bound(tmp_path):
     read back by read_eta_csv, for every family and reconciliation."""
     samples = 0.999 * np.random.default_rng(3279).beta(0.6, 0.9, size=5000)
     path = tmp_path / "etas.csv"
-    write_text(path, render_csv({"seed": 0}, ["eta"], samples))
+    write_text(path, render_csv({"seed": 0}, ["eta"], [samples]))
     protocols = [
         {"label": f"{family}_{rec}", "family": family, "reconciliation": rec, "beta": 1.0,
          "v_m": 20.0, **({"v_s": V_S_CAP} if family == "squeezed" else {})}

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cvfade.channel import CompositeChannel, FadingStats
-from cvfade.errors import ConfigError
+from cvfade.errors import ConfigError, NumericalFailure
 from cvfade.keyrate import FiniteSizeParams, key_rate, key_rate_equivalent_fixed
 from cvfade.optimizer import OptimizationSpec, optimize
 from cvfade.sources import ProtocolParams
@@ -116,15 +116,18 @@ class TestOptimize:
     def test_search_ends_at_round_cap(self):
         """On a wide V_m box the shared step shrinks before the search moves
         along V_s, which it then crawls up one tiny step per round; the round
-        cap ends it in bounded time and the result says so."""
-        ch = fading_channel(0.5, 0.0, eps2=0.01)
+        cap ends it in bounded time and the result says so.  A box whose
+        states are too large to resolve raises instead."""
+        ch = fading_channel(0.1, 0.0, eps2=0.01)
         template = ProtocolParams(v_s=1.0, v_m=0.0, b=0, beta=0.95)
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-3.0, vm_range=(0.0, 1e12), grid=(5, 5))
+        spec = OptimizationSpec(family="squeezed", vs_cap_db=-3.0, vm_range=(0.0, 1e5), grid=(5, 5))
         start = time.perf_counter()
         out = optimize(spec, template, ch)
         assert time.perf_counter() - start < 5.0
         assert (out.stop, out.rounds) == ("round_cap", 1000)
         assert optimize(replace(spec, vm_range=(0.0, 100.0)), template, ch).stop == "tolerance"
+        with pytest.raises(NumericalFailure, match="symplectic spectrum not resolved"):
+            optimize(replace(spec, vm_range=(0.0, 1e12)), template, ch)
 
     def test_search_ends_by_tolerance_or_step_floor(self):
         """With the default tolerance the stencil's rate spread ends the search;

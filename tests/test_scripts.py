@@ -40,3 +40,15 @@ def test_scripts_take_no_sample_count(name, tmp_path):
     with pytest.raises(SystemExit) as exc:
         load_script(name).run(["--outdir", str(tmp_path), "--n", "1000"])
     assert exc.value.code == 2
+
+
+def test_diff_outputs_names_the_first_differing_line():
+    """scripts/diff_outputs.py: the verdict on two outputs, and scenario paths that exist."""
+    diff = load_script("diff_outputs")
+    assert diff.first_difference(b"a\r\nb\r\n", b"a\r\nb\r\n") is None
+    assert diff.first_difference(b"a\nb\nc", b"a\nx\nc") == "line 2: b'b' != b'x'"
+    assert diff.first_difference(b"a", b"a\nb") == "line 2: one side ends (1 vs 2 lines)"
+    for name, argv in diff.commands():
+        for arg in argv:
+            if "{tree}" in arg:
+                assert Path(arg.replace("{tree}", str(SCRIPTS.parent))).exists(), name
