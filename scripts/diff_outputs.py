@@ -88,7 +88,8 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         rev_tree = tmp / "rev"
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(rev_tree, filter="data")
+            # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+            tar.extractall(rev_tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         run_all(rev_tree, tmp / "out_rev")
         run_all(ROOT, tmp / "out_tree")
         names = sorted({p.name for p in (tmp / "out_rev").iterdir()} | {p.name for p in (tmp / "out_tree").iterdir()})

@@ -23,7 +23,7 @@ from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import OptimizationResult, optimize
-from .outputs import float_text, render_csv, write_json, write_text
+from .outputs import render_csv, write_json, write_text
 from .scenario import (
     ScenarioConfig,
     beam_scenario,
@@ -163,11 +163,6 @@ def _evaluate_points(points) -> list[_VariantRates]:
     return evaluated
 
 
-def _cell(value):
-    """A scalar cell: a float as the CSV writes floats, an int or None as it is."""
-    return float_text(value) if isinstance(value, float) else value
-
-
 def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
     """ROW_FIELDS columns with one row per (point, protocol variant), points outermost."""
     evaluated = _evaluate_points(points)
@@ -184,7 +179,7 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
         """Point-major column from one value per point."""
         if all(isinstance(v, float) for v in column):
             return np.repeat(np.array(column, dtype=float), n_variants)
-        return [_cell(v) for v in column for _ in range(n_variants)]
+        return [v for v in column for _ in range(n_variants)]
 
     def tiled(cells):
         return list(cells) * n_points
@@ -209,9 +204,9 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
         per_point(values),
         interleaved([r.v_s for r in evaluated]),
         interleaved([r.v_m for r in evaluated]),
-        tiled(_cell(v.params.v_an) for v in variants),
+        tiled(v.params.v_an for v in variants),
         tiled(v.params.b for v in variants),
-        tiled(_cell(v.params.beta) for v in variants),
+        tiled(v.params.beta for v in variants),
         tiled(v.params.reconciliation for v in variants),
         per_point([st.mean_eta for st in stats]),
         per_point([st.mean_sqrt_eta for st in stats]),

@@ -170,6 +170,18 @@ def _split_sender_mode_stack(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (ext + ext.transpose(0, 2, 1))
 
 
+def _receiver_variance_given_sender(state: np.ndarray, coherent: bool) -> np.ndarray:
+    """V_B|A per point: the receiver's X variance given the sender's X
+    homodyne (b=0) or the X half of its heterodyne record (b=1)."""
+    v_b = state[:, -2, -2]
+    sigma = state[:, -2, 0]
+    if coherent:
+        return v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
+    inv = 1.0 / state[:, 0, 0]
+    check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
+    return v_b - (sigma * inv) * sigma
+
+
 def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np.ndarray):
     """(I_AB, chi) per point before sifting, raising at the first failed check.
 
@@ -185,16 +197,9 @@ def _information_terms(protocol: ProtocolParams, chans, v_s: np.ndarray, v_m: np
     state = apply_composite_stack(build_source_stack(protocol, v_s, v_m), chans)
     s_total = _entropies(gaussian.symplectic_spectra(state))
 
-    # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X; the sender conditions
-    # with an X homodyne (b=0) or the X half of a heterodyne record (b=1)
+    # I_AB = 1/2 log2(V_B / V_B|A) on the receiver's X
     v_b = state[:, -2, -2]
-    sigma = state[:, -2, 0]
-    if protocol.is_coherent:
-        v_b_given_a = v_b - (sigma * sigma) / (state[:, 0, 0] + 1.0)
-    else:
-        inv = 1.0 / state[:, 0, 0]
-        check_batch(~np.isfinite(inv), NumericalFailure("degenerate pseudoinverse in homodyne conditioning"))
-        v_b_given_a = v_b - (sigma * inv) * sigma
+    v_b_given_a = _receiver_variance_given_sender(state, protocol.is_coherent)
     check_batch(~np.isfinite(v_b_given_a), DomainError("covariance matrix entries must be finite"))
     check_batch(v_b_given_a <= 0.0, lambda k: DegenerateInput(f"conditional variance {float(v_b_given_a[k])} <= 0"))
     mi = np.where(v_m == 0.0, 0.0, 0.5 * np.log2(v_b / v_b_given_a))

@@ -6,10 +6,10 @@ No timestamps anywhere: reruns with identical inputs must be byte-identical.
 Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
 render_csv takes a table as columns, one per header field, and renders every
-table the same way.  A column is a float array or a sequence of str, int or
-None cells.  Cells are written as csv.writer's default dialect writes them:
-str cells quoted when they hold a comma, a quote, CR or LF; ints as str(int);
-None as an empty cell.
+table the same way.  A column is a float array or a sequence of str, int,
+float or None cells.  Cells are written as csv.writer's default dialect
+writes them: str cells quoted when they hold a comma, a quote, CR or LF; ints
+as str(int); floats as '%.17g'; None as an empty cell.
 
 Float columns are rendered by a numpy kernel that writes the same bytes as
 `'%.17g'` for every double that format prints in fixed notation, the signed
@@ -53,11 +53,6 @@ _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 
 # What marks a cell run's place in the kernel's rows: no '%.17g' text holds it.
 _MARK = "!"
-
-
-def float_text(x: float) -> str:
-    """A float as every CSV cell writes it."""
-    return "%.17g" % x
 
 
 def _split(a):
@@ -180,7 +175,7 @@ def _kernel_rows(x, first: int):
     rows[:, 5 + n_int] = groups[g3 + 10000 * zero4]
     rows[:, 6 + n_int] = groups[g4 + 10000]
     if left_out.size:  # 28 bytes or more: room for a separator and any '%.17g' text
-        texts = (_SEPARATORS[int(i < first)] + float_text(v) for i, v in zip(left_out.tolist(), x[left_out].tolist()))
+        texts = (_SEPARATORS[int(i < first)] + "%.17g" % v for i, v in zip(left_out.tolist(), x[left_out].tolist()))
         rows[left_out] = _words(_padded(texts, 4 * rows.shape[1])).reshape(left_out.size, -1)
     return rows
 
@@ -196,14 +191,26 @@ def _quoted(cell: str) -> str:
     return cell
 
 
+def _cell_text(cell) -> str:
+    """A str, int, float or None cell as csv.writer's default dialect writes
+    it, a float as '%.17g'."""
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return _quoted(cell)
+    return "%.17g" % cell if isinstance(cell, float) else str(cell)
+
+
 def _cell_texts(column, lone: bool) -> list[str]:
-    """The text of each cell of a str/int/None column, each distinct cell
-    converted once.  A row of one empty cell is written as "" (csv.writer does)."""
+    """The text of each cell of a cell column, each cell object converted
+    once: a column tiled from a few cells repeats the same objects, and keying
+    on the object, not its value, keeps 0, 0.0 and -0.0 apart.  A row of one
+    empty cell is written as "" (csv.writer does)."""
     texts = {}
-    for cell in set(column):
-        text = "" if cell is None else _quoted(cell) if isinstance(cell, str) else str(cell)
-        texts[cell] = '""' if lone and text == "" else text
-    return list(map(texts.__getitem__, column))
+    for key, cell in {id(cell): cell for cell in column}.items():
+        text = _cell_text(cell)
+        texts[key] = '""' if lone and text == "" else text
+    return list(map(texts.__getitem__, map(id, column)))
 
 
 def _render_rows(columns, size: int) -> str:
@@ -242,8 +249,8 @@ def render_csv(meta: dict, header: list[str], columns) -> str:
     """Metadata line, header and the table's rows as CSV text with CRLF line ends.
 
     `columns` holds one column per header field, all of one length: a float
-    array, whose cells are '%.17g' text, or a sequence of str, int or None
-    cells.
+    array, whose cells are '%.17g' text, or a sequence of str, int, float or
+    None cells.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")

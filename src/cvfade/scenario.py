@@ -17,12 +17,15 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from . import gaussian
 from .beam import BeamScenario, fading_moments
 from .channel import CompositeChannel, FadingStats, fading_stats, read_eta_csv
 from .errors import ConfigError, DomainError
 from .keyrate import FiniteSizeParams
 from .optimizer import OptimizationSpec
-from .sources import ProtocolParams, variance_from_db
+from .sources import ProtocolParams, build_source_stack, variance_from_db
 
 SWEEP_VARIABLES = ("distance", "mean_eta_db", "var_sqrt", "block_size", "v_s", "v_m")
 
@@ -44,7 +47,7 @@ PROTOCOL_SCHEMA = {
         "doc": "presence means: optimize (v_s under cap for squeezed) and v_m",
         "children": {
             "vs_cap_db": {"type": "number", "max": 0.0, "doc": "squeezing cap in dB (squeezed family)"},
-            "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000)"},
+            "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000); the box's largest source state must have tr gamma < 450360"},
             "grid": {"type": "list_int", "doc": "[n_vs, n_vm] coarse grid (default [25, 25])"},
             "tolerance": {"type": "number", "min_excl": 0.0, "doc": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
             "optimize_vs": {"type": "bool", "doc": "false freezes V_s at the configured value (V_m-only search)"},
@@ -267,6 +270,24 @@ def _linear(doc, name, default, path):
         raise ConfigError(f"{path}.{name}_db: {exc}") from exc
 
 
+def _check_box(params: ProtocolParams, spec: OptimizationSpec, path: str):
+    """Reject an optimizer box whose source state at v_m = vm_max has
+    tr gamma >= gaussian.TRACE_MAX, past which no spectrum is resolved and
+    every command that searches the box would exit 3.  The source's trace
+    grows with v_m and is convex in log v_s, so the ends of the v_s range
+    bound it; the channel scales the signal mode down and adds its noise."""
+    squeezing = spec.family == "squeezed" and spec.optimize_vs
+    v_s = np.array([spec.vs_min, 1.0] if squeezing else [params.v_s])
+    vm_max = spec.vm_range[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.trace(build_source_stack(params, v_s, np.full(v_s.size, vm_max)), axis1=1, axis2=2)
+    if not (trace < gaussian.TRACE_MAX).all():
+        raise ConfigError(
+            f"{path}: the optimizer box reaches tr gamma = {trace.max():.6g} >= {gaussian.TRACE_MAX:.6g} "
+            f"(vm_max = {vm_max:g}{f', vs_cap_db = {spec.vs_cap_db:g}' if squeezing else ''}), "
+            "whose key rates are not resolved")
+
+
 def _resolve_protocol(doc, path) -> ProtocolVariant:
     family = doc["family"]
     if "v_s" in doc and "v_s_db" in doc:
@@ -301,6 +322,7 @@ def _resolve_protocol(doc, path) -> ProtocolVariant:
             tolerance=o.get("tolerance", 1e-6),
             optimize_vs=o.get("optimize_vs", True),
         )
+        _check_box(params, opt, path)
     label = doc.get("label", family)
     return ProtocolVariant(label=label, params=params, family=family, optimizer=opt)
 

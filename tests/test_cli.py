@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,7 +391,8 @@ def test_optimizer_round_cap_is_flagged(tmp_path):
     }
     out = tmp_path / "op.csv"
     assert main(["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
-    assert "optimizer_round_cap" in read_rows(out)[0]["flags"].split(";")
+    # the best rate on this lossy channel is negative: both flags, in this order
+    assert read_rows(out)[0]["flags"] == "no_positive_rate;optimizer_round_cap"
 
 
 # one search that converges, one that the step floor ends, one that the round cap ends
@@ -635,8 +637,10 @@ def test_float_array_renders_each_value_as_17g(kind, size, seed):
 
 
 # cells the csv dialect quotes (comma, quote, CR, LF), the empty cell, the
-# renderer's own marker and non-ASCII text, ints and None
-TRICKY_CELLS = ["", ",", '"', "\r", "\n", 'a"b,c', "x\r\ny", "!", "é!", " plain ", 0, -7, 10**20, None]
+# renderer's own marker and non-ASCII text, ints, floats equal to some of
+# those ints (0, 0.0 and -0.0 must stay apart), non-finite floats and None
+TRICKY_CELLS = ["", ",", '"', "\r", "\n", 'a"b,c', "x\r\ny", "!", "é!", " plain ", 0, -7, 10**20, None,
+                0.0, -0.0, -7.0, 0.1, 1e20, 5e-324, math.nan, -math.inf]
 cell_texts = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "!", "a", "é", " "]), max_size=5)
 
 
@@ -664,6 +668,7 @@ def test_table_renders_like_row_renderer(kinds, texts, seed, data):
     (["x"], []),
     (["x"], np.array([])),
     (["a,b"], ['"', "\r\n"]),
+    (["x"], [0, 0.0, -0.0, 0, -0.0, math.nan, 1, 1.0]),  # equal values, different text
 ])
 def test_one_column_tables_render_like_row_renderer(header, column):
     assert render_csv({}, header, [column]) == row_renderer({}, header, ([v] for v in column))
@@ -821,6 +826,21 @@ def test_squeezing_cap_whose_variance_underflows_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     err = _exits_2_with_one_line(capsys, ["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
     assert "vs_cap_db" in err, err
+
+
+@pytest.mark.parametrize("family, optimizer, key", [
+    ("coherent", {"vm_max": 1e12}, "vm_max = 1e+12"),
+    ("squeezed", {"vm_max": 1e12}, "vm_max = 1e+12"),
+    ("squeezed", {"vs_cap_db": -60.0, "vm_max": 10}, "vs_cap_db = -60"),
+])
+def test_optimizer_box_past_trace_max_exits_2(tmp_path, capsys, family, optimizer, key):
+    """A box whose corner state has tr gamma >= TRACE_MAX is rejected when the
+    scenario loads, naming the key that puts it there."""
+    doc = {"protocol": {"family": family, "optimizer": dict(optimizer, grid=[3, 3])},
+           "channel": {"fading": {"stats": {"mean_eta": 0.5}}}}
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err.startswith("error: protocols[0]: the optimizer box reaches tr gamma = ") and key in err, err
 
 
 @pytest.mark.parametrize("command", ["simulate", "keyrate"])

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvfade.channel import CompositeChannel, FadingStats, fading_stats
-from cvfade.errors import CvfadeError, DomainError, InternalError, NonPhysicalState, NumericalFailure
+from cvfade import keyrate
+from cvfade.errors import CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from cvfade.gaussian import entropy_g
 from cvfade.keyrate import (
     FiniteSizeParams,
@@ -248,7 +249,6 @@ def test_planted_negative_holevo_raises_on_both_routes(monkeypatch):
     """A chi of -1e-6 on an ordinary state lies far below the rounding bound."""
     import scipy.optimize
 
-    from cvfade import keyrate
     from cvfade.gaussian import CovarianceMatrix
 
     nu = scipy.optimize.brentq(lambda x: entropy_g(x) - 1e-6, 1.0, 1.01, xtol=1e-15)
@@ -436,7 +436,7 @@ def impossible_moments(mean_eta=0.05, mean_sqrt_eta=0.999):
 
 
 @pytest.mark.parametrize("family", ["coherent", "squeezed"])
-def test_failing_point_raises_its_error_from_any_batch(family):
+def test_failing_point_raises_its_error_from_any_batch(family, monkeypatch):
     protocol = ProtocolParams(v_s=1.0, v_m=5.0, b=1 if family == "coherent" else 0, reconciliation="dr")
     good = [CompositeChannel(fading=FadingStats.fixed(eta), eps2=0.01) for eta in (1e-6, 0.3, 1.0 - 1e-9)]
     bad = impossible_moments()
@@ -458,10 +458,15 @@ def test_failing_point_raises_its_error_from_any_batch(family):
 
     # points failing at different stages, in every order: the batch raises the
     # lowest failing point's own error, type and message, as key_rate does:
-    # domain, non-finite, a state too large to resolve, Cholesky, and nu < 1
-    # (<sqrt(eta)>^2 one percent above <eta>)
+    # domain, non-finite, a state too large to resolve, Cholesky, nu < 1
+    # (<sqrt(eta)>^2 one percent above <eta>), and V_B|A <= 0, which no state
+    # below TRACE_MAX reaches, so it is planted at the points with v_m = 6
+    planted_mu = build_source(replace(protocol, v_m=6.0)).matrix[0, 0]
+    real = keyrate._receiver_variance_given_sender
+    monkeypatch.setattr(keyrate, "_receiver_variance_given_sender",
+                        lambda state, coherent: np.where(state[:, 0, 0] == planted_mu, -1.0, real(state, coherent)))
     failing = [(good[0], -1.0), (good[1], math.nan), (fixed_channel(0.5, eps2=0.01), 1e15), (bad, 5.0),
-               (impossible_moments(0.5, 1.01 * math.sqrt(0.5)), 5.0)]
+               (impossible_moments(0.5, 1.01 * math.sqrt(0.5)), 5.0), (good[2], 6.0)]
     points = [(good[1], 5.0)] + failing
 
     def error(call):
@@ -470,7 +475,8 @@ def test_failing_point_raises_its_error_from_any_batch(family):
         return type(info.value), str(info.value)
 
     alone = [error(lambda: key_rate(replace(protocol, v_m=v_m), chan)) for chan, v_m in points[1:]]
-    assert [kind for kind, _ in alone] == [DomainError, DomainError, NumericalFailure, NonPhysicalState, NonPhysicalState]
+    assert [kind for kind, _ in alone] == [DomainError, DomainError, NumericalFailure, NonPhysicalState, NonPhysicalState,
+                                           DegenerateInput]
     assert len(set(alone)) == len(failing)
     for size in (2, 3, len(points)):
         for batch in itertools.permutations(range(len(points)), size):
@@ -478,6 +484,21 @@ def test_failing_point_raises_its_error_from_any_batch(family):
             got = error(lambda: key_rates(protocol, [points[k][0] for k in batch], None,
                                           v_m=[points[k][1] for k in batch]))
             assert got == alone[lowest - 1]
+
+
+@pytest.mark.parametrize("family", ["coherent", "squeezed"])
+def test_planted_degenerate_conditional_variance_raises_on_both_routes(monkeypatch, family):
+    """A V_B|A of -1, which no physical state reaches, raises DegenerateInput."""
+    from cvfade.gaussian import CovarianceMatrix
+
+    protocol = ProtocolParams(v_m=10.0, b=1 if family == "coherent" else 0)
+    planted = CovarianceMatrix(np.diag([-1.0, 1.0]))  # the receiver's mode given the sender's X record
+    monkeypatch.setattr(keyrate, "_receiver_variance_given_sender", lambda state, coherent: np.full(len(state), -1.0))
+    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode, quadrature: planted)
+    monkeypatch.setattr(keyrate, "condition_on_heterodyne_record", lambda gamma, mode, quadrature: planted)
+    for route in (key_rate, key_rate_equivalent_fixed):
+        with pytest.raises(DegenerateInput, match=r"^conditional variance -1\.0 <= 0$"):
+            route(protocol, LOSSLESS)
 
 
 # States whose spectrum rounding, not their physics, would decide the checks:
