@@ -10,7 +10,9 @@ scenario files:
   sweep --trace     on fig3, fig3_text, fig1b and perfbench/fading_sweep.scenario
   daily             on prague-like.csv x fig2b_caption and fig2b_text
   keyrate --trace   and optimize --trace on fig3
-  simulate --n 100000 on fig3, then stats on its output
+  simulate --n 100000 on fig3, then stats on its output, which the sample
+                    lines' reader reads, and on a copy with a comment line
+                    and a blank line after the header, which numpy's reads
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -35,6 +37,7 @@ SWEEPS = {
     "fig1b": "scenarios/fig1b.scenario",
     "fading_sweep": "perfbench/fading_sweep.scenario",
 }
+COMMENTED = "eta_commented.csv"  # simulate's eta.csv with a comment line and a blank line
 
 
 def commands():
@@ -50,7 +53,14 @@ def commands():
     runs.append(("simulate_fig3", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
+    runs.append(("stats_eta_commented", ["stats", COMMENTED, "--out", "stats_commented.json"]))
     return runs
+
+
+def commented_copy(out: Path):
+    """eta.csv with a comment line and a blank line after its header."""
+    head, header, body = (out / "eta.csv").read_bytes().split(b"\r\n", 2)
+    (out / COMMENTED).write_bytes(b"\r\n".join([head, header, b"# a comment", b"", body]))
 
 
 def run_all(tree: Path, out: Path):
@@ -59,6 +69,8 @@ def run_all(tree: Path, out: Path):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():
         argv = [a.replace("{tree}", str(tree)) for a in argv]
+        if COMMENTED in argv and (out / "eta.csv").exists():
+            commented_copy(out)
         if argv[0] != "stats":
             argv += ["--jobs", "1"]
         proc = subprocess.run([sys.executable, "-m", "cvfade", *argv], cwd=out, env=env,

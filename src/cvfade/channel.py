@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gaussian import CovarianceMatrix, require_physical
+from .outputs import read_fractions
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,11 @@ def fading_stats(samples) -> FadingStats:
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise DomainError("sample set is empty")
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("transmittance samples must lie in [0, 1]")
+    inside = arr >= 0.0  # False for NaN
+    inside &= arr <= 1.0
+    if not inside.all():
+        i = int(inside.argmin())
+        raise DomainError(f"transmittance samples must lie in [0, 1]: sample {i} (from 0) is {float(arr.flat[i])!r}")
     return FadingStats(float(arr.mean()), float(np.sqrt(arr).mean()))
 
 
@@ -107,15 +111,41 @@ def _rejected_line(path) -> str | None:
     return None
 
 
+def _fraction_file(fh) -> bool:
+    """Read the comment lines and the header of binary file fh, at its start:
+    whether they are ASCII, end in LF or CRLF (text mode splits a line at any
+    CR) and the header is exactly `eta`, so that the lines after them are
+    the whole body."""
+    line = fh.readline()
+    while line.startswith(b"#"):
+        if not line.isascii() or b"\r" in line[:-2]:
+            return False
+        line = fh.readline()
+    return line in (b"eta\n", b"eta\r\n")
+
+
 def read_eta_csv(path) -> np.ndarray:
     """Read a transmittance sample set from a CSV with single column `eta`.
 
     Lines starting with '#' are ignored (metadata comments); after the
-    header a '#' anywhere starts a comment, and blank lines are skipped.  The
-    body is parsed by numpy's C reader; a row with more than one cell, a cell
-    that is not a number or bytes that do not decode raise DomainError naming
-    the file's first such line.
+    header a '#' anywhere starts a comment, and blank lines are skipped.  A
+    file whose body lines are all `0.` and 1-20 digits (at most 18 of them
+    significant), as `simulate` writes samples in [1e-4, 1), is read by
+    outputs.read_fractions; its comment lines must be ASCII, its header
+    exactly `eta`, and its lines end in LF or CRLF.  Every other file is read
+    by numpy's C reader, which gives the same doubles; a row with more than
+    one cell, a cell that is not a number or bytes that do not decode raise
+    DomainError naming the file's first such line.
     """
+    with open(path, "rb") as fh:
+        values = read_fractions(fh) if _fraction_file(fh) else None
+    if values is not None and values.size:
+        return values
+    return _read_table(path)
+
+
+def _read_table(path) -> np.ndarray:
+    """read_eta_csv by numpy's C reader, for any file."""
     with open(path, newline="") as fh:
         try:
             line = fh.readline()

@@ -73,6 +73,12 @@ def sample_values():
     )
 
 
+# '%.17g' lines of samples in [1e-4, 1), as `simulate` writes them: more than
+# one block of outputs.read_fractions, so that a line after them is read in a
+# later block
+BLOCK_OF_LINES = b"".join(b"%.17g\r\n" % v for v in np.random.default_rng(15).uniform(1e-4, 1.0, 7000))
+
+
 def hex_values(values):
     """Exact bit patterns of a sequence of floats."""
     return [float(v).hex() for v in values]

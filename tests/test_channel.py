@@ -1,13 +1,16 @@
 import csv
 import math
+import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hex_values, sample_values
+from conftest import BLOCK_OF_LINES, hex_values, sample_values
+from cvfade import channel, outputs
 from cvfade.channel import (
     CompositeChannel,
     FadingStats,
@@ -48,6 +51,17 @@ class TestFadingStats:
             fading_stats([0.5, 1.2])
         with pytest.raises(DomainError):
             fading_stats([])
+
+    @pytest.mark.parametrize("samples, first", [
+        ([0.5, 1.2, -1.0], "sample 1 (from 0) is 1.2"),
+        ([0.0, 1.0, -1e-300], "sample 2 (from 0) is -1e-300"),
+        ([0.5, math.nan], "sample 1 (from 0) is nan"),
+        ([math.inf, 0.5], "sample 0 (from 0) is inf"),
+        ([0.25, -math.inf], "sample 1 (from 0) is -inf"),
+    ])
+    def test_names_the_first_sample_outside_range(self, samples, first):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]: " + re.escape(first) + "$"):
+            fading_stats(np.array(samples))
 
     def test_jensen_violations_rejected(self):
         with pytest.raises(DomainError):
@@ -247,6 +261,16 @@ def test_reader_matches_csv_float_oracle(tmp_path_factory, values, data):
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(values)
 
 
+# bodies whose bad line follows more than one block of sample lines, and the line each error names
+AFTER_BLOCK = {
+    "non_numeric_after_block": (b"eta\r\n" + BLOCK_OF_LINES + b"abc\r\n", 7002),
+    "non_utf8_after_block": (b"eta\r\n" + BLOCK_OF_LINES + b"\xff\xfe\r\n", 7002),
+    "extra_cell_after_block": (b"eta\r\n" + BLOCK_OF_LINES + b"0.25,0.7\r\n", 7002),
+    "nul_after_block": (b"eta\r\n" + BLOCK_OF_LINES + b"0.5\x00\r\n", 7002),
+    "space_inside_after_block": (b"# m\neta\n" + BLOCK_OF_LINES + b"\n0.5\n0.5 0.7\n", 7005),
+}
+
+
 @pytest.mark.parametrize("body", [
     b"eta\n0.5\nabc\n",                       # a cell that is not a number
     b"eta\n0.5\n\xff\xfe\n",                  # bytes that are not UTF-8
@@ -260,11 +284,158 @@ def test_reader_matches_csv_float_oracle(tmp_path_factory, values, data):
     b"\neta\n0.5\n",                          # header not on the first line
     b"eta,extra\n0.5,0.7\n",
     b"x" * 200_000 + b"\n0.5\n",           # a header beyond csv's field size limit
+    *(pytest.param(body, id=name) for name, (body, _) in AFTER_BLOCK.items()),
 ])
 def test_reader_rejects_malformed_files(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning leaks out of the reader
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             read_eta_csv(path)
+    line = dict(AFTER_BLOCK.values()).get(body)
+    if line:
+        assert f"{path}: line {line} " in str(err.value)
+
+
+# --- the reader of simulate's lines (outputs.read_fractions) -----------------
+
+# within 1e-6 half-ulp of the midpoint between two doubles: read by float()
+NEAR_TIES = ("0.672133613041862088", "0.947240748547529543", "0.953473827573125432",
+             "0.12840562970864490", "0.942578207828970005")
+
+
+def midpoint_decimal(v, significant, offset):
+    """The decimal of `significant` digits nearest the midpoint between a
+    double v in [1e-3, 1) and the next one up, moved by `offset` units in its
+    last digit."""
+    digits = significant - 1 - math.floor(math.log10(v))
+    with localcontext() as ctx:
+        ctx.prec = 60  # the midpoint exactly
+        midpoint = (Decimal(v) + Decimal(math.nextafter(v, 1.0))) / 2
+        return "0." + str(int(midpoint.scaleb(digits).to_integral_value()) + offset).rjust(digits, "0")
+
+
+def midpoint_decimals():
+    """Decimals of 17 or 18 significant digits at and next to midpoints."""
+    return st.builds(midpoint_decimal, st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+                     st.sampled_from([17, 18]), st.integers(-2, 2))
+
+
+def fraction_lines():
+    """Lines of read_fractions's form: '%.17g' of doubles in [1e-4, 1), powers
+    of two and their neighbours, and decimals at and next to midpoints."""
+    powers = [v for j in range(1, 14) for v in (2.0**-j, math.nextafter(2.0**-j, 1.0), math.nextafter(2.0**-j, 0.0))]
+    return st.one_of(
+        st.floats(min_value=1e-4, max_value=1.0, exclude_max=True).map(lambda v: "%.17g" % v),
+        st.floats(min_value=1e-4, max_value=1e-3, exclude_max=True).map(lambda v: "%.17g" % v),  # 18-20 digits
+        st.sampled_from(powers).map(lambda v: "%.17g" % v),
+        midpoint_decimals(),
+        st.sampled_from(NEAR_TIES),
+    )
+
+
+def fraction_file(path, lines, eol, final_eol):
+    path.write_bytes(("# metadata: {}" + eol + "eta" + eol + eol.join(lines) + eol * final_eol).encode())
+
+
+def must_not_load(lines):
+    raise AssertionError("the numpy reader read a file of read_fractions's form")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(fraction_lines(), min_size=1, max_size=30), eol=st.sampled_from(["\n", "\r\n"]),
+       final_eol=st.booleans(), block=st.sampled_from([1, 5, 24, 100, outputs._READ_BLOCK]))
+def test_fraction_reader_matches_csv_float_oracle(tmp_path_factory, lines, eol, final_eol, block):
+    """Files of simulate's lines, LF or CRLF, with or without a final line
+    end, read bit-identically to float() by read_fractions alone; the small
+    blocks put lines across block boundaries."""
+    path = tmp_path_factory.mktemp("eta") / "samples.csv"
+    fraction_file(path, lines, eol, final_eol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_load_body", must_not_load)
+        mp.setattr(outputs, "_READ_BLOCK", block)
+        got = read_eta_csv(path)
+    assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(map(float, lines))
+
+
+def test_fraction_reader_reads_many_blocks_as_float(tmp_path, monkeypatch):
+    """Thousands of lines at and next to midpoints, and '%.17g' samples, over
+    several blocks of the real size."""
+    rng = np.random.default_rng(7)
+    lines = [midpoint_decimal(v, int(rng.integers(17, 19)), int(rng.integers(-2, 3)))
+             for v in rng.uniform(1e-3, 1.0, 6000).tolist()]
+    lines += ["%.17g" % v for v in rng.uniform(1e-4, 1.0, 8000)] + list(NEAR_TIES)
+    fraction_file(tmp_path / "samples.csv", lines, "\r\n", True)
+    assert (tmp_path / "samples.csv").stat().st_size > 2 * outputs._READ_BLOCK
+    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    got = read_eta_csv(tmp_path / "samples.csv")
+    assert hex_values(got) == hex_values(map(float, lines))
+
+
+def test_fraction_reader_carries_lines_across_blocks(tmp_path, monkeypatch):
+    """Every block size from 1 to 30 bytes reads the longest lines (20 digits
+    and CRLF) and the shortest."""
+    lines = ["0.00012345678901234567", "0.5", "0.00099999999999999991", "0.1", "0.00010000000000000002", "0.5"]
+    fraction_file(tmp_path / "samples.csv", lines, "\r\n", False)
+    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    for block in range(1, 31):
+        monkeypatch.setattr(outputs, "_READ_BLOCK", block)
+        assert hex_values(read_eta_csv(tmp_path / "samples.csv")) == hex_values(map(float, lines)), block
+
+
+def test_nearest_flags_near_ties_and_powers_of_two():
+    """_nearest leaves to float() the lines within 1e-6 half-ulp of a tie and
+    those whose quotient is a power of two or one ulp above one; every other
+    value is float()'s."""
+    lines = [*NEAR_TIES, "0.5", "0.25", "%.17g" % math.nextafter(0.5, 1.0), "0.1", "0.75", "0.47045211238372409"]
+    x, float_read = outputs._nearest(np.array([int(t[2:]) for t in lines], dtype=np.uint64),
+                                     np.array([len(t) - 2 for t in lines]))
+    assert float_read.tolist() == list(range(len(NEAR_TIES) + 3))
+    assert hex_values(x[float_read.size:]) == hex_values(map(float, lines[float_read.size:]))
+
+
+def test_flagged_lines_are_read_by_float(tmp_path, monkeypatch):
+    """A value _nearest flags is replaced by float() of its line."""
+    lines = ["%.17g" % v for v in np.random.default_rng(3).uniform(1e-4, 1.0, 50)]
+    fraction_file(tmp_path / "samples.csv", lines, "\n", True)
+    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    monkeypatch.setattr(outputs, "_nearest", lambda d, k: (np.full(d.size, np.nan), np.arange(d.size)))
+    assert hex_values(read_eta_csv(tmp_path / "samples.csv")) == hex_values(map(float, lines))
+
+
+# lines after more than one block of sample lines that send a file to numpy's reader
+ROUTED = {
+    "one": b"1", "integer_part": b"1.3", "exponent": b"3.0517578125e-05", "19_digits": b"0.1234567890123456789",
+    "21_digits": b"0.000123456789012345678", "space": b" 0.5", "plus": b"+0.5", "point": b".5",
+    "blank": b"", "comment": b"# c", "quoted": b'"0.5"', "nul_in_comment": b"# c\x00",
+    "cr_only": b"0.5\r0.25\r0.125",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_other_lines_take_the_numpy_reader(tmp_path, monkeypatch, name):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"# metadata: {}\r\neta\r\n" + BLOCK_OF_LINES + ROUTED[name] + b"\r\n0.75\r\n")
+    calls = []
+    load_body = channel._load_body
+    monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
+    got = read_eta_csv(path)
+    assert calls
+    assert hex_values(got) == hex_values(csv_float_reader(path))
+
+
+@pytest.mark.parametrize("head", [
+    b"# metadata: \xc3\xa9\r\neta\r\n",  # a comment that is not ASCII
+    b"# a\r# b\r\neta\r\n",               # two comments, the first ending in CR
+    b"eta \r\n",
+    b'"eta"\n',
+])
+def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(head + b"0.5\r\n0.25\r\n")
+    calls = []
+    load_body = channel._load_body
+    monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
+    assert hex_values(read_eta_csv(path)) == [0.5.hex(), 0.25.hex()]
+    assert calls

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_CN2, hex_values, sample_values
+from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, sample_values
 from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError
@@ -684,10 +684,18 @@ MALFORMED_SAMPLES = {
     "out_of_range": b"eta\n0.5\n1.5\n",
     "negative": b"eta\n-0.25\n",
     "non_numeric_after_blank": b"# m\neta\n0.5\n\n0.6\nabc\n",
+    # after more than one block of sample lines
+    "non_numeric_after_block": b"# m\r\neta\r\n" + BLOCK_OF_LINES + b"abc\r\n0.5\r\n",
+    "non_utf8_after_block": b"eta\r\n" + BLOCK_OF_LINES + b"\xff\xfe\r\n",
+    "extra_cell_after_block": b"eta\r\n" + BLOCK_OF_LINES + b"0.25,0.7\r\n",
+    "nul_after_block": b"eta\r\n" + BLOCK_OF_LINES + b"0.5\x00\r\n",
+    "out_of_range_after_block": b"eta\r\n" + BLOCK_OF_LINES + b"1.5\r\n",
 }
 # the file line each parse error names (numpy's row numbers skip the header and blank lines)
 MALFORMED_SAMPLE_LINES = {
     "non_numeric": 3, "non_utf8": 3, "extra_cell": 2, "extra_cell_later": 3, "non_numeric_after_blank": 6,
+    "non_numeric_after_block": 7003, "non_utf8_after_block": 7002, "extra_cell_after_block": 7002,
+    "nul_after_block": 7002,
 }
 
 
@@ -709,6 +717,24 @@ def test_malformed_sample_file_exits_2_with_one_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: samples_file: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body, first", [
+    (b"eta\n0.5\n0.25\n1.5\n-1\n", "sample 2 (from 0) is 1.5"),
+    (b"eta\r\n" + BLOCK_OF_LINES + b"nan\r\n", "sample 7000 (from 0) is nan"),
+    (b"eta\r\n-inf\r\n" + BLOCK_OF_LINES, "sample 0 (from 0) is -inf"),
+], ids=["short", "nan_after_block", "minus_inf_first"])
+def test_sample_outside_range_is_named(tmp_path, capsys, body, first):
+    """stats and a scenario's samples_file name the first sample outside [0, 1]
+    in one error line."""
+    samples = tmp_path / "etas.csv"
+    samples.write_bytes(body)
+    doc = {"protocol": {"family": "coherent", "v_m": 3.0}, "channel": {"fading": {"samples_file": str(samples)}}}
+    for argv in (["stats", str(samples)], ["keyrate", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "kr.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f"must lie in [0, 1]: {first}\n"), err
 
 
 def test_malformed_cn2_series_exits_2_with_one_line(tmp_path, capsys):
