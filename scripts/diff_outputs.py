@@ -10,9 +10,13 @@ scenario files:
   sweep --trace     on fig3, fig3_text, fig1b and perfbench/fading_sweep.scenario
   daily             on prague-like.csv x fig2b_caption and fig2b_text
   keyrate --trace   and optimize --trace on fig3
+  keyrate, optimize and sweep --trace on two scenarios generated in the
+                    temporary directory, which set every optional key to a
+                    value other than its default, in linear and in dB forms
   simulate --n 100000 on fig3, then stats on its output, which the sample
-                    lines' reader reads, and on a copy with a comment line
-                    and a blank line after the header, which numpy's reads
+                    lines' reader reads, on a copy with a comment line and
+                    a blank line after the header, which numpy's reads, and
+                    on a copy whose last line is `abc`, which is rejected
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +43,46 @@ SWEEPS = {
     "fading_sweep": "perfbench/fading_sweep.scenario",
 }
 COMMENTED = "eta_commented.csv"  # simulate's eta.csv with a comment line and a blank line
+REJECTED = "eta_abc.csv"  # simulate's eta.csv with a last line `abc`
+
+# scenarios that set every optional key to a value other than its default
+GENERATED = {
+    "all_keys_linear": {
+        "description": "every optional key, linear forms",
+        "seed": 7,
+        "protocols": [
+            {"label": "sq", "family": "squeezed", "v_s": 0.4, "v_m": 5.0, "v_an": 0.3,
+             "prep_noise_trust": "untrusted", "reconciliation": "dr", "beta": 0.93, "sifting": 0.8,
+             "optimizer": {"vs_cap_db": -6.0, "vm_max": 40.0, "grid": [5, 6], "tolerance": 1e-4,
+                           "optimize_vs": False}},
+            {"label": "coh", "family": "coherent", "v_s": 1.0, "v_m": 4.0, "v_an": 0.0,
+             "reconciliation": "dr", "beta": 0.95, "sifting": 0.9,
+             "optimizer": {"vm_max": 30.0, "grid": [3, 7], "tolerance": 1e-5, "optimize_vs": False}},
+        ],
+        "channel": {"eta1": 0.95, "eta2": 0.97, "eps1": 0.002, "eps2": 0.004, "eps_atm": 0.001,
+                    "fading": {"stats": {"mean_eta": 0.9, "mean_sqrt_eta": 0.945}}},
+        "finite_size": {"n": 1e9, "eps_bar": 1e-9, "key_fraction": 0.9},
+        "sweep": {"variable": "v_s", "start": 0.3, "stop": 0.9, "steps": 3, "spacing": "log"},
+        "daily": {"n_samples": 10},
+    },
+    "all_keys_db": {
+        "description": "every optional key, dB forms",
+        "seed": 8,
+        "protocols": [
+            {"label": "sq_db", "family": "squeezed", "v_s_db": -3.0, "v_m": 6.0, "v_an_db": 0.2,
+             "prep_noise_trust": "untrusted", "reconciliation": "dr", "beta": 0.9, "sifting": 0.7,
+             "optimizer": {"vs_cap_db": -7.0, "vm_max": 25.0, "grid": [4, 5], "tolerance": 1e-4,
+                           "optimize_vs": False}},
+            {"label": "sq_free", "family": "squeezed", "v_s_db": -2.0, "v_m": 3.0, "v_an_db": 1.0,
+             "optimizer": {"vs_cap_db": -8.0, "vm_max": 20.0, "grid": [4, 4], "tolerance": 1e-3}},
+        ],
+        "channel": {"eta1_db": -0.2, "eta2_db": -0.1, "eps1": 0.003, "eps2": 0.002, "eps_atm": 0.001,
+                    "fading": {"stats": {"mean_eta_db": -0.4, "var_sqrt": 0.005}}},
+        "finite_size": {"n": 1e8, "eps_bar": 1e-8, "key_fraction": 0.8},
+        "sweep": {"variable": "var_sqrt", "values": [0.0, 0.002, 0.01]},
+        "daily": {"n_samples": 20},
+    },
+}
 
 
 def commands():
@@ -50,27 +95,36 @@ def commands():
     runs += [(f"{command}_fig3", [command, "--config", "{tree}/scenarios/fig3.scenario",
                                   "--out", f"{command}_fig3.csv", "--trace"])
              for command in ("keyrate", "optimize")]
+    runs += [(f"{command}_{name}", [command, "--config", f"{name}.scenario",
+                                    "--out", f"{command}_{name}.csv", "--trace"])
+             for name in GENERATED for command in ("keyrate", "optimize", "sweep")]
     runs.append(("simulate_fig3", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
     runs.append(("stats_eta_commented", ["stats", COMMENTED, "--out", "stats_commented.json"]))
+    runs.append(("stats_eta_abc", ["stats", REJECTED, "--out", "stats_abc.json"]))
     return runs
 
 
-def commented_copy(out: Path):
-    """eta.csv with a comment line and a blank line after its header."""
-    head, header, body = (out / "eta.csv").read_bytes().split(b"\r\n", 2)
+def sample_copies(out: Path):
+    """eta.csv with a comment line and a blank line after its header, and
+    with a last line `abc`."""
+    text = (out / "eta.csv").read_bytes()
+    head, header, body = text.split(b"\r\n", 2)
     (out / COMMENTED).write_bytes(b"\r\n".join([head, header, b"# a comment", b"", body]))
+    (out / REJECTED).write_bytes(text + b"abc\r\n")
 
 
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
+    for name, doc in GENERATED.items():
+        (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():
         argv = [a.replace("{tree}", str(tree)) for a in argv]
-        if COMMENTED in argv and (out / "eta.csv").exists():
-            commented_copy(out)
+        if argv[0] == "stats" and not (out / COMMENTED).exists() and (out / "eta.csv").exists():
+            sample_copies(out)
         if argv[0] != "stats":
             argv += ["--jobs", "1"]
         proc = subprocess.run([sys.executable, "-m", "cvfade", *argv], cwd=out, env=env,

@@ -10,6 +10,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -74,40 +75,58 @@ def _load_body(lines) -> np.ndarray:
         return np.loadtxt(lines, **_LOADTXT)
 
 
+def _blocks(fh):
+    """The lines of open text file fh as (lines, body) blocks of at most
+    _BLOCK lines: the comment lines and the header (body False), then the
+    lines after the header (body True)."""
+    block = []
+    for line in fh:
+        block.append(line)
+        if not line.startswith("#"):
+            break
+        if len(block) == _BLOCK:
+            yield block, False
+            block = []
+    yield block, False
+    while block := list(islice(fh, _BLOCK)):
+        yield block, True
+
+
 def _rejected_line(path) -> str | None:
     """Where and why read_eta_csv rejects a sample file: "line N ...", 1-based.
 
     The error path of read_eta_csv, whose numpy row numbers skip the header
     and blank lines.  Every line must decode, and each line after the header
-    must hold at most one number; the body is checked a block at a time, then
-    line by line in the first failing block.  None if no single line fails.
+    must hold at most one number.  The file is streamed a block at a time,
+    and the first failing block is checked line by line.  None if no single
+    line fails.
     """
     with open(path, newline="", errors="surrogateescape") as fh:
-        lines, encoding = fh.readlines(), fh.encoding
-    header = next((k for k, line in enumerate(lines) if not line.startswith("#")), len(lines))
+        encoding = fh.encoding
 
-    def rejection(a, b):
-        """Why lines a .. b - 1 are rejected, or None; up to the header they need only decode."""
-        try:
-            "".join(lines[a:b]).encode(encoding)
-        except UnicodeEncodeError:
-            return f"does not decode as {encoding}"
-        if a <= header:
-            return None
-        try:
-            cells = _load_body(lines[a:b]).shape[1]
-        except ValueError:
-            return "is not a number"
-        return None if cells == 1 else f"has {cells} cells, expected one"
+        def rejection(lines, body):
+            """Why `lines` are rejected, or None; up to the header they need only decode."""
+            try:
+                "".join(lines).encode(encoding)
+            except UnicodeEncodeError:
+                return f"does not decode as {encoding}"
+            if not body:
+                return None
+            try:
+                cells = _load_body(lines).shape[1]
+            except ValueError:
+                return "is not a number"
+            return None if cells == 1 else f"has {cells} cells, expected one"
 
-    bounds = [0, *range(header + 1, len(lines), _BLOCK), len(lines)]
-    for a, b in zip(bounds, bounds[1:]):
-        if rejection(a, b):
-            for k in range(a, b):
-                reason = rejection(k, k + 1)
-                if reason:
-                    return f"line {k + 1} {reason}"
-            return None
+        before = 0  # lines before the block
+        for lines, body in _blocks(fh):
+            if rejection(lines, body):
+                for k, line in enumerate(lines, before + 1):
+                    reason = rejection([line], body)
+                    if reason:
+                        return f"line {k} {reason}"
+                return None
+            before += len(lines)
     return None
 
 

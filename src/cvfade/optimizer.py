@@ -78,6 +78,11 @@ class OptimizationSpec:
     def vs_min(self) -> float:
         return variance_from_db(self.vs_cap_db)
 
+    @property
+    def searches_vs(self) -> bool:
+        """Whether V_s is searched: the coherent family fixes it, optimize_vs=False freezes it."""
+        return self.family == SQUEEZED and self.optimize_vs
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -126,11 +131,11 @@ def optimize(
         return [cache[p][0] for p in points]
 
     n_vs, n_vm = spec.grid
-    if spec.family == COHERENT or not spec.optimize_vs:
-        vs_grid = np.array([protocol_template.v_s])
-    else:
+    if spec.searches_vs:
         vs_grid = np.logspace(math.log10(spec.vs_min), 0.0, n_vs)
         vs_grid[-1] = 1.0
+    else:
+        vs_grid = np.array([protocol_template.v_s])
     vm_grid = np.linspace(spec.vm_range[0], spec.vm_range[1], n_vm)
 
     grid = [(v_s, v_m) for v_s in vs_grid.tolist() for v_m in vm_grid.tolist()]

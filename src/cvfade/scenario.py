@@ -27,6 +27,7 @@ from .keyrate import FiniteSizeParams
 from .optimizer import OptimizationSpec
 from .sources import ProtocolParams, build_source_stack, variance_from_db
 
+_FIXED_SEGMENTS = ("eta1", "eta2")  # the channel's keys that may be given in dB
 SWEEP_VARIABLES = ("distance", "mean_eta_db", "var_sqrt", "block_size", "v_s", "v_m")
 
 # schema node: {"type": ..., "required": bool, "doc": str, ...bounds/enums/children}
@@ -260,14 +261,35 @@ class ScenarioConfig:
         ).hexdigest()
 
 
-def _linear(doc, name, default, path):
-    """doc[name], or doc[name + "_db"] converted from dB, or `default`."""
-    if f"{name}_db" not in doc:
-        return doc.get(name, default)
+def _linear_keys(doc, path, names) -> dict:
+    """doc with each X_db key of `names` replaced by X = variance_from_db(X_db).
+    X given together with X_db is rejected, before any key is converted."""
+    for name in names:
+        if name in doc and f"{name}_db" in doc:
+            raise ConfigError(f"{path}: give only one of {name} / {name}_db")
+    doc = dict(doc)
+    for name in names:
+        if f"{name}_db" in doc:
+            try:
+                doc[name] = variance_from_db(doc.pop(f"{name}_db"))
+            except DomainError as exc:
+                raise ConfigError(f"{path}.{name}_db: {exc}") from exc
+    return doc
+
+
+def _section(cls, doc, path, linear=(), **fixed):
+    """The dataclass cls of the scenario section `doc` at `path`.
+
+    Only the keys doc gives reach cls, so an absent key takes the dataclass's
+    own default; each name in `linear` may be given as X or as X_db (see
+    _linear_keys), and `fixed` sets fields the section does not hold.  The
+    dataclass's DomainError is reported as "{path}: ..."."""
+    doc = _linear_keys(doc, path, linear)
+    given = {name: value for name, value in doc.items() if name in cls.__dataclass_fields__}
     try:
-        return variance_from_db(doc[f"{name}_db"])
+        return cls(**{**given, **fixed})
     except DomainError as exc:
-        raise ConfigError(f"{path}.{name}_db: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _check_box(params: ProtocolParams, spec: OptimizationSpec, path: str):
@@ -276,52 +298,28 @@ def _check_box(params: ProtocolParams, spec: OptimizationSpec, path: str):
     every command that searches the box would exit 3.  The source's trace
     grows with v_m and is convex in log v_s, so the ends of the v_s range
     bound it; the channel scales the signal mode down and adds its noise."""
-    squeezing = spec.family == "squeezed" and spec.optimize_vs
-    v_s = np.array([spec.vs_min, 1.0] if squeezing else [params.v_s])
+    v_s = np.array([spec.vs_min, 1.0] if spec.searches_vs else [params.v_s])
     vm_max = spec.vm_range[1]
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.trace(build_source_stack(params, v_s, np.full(v_s.size, vm_max)), axis1=1, axis2=2)
     if not (trace < gaussian.TRACE_MAX).all():
         raise ConfigError(
             f"{path}: the optimizer box reaches tr gamma = {trace.max():.6g} >= {gaussian.TRACE_MAX:.6g} "
-            f"(vm_max = {vm_max:g}{f', vs_cap_db = {spec.vs_cap_db:g}' if squeezing else ''}), "
+            f"(vm_max = {vm_max:g}{f', vs_cap_db = {spec.vs_cap_db:g}' if spec.searches_vs else ''}), "
             "whose key rates are not resolved")
 
 
 def _resolve_protocol(doc, path) -> ProtocolVariant:
     family = doc["family"]
-    if "v_s" in doc and "v_s_db" in doc:
-        raise ConfigError(f"{path}: give only one of v_s / v_s_db")
-    if "v_an" in doc and "v_an_db" in doc:
-        raise ConfigError(f"{path}: give only one of v_an / v_an_db")
-    v_s = _linear(doc, "v_s", 1.0, path)
-    v_an = _linear(doc, "v_an", 0.0, path)
-    b = 1 if family == "coherent" else 0
-    try:
-        params = ProtocolParams(
-            v_s=v_s,
-            v_m=doc.get("v_m", 0.0),
-            b=b,
-            v_an=v_an,
-            reconciliation=doc.get("reconciliation", "rr"),
-            beta=doc.get("beta", 1.0),
-            prep_noise_trust=doc.get("prep_noise_trust", "trusted"),
-            sifting=doc.get("sifting", 1.0),
-        )
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+    params = _section(ProtocolParams, doc, path, ("v_s", "v_an"), b=1 if family == "coherent" else 0)
     opt = None
     if "optimizer" in doc:
-        o = doc["optimizer"]
-        opt = OptimizationSpec(
-            family=family,
-            vs_cap_db=o.get("vs_cap_db", -10.0),
-            vm_range=(0.0, o.get("vm_max", 1000.0)),
-            grid=tuple(o.get("grid", (25, 25))),
-            tolerance=o.get("tolerance", 1e-6),
-            optimize_vs=o.get("optimize_vs", True),
-        )
+        o = dict(doc["optimizer"])
+        if "vm_max" in o:
+            o["vm_range"] = (0.0, o.pop("vm_max"))
+        if "grid" in o:
+            o["grid"] = tuple(o["grid"])
+        opt = OptimizationSpec(family=family, **o)
         _check_box(params, opt, path)
     label = doc.get("label", family)
     return ProtocolVariant(label=label, params=params, family=family, optimizer=opt)
@@ -351,22 +349,14 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("protocol labels must be unique")
 
     ch = raw["channel"]
-    for name in ("eta1", "eta2"):
-        if name in ch and f"{name}_db" in ch:
-            raise ConfigError(f"channel: give only one of {name} / {name}_db")
+    _linear_keys(ch, "channel", _FIXED_SEGMENTS)  # rejects eta1 with eta1_db here, for simulate too
     fading = ch["fading"]
     if sum(k in fading for k in ("stats", "samples_file", "beam")) != 1:
         raise ConfigError("channel.fading: give exactly one of stats / samples_file / beam")
 
     finite = None
     if "finite_size" in raw:
-        f = raw["finite_size"]
-        try:
-            finite = FiniteSizeParams(
-                n=f["n"], eps_bar=f.get("eps_bar", 1e-10), key_fraction=f.get("key_fraction", 1.0)
-            )
-        except Exception as exc:
-            raise ConfigError(f"finite_size: {exc}") from exc
+        finite = _section(FiniteSizeParams, raw["finite_size"], "finite_size")
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -435,19 +425,16 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
             s[key] = value
         if ("mean_eta" in s) == ("mean_eta_db" in s):
             raise ConfigError("fading.stats: give exactly one of mean_eta / mean_eta_db")
-        mean_eta = _linear(s, "mean_eta", None, "fading.stats")
+        s = _linear_keys(s, "fading.stats", ("mean_eta",))
+        mean_eta = s["mean_eta"]
         if "mean_sqrt_eta" in s and "var_sqrt" in s:
             raise ConfigError("fading.stats: give only one of mean_sqrt_eta / var_sqrt")
         if "var_sqrt" in s:
             if s["var_sqrt"] > mean_eta:
                 raise ConfigError("fading.stats: var_sqrt cannot exceed mean_eta")
-            mean_sqrt = math.sqrt(mean_eta - s["var_sqrt"])
-        else:
-            mean_sqrt = s.get("mean_sqrt_eta", math.sqrt(mean_eta))
-        try:
-            return FadingStats(mean_eta, mean_sqrt)
-        except Exception as exc:
-            raise ConfigError(f"fading.stats: {exc}") from exc
+            s["mean_sqrt_eta"] = math.sqrt(mean_eta - s["var_sqrt"])
+        s.setdefault("mean_sqrt_eta", math.sqrt(mean_eta))
+        return _section(FadingStats, s, "fading.stats")
     if "samples_file" in fading:
         try:
             samples = read_eta_csv(fading["samples_file"])
@@ -461,19 +448,8 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:
     ch = config.channel_doc
-    try:
-        return CompositeChannel(
-            fading=stats,
-            eta1=float(_linear(ch, "eta1", 1.0, "channel")),
-            eta2=float(_linear(ch, "eta2", 1.0, "channel")),
-            eps1=ch.get("eps1", 0.0),
-            eps2=ch.get("eps2", 0.0),
-            eps_atm=ch.get("eps_atm", 0.0),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+    ch = {**ch, **{name: float(ch[name]) for name in _FIXED_SEGMENTS if name in ch}}
+    return _section(CompositeChannel, ch, "channel", _FIXED_SEGMENTS, fading=stats)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -296,6 +297,20 @@ def test_reader_rejects_malformed_files(tmp_path, body):
     line = dict(AFTER_BLOCK.values()).get(body)
     if line:
         assert f"{path}: line {line} " in str(err.value)
+
+
+def test_rejected_line_streams_the_file(tmp_path):
+    """Naming the bad last line of a long file holds one block of lines, not the file."""
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"eta\n" + b"".join(b"%.17g\n" % v for v in np.linspace(0.1, 0.9, 200_000)) + b"abc\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line 200002 is not a number"):
+            read_eta_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 # --- the reader of simulate's lines (outputs.read_fractions) -----------------

@@ -33,6 +33,12 @@ class TestOptimizationSpec:
     def test_vs_min(self):
         assert OptimizationSpec(vs_cap_db=-10.0).vs_min == pytest.approx(0.1)
 
+    def test_searches_vs_only_for_a_free_squeezed_family(self):
+        assert OptimizationSpec(family="squeezed").searches_vs
+        assert not OptimizationSpec(family="squeezed", optimize_vs=False).searches_vs
+        assert not OptimizationSpec(family="coherent").searches_vs
+        assert not OptimizationSpec(family="coherent", optimize_vs=False).searches_vs
+
 
 class TestOptimize:
     def test_no_fading_pins_squeezing_at_cap(self):

@@ -1,21 +1,27 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import MALFORMED_CN2
 from cvfade.beam import BeamScenario, fading_moments
+from cvfade.channel import CompositeChannel
 from cvfade.cli import main
 from cvfade.errors import ConfigError
+from cvfade.keyrate import FiniteSizeParams
+from cvfade.optimizer import OptimizationSpec
 from cvfade.scenario import (
     SCHEMA,
     beam_scenario,
+    build_channel,
     load_scenario,
     read_cn2_csv,
     resolve_fading,
     schema_document,
     sweep_values,
 )
+from cvfade.sources import ProtocolParams
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -118,8 +124,6 @@ class TestResolution:
         stats = resolve_fading(cfg)
         assert stats.mean_eta == pytest.approx(0.5, abs=1e-4)
         assert stats.var_sqrt == pytest.approx(0.01, abs=1e-6)
-        from cvfade.scenario import build_channel
-
         chan = build_channel(cfg, stats)
         assert chan.eta1 == pytest.approx(10 ** -0.4)
 
@@ -187,6 +191,73 @@ class TestResolution:
         assert sweep_values({"start": 0.0, "stop": 1.0, "steps": 3}) == [0.0, 0.5, 1.0]
         logv = sweep_values({"start": 1.0, "stop": 100.0, "steps": 3, "spacing": "log"})
         assert logv == pytest.approx([1.0, 10.0, 100.0])
+
+
+def field_values(obj):
+    """(name, type, value) of each field of a dataclass instance."""
+    return [(f.name, type(getattr(obj, f.name)), getattr(obj, f.name)) for f in fields(obj)]
+
+
+def schema_node(*keys):
+    node = {"children": SCHEMA}
+    for key in keys:
+        node = node["children"][key]
+    return node
+
+
+# (schema key, the default its doc states, that default as the dataclass holds it, the dataclass's value)
+DOCUMENTED_DEFAULTS = [
+    (("protocol", "reconciliation"), "default rr", "rr", ProtocolParams().reconciliation),
+    (("protocol", "sifting"), "(default 1)", 1.0, ProtocolParams().sifting),
+    (("finite_size", "eps_bar"), "(default 1e-10)", 1e-10, FiniteSizeParams(n=1e3).eps_bar),
+    (("finite_size", "key_fraction"), "(default 1)", 1.0, FiniteSizeParams(n=1e3).key_fraction),
+    (("protocol", "optimizer", "grid"), "(default [25, 25])", (25, 25), OptimizationSpec().grid),
+    (("protocol", "optimizer", "vm_max"), "(default 1000)", 1000.0, OptimizationSpec().vm_range[1]),
+    (("protocol", "optimizer", "tolerance"), "(default 1e-6)", 1e-6, OptimizationSpec().tolerance),
+]
+
+
+class TestDefaults:
+    """A key the scenario omits takes its dataclass's default, which the schema documents."""
+
+    def test_required_keys_only_resolve_to_the_dataclass_defaults(self, tmp_path):
+        doc = {
+            "protocols": [{"family": "coherent", "optimizer": {}},
+                          {"family": "squeezed", "label": "sq", "optimizer": {}}],
+            "channel": {"fading": {"stats": {"mean_eta": 0.5}}},
+            "finite_size": {"n": 1e4},
+        }
+        cfg = load_scenario(write_config(tmp_path, doc))
+        for variant, b in zip(cfg.variants, (1, 0)):
+            assert field_values(variant.params) == field_values(ProtocolParams(b=b))
+            assert field_values(variant.optimizer) == field_values(OptimizationSpec(family=variant.family))
+        assert field_values(cfg.finite) == field_values(FiniteSizeParams(n=1e4))
+        stats = resolve_fading(cfg)
+        assert field_values(build_channel(cfg, stats)) == field_values(CompositeChannel(fading=stats))
+
+    @pytest.mark.parametrize("keys,stated,value,held", DOCUMENTED_DEFAULTS,
+                             ids=[".".join(d[0]) for d in DOCUMENTED_DEFAULTS])
+    def test_schema_states_the_dataclass_default(self, keys, stated, value, held):
+        assert stated in schema_node(*keys)["doc"]
+        assert held == value
+
+    @pytest.mark.parametrize("protocol,error", [
+        # a dB pair is rejected before any dB key is converted ...
+        ({"family": "squeezed", "v_an_db": 4000.0, "v_s": 0.5, "v_s_db": -3.0},
+         "protocols[0]: give only one of v_s / v_s_db"),
+        ({"family": "coherent", "v_an": 0.5, "v_an_db": 1.0},
+         "protocols[0]: give only one of v_an / v_an_db"),
+        # ... and converted before the dataclass checks the values
+        ({"family": "coherent", "v_s": 0.5, "v_an_db": 4000.0},
+         "protocols[0].v_an_db: 4000.0 dB is a variance beyond the float range"),
+        ({"family": "coherent", "v_s": 0.5, "v_an_db": 3.0},
+         "protocols[0]: both-quadrature modulation (b=1) requires v_s = 1"),
+    ])
+    def test_first_of_several_faults_is_reported(self, tmp_path, protocol, error):
+        doc = {"protocol": protocol, "channel": {"eta1": 0.5, "eta1_db": -3.0, **MINIMAL["channel"]}}
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(write_config(tmp_path, doc))
+        assert str(exc.value) == error
 
 
 class TestShippedScenarios:
