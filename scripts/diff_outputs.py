@@ -11,8 +11,9 @@ scenario files:
   daily             on prague-like.csv x fig2b_caption and fig2b_text
   keyrate --trace   and optimize --trace on fig3
   keyrate, optimize and sweep --trace on two scenarios generated in the
-                    temporary directory, which set every optional key to a
-                    value other than its default, in linear and in dB forms
+                    temporary directory, which set every optional key, each
+                    to a value other than its default in at least one
+                    variant, in linear and in dB forms
   simulate --n 100000 on fig3, then stats on its output, which the sample
                     lines' reader reads, on a copy with a comment line and
                     a blank line after the header, which numpy's reads, and
@@ -45,7 +46,7 @@ SWEEPS = {
 COMMENTED = "eta_commented.csv"  # simulate's eta.csv with a comment line and a blank line
 REJECTED = "eta_abc.csv"  # simulate's eta.csv with a last line `abc`
 
-# scenarios that set every optional key to a value other than its default
+# scenarios that set every optional key, each to a value other than its default in some variant
 GENERATED = {
     "all_keys_linear": {
         "description": "every optional key, linear forms",
