@@ -15,9 +15,12 @@ scenario files:
                     to a value other than its default in at least one
                     variant, in linear and in dB forms
   simulate --n 100000 on fig3, then stats on its output, which the sample
-                    lines' reader reads, on a copy with a comment line and
-                    a blank line after the header, which numpy's reads, and
-                    on a copy whose last line is `abc`, which is rejected
+                    lines' reader reads, and on copies of it: with a comment
+                    line and a blank line after the header, which numpy's
+                    reads; with a last line `1`, where numpy's reader
+                    resumes in the sample lines' reader's last block; with
+                    a last line `abc`, which is rejected; and with a line
+                    that is not UTF-8 after the first 64 KB, also rejected
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -43,8 +46,11 @@ SWEEPS = {
     "fig1b": "scenarios/fig1b.scenario",
     "fading_sweep": "perfbench/fading_sweep.scenario",
 }
-COMMENTED = "eta_commented.csv"  # simulate's eta.csv with a comment line and a blank line
-REJECTED = "eta_abc.csv"  # simulate's eta.csv with a last line `abc`
+# copies of simulate's eta.csv, each changed in one way
+COMMENTED = "eta_commented.csv"  # a comment line and a blank line after the header
+LAST_ONE = "eta_one.csv"  # a last line `1`
+REJECTED = "eta_abc.csv"  # a last line `abc`
+NOT_UTF8 = "eta_not_utf8.csv"  # a line of bytes that are not UTF-8 after the first 64 KB
 
 # scenarios that set every optional key, each to a value other than its default in some variant
 GENERATED = {
@@ -102,18 +108,20 @@ def commands():
     runs.append(("simulate_fig3", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
-    runs.append(("stats_eta_commented", ["stats", COMMENTED, "--out", "stats_commented.json"]))
-    runs.append(("stats_eta_abc", ["stats", REJECTED, "--out", "stats_abc.json"]))
+    runs += [(f"stats_{Path(copy).stem}", ["stats", copy, "--out", f"stats_{Path(copy).stem}.json"])
+             for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8)]
     return runs
 
 
 def sample_copies(out: Path):
-    """eta.csv with a comment line and a blank line after its header, and
-    with a last line `abc`."""
+    """The copies of eta.csv that stats reads besides eta.csv itself."""
     text = (out / "eta.csv").read_bytes()
     head, header, body = text.split(b"\r\n", 2)
     (out / COMMENTED).write_bytes(b"\r\n".join([head, header, b"# a comment", b"", body]))
+    (out / LAST_ONE).write_bytes(text + b"1\r\n")
     (out / REJECTED).write_bytes(text + b"abc\r\n")
+    cut = text.index(b"\r\n", 1 << 16) + 2
+    (out / NOT_UTF8).write_bytes(text[:cut] + b"\xff\xfe\r\n" + text[cut:])
 
 
 def run_all(tree: Path, out: Path):

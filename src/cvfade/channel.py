@@ -7,6 +7,7 @@ whose covariance is the subchannel average.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gaussian import CovarianceMatrix, require_physical
-from .outputs import read_fractions
+from .outputs import count_lines, read_buffer, read_fractions
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def fading_stats(samples) -> FadingStats:
 
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
-_BLOCK = 4096  # lines per numpy call when locating a rejected line
+_BLOCK = 4096  # lines per numpy call
 
 
 def _load_body(lines) -> np.ndarray:
@@ -75,114 +76,105 @@ def _load_body(lines) -> np.ndarray:
         return np.loadtxt(lines, **_LOADTXT)
 
 
-def _blocks(fh):
-    """The lines of open text file fh as (lines, body) blocks of at most
-    _BLOCK lines: the comment lines and the header (body False), then the
-    lines after the header (body True)."""
-    block = []
-    for line in fh:
-        block.append(line)
-        if not line.startswith("#"):
-            break
-        if len(block) == _BLOCK:
-            yield block, False
-            block = []
-    yield block, False
-    while block := list(islice(fh, _BLOCK)):
-        yield block, True
+def _body_rows(lines, encoding) -> np.ndarray:
+    """numpy's rows of text lines after the header, one cell each; else
+    ValueError(reason for one line, text for many) if the lines do not decode
+    as `encoding`, a cell is not a number or a row has other than one cell."""
+    try:
+        "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
+        rows = _load_body(lines)
+    except UnicodeEncodeError:
+        raise ValueError(f"does not decode as {encoding}", f"a line does not decode as {encoding}") from None
+    except ValueError as exc:
+        raise ValueError("is not a number", str(exc)) from exc
+    if rows.shape[1] != 1:
+        raise ValueError(f"has {rows.shape[1]} cells, expected one", f"found {rows.shape[1]} cells per row, expected one")
+    return rows
 
 
-def _rejected_line(path) -> str | None:
-    """Where and why read_eta_csv rejects a sample file: "line N ...", 1-based.
-
-    The error path of read_eta_csv, whose numpy row numbers skip the header
-    and blank lines.  Every line must decode, and each line after the header
-    must hold at most one number.  The file is streamed a block at a time,
-    and the first failing block is checked line by line.  None if no single
-    line fails.
-    """
-    with open(path, newline="", errors="surrogateescape") as fh:
-        encoding = fh.encoding
-
-        def rejection(lines, body):
-            """Why `lines` are rejected, or None; up to the header they need only decode."""
-            try:
-                "".join(lines).encode(encoding)
-            except UnicodeEncodeError:
-                return f"does not decode as {encoding}"
-            if not body:
-                return None
-            try:
-                cells = _load_body(lines).shape[1]
-            except ValueError:
-                return "is not a number"
-            return None if cells == 1 else f"has {cells} cells, expected one"
-
-        before = 0  # lines before the block
-        for lines, body in _blocks(fh):
-            if rejection(lines, body):
-                for k, line in enumerate(lines, before + 1):
-                    reason = rejection([line], body)
-                    if reason:
-                        return f"line {k} {reason}"
-                return None
-            before += len(lines)
+def _first_rejected(lines, before: int, encoding) -> str | None:
+    """"line N <reason>" for the first of lines after the header that
+    _body_rows rejects alone, the first being line before + 1; None if none is."""
+    for n, line in enumerate(lines, before + 1):
+        try:
+            _body_rows([line], encoding)
+        except ValueError as exc:
+            return f"line {n} {exc.args[0]}"
     return None
 
 
-def _fraction_file(fh) -> bool:
+def _fraction_file(fh) -> int:
     """Read the comment lines and the header of binary file fh, at its start:
-    whether they are ASCII, end in LF or CRLF (text mode splits a line at any
-    CR) and the header is exactly `eta`, so that the lines after them are
-    the whole body."""
-    line = fh.readline()
+    how many they are if they are ASCII, end in LF or CRLF (text mode splits
+    a line at any CR) and the header is exactly `eta`; else 0."""
+    line, n = fh.readline(), 1
     while line.startswith(b"#"):
         if not line.isascii() or b"\r" in line[:-2]:
-            return False
-        line = fh.readline()
-    return line in (b"eta\n", b"eta\r\n")
+            return 0
+        line, n = fh.readline(), n + 1
+    return n if line in (b"eta\n", b"eta\r\n") else 0
+
+
+def _read_head(fh, path) -> int:
+    """Read the comment lines and the header of text file fh, at its start:
+    how many lines they are.  DomainError at the first that does not decode,
+    else if the header is not `eta`."""
+    line, n = "", 0
+    for n, line in enumerate(fh, 1):
+        try:
+            line.encode(fh.encoding)
+        except UnicodeEncodeError:
+            raise DomainError(f"cannot parse samples in {path}: line {n} does not decode as {fh.encoding}") from None
+        if not line.startswith("#"):
+            break
+    try:
+        header = next(csv.reader([line]), [])
+    except csv.Error as exc:
+        raise DomainError(f"cannot parse samples in {path}: {exc}") from exc
+    if [h.strip() for h in header] != ["eta"]:
+        raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
+    return n
+
+
+def _read_body(fh, out, done: int, before: int, path) -> np.ndarray:
+    """out[:done] and the samples of text file fh from its position, line
+    before + 1, read by numpy _BLOCK lines at a time into the rest of out.
+    A failing block's first line that fails alone is named, else numpy's text."""
+    while lines := list(islice(fh, _BLOCK)):
+        try:
+            rows = _body_rows(lines, fh.encoding)[:, 0]
+        except ValueError as exc:
+            raise DomainError(f"cannot parse samples in {path}: "
+                              f"{_first_rejected(lines, before, fh.encoding) or exc.args[1]}") from exc
+        if rows.size > out.size - done:  # more lines than were counted: the file grew, or ends lines in CR
+            out = np.concatenate([out[:done], np.empty(max(rows.size, done))])
+        out[done:done + rows.size] = rows
+        done += rows.size
+        before += len(lines)
+    if done == 0:
+        raise DomainError(f"no samples found in {path}")
+    return out[:done]
 
 
 def read_eta_csv(path) -> np.ndarray:
     """Read a transmittance sample set from a CSV with single column `eta`.
 
     Lines starting with '#' are ignored (metadata comments); after the
-    header a '#' anywhere starts a comment, and blank lines are skipped.  A
-    file whose body lines are all `0.` and 1-20 digits (at most 18 of them
-    significant), as `simulate` writes samples in [1e-4, 1), is read by
-    outputs.read_fractions; its comment lines must be ASCII, its header
-    exactly `eta`, and its lines end in LF or CRLF.  Every other file is read
-    by numpy's C reader, which gives the same doubles; a row with more than
-    one cell, a cell that is not a number or bytes that do not decode raise
-    DomainError naming the file's first such line.
+    header a '#' anywhere starts a comment, and blank lines are skipped.
+    Each line is read once, into one array sized by a count of the lines:
+    by outputs.read_fractions while they are in `simulate`'s form (after
+    ASCII comment lines and a header of exactly `eta`), then by numpy's C
+    reader, which gives the same doubles.  DomainError names the first
+    fault in file order: a line that does not decode, a header other than
+    `eta`, a row of more than one cell or a cell that is not a number.
     """
-    with open(path, "rb") as fh:
-        values = read_fractions(fh) if _fraction_file(fh) else None
-    if values is not None and values.size:
-        return values
-    return _read_table(path)
-
-
-def _read_table(path) -> np.ndarray:
-    """read_eta_csv by numpy's C reader, for any file."""
-    with open(path, newline="") as fh:
-        try:
-            line = fh.readline()
-            while line.startswith("#"):
-                line = fh.readline()
-            header = next(csv.reader([line]), [])
-            if [h.strip() for h in header] != ["eta"]:
-                raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
-            values = _load_body(fh)
-            if values.shape[1] != 1:
-                raise ValueError(f"found {values.shape[1]} cells per row, expected one")
-        except DomainError:
-            raise
-        except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
-            raise DomainError(f"cannot parse samples in {path}: {_rejected_line(path) or exc}") from exc
-    if values.size == 0:
-        raise DomainError(f"no samples found in {path}")
-    return values.reshape(-1)
+    with io.TextIOWrapper(open(path, "rb"), newline="", errors="surrogateescape") as fh:
+        raw, buf = fh.buffer, read_buffer()  # the kernel reads raw before any text is read
+        if not (head := _fraction_file(raw)):
+            raw.seek(0)
+        out = np.empty(count_lines(raw, buf))
+        done = read_fractions(raw, out, buf) if head else 0
+        return _read_body(fh, out, done, head + done if head else _read_head(fh, path), path)
 
 
 @dataclass(frozen=True)

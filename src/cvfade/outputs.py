@@ -36,10 +36,11 @@ rows; the text of the runs, joined in Python, replaces the markers in order.
 
 read_fractions is the read side of that text for the lines of a sample file:
 `0.` and 1-20 digits, at most 18 of them significant, ending in LF or CRLF.
-It counts a file's lines, then reads it a block of _READ_BLOCK bytes at a time
-into a preallocated array.  The 8-byte little-endian words that end at a
-line's last digit, their bytes before the digits set to '0', are checked and
-folded into the integer D of its digits with the SWAR steps of D. Lemire,
+It reads a block of _READ_BLOCK bytes at a time into an array sized by
+count_lines, and stops at the first line of the first block that leaves that
+form, where numpy's reader goes on.  The 8-byte little-endian words that end
+at a line's last digit, their bytes before the digits set to '0', are checked
+and folded into the integer D of its digits with the SWAR steps of D. Lemire,
 "Number parsing at a gigabyte per second", Softw. Pract. Exper. 51 (2021).  Its
 value x = D / 10^k, k digits, then follows W. D. Clinger, "How to read
 floating point numbers accurately", PLDI 1990: q = fl(D) / 10^k is the
@@ -331,19 +332,28 @@ def _nearest(d, k):
     return q + r / scale, np.flatnonzero(float_read)
 
 
-def read_fractions(fh):
-    """The doubles of the lines from binary file fh's position to its end, as
-    float() reads them, or None if a line is not `0.` and 1-20 digits, at most
-    18 of them significant, ending in LF or CRLF (the last line may end the
-    file instead)."""
-    buf = bytearray(_CARRY + _READ_BLOCK + 8)  # and 8 bytes after a block, for the word loads at its end
-    block = memoryview(buf)[_CARRY:_CARRY + _READ_BLOCK]
+def read_buffer() -> bytearray:
+    """The buffer of count_lines and read_fractions: a block, _CARRY bytes before it and 8 after."""
+    return bytearray(_CARRY + _READ_BLOCK + 8)  # the 8 for the word loads at a block's end
+
+
+def count_lines(fh, buf) -> int:
+    """The lines from binary file fh's position to its end, a last line
+    without LF included; fh is left where it was."""
     start, count, last = fh.tell(), 0, 10
-    while got := fh.readinto(block):
-        count += buf.count(b"\n", _CARRY, _CARRY + got)
-        last = buf[_CARRY + got - 1]
+    while got := fh.readinto(buf):
+        count += buf.count(b"\n", 0, got)
+        last = buf[got - 1]
     fh.seek(start)
-    out = np.empty(count + (last != 10))
+    return count + (last != 10)
+
+
+def read_fractions(fh, out, buf) -> int:
+    """Read the lines from binary file fh's position into out as float() does,
+    a block at a time while out has room for a block's lines and each is `0.`
+    and 1-20 digits, at most 18 of them significant, ending in LF or CRLF (or
+    the file).  Returns how many it read; fh is left at the next line."""
+    block = memoryview(buf)[_CARRY:_CARRY + _READ_BLOCK]
     data = np.frombuffer(buf, dtype=np.uint8)
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # the 8 bytes from each offset
     carry = done = 0
@@ -352,32 +362,29 @@ def read_fractions(fh):
         end = _CARRY + got
         if not got:
             if not carry:
-                return out if done == out.size else None
+                return done
             buf[end] = 10  # the last line ends the file
             end += 1
         begin = _CARRY - carry
         lf = np.flatnonzero(data[begin:end] == 10)
         lf += begin
+        carry = end - (int(lf[-1]) + 1 if lf.size else begin)  # bytes of the line the next block continues
         starts = np.empty_like(lf)
         starts[:1] = begin
         starts[1:] = lf[:-1] + 1
         stop = lf - (data[lf - 1] == 13)  # after the last digit
         k = stop - starts - 2
-        if lf.size > out.size - done:  # the file grew after its lines were counted
-            return None
-        if ((k < 1) | (k > 20) | (words[starts] & 0xFFFF != 0x2E30)).any():  # 1-20 digits after '0.'
-            return None
-        d = _digit_integers(words[stop - _WORD_ENDS], k)
+        fits = carry <= _LINE_MAX and lf.size <= out.size - done  # and out has room for the lines
+        fits &= ((k >= 1) & (k <= 20) & (words[starts] & 0xFFFF == 0x2E30)).all()  # 1-20 digits after '0.'
+        d = _digit_integers(words[stop - _WORD_ENDS], k) if fits else None
         if d is None:
-            return None
+            fh.seek(begin - _CARRY - got, 1)  # back to the block's first line
+            return done
         x, float_read = _nearest(d, k)
         for i in float_read.tolist():
             x[i] = float(buf[starts[i]:stop[i]])
         out[done:done + x.size] = x
         done += x.size
-        carry = end - (int(lf[-1]) + 1 if lf.size else begin)
-        if carry > _LINE_MAX:
-            return None
         buf[_CARRY - carry:_CARRY] = buf[end - carry:end]
 
 

@@ -487,6 +487,8 @@ def read_cn2_csv(path) -> Cn2Series:
                 values.append(float(row[1]))
     except OSError as exc:
         raise ConfigError(f"cannot read cn2 series: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, but not of a value
+        raise ConfigError(f"cn2 series {path} does not decode as {exc.encoding}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad cn2 value in {path}: {exc}") from exc
     except csv.Error as exc:

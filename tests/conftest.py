@@ -91,7 +91,8 @@ def rng():
 
 # Cn^2 series the reader must reject with ConfigError (the CLI: exit 2)
 MALFORMED_CN2 = {
-    "one_cell_row": "hour,cn2\n01\n",
-    "field_over_csv_limit": "hour,cn2\n" + "x" * 200000 + ",1e-15\n",
-    "nan": "hour,cn2\n00,nan\n",
+    "one_cell_row": b"hour,cn2\n01\n",
+    "field_over_csv_limit": b"hour,cn2\n" + b"x" * 200000 + b",1e-15\n",
+    "nan": b"hour,cn2\n00,nan\n",
+    "non_utf8": b"hour,cn2\n00,1e-15\n01,\xff\n",
 }

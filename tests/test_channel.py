@@ -262,6 +262,33 @@ def test_reader_matches_csv_float_oracle(tmp_path_factory, values, data):
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(values)
 
 
+# files whose first fault is the header, before a row of two cells and a line
+# that does not decode: within the first 8 KB, and beyond them
+HEADER_FIRST = (b"x\n1\n0.5,0.7\n\xff\n", b"x\n1\n0.5,0.7\n" + b"0.5\n" * 3000 + b"\xff\n")
+FIRST_OF_BLOCK = BLOCK_OF_LINES[:BLOCK_OF_LINES.index(b"\n") + 1].decode()
+
+
+def record_reads(monkeypatch):
+    """Lists that fill as read_eta_csv runs: the files it opens, and each
+    input it gives numpy's reader."""
+    opened, inputs = [], []
+    load_body = channel._load_body
+    monkeypatch.setattr(channel, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw), raising=False)
+    monkeypatch.setattr(channel, "_load_body", lambda lines: inputs.append(lines) or load_body(lines))
+    return opened, inputs
+
+
+def assert_single_pass(opened, inputs):
+    """The file was opened once, and numpy's reader was given lists of at most
+    _BLOCK lines, none of them the first of BLOCK_OF_LINES, which the
+    kernel has read."""
+    assert len(opened) == 1, opened
+    assert inputs
+    for lines in inputs:
+        assert isinstance(lines, list) and len(lines) <= channel._BLOCK
+        assert FIRST_OF_BLOCK not in lines
+
+
 # bodies whose bad line follows more than one block of sample lines, and the line each error names
 AFTER_BLOCK = {
     "non_numeric_after_block": (b"eta\r\n" + BLOCK_OF_LINES + b"abc\r\n", 7002),
@@ -286,10 +313,12 @@ AFTER_BLOCK = {
     b"eta,extra\n0.5,0.7\n",
     b"x" * 200_000 + b"\n0.5\n",           # a header beyond csv's field size limit
     *(pytest.param(body, id=name) for name, (body, _) in AFTER_BLOCK.items()),
+    *(pytest.param(body, id=f"header_first_{i}") for i, body in enumerate(HEADER_FIRST)),
 ])
-def test_reader_rejects_malformed_files(tmp_path, body):
+def test_reader_rejects_malformed_files(tmp_path, monkeypatch, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
+    opened, inputs = record_reads(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning leaks out of the reader
         with pytest.raises(DomainError) as err:
@@ -297,6 +326,9 @@ def test_reader_rejects_malformed_files(tmp_path, body):
     line = dict(AFTER_BLOCK.values()).get(body)
     if line:
         assert f"{path}: line {line} " in str(err.value)
+        assert_single_pass(opened, inputs)
+    if body in HEADER_FIRST:
+        assert str(err.value) == f"expected single-column CSV with header 'eta' in {path}"
 
 
 def test_rejected_line_streams_the_file(tmp_path):
@@ -432,12 +464,25 @@ ROUTED = {
 def test_other_lines_take_the_numpy_reader(tmp_path, monkeypatch, name):
     path = tmp_path / "samples.csv"
     path.write_bytes(b"# metadata: {}\r\neta\r\n" + BLOCK_OF_LINES + ROUTED[name] + b"\r\n0.75\r\n")
-    calls = []
-    load_body = channel._load_body
-    monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
+    opened, inputs = record_reads(monkeypatch)
     got = read_eta_csv(path)
-    assert calls
+    assert_single_pass(opened, inputs)
     assert hex_values(got) == hex_values(csv_float_reader(path))
+
+
+def test_numpy_reader_resumes_where_the_kernel_stops(tmp_path, monkeypatch):
+    """At every block size from 1 to 30 bytes, numpy's reader goes on from the
+    first line of the block that the kernel leaves: a `1` among kernel lines
+    reads as csv.reader and float() read it, and an `abc` is named."""
+    lines = ["0.00012345678901234567", "0.5", "0.1", "1", "0.25", "0.00099999999999999991", "0.5"]
+    one, abc = tmp_path / "one.csv", tmp_path / "abc.csv"
+    fraction_file(one, lines, "\r\n", False)
+    fraction_file(abc, ["abc" if line == "1" else line for line in lines], "\r\n", False)
+    for block in range(1, 31):
+        monkeypatch.setattr(outputs, "_READ_BLOCK", block)
+        assert hex_values(read_eta_csv(one)) == hex_values(csv_float_reader(one)), block
+        with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(abc))}: line 6 is not a number$"):
+            read_eta_csv(abc)
 
 
 @pytest.mark.parametrize("head", [

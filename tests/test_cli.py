@@ -742,7 +742,7 @@ def test_malformed_cn2_series_exits_2_with_one_line(tmp_path, capsys):
     out = tmp_path / "daily.csv"
     for name, text in MALFORMED_CN2.items():
         series = tmp_path / f"{name}.csv"
-        series.write_text(text)
+        series.write_bytes(text)
         assert main(["daily", str(series), "--config", cfg, "--out", str(out)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

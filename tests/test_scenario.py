@@ -308,6 +308,8 @@ def test_read_cn2_csv_errors(tmp_path):
         read_cn2_csv(dup)
     for name, text in MALFORMED_CN2.items():
         path = tmp_path / f"{name}.csv"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(ConfigError):
             read_cn2_csv(path)
+    with pytest.raises(ConfigError, match="^cn2 series .* does not decode as "):
+        read_cn2_csv(tmp_path / "non_utf8.csv")
