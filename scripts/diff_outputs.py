@@ -19,8 +19,13 @@ scenario files:
                     line and a blank line after the header, which numpy's
                     reads; with a last line `1`, where numpy's reader
                     resumes in the sample lines' reader's last block; with
-                    a last line `abc`, which is rejected; and with a line
-                    that is not UTF-8 after the first 64 KB, also rejected
+                    a last line `abc`, which is rejected; with a line that
+                    is not UTF-8 after the first 64 KB, also rejected; and
+                    without its last line, 99 999 samples, a count that is
+                    not a multiple of 8, so that a change in the order of
+                    the moments' sums shows in their last bits
+  keyrate --trace   on a scenario generated in the temporary directory whose
+                    fading segment is simulate's output as a samples_file
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -51,6 +56,7 @@ COMMENTED = "eta_commented.csv"  # a comment line and a blank line after the hea
 LAST_ONE = "eta_one.csv"  # a last line `1`
 REJECTED = "eta_abc.csv"  # a last line `abc`
 NOT_UTF8 = "eta_not_utf8.csv"  # a line of bytes that are not UTF-8 after the first 64 KB
+SHORT = "eta_short.csv"  # without its last line
 
 # scenarios that set every optional key, each to a value other than its default in some variant
 GENERATED = {
@@ -92,6 +98,11 @@ GENERATED = {
 }
 
 
+# the first generated scenario with simulate's output as its fading segment
+SAMPLES_FILE = {**GENERATED["all_keys_linear"], "description": "fading from simulate's samples",
+                "channel": {**GENERATED["all_keys_linear"]["channel"], "fading": {"samples_file": "eta.csv"}}}
+
+
 def commands():
     """(name, argv) per run; {tree} stands for the source tree's root."""
     runs = [(f"sweep_{name}", ["sweep", "--config", "{tree}/" + path, "--out", f"sweep_{name}.csv", "--trace"])
@@ -109,7 +120,9 @@ def commands():
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
     runs += [(f"stats_{Path(copy).stem}", ["stats", copy, "--out", f"stats_{Path(copy).stem}.json"])
-             for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8)]
+             for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT)]
+    runs.append(("keyrate_samples_file", ["keyrate", "--config", "samples_file.scenario",
+                                          "--out", "keyrate_samples_file.csv", "--trace"]))
     return runs
 
 
@@ -122,12 +135,13 @@ def sample_copies(out: Path):
     (out / REJECTED).write_bytes(text + b"abc\r\n")
     cut = text.index(b"\r\n", 1 << 16) + 2
     (out / NOT_UTF8).write_bytes(text[:cut] + b"\xff\xfe\r\n" + text[cut:])
+    (out / SHORT).write_bytes(text[:text.rindex(b"\r\n", 0, -2) + 2])
 
 
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in GENERATED.items():
+    for name, doc in {**GENERATED, "samples_file": SAMPLES_FILE}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():

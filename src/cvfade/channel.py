@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -52,17 +53,39 @@ class FadingStats:
         return cls(eta, math.sqrt(eta))
 
 
+_LEAF = 8192  # samples per np.sqrt temporary: 64 KB, below malloc's 128 KB mmap threshold
+
+
+def _sqrt_sum(arr: np.ndarray) -> float:
+    """np.sqrt(arr).sum() of a 1-D array, bit for bit, holding at most _LEAF
+    square roots at a time.  numpy sums a contiguous run pairwise: a run of
+    more than 128 (its PW_BLOCKSIZE) splits at n//2 - (n//2) % 8 and the two
+    halves' sums are added.  Splitting the same way down to runs of at most
+    _LEAF >= 128 and letting numpy sum each run repeats that recursion."""
+    n = arr.size
+    if n <= _LEAF:
+        return np.sqrt(arr).sum()
+    half = n // 2 - (n // 2) % 8
+    return _sqrt_sum(arr[:half]) + _sqrt_sum(arr[half:])
+
+
 def fading_stats(samples) -> FadingStats:
-    """Moments of a transmittance sample set (pairwise summation, reproducible)."""
-    arr = np.asarray(samples, dtype=float)
+    """Moments of a transmittance sample set (pairwise summation, reproducible).
+
+    Allocates nothing of the samples' size, only _LEAF square roots (64 KB)
+    at a time: the range check is a min and a max, and _sqrt_sum adds the
+    square roots in numpy's own pairwise order, so <sqrt(eta)> has the bits
+    of np.sqrt(samples).mean() and <eta> is samples.mean() as before.
+    """
+    arr = np.asarray(samples, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("sample set is empty")
-    inside = arr >= 0.0  # False for NaN
-    inside &= arr <= 1.0
-    if not inside.all():
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # False for NaN
+        inside = arr >= 0.0
+        inside &= arr <= 1.0
         i = int(inside.argmin())
-        raise DomainError(f"transmittance samples must lie in [0, 1]: sample {i} (from 0) is {float(arr.flat[i])!r}")
-    return FadingStats(float(arr.mean()), float(np.sqrt(arr).mean()))
+        raise DomainError(f"transmittance samples must lie in [0, 1]: sample {i} (from 0) is {float(arr[i])!r}")
+    return FadingStats(float(arr.mean()), float(_sqrt_sum(arr) / arr.size))
 
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
@@ -90,6 +113,39 @@ def _body_rows(lines, encoding) -> np.ndarray:
     if rows.shape[1] != 1:
         raise ValueError(f"has {rows.shape[1]} cells, expected one", f"found {rows.shape[1]} cells per row, expected one")
     return rows
+
+
+_CELL_REST = re.compile(r"[^,#\r\n]*")  # an unquoted cell to its end
+_LINE_REST = re.compile(r"[^\r\n]*")  # a comment to its line's end
+
+
+def _ends_in_quote(text: str, quoted: bool = False) -> bool:
+    """Whether numpy's reader (delimiter ',', comments '#', quotechar '"') is
+    inside a quoted cell at the end of text, whole lines after the header, if
+    it was inside one at their start when `quoted`.  A quote opens a cell as
+    its first character only; inside, "" is a quote and a lone one closes the
+    quoted part; outside quotes, '#' starts a comment to the line's end."""
+    if not quoted and '"' not in text:
+        return False
+    i, n = 0, len(text)
+    while i < n:
+        if quoted:
+            i = text.find('"', i) + 1
+            if not i:
+                return True
+            if text.startswith('"', i):
+                i += 1
+                continue
+            quoted = False
+        elif text[i] == '"':
+            quoted = True
+            i += 1
+            continue
+        i = _CELL_REST.match(text, i).end()
+        if text.startswith("#", i):
+            i = _LINE_REST.match(text, i).end()
+        i += 1  # past the delimiter or the line end
+    return quoted
 
 
 def _first_rejected(lines, before: int, encoding) -> str | None:
@@ -139,8 +195,14 @@ def _read_head(fh, path) -> int:
 def _read_body(fh, out, done: int, before: int, path) -> np.ndarray:
     """out[:done] and the samples of text file fh from its position, line
     before + 1, read by numpy _BLOCK lines at a time into the rest of out.
-    A failing block's first line that fails alone is named, else numpy's text."""
+    A block whose text leaves a quoted cell open takes the lines up to the one
+    that closes it.  A failing block's first line that fails alone is named,
+    else numpy's text."""
     while lines := list(islice(fh, _BLOCK)):
+        quoted = _ends_in_quote("".join(lines))
+        while quoted and (line := next(fh, None)) is not None:
+            lines.append(line)
+            quoted = _ends_in_quote(line, quoted)
         try:
             rows = _body_rows(lines, fh.encoding)[:, 0]
         except ValueError as exc:
