@@ -10,10 +10,13 @@ scenario files:
   sweep --trace     on fig3, fig3_text, fig1b and perfbench/fading_sweep.scenario
   daily             on prague-like.csv x fig2b_caption and fig2b_text
   keyrate --trace   and optimize --trace on fig3
-  keyrate, optimize and sweep --trace on two scenarios generated in the
-                    temporary directory, which set every optional key, each
+  keyrate, optimize and sweep --trace on three scenarios generated in the
+                    temporary directory: two set every optional key, each
                     to a value other than its default in at least one
-                    variant, in linear and in dB forms
+                    variant, in linear and in dB forms; the third sweeps a
+                    coherent and a trusted-ancilla squeezed variant over
+                    v_m up to 1e5 on a lossless noiseless channel, whose
+                    near-pure states test the spectrum's nu >= 1 check
   simulate --n 100000 on fig3, then stats on its output, which the sample
                     lines' reader reads, and on copies of it: with a comment
                     line and a blank line after the header, which numpy's
@@ -58,7 +61,8 @@ REJECTED = "eta_abc.csv"  # a last line `abc`
 NOT_UTF8 = "eta_not_utf8.csv"  # a line of bytes that are not UTF-8 after the first 64 KB
 SHORT = "eta_short.csv"  # without its last line
 
-# scenarios that set every optional key, each to a value other than its default in some variant
+# two scenarios that set every optional key, each to a value other than its default in some
+# variant, and one of near-pure states
 GENERATED = {
     "all_keys_linear": {
         "description": "every optional key, linear forms",
@@ -94,6 +98,16 @@ GENERATED = {
         "finite_size": {"n": 1e8, "eps_bar": 1e-8, "key_fraction": 0.8},
         "sweep": {"variable": "var_sqrt", "values": [0.0, 0.002, 0.01]},
         "daily": {"n_samples": 20},
+    },
+    "near_pure": {
+        "description": "near-pure states: v_m up to 1e5 on <eta> = 1, eps2 = 0",
+        "protocols": [
+            {"label": "coh", "family": "coherent", "v_m": 1000.0},
+            {"label": "sq_an", "family": "squeezed", "v_s": 0.5, "v_m": 1000.0, "v_an": 1.0,
+             "prep_noise_trust": "trusted"},
+        ],
+        "channel": {"fading": {"stats": {"mean_eta": 1.0}}},
+        "sweep": {"variable": "v_m", "start": 100.0, "stop": 1e5, "steps": 13, "spacing": "log"},
     },
 }
 

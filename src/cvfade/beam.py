@@ -18,6 +18,7 @@ and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -50,15 +51,11 @@ _TABLE_KEYS = (
     "theta_covariance",
 )
 
-_table_cache: dict[str, dict] = {}
 
-
-def load_coefficient_table(path=None) -> dict:
-    """Load (and cache) the turbulence-moment coefficient table."""
-    p = Path(path) if path is not None else DEFAULT_TABLE_PATH
-    key = str(p)
-    if key in _table_cache:
-        return _table_cache[key]
+@functools.cache
+def load_coefficient_table() -> dict:
+    """Load (once) the turbulence-moment coefficient table at DEFAULT_TABLE_PATH."""
+    p = DEFAULT_TABLE_PATH
     if not p.exists():
         raise ConfigError(f"coefficient table not found: {p}")
     try:
@@ -71,7 +68,6 @@ def load_coefficient_table(path=None) -> dict:
     for k in _TABLE_KEYS[1:]:
         if not isinstance(table[k], (int, float)) or table[k] <= 0:
             raise ConfigError(f"coefficient table entry {k!r} must be a positive number")
-    _table_cache[key] = table
     return table
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError, NonPhysicalState, NumericalFailure, check_batch
 
 _LN2 = math.log(2.0)
+_EPS = np.finfo(float).eps
 
 #: tolerance below which a symplectic eigenvalue counts as non-physical
 NU_TOL = 1e-9
@@ -23,12 +24,9 @@ NU_TOL = 1e-9
 #: eps * tr(gamma) < NU_TOL / 10, about 4.5e5.  Behind a channel the spectrum's
 #: own rounding stays within 3.2 eps tr(gamma) (measured against exact
 #: spectra up to v_m = 1e5), so below this it stays under a third of NU_TOL.
-TRACE_MAX = NU_TOL / (10.0 * np.finfo(float).eps)
+TRACE_MAX = NU_TOL / (10.0 * _EPS)
 #: relative symmetry tolerance enforced at construction
 SYM_TOL = 1e-12
-
-X = "x"
-P = "p"
 
 
 @lru_cache(maxsize=None)
@@ -70,30 +68,15 @@ class CovarianceMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n_modes", m.shape[0] // 2)
 
-    def mode_block(self, i: int) -> np.ndarray:
-        """2x2 diagonal block of mode i."""
-        self._check_mode(i)
-        return self.matrix[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-
-    def cross_block(self, i: int, j: int) -> np.ndarray:
-        """2x2 cross-covariance block between modes i and j."""
-        self._check_mode(i)
-        self._check_mode(j)
-        return self.matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-
-    def variance(self, mode: int, quadrature: str) -> float:
-        i = self._index(mode, quadrature)
-        return float(self.matrix[i, i])
-
     def _check_mode(self, i: int):
         if not 0 <= i < self.n_modes:
             raise IndexError(f"mode {i} out of range for {self.n_modes}-mode state")
 
-    def _index(self, mode: int, quadrature: str) -> int:
-        self._check_mode(mode)
-        if quadrature not in (X, P):
-            raise DomainError(f"quadrature must be '{X}' or '{P}', got {quadrature!r}")
-        return 2 * mode + (0 if quadrature == X else 1)
+
+def nu_rounding(trace: np.ndarray) -> np.ndarray:
+    """How far rounding moves nu^2 of a near-pure state with this trace:
+    an error of eps |gamma| in its entries moves nu^2 by about eps (tr gamma)^2."""
+    return _EPS * trace**2
 
 
 def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
@@ -111,8 +94,10 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     larger state's rounding, not its physics, would decide the checks after
     this one), positive definiteness of gamma, which its Cholesky factor
     decides (|eig(i Omega gamma)| >= 1 alone does not rule out indefinite
-    matrices), +/- pairing of the spectrum, and nu >= 1 - NU_TOL; values in
-    [1 - NU_TOL, 1) are clipped to 1.  Callers need not check the stack first.
+    matrices), +/- pairing of the spectrum, and nu >= 1 - tol with tol =
+    max(NU_TOL, 4 nu_rounding(tr gamma)) per point, so that a near-pure state's
+    rounding is not taken for its physics; values in [1 - tol, 1) are clipped
+    to 1.  Callers need not check the stack first.
     """
     check_batch(~np.isfinite(stack).all(axis=(1, 2)), DomainError("covariance matrix entries must be finite"))
     trace = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
@@ -135,7 +120,8 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
         nus = ev[:, m:][:, ::-1]
         unpaired = np.abs(nus + ev[:, :m]).max(axis=-1) > 1e-6 * np.maximum(1.0, nus[:, 0])
         check_batch(unpaired, NumericalFailure("symplectic spectrum did not pair up"))
-    check_batch(nus[:, -1] < 1.0 - NU_TOL,  # the smallest nu
+    tol = np.maximum(NU_TOL, 4.0 * nu_rounding(trace))
+    check_batch(nus[:, -1] < 1.0 - tol,  # the smallest nu
                 lambda k: NonPhysicalState(f"symplectic eigenvalue below 1: min nu = {nus[k, -1]:.12g}"))
     return np.maximum(nus, 1.0)
 
@@ -145,19 +131,20 @@ def symplectic_eigenvalues(gamma: CovarianceMatrix) -> list[float]:
     return [float(v) for v in symplectic_spectra(gamma.matrix[None])[0]]
 
 
-def entropy_g(nu: float) -> float:
+def entropy_g(nu):
     """Bosonic entropy of a thermal mode with symplectic eigenvalue nu, in bits.
 
-    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), with the
-    nu -> 1 limit handled explicitly (no log(0)).
+    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), elementwise
+    on an array, a float for a float.  nu in [1 - NU_TOL, 1] gives 0, with no
+    log(0) taken.
     """
-    if nu < 1.0 - NU_TOL:
-        raise DomainError(f"entropy_g requires nu >= 1, got {nu}")
-    d = nu - 1.0
-    if d <= 0.0:
-        return 0.0
-    h = 0.5 * d
-    return (1.0 + h) * math.log1p(h) / _LN2 - h * math.log(h) / _LN2
+    nu = np.asarray(nu, dtype=float)
+    low = nu < 1.0 - NU_TOL
+    if low.any():
+        raise DomainError(f"entropy_g requires nu >= 1, got {nu[low].flat[0]}")
+    h = 0.5 * np.maximum(nu - 1.0, 0.0)
+    g = (1.0 + h) * np.log1p(h) / _LN2 - h * np.log(np.where(h > 0.0, h, 1.0)) / _LN2
+    return g if g.ndim else float(g)
 
 
 def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
@@ -176,18 +163,17 @@ def _partition(gamma: CovarianceMatrix, mode: int):
     )
 
 
-def condition_on_homodyne(gamma: CovarianceMatrix, mode: int, quadrature: str) -> CovarianceMatrix:
-    """State of the remaining modes after a homodyne measurement of one quadrature.
+def condition_on_homodyne(gamma: CovarianceMatrix, mode: int) -> CovarianceMatrix:
+    """State of the remaining modes after an X homodyne on `mode`.
 
-    Schur complement gamma_rest - sigma (Pi gamma_m Pi)^MP sigma^T with Pi the
-    projector onto the measured quadrature and MP the Moore-Penrose pseudoinverse.
+    Schur complement gamma_rest - sigma (Pi gamma_m Pi)^MP sigma^T with
+    Pi = diag(1, 0) the projector onto X and MP the Moore-Penrose pseudoinverse.
     """
     if gamma.n_modes < 2:
         raise DomainError("conditioning requires at least two modes")
-    idx = gamma._index(mode, quadrature)  # validates mode & quadrature
+    gamma._check_mode(mode)
     rest, sigma, block = _partition(gamma, mode)
-    pi = np.zeros((2, 2))
-    pi[idx % 2, idx % 2] = 1.0
+    pi = np.diag([1.0, 0.0])
     projected = pi @ block @ pi
     try:
         pinv = np.linalg.pinv(projected, rcond=1e-14)
@@ -196,25 +182,6 @@ def condition_on_homodyne(gamma: CovarianceMatrix, mode: int, quadrature: str) -
     if not np.all(np.isfinite(pinv)):
         raise NumericalFailure("degenerate pseudoinverse in homodyne conditioning")
     return CovarianceMatrix(rest - sigma @ pinv @ sigma.T)
-
-
-def condition_on_heterodyne_record(
-    gamma: CovarianceMatrix, measured_mode: int, quadrature: str
-) -> CovarianceMatrix:
-    """Remaining-mode state given one quadrature of a heterodyne record.
-
-    A heterodyne detector splits the mode on a balanced beamsplitter with
-    vacuum and homodynes the two outputs; conditioning on just one of the two
-    classical outcomes is a homodyne Schur complement with the measured
-    variance inflated by the vacuum unit: sigma sigma^T / (V_q + 1).
-    """
-    if gamma.n_modes < 2:
-        raise DomainError("conditioning requires at least two modes")
-    idx = gamma._index(measured_mode, quadrature)
-    rest, sigma, block = _partition(gamma, measured_mode)
-    v = block[idx % 2, idx % 2] + 1.0
-    col = sigma[:, [idx % 2]]
-    return CovarianceMatrix(rest - (col @ col.T) / v)
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:

@@ -26,12 +26,10 @@ import numpy as np
 from . import gaussian
 from .channel import CompositeChannel, apply_composite_stack, apply_equivalent_fixed
 from .errors import CvfadeError, DegenerateInput, DomainError, InternalError, NumericalFailure, check_batch
-from .gaussian import CovarianceMatrix, X, condition_on_heterodyne_record, condition_on_homodyne
+from .gaussian import CovarianceMatrix, condition_on_homodyne
 from .sources import DIRECT, REVERSE, ProtocolParams, build_source, build_source_stack
 
 _CHI_FLOOR = -1e-9  # a Holevo value below this and below rounding's reach is a logic error (_check_holevo)
-_LN2 = math.log(2.0)
-_EPS = np.finfo(float).eps
 
 # the sender's heterodyne: balanced beamsplitter mixing mode 0 with a vacuum mode 1
 _R = 1.0 / math.sqrt(2.0)
@@ -123,23 +121,20 @@ class KeyRates:
 
 def _entropies(nus: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in bits per point: the sum of gaussian.entropy_g over a spectrum."""
-    h = 0.5 * (nus - 1.0)
-    g = (1.0 + h) * np.log1p(h) / _LN2 - h * np.log(h) / _LN2
-    return np.where(h > 0.0, g, 0.0).sum(axis=-1)
+    return gaussian.entropy_g(nus).sum(axis=-1)
 
 
 def _check_holevo(holevo: np.ndarray, total: np.ndarray, conditioned: np.ndarray):
     """Raise InternalError at the first point whose Holevo value lies below
     -max(1e-9, B).  B bounds the entropy that rounding gives the two
-    near-pure states: an error of eps |gamma| moves each nu^2 by about
-    eps |gamma|^2, so B sums g(1 + eps (tr gamma)^2) over the modes of both.
-    B is computed only at points already below -1e-9."""
+    near-pure states: it sums g(1 + gaussian.nu_rounding(tr gamma)) over the
+    modes of both.  B is computed only at points already below -1e-9."""
     low = holevo < _CHI_FLOOR
     if low.any():
         rounding = 0.0
         for stack in (total[low], conditioned[low]):
             trace = np.trace(stack, axis1=1, axis2=2)
-            rounding = rounding + stack.shape[-1] // 2 * _entropies(1.0 + _EPS * trace[:, None] ** 2)
+            rounding = rounding + stack.shape[-1] // 2 * _entropies(1.0 + gaussian.nu_rounding(trace)[:, None])
         floor = np.full(holevo.shape, _CHI_FLOOR)
         floor[low] = np.minimum(_CHI_FLOOR, -rounding)
         check_batch(holevo < floor, lambda k: InternalError(f"Holevo bound came out {float(holevo[k])} < {float(floor[k]):.3g}"))
@@ -320,20 +315,29 @@ def _split_sender_mode(gamma: CovarianceMatrix) -> CovarianceMatrix:
     return gaussian.apply_symplectic(ext, s)
 
 
+def _given_sender_x(gamma: CovarianceMatrix, protocol: ProtocolParams) -> CovarianceMatrix:
+    """The modes left after the sender's X measurement.
+
+    For b=0 the sender homodynes X on mode 0.  For b=1 the key quadrature of
+    its heterodyne record is an X homodyne on one output of a balanced
+    splitter with vacuum; the other output stays with the sender, so the
+    conditioned global state stays pure, as the Holevo bound needs.  The
+    receiver's X variance this leaves is the kernel's sigma^2 / (V + 1),
+    reached here without that closed form.
+    """
+    if protocol.is_coherent:
+        gamma = _split_sender_mode(gamma)
+    return condition_on_homodyne(gamma, 0)
+
+
 def mutual_information(state_after_channel: CovarianceMatrix, protocol: ProtocolParams) -> float:
     """Shannon mutual information of the X-quadrature data, bits per use.
 
-    I_AB = 1/2 log2(V_B / V_B|A).  The receiver homodynes X; the sender's
-    conditioning is an X homodyne for b=0 and the X half of a heterodyne
-    record for b=1.
+    I_AB = 1/2 log2(V_B / V_B|A).  The receiver homodynes X; V_B|A is its X
+    variance given the sender's X data (_given_sender_x).
     """
-    gamma = state_after_channel
-    v_b = gamma.variance(gamma.n_modes - 1, X)
-    if protocol.is_coherent:
-        cond = condition_on_heterodyne_record(gamma, 0, X)
-    else:
-        cond = condition_on_homodyne(gamma, 0, X)
-    v_b_given_a = cond.variance(cond.n_modes - 1, X)
+    v_b = state_after_channel.matrix[-2, -2]
+    v_b_given_a = _given_sender_x(state_after_channel, protocol).matrix[-2, -2]
     if v_b_given_a <= 0.0:
         raise DegenerateInput(f"conditional variance {v_b_given_a} <= 0")
     if protocol.v_m == 0.0:
@@ -352,27 +356,17 @@ def holevo_rr(state_after_channel: CovarianceMatrix) -> float:
 
     chi_BE = S(trusted state) - S(trusted remainder | receiver X homodyne).
     """
-    b_mode = state_after_channel.n_modes - 1
-    cond = condition_on_homodyne(state_after_channel, b_mode, X)
+    cond = condition_on_homodyne(state_after_channel, state_after_channel.n_modes - 1)
     return _chi_from(state_after_channel, cond)
 
 
 def holevo_dr(state_after_channel: CovarianceMatrix, protocol: ProtocolParams) -> float:
     """Holevo bound on the adversary's information about the sender's data.
 
-    chi_AE = S(trusted state) - S(remainder | sender's measurement).  For b=0
-    the sender homodynes X on mode 0.  For b=1 the key quadrature of the
-    heterodyne record is an X homodyne on one output of a balanced splitter,
-    which keeps the conditioned global state pure; conditioning on the raw
-    mode with a (V+1) heterodyne Schur complement instead would discard the
-    sender's retained p-output correlations and overcount the adversary.
+    chi_AE = S(trusted state) - S(remainder | sender's X data), with the
+    sender's measurement modelled as in _given_sender_x.
     """
-    if protocol.is_coherent:
-        ext = _split_sender_mode(state_after_channel)
-        cond = condition_on_homodyne(ext, 0, X)
-    else:
-        cond = condition_on_homodyne(state_after_channel, 0, X)
-    return _chi_from(state_after_channel, cond)
+    return _chi_from(state_after_channel, _given_sender_x(state_after_channel, protocol))
 
 
 def key_rate_equivalent_fixed(

@@ -90,10 +90,6 @@ class ProtocolParams:
     def is_coherent(self) -> bool:
         return self.b == 1
 
-    def signal_variances(self) -> tuple[float, float]:
-        """Modulated signal (x, p) variances: (V_s + V_m, 1/V_s + b V_m + V_AN)."""
-        return (self.v_s + self.v_m, 1.0 / self.v_s + self.b * self.v_m + self.v_an)
-
 
 def build_source(params: ProtocolParams) -> CovarianceMatrix:
     """Pure-state (or deliberately impure, for untrusted prep noise) EB source.

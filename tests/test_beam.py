@@ -104,21 +104,32 @@ class TestCoefficientTable:
         assert t["theta_variance"] == pytest.approx(1.2)
         assert t["theta_covariance"] == pytest.approx(0.8)
 
-    def test_missing_table(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_coefficient_table(tmp_path / "nope.json")
+    @pytest.fixture
+    def table_at(self, monkeypatch):
+        """Point DEFAULT_TABLE_PATH at a path, with the cached table cleared
+        before and after the test."""
+        load_coefficient_table.cache_clear()
+        yield lambda path: monkeypatch.setattr(beam, "DEFAULT_TABLE_PATH", path)
+        load_coefficient_table.cache_clear()
 
-    def test_invalid_json(self, tmp_path):
+    def test_missing_table(self, tmp_path, table_at):
+        table_at(tmp_path / "nope.json")
+        with pytest.raises(ConfigError, match="not found"):
+            load_coefficient_table()
+
+    def test_invalid_json(self, tmp_path, table_at):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_coefficient_table(p)
+        table_at(p)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_coefficient_table()
 
-    def test_missing_keys(self, tmp_path):
+    def test_missing_keys(self, tmp_path, table_at):
         p = tmp_path / "partial.json"
         p.write_text(json.dumps({"version": "x"}))
-        with pytest.raises(ConfigError):
-            load_coefficient_table(p)
+        table_at(p)
+        with pytest.raises(ConfigError, match="missing keys"):
+            load_coefficient_table()
 
 
 class TestTurbulenceMoments:

@@ -131,7 +131,7 @@ def fading_noise(params, stats, eta1=1.0):
     fixed = FadingStats.fixed(stats.mean_sqrt_eta**2)
     fading_out = apply_equivalent_fixed(src, CompositeChannel(fading=stats, eta1=eta1))
     fixed_out = apply_equivalent_fixed(src, CompositeChannel(fading=fixed, eta1=eta1))
-    return np.diag(fading_out.mode_block(src.n_modes - 1) - fixed_out.mode_block(src.n_modes - 1))
+    return np.diag(fading_out.matrix[-2:, -2:] - fixed_out.matrix[-2:, -2:])
 
 
 class TestEffectiveExcessNoise:
@@ -189,16 +189,14 @@ class TestApplyComposite:
     def test_pure_fading_no_fluctuations(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
         out = apply_composite(src, CompositeChannel(fading=FadingStats.fixed(0.5)))
-        assert np.allclose(out.mode_block(1), 1.5 * np.eye(2), atol=1e-12)
-        assert np.allclose(
-            out.cross_block(0, 1), math.sqrt(0.5) * src.cross_block(0, 1), atol=1e-12
-        )
+        assert np.allclose(out.matrix[2:, 2:], 1.5 * np.eye(2), atol=1e-12)
+        assert np.allclose(out.matrix[:2, 2:], math.sqrt(0.5) * src.matrix[:2, 2:], atol=1e-12)
 
     def test_fluctuations_only_touch_correlations(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
         out = apply_composite(src, CompositeChannel(fading=FadingStats(0.5, 0.69)))
-        assert np.allclose(out.mode_block(1), 1.5 * np.eye(2), atol=1e-12)
-        assert np.allclose(out.cross_block(0, 1), 0.69 * src.cross_block(0, 1), atol=1e-12)
+        assert np.allclose(out.matrix[2:, 2:], 1.5 * np.eye(2), atol=1e-12)
+        assert np.allclose(out.matrix[:2, 2:], 0.69 * src.matrix[:2, 2:], atol=1e-12)
 
     def test_monotone_decorrelation_in_fading_strength(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
@@ -206,8 +204,8 @@ class TestApplyComposite:
         for var in (0.0, 0.01, 0.03, 0.05):
             st_ = FadingStats(0.5, math.sqrt(0.5 - var))
             out = apply_composite(src, CompositeChannel(fading=st_))
-            corr.append(abs(out.cross_block(0, 1)[0, 0]))
-            assert np.allclose(out.mode_block(1), 1.5 * np.eye(2), atol=1e-12)
+            corr.append(abs(out.matrix[0, 2]))
+            assert np.allclose(out.matrix[2:, 2:], 1.5 * np.eye(2), atol=1e-12)
         assert all(b < a for a, b in zip(corr, corr[1:]))
 
     def test_equivalent_fixed_is_entrywise_identical(self, rng):

@@ -486,6 +486,22 @@ def test_unresolved_spectrum_exits_3_with_one_line(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_near_pure_sweep_gives_rates(tmp_path):
+    """A v_m sweep up to 1e5 on a lossless noiseless channel gives every row:
+    the near-pure states' nu >= 1 check scales with their rounding.  With an
+    absolute NU_TOL it exited 3 (the coherent variant's min nu came out
+    0.999999348445 at v_m = 1e5)."""
+    doc = {"protocols": [{"label": "coh", "family": "coherent"},
+                         {"label": "sq_an", "family": "squeezed", "v_s": 0.5, "v_an": 1.0, "prep_noise_trust": "trusted"}],
+           "channel": {"fading": {"stats": {"mean_eta": 1.0}}},
+           "sweep": {"variable": "v_m", "start": 100.0, "stop": 1e5, "steps": 13, "spacing": "log"}}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 26 and [(r["label"], float(r["v_m"])) for r in rows[-2:]] == [("coh", 1e5), ("sq_an", 1e5)]
+    assert all(0.0 <= float(r["chi"]) < 1e-4 for r in rows)
+
+
 def test_config_dir_environment_variable(tmp_path, monkeypatch):
     write_cfg(tmp_path, BEAM_DOC, name="fromenv.scenario")
     monkeypatch.setenv("CVFADE_CONFIG_DIR", str(tmp_path))

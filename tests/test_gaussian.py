@@ -15,7 +15,6 @@ from cvfade.gaussian import (
     apply_qnd,
     apply_squeezer,
     apply_symplectic,
-    condition_on_heterodyne_record,
     condition_on_homodyne,
     entropy_g,
     partial_trace,
@@ -27,6 +26,7 @@ from cvfade.gaussian import (
     vacuum,
     von_neumann_entropy,
 )
+from cvfade.keyrate import _split_sender_mode
 from cvfade.sources import ProtocolParams, build_source, variance_from_db
 
 
@@ -58,11 +58,9 @@ class TestCovarianceMatrix:
             v.matrix[0, 0] = 5.0
 
     def test_block_access(self):
-        g = tmsv(2.0)
-        assert np.allclose(g.mode_block(1), 2.0 * np.eye(2))
-        assert np.allclose(g.cross_block(0, 1), np.sqrt(3.0) * np.diag([1.0, -1.0]))
-        with pytest.raises(IndexError):
-            g.mode_block(2)
+        g = tmsv(2.0).matrix
+        assert np.allclose(g[2:, 2:], 2.0 * np.eye(2))
+        assert np.allclose(g[:2, 2:], np.sqrt(3.0) * np.diag([1.0, -1.0]))
 
 
 class TestSymplecticEigenvalues:
@@ -221,7 +219,7 @@ def test_spectra_within_a_few_ulps_of_norm_of_exact(protocol, stage):
     if stage != "source":
         gamma = apply_composite(gamma, CompositeChannel(fading=FadingStats.fixed(0.5)))
     if stage == "conditioned":
-        gamma = condition_on_homodyne(gamma, gamma.n_modes - 1, "x")
+        gamma = condition_on_homodyne(gamma, gamma.n_modes - 1)
     got = symplectic_spectra(gamma.matrix[None])[0]
     want = np.maximum(exact_symplectic_spectrum(gamma.matrix), 1.0)
     bound = 4.0 * np.finfo(float).eps * np.linalg.norm(gamma.matrix, 2)
@@ -260,6 +258,17 @@ class TestEntropyG:
         vals = [entropy_g(v) for v in nus]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_elementwise(self):
+        """On an array, g of each element, bit for bit; a float for a float;
+        no log(0) warning at nu = 1 (pytest turns warnings into errors)."""
+        nus = np.array([[1.0, 1.0 - 5e-10, 1.5], [3.0, 1.0 + 1e-6, 20.0]])
+        got = entropy_g(nus)
+        assert got.shape == nus.shape
+        assert [x.hex() for x in got.ravel()] == [entropy_g(float(v)).hex() for v in nus.ravel()]
+        assert type(entropy_g(1.5)) is float and type(entropy_g(np.float64(1.0))) is float
+        with pytest.raises(DomainError, match="got 0.9$"):
+            entropy_g(np.array([1.0, 0.9, 0.8]))
+
 
 class TestVonNeumannEntropy:
     def test_pure_states(self):
@@ -283,50 +292,41 @@ class TestVonNeumannEntropy:
 
 class TestConditioning:
     def test_homodyne_x_on_tmsv(self):
-        out = condition_on_homodyne(tmsv(2.0), 1, "x")
+        out = condition_on_homodyne(tmsv(2.0), 1)
         assert np.allclose(out.matrix, np.diag([0.5, 2.0]), atol=1e-12)
-
-    def test_homodyne_p_on_tmsv(self):
-        out = condition_on_homodyne(tmsv(2.0), 1, "p")
-        assert np.allclose(out.matrix, np.diag([2.0, 0.5]), atol=1e-12)
 
     def test_homodyne_product_state_unchanged(self):
         g = tensor(CovarianceMatrix(np.diag([3.0, 3.0])), vacuum(1))
-        out = condition_on_homodyne(g, 1, "x")
+        out = condition_on_homodyne(g, 1)
         assert np.allclose(out.matrix, np.diag([3.0, 3.0]), atol=1e-12)
 
-    def test_heterodyne_uncorrelated_unchanged(self):
-        g = tensor(CovarianceMatrix(np.diag([2.0, 2.0])), CovarianceMatrix(np.diag([4.0, 0.3])))
-        for quadrature in ("x", "p"):
-            out = condition_on_heterodyne_record(g, 0, quadrature)
-            assert np.allclose(out.matrix, np.diag([4.0, 0.3]), atol=1e-12)
-
     def test_heterodyne_record_halfway(self):
-        # conditioning on only the x record shrinks x but leaves p untouched
-        out = condition_on_heterodyne_record(tmsv(4.0), 0, "x")
-        assert out.variance(0, "x") == pytest.approx(1.0, abs=1e-12)
-        assert out.variance(0, "p") == pytest.approx(4.0, abs=1e-12)
+        """The X half of a heterodyne record on TMSV(4) -- an X homodyne on one
+        output of a balanced splitter with vacuum -- shrinks the partner's X
+        to V_x = 1 and leaves its V_p = 4 untouched."""
+        out = condition_on_homodyne(_split_sender_mode(tmsv(4.0)), 0).matrix
+        assert out[2, 2] == pytest.approx(1.0, abs=1e-12)
+        assert out[3, 3] == pytest.approx(4.0, abs=1e-12)
+        symplectic_eigenvalues(CovarianceMatrix(out))  # raises if nonphysical
 
     def test_outputs_physical_and_phase_covariant(self, rng):
         for _ in range(100):
             m, _ = random_physical_two_mode(rng)
             g = CovarianceMatrix(m)
-            cond = condition_on_homodyne(g, 1, "x")
+            cond = condition_on_homodyne(g, 1)
             symplectic_eigenvalues(cond)  # raises if nonphysical
-            cond_het = condition_on_heterodyne_record(g, 1, "x")
-            symplectic_eigenvalues(cond_het)
             # rotating the unmeasured mode commutes with conditioning
             theta = rng.uniform(0, 2 * np.pi)
             r = np.eye(4)
             r[:2, :2] = rotation(theta)
             rotated = apply_symplectic(g, r)
-            lhs = condition_on_homodyne(rotated, 1, "x").matrix
+            lhs = condition_on_homodyne(rotated, 1).matrix
             rhs = rotation(theta) @ cond.matrix @ rotation(theta).T
             assert np.allclose(lhs, rhs, atol=1e-11)
 
     def test_single_mode_rejected(self):
         with pytest.raises(DomainError):
-            condition_on_homodyne(vacuum(1), 0, "x")
+            condition_on_homodyne(vacuum(1), 0)
 
 
 class TestConstructors:
@@ -345,8 +345,8 @@ class TestConstructors:
 
     def test_qnd_example(self):
         out = apply_qnd(vacuum(2), control_mode=0, target_mode=1, gain=1.0)
-        assert out.variance(1, "p") == pytest.approx(2.0)
-        assert out.variance(0, "x") == pytest.approx(1.0)
+        assert out.matrix[3, 3] == pytest.approx(2.0)  # the target's P
+        assert out.matrix[0, 0] == pytest.approx(1.0)  # the control's X
         assert symplectic_eigenvalues(out) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_qnd_is_symplectic(self):

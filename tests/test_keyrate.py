@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cvfade.channel import CompositeChannel, FadingStats, fading_stats
 from cvfade import keyrate
 from cvfade.errors import CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from cvfade.gaussian import entropy_g
+from cvfade.gaussian import entropy_g, nu_rounding
 from cvfade.keyrate import (
     FiniteSizeParams,
     finite_size_penalty,
@@ -28,8 +28,8 @@ from cvfade.beam import _transmittance_rule
 from cvfade.optimizer import optimize
 from cvfade.outputs import render_csv, write_text
 from cvfade.scenario import beam_scenario, build_channel, load_scenario, read_cn2_csv, resolve_fading, sweep_values
-from cvfade.sources import ProtocolParams, build_source, variance_from_db
-from cvfade.channel import apply_composite
+from cvfade.sources import ProtocolParams, build_source, build_source_stack, variance_from_db
+from cvfade.channel import apply_composite, apply_composite_stack
 
 
 def fixed_channel(eta, **kw):
@@ -245,6 +245,28 @@ def test_lossless_holevo_rounding_is_not_an_error(reconciliation):
         assert key_rate_equivalent_fixed(replace(protocol, v_m=float(vm)), LOSSLESS).chi < 1e-8
 
 
+@pytest.mark.parametrize("mean_eta, reconciliation", [(1.0, "rr"), (0.999, "rr"), (0.99, "rr"), (1.0, "dr")])
+def test_near_pure_states_give_rates(mean_eta, reconciliation):
+    """Coherent points at 300 log-spaced v_m in [1e2, 1e5] behind <eta> near 1
+    with eps2 = 0.  Rounding moves such a near-pure state's nu^2 by about
+    eps (tr gamma)^2, far more than NU_TOL, so an absolute nu >= 1 - NU_TOL
+    check raised at up to 95 of these points; every one gives a rate, on both
+    routes.  At <eta> = 1, where chi is exactly 0, the chi that rounding leaves
+    stays below g(1 + nu_rounding(tr gamma)) per mode (it reached 3.3e-5 bits)."""
+    protocol = ProtocolParams(reconciliation=reconciliation)
+    chan = fixed_channel(mean_eta)
+    v_m = np.geomspace(1e2, 1e5, 300)
+    rates = key_rates(protocol, chan, v_m=v_m)
+    assert np.isfinite(rates.rate_asymptotic).all()
+    for k in range(0, 300, 10):
+        oracle = key_rate_equivalent_fixed(replace(protocol, v_m=float(v_m[k])), chan)
+        assert oracle.chi == pytest.approx(rates.chi[k], abs=1e-9)
+    if mean_eta == 1.0:
+        state = apply_composite_stack(build_source_stack(protocol, np.ones(300), v_m), (chan,))
+        rounding = 2 * entropy_g(1.0 + nu_rounding(np.trace(state, axis1=1, axis2=2)))
+        assert (rates.chi <= rounding).all()
+
+
 def test_planted_negative_holevo_raises_on_both_routes(monkeypatch):
     """A chi of -1e-6 on an ordinary state lies far below the rounding bound."""
     import scipy.optimize
@@ -256,7 +278,7 @@ def test_planted_negative_holevo_raises_on_both_routes(monkeypatch):
     protocol = ProtocolParams(v_m=10.0)
     assert key_rate(protocol, LOSSLESS).chi == key_rate_equivalent_fixed(protocol, LOSSLESS).chi == 0.0
     monkeypatch.setattr(keyrate, "_condition_on_x", lambda stack, mode: np.broadcast_to(planted, (len(stack), 2, 2)))
-    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode, quadrature: CovarianceMatrix(planted))
+    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode: CovarianceMatrix(planted))
     for route in (key_rate, key_rate_equivalent_fixed):
         with pytest.raises(InternalError, match=r"^Holevo bound came out \S+ < -1e-09$") as raised:
             route(protocol, LOSSLESS)
@@ -494,8 +516,7 @@ def test_planted_degenerate_conditional_variance_raises_on_both_routes(monkeypat
     protocol = ProtocolParams(v_m=10.0, b=1 if family == "coherent" else 0)
     planted = CovarianceMatrix(np.diag([-1.0, 1.0]))  # the receiver's mode given the sender's X record
     monkeypatch.setattr(keyrate, "_receiver_variance_given_sender", lambda state, coherent: np.full(len(state), -1.0))
-    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode, quadrature: planted)
-    monkeypatch.setattr(keyrate, "condition_on_heterodyne_record", lambda gamma, mode, quadrature: planted)
+    monkeypatch.setattr(keyrate, "condition_on_homodyne", lambda gamma, mode: planted)
     for route in (key_rate, key_rate_equivalent_fixed):
         with pytest.raises(DegenerateInput, match=r"^conditional variance -1\.0 <= 0$"):
             route(protocol, LOSSLESS)
