@@ -297,8 +297,8 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
         raise DomainError("seed must fit in 64 bits")
     var_bw, mean_theta, chol = _wander_and_theta(scenario)
 
-    def run_chunk(ci: int) -> np.ndarray:
-        lo = ci * _CHUNK
+    samples = np.empty(n)
+    for ci, lo in enumerate(range(0, n, _CHUNK)):
         m = min(_CHUNK, n - lo)
         rng = _chunk_generator(int(seed), ci)
         zn = rng.standard_normal((m, 4))
@@ -306,10 +306,7 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
         y0 = math.sqrt(var_bw) * zn[:, 1]
         th = mean_theta + zn[:, 2:4] @ chol.T
         phi = rng.uniform(0.0, math.pi / 2.0, m)
-        return _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
-
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    samples = np.concatenate([run_chunk(ci) for ci in range(n_chunks)])
+        samples[lo:lo + m] = _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
 
     metadata = {
         "generator": GENERATOR_NAME,

@@ -23,7 +23,7 @@ from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import OptimizationResult, optimize
-from .outputs import render_csv, write_json, write_text
+from .outputs import write_csv, write_json
 from .scenario import (
     ScenarioConfig,
     beam_scenario,
@@ -232,8 +232,7 @@ def cmd_simulate(args) -> int:
     result = simulate(beam_scenario(config), n=int(n), seed=seed)
 
     meta = _meta(config, seed, {"n": int(n), "generator": GENERATOR_NAME})
-    text = render_csv(meta, ["eta"], [result.samples])
-    write_text(args.out, text)
+    write_csv(args.out, meta, ["eta"], [result.samples])
     sidecar = dict(result.metadata)
     sidecar["config_sha256"] = config.config_hash()
     write_json(str(args.out) + ".json", sidecar)
@@ -261,7 +260,7 @@ def cmd_stats(args) -> int:
 
 def _write_rate_table(args, config, columns, extra_meta=None, traces=None, header=ROW_FIELDS):
     meta = _meta(config, _effective_seed(config, args), extra_meta)
-    write_text(args.out, render_csv(meta, header, columns))
+    write_csv(args.out, meta, header, columns)
     if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
     print(f"wrote {args.out} ({len(columns[0])} rows)", file=sys.stderr)

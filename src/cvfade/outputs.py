@@ -5,11 +5,15 @@ for sample files the generator) followed by an RFC-4180-style header row.
 No timestamps anywhere: reruns with identical inputs must be byte-identical.
 Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
-render_csv takes a table as columns, one per header field, and renders every
-table the same way.  A column is a float array or a sequence of str, int,
-float or None cells.  Cells are written as csv.writer's default dialect
-writes them: str cells quoted when they hold a comma, a quote, CR or LF; ints
-as str(int); floats as '%.17g'; None as an empty cell.
+write_csv takes a table as columns, one per header field, and writes every
+table the same way: each chunk of about _CHUNK cells is rendered and written
+to the open file before the next, so no whole-table str is built.
+render_csv returns the same text as one str; both take their pieces from
+_csv_pieces, which checks the columns before the file is opened.  A column is
+a float array or a sequence of str, int, float or None cells.  Cells are
+written as csv.writer's default dialect writes them: str cells quoted when
+they hold a comma, a quote, CR or LF; ints as str(int); floats as '%.17g';
+None as an empty cell.
 
 Float columns are rendered by a numpy kernel that writes the same bytes as
 `'%.17g'` for every double that format prints in fixed notation, the signed
@@ -60,7 +64,7 @@ import json
 
 import numpy as np
 
-# Cells per chunk of render_csv: large enough to amortize numpy's per-call
+# Cells per chunk of a table: large enough to amortize numpy's per-call
 # cost, small enough that the kernel's temporaries stay near 1 MB.
 _CHUNK = 8192
 
@@ -105,14 +109,19 @@ _SEPARATORS = (",", "\r\n")
 def _tables():
     """The kernel's lookup tables, built on first use so that importing the
     module costs nothing."""
-    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000).T  # of 0-9999
-    trailing = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]  # not a trailing zero
-    leading = np.logical_or.accumulate(digits != 0, axis=1)  # not a leading zero
-    chars = digits + ord("0")
     # 4-digit groups as uint32 words: 0-9999 keep every digit, 10000-19999 (a
     # group after which only zero groups follow) NUL its trailing zeros, and
-    # 20000-29999 (a group before which only zero groups come) its leading zeros
-    groups = _words(chars.tobytes() + (chars * trailing).tobytes() + (chars * leading).tobytes())
+    # 20000-29999 (a group before which only zero groups come) its leading
+    # zeros.  Written byte by byte in place, axis j + 1 the j-th digit.
+    words = np.empty((3, 10, 10, 10, 10), dtype=np.uint32)
+    chars = words.view(np.uint8).reshape(3, 10, 10, 10, 10, 4)
+    for j in range(4):
+        chars[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    trailing, leading = chars[1], chars[2]
+    trailing[..., 0, 3] = trailing[..., 0, 0, 2] = trailing[:, 0, 0, 0, 1] = trailing[0, 0, 0, 0, 0] = 0
+    leading[0, ..., 0] = leading[0, 0, ..., 1] = leading[0, 0, 0, :, 2] = leading[0, 0, 0, 0, 3] = 0
+    groups = words.reshape(30000)
+    groups.flags.writeable = False
     # two words before the digits, at index 10 * (first cell of a line)
     # + 5 * (negative) + kind: kind 0 for |x| >= 1 (the integer part follows),
     # kind z + 1 for 0.<z zeros><digits>
@@ -263,13 +272,10 @@ def metadata_line(meta: dict) -> str:
     return "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def render_csv(meta: dict, header: list[str], columns) -> str:
-    """Metadata line, header and the table's rows as CSV text with CRLF line ends.
-
-    `columns` holds one column per header field, all of one length: a float
-    array, whose cells are '%.17g' text, or a sequence of str, int, float or
-    None cells.
-    """
+def _csv_pieces(meta: dict, header: list[str], columns):
+    """The CSV text of a table as an iterator of pieces: the metadata line and
+    header, the rows of each chunk of about _CHUNK cells, and the final CRLF.
+    The columns are checked here, before any piece is taken."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
     size = len(columns[0]) if columns else 0
@@ -278,11 +284,29 @@ def render_csv(meta: dict, header: list[str], columns) -> str:
     lone = len(columns) == 1
     columns = [c if _is_floats(c) else _cell_texts(c, lone) for c in columns]
     step = max(1, _CHUNK // max(1, len(columns)))
-    out = [metadata_line(meta), "\r\n", ",".join(_cell_texts(header, lone))]
-    out += [_render_rows([c[start:start + step] for c in columns], min(step, size - start))
-            for start in range(0, size, step)]
-    out.append("\r\n")
-    return "".join(out)
+    head = metadata_line(meta) + "\r\n" + ",".join(_cell_texts(header, lone))
+    chunks = (_render_rows([c[start:start + step] for c in columns], min(step, size - start))
+              for start in range(0, size, step))
+    return itertools.chain((head,), chunks, ("\r\n",))
+
+
+def render_csv(meta: dict, header: list[str], columns) -> str:
+    """Metadata line, header and the table's rows as CSV text with CRLF line ends.
+
+    `columns` holds one column per header field, all of one length: a float
+    array, whose cells are '%.17g' text, or a sequence of str, int, float or
+    None cells.
+    """
+    return "".join(_csv_pieces(meta, header, columns))
+
+
+def write_csv(path, meta: dict, header: list[str], columns):
+    """Write render_csv's text to path a chunk at a time, so that no
+    whole-table str is built.  A column mismatch raises ValueError before the
+    file is opened."""
+    pieces = _csv_pieces(meta, header, columns)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(pieces)
 
 
 # Bytes per block of read_fractions: large enough to amortize numpy's per-call

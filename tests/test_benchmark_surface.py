@@ -3,12 +3,13 @@
 perfbench/tracer.py wraps each function in TARGETS by module attribute, and the
 harness modules import cvfade names directly.  A deletion or rename that breaks
 either fails here, before it breaks a traced benchmark run; so does a change
-that takes the CLI's CSV reading or rendering around the traced functions.
+that takes the CLI's CSV reading or writing around the functions followed here.
 """
 import ast
 import csv
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import sys
@@ -56,16 +57,17 @@ def test_harness_imports_resolve():
         assert hasattr(module, name), f"perfbench/{path}: from {module_name} import {name}"
 
 
-def traced_calls(monkeypatch, target):
-    """Record calls of a TARGETS function the way tracer.Tracer.install wraps
-    it: under every cvfade module attribute bound to it."""
+def traced_calls(monkeypatch, target, record=lambda args, kwargs, result: result):
+    """Record calls of a cvfade function the way tracer.Tracer.install wraps
+    a TARGETS function: under every cvfade module attribute bound to it.  Each
+    call is recorded as record(args, kwargs, result)."""
     module_name, attr = target.split(".")
     original = getattr(importlib.import_module(f"cvfade.{module_name}"), attr)
     calls = []
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        calls.append(result)
+        calls.append(record(args, kwargs, result))
         return result
 
     for name, module in list(sys.modules.items()):
@@ -76,20 +78,45 @@ def traced_calls(monkeypatch, target):
     return calls
 
 
+def written_tables(monkeypatch):
+    """The arguments of each outputs.write_csv call, by parameter name."""
+    from cvfade.outputs import write_csv
+
+    signature = inspect.signature(write_csv)
+    return traced_calls(monkeypatch, "outputs.write_csv",
+                        lambda args, kwargs, result: signature.bind(*args, **kwargs).arguments)
+
+
+def check_written_table(call, out) -> str:
+    """The text of the file one write_csv call wrote to out, checked to be
+    render_csv's text of the same arguments."""
+    from cvfade.outputs import render_csv
+
+    assert Path(call["path"]) == out
+    text = out.read_bytes().decode()
+    assert text == render_csv(call["meta"], call["header"], call["columns"])
+    return text
+
+
 def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
-    """The per-layer counters read outputs.render_csv's returned text (rows,
-    cells) and channel.read_eta_csv's returned array (.size); simulate and
-    stats must reach both through the attributes the tracer replaces."""
+    """simulate writes its sample file in one outputs.write_csv call, whose
+    file is render_csv's text of its arguments; stats reads it through
+    channel.read_eta_csv, whose returned array (.size) the per-layer counters
+    read.  Both calls go through module attributes that the tracer can
+    replace."""
     from cvfade.cli import main  # imports every layer
 
+    csv_rows_cells = load_tracer().csv_rows_cells
     assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
-    rendered = traced_calls(monkeypatch, "outputs.render_csv")
+    written = written_tables(monkeypatch)
     read = traced_calls(monkeypatch, "channel.read_eta_csv")
     samples = tmp_path / "eta.csv"
     n = 1234
     assert main(["simulate", "--config", str(FIG3), "--n", str(n), "--seed", "3", "--out", str(samples)]) == 0
-    assert len(rendered) == 1 and isinstance(rendered[0], str)
-    assert rendered[0].count("\n") - 2 == n  # one metadata line, one header line
+    assert len(written) == 1
+    text = check_written_table(written[0], samples)
+    assert text.count("\n") - 2 == n  # one metadata line, one header line
+    assert csv_rows_cells(text) == [n, n]
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
     assert len(read) == 1 and isinstance(read[0], np.ndarray) and read[0].size == n
 
@@ -101,16 +128,15 @@ def load_tracer():
     return module
 
 
-def test_rate_tables_reach_render_csv_once(tmp_path, monkeypatch):
-    """sweep, keyrate --trace, optimize and daily each render their table in
-    one outputs.render_csv call, through the attributes the tracer replaces.
-    The text it returns is the file written, so the rows and cells the tracer
-    counts in it (fading_sweep's outputs.render_csv.ns_per_cell divides by
-    them) are the table's."""
+def test_rate_tables_reach_write_csv_once(tmp_path, monkeypatch):
+    """sweep, keyrate --trace, optimize and daily each write their table in
+    one outputs.write_csv call, through a module attribute that the tracer
+    can replace.  The file is render_csv's text of that call's arguments, so
+    rows and cells counted from those arguments are the table's."""
     from cvfade.cli import ROW_FIELDS, main  # imports every layer
 
     csv_rows_cells = load_tracer().csv_rows_cells
-    rendered = traced_calls(monkeypatch, "outputs.render_csv")
+    written = written_tables(monkeypatch)
     daily_header = 6 + 4 * 3  # three variants in fig2b_caption
     runs = {
         "sweep": (["sweep", "--config", str(PERFBENCH / "fading_sweep.scenario")], 500 * 3, len(ROW_FIELDS)),
@@ -122,9 +148,8 @@ def test_rate_tables_reach_render_csv_once(tmp_path, monkeypatch):
     for command, (argv, rows, columns) in runs.items():
         out = tmp_path / f"{command}.csv"
         assert main(argv + ["--out", str(out), "--jobs", "1"]) == 0, command
-        assert len(rendered) == 1 and isinstance(rendered[0], str), command
-        text = rendered.pop()
-        assert text == out.read_bytes().decode(), command
+        assert len(written) == 1, command
+        text = check_written_table(written.pop(), out)
         assert csv_rows_cells(text) == [rows, rows * columns], command
         table = list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
         assert len(table) == rows + 1 and {len(row) for row in table} == {columns}, command

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError
 from cvfade.keyrate import key_rate
-from cvfade.outputs import _CHUNK, metadata_line, render_csv, write_text
+from cvfade.outputs import _CHUNK, _tables, metadata_line, render_csv, write_csv, write_text
 from cvfade.scenario import SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
@@ -688,6 +689,70 @@ def test_table_renders_like_row_renderer(kinds, texts, seed, data):
 ])
 def test_one_column_tables_render_like_row_renderer(header, column):
     assert render_csv({}, header, [column]) == row_renderer({}, header, ([v] for v in column))
+
+
+@pytest.mark.parametrize("layout", ["f", "c", "cffc"])  # float and cell columns
+@pytest.mark.parametrize("size", SIZES + (3 * _CHUNK + 5,))
+def test_write_csv_writes_render_csv_text(tmp_path, layout, size):
+    """write_csv, which writes a chunk at a time, writes the bytes that
+    write_text writes of render_csv's text, at table lengths around the chunk
+    length."""
+    rng = np.random.default_rng(size)
+
+    def column(kind):
+        if kind == "c":
+            return [TRICKY_CELLS[i] for i in rng.integers(0, len(TRICKY_CELLS), size)]
+        return np.where(rng.random(size) < 0.5, rng.random(size), _any_bit_pattern(rng, size))
+
+    columns = [column(kind) for kind in layout]
+    header = [f"h{i}" for i in range(len(layout))]
+    meta = {"layout": layout, "size": size}
+    write_csv(tmp_path / "streamed.csv", meta, header, columns)
+    write_text(tmp_path / "whole.csv", render_csv(meta, header, columns))
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [np.zeros(3)]),
+    (["a"], [np.zeros(3), [1, 2, 3]]),
+    (["a", "b"], [np.zeros(3), [1, 2]]),
+    (["a", "b"], [[1, 2], np.zeros(3)]),
+])
+def test_write_csv_checks_columns_before_opening_the_file(tmp_path, header, columns):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"kept\r\n")
+    with pytest.raises(ValueError):
+        write_csv(path, {}, header, columns)
+    assert path.read_bytes() == b"kept\r\n"
+
+
+def test_write_csv_holds_no_whole_table_text(tmp_path):
+    """Writing 3e5 samples holds about one chunk's text at a time: the whole
+    table as one str would be 6.3 MB on its own."""
+    samples = np.random.default_rng(5).random(300_000)
+    path = tmp_path / "eta.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, {"n": samples.size}, ["eta"], [samples])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 6e6
+    assert peak < 3e6, peak
+
+
+def test_lookup_tables_equal_their_byte_string_construction():
+    """_tables writes its digit-group words in place; they equal the words
+    built from digit arrays, NUL masks and byte strings."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000).T
+    trailing = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    leading = np.logical_or.accumulate(digits != 0, axis=1)
+    chars = digits + ord("0")
+    groups = np.frombuffer(chars.tobytes() + (chars * trailing).tobytes() + (chars * leading).tobytes(),
+                           dtype=np.uint32)
+    assert _tables()[0].dtype == np.uint32
+    assert _tables()[0].tobytes() == groups.tobytes()
+    assert not _tables()[0].flags.writeable  # shared by every caller
 
 
 MALFORMED_SAMPLES = {
