@@ -319,19 +319,18 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
     return SimulationResult(samples=samples, metadata=metadata)
 
 
-def _transmittance_rule(scenario: BeamScenario):
-    """Transmittance at the nodes of the fixed tensor Gauss rule, and their
-    weights up to a common factor.
+@functools.cache
+def _rule_grid(n_s: int, n_chi: int, n_theta: int):
+    """The scenario-independent part of fading_moments' rule, built once per
+    process and node counts: s, chi, the two standard-normal Theta
+    coordinates z (one row per node) and the weights up to a common factor,
+    all read-only.
 
-    eta depends on (x0, y0) only through r0 and chi = phi - atan2(y0, x0), so
-    nodes at y0 = 0, phi = chi are exact.  r0 = sqrt(2 var_bw) s, s Rayleigh:
-    Gauss-Legendre in s with the density 2 s e^-s^2 in the weights (Laguerre in
-    s^2 converges only algebraically: r0^lambda is not analytic there at 0).
-    chi, uniform: Gauss-Legendre.  Theta: probabilists' Gauss-Hermite in each
-    standard-normal coordinate, through the Cholesky factor.
+    r0 = sqrt(2 var_bw) s, s Rayleigh: Gauss-Legendre in s with the density
+    2 s e^-s^2 in the weights (Laguerre in s^2 converges only algebraically:
+    r0^lambda is not analytic there at 0).  chi, uniform: Gauss-Legendre.
+    Theta: probabilists' Gauss-Hermite in each coordinate.
     """
-    var_bw, mean_theta, chol = _wander_and_theta(scenario)
-    n_s, n_chi, n_theta = _RULE_NODES
     x, w_s = np.polynomial.legendre.leggauss(n_s)  # numpy.polynomial loads on first use
     s = 3.0 * (1.0 + x)  # on [0, 6]: the Rayleigh mass beyond is e^-36
     x, w_chi = np.polynomial.legendre.leggauss(n_chi)
@@ -339,7 +338,23 @@ def _transmittance_rule(scenario: BeamScenario):
     z, w_z = np.polynomial.hermite_e.hermegauss(n_theta)
     weights = np.prod(np.meshgrid(w_s * s * np.exp(-s * s), w_chi, w_z, w_z, indexing="ij"), axis=0).ravel()
     s, chi, z1, z2 = (a.ravel() for a in np.meshgrid(s, chi, z, z, indexing="ij"))
-    th = mean_theta + np.stack([z1, z2], axis=1) @ chol.T
+    grid = (s, chi, np.stack([z1, z2], axis=1), weights)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _transmittance_rule(scenario: BeamScenario):
+    """Transmittance at the nodes of the fixed tensor Gauss rule, and their
+    weights up to a common factor.
+
+    eta depends on (x0, y0) only through r0 and chi = phi - atan2(y0, x0), so
+    nodes at y0 = 0, phi = chi are exact.  Theta goes through the Cholesky
+    factor of its covariance.
+    """
+    var_bw, mean_theta, chol = _wander_and_theta(scenario)
+    s, chi, z, weights = _rule_grid(*_RULE_NODES)
+    th = mean_theta + z @ chol.T
     r0 = math.sqrt(2.0 * var_bw) * s
     return _transmittance_batch(r0, np.zeros_like(r0), th[:, 0], th[:, 1], chi, scenario), weights
 

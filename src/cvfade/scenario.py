@@ -11,7 +11,7 @@ two in sync.
 from __future__ import annotations
 
 import csv
-import hashlib
+import importlib
 import json
 import math
 from dataclasses import dataclass
@@ -256,9 +256,22 @@ class ScenarioConfig:
     sweep: dict | None
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        return _sha256_hex(json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode())
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 hex digest from CPython's built-in module (_sha2 on 3.12+,
+    _sha256 before), the one hashlib itself falls back to.  hashlib maps
+    OpenSSL's libcrypto, 3.4 MB of resident pages for this one digest, so it
+    is imported only where neither module is built."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _linear_keys(doc, path, names) -> dict:

@@ -503,3 +503,34 @@ def test_quadrature_fading_variance_peaks():
         assert 0 < i < len(distances) - 1
         assert lo <= distances[i] <= hi
         assert level / 2.0 <= variances[i] <= 2.0 * level
+
+
+def parent_rule_grid(n_s, n_chi, n_theta):
+    """The rule's nodes and weights as fading_moments built them on every call."""
+    x, w_s = np.polynomial.legendre.leggauss(n_s)
+    s = 3.0 * (1.0 + x)
+    x, w_chi = np.polynomial.legendre.leggauss(n_chi)
+    chi = 0.25 * math.pi * (1.0 + x)
+    z, w_z = np.polynomial.hermite_e.hermegauss(n_theta)
+    weights = np.prod(np.meshgrid(w_s * s * np.exp(-s * s), w_chi, w_z, w_z, indexing="ij"), axis=0).ravel()
+    s, chi, z1, z2 = (a.ravel() for a in np.meshgrid(s, chi, z, z, indexing="ij"))
+    return s, chi, np.stack([z1, z2], axis=1), weights
+
+
+def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
+    grid = beam._rule_grid(*beam._RULE_NODES)
+    assert beam._rule_grid(*beam._RULE_NODES) is grid
+    for got, want in zip(grid, parent_rule_grid(*beam._RULE_NODES), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+
+@pytest.mark.parametrize("scen", [QUADRATURE_LINKS[1], daily_links()[1]], ids=["1750m", "daily-high-cn2"])
+def test_cached_rule_gives_the_moments_of_a_rebuilt_one(scen, monkeypatch):
+    cached = fading_moments(scen)
+    monkeypatch.setattr(beam, "_rule_grid", parent_rule_grid)
+    rebuilt = fading_moments(scen)
+    assert (cached.mean_eta.hex(), cached.mean_sqrt_eta.hex()) == (rebuilt.mean_eta.hex(), rebuilt.mean_sqrt_eta.hex())

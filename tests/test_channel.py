@@ -493,6 +493,57 @@ def test_fraction_reader_matches_csv_float_oracle(tmp_path_factory, lines, eol, 
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(map(float, lines))
 
 
+# lines read_fractions leaves to numpy's reader: a comment, a blank line, a
+# number not of the form 0.<digits>, a quoted cell, spaces around a number and
+# alone, a word, a byte that is not UTF-8 and a row of two cells
+FALLBACK_LINES = (b"# comment", b"", b"1", b'"0.25"', b" 0.5 ", b"   ", b"abc", b"\xff", b"0.25,0.5")
+
+
+def line_oracle(body: bytes, first: int):
+    """What csv.reader and float() read from body line by line, its first
+    line being line `first`: the values, else the number of the first line
+    that does not decode as UTF-8, has other than one cell or is not a
+    number.  Whole-line comments and blank lines are skipped."""
+    values = []
+    for n, line in enumerate(body.splitlines(), first):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError:
+            return n
+        if not text or text.startswith("#"):
+            continue
+        row = next(csv.reader([text]))
+        try:
+            values.append(float(*row))
+        except (TypeError, ValueError):
+            return n
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.lists(fraction_lines(), min_size=1, max_size=20),
+       tail=st.lists(st.one_of(fraction_lines().map(str.encode), st.sampled_from(FALLBACK_LINES)),
+                     min_size=1, max_size=12),
+       eol=st.sampled_from([b"\n", b"\r\n"]), final_eol=st.booleans(),
+       block=st.sampled_from([1, 5, 24, 100]), lines=st.sampled_from([1, 2, 3, channel._BLOCK]))
+def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, final_eol, block, lines):
+    """Files of simulate's lines followed by lines the kernel leaves to
+    numpy's reader, at small kernel and numpy blocks: the doubles of
+    csv.reader and float(), or the line number of their first fault."""
+    body = eol.join([v.encode() for v in head] + tail) + eol * final_eol
+    path = tmp_path_factory.mktemp("eta") / "samples.csv"
+    path.write_bytes(b"# metadata: {}" + eol + b"eta" + eol + body)
+    want = line_oracle(body, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outputs, "_READ_BLOCK", block)
+        mp.setattr(channel, "_BLOCK", lines)
+        if isinstance(want, int):
+            with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line {want} "):
+                read_eta_csv(path)
+        else:
+            assert hex_values(read_eta_csv(path)) == hex_values(csv_float_reader(path)) == hex_values(want)
+
+
 def test_fraction_reader_reads_many_blocks_as_float(tmp_path, monkeypatch):
     """Thousands of lines at and next to midpoints, and '%.17g' samples, over
     several blocks of the real size."""

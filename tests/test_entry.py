@@ -1,4 +1,7 @@
-"""The package entry points: an `import cvfade` that loads no numpy, and a CLI entry that runs on one thread."""
+"""The package entry points: an `import cvfade` that loads no numpy, a CLI
+entry that runs on one thread, and rate and stats commands that load no
+OpenSSL (hashlib's _hashlib maps libcrypto, 3.4 MB resident)."""
+import ast
 import json
 import os
 import subprocess
@@ -57,3 +60,49 @@ def test_cli_runs_on_one_thread(keyrate_args):
 def test_cli_keeps_a_thread_count_the_user_set(keyrate_args):
     _, variable = json.loads(run_python(["-c", CLI_CODE, *keyrate_args], child_env(OPENBLAS_NUM_THREADS="2")))
     assert variable == "2"
+
+
+def imports_at_import_time(body):
+    """The modules that statements import when their module is imported:
+    within if, try, with and class blocks, not within function bodies."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield (node.module or "").partition(".")[0]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from imports_at_import_time(getattr(node, field, []))
+
+
+def test_no_module_imports_hashlib_at_module_level():
+    found = {path.name: names for path in sorted(SRC.glob("cvfade/**/*.py"))
+             if (names := {"hashlib", "_hashlib"}.intersection(imports_at_import_time(ast.parse(path.read_text()).body)))}
+    assert not found, found
+
+
+# Runs cvfade.__main__.main on each argument list of argv[1] (JSON), then
+# prints their exit codes and whether _hashlib is loaded as one JSON line.
+FOOTPRINT_CODE = """\
+import json, sys
+from cvfade.__main__ import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, "_hashlib" in sys.modules]))
+"""
+
+
+def test_sweep_and_stats_load_no_openssl(tmp_path):
+    if run_python(["-c", "import sys, numpy; print('_hashlib' in sys.modules)"], child_env()).strip() == "True":
+        pytest.skip("this numpy loads _hashlib at import")
+    cfg = tmp_path / "sweep.scenario"
+    cfg.write_text(json.dumps({"protocol": {"family": "squeezed", "v_s": 0.5, "v_m": 5.0},
+                               "channel": {"fading": {"stats": {"mean_eta": 0.5}}},
+                               "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}}))
+    samples = tmp_path / "eta.csv"
+    samples.write_text("eta\n0.5\n0.25\n")
+    commands = [["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
+                ["stats", str(samples), "--out", str(tmp_path / "stats.json")]]
+    codes, loaded = json.loads(run_python(["-c", FOOTPRINT_CODE, json.dumps(commands)], child_env()))
+    assert codes == [0, 0]
+    assert "config_sha256" in (tmp_path / "sweep.csv").read_text().splitlines()[0]  # the digest was computed
+    assert not loaded

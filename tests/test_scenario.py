@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -313,3 +316,50 @@ def test_read_cn2_csv_errors(tmp_path):
             read_cn2_csv(path)
     with pytest.raises(ConfigError, match="^cn2 series .* does not decode as "):
         read_cn2_csv(tmp_path / "non_utf8.csv")
+
+
+def generated_scenarios():
+    """scripts/diff_outputs.py's scenarios that set every optional key."""
+    spec = importlib.util.spec_from_file_location("diff_outputs", REPO / "scripts" / "diff_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: doc for name, doc in module.GENERATED.items() if name.startswith("all_keys")}
+
+
+@pytest.fixture
+def digest_documents(tmp_path):
+    """Every shipped scenario, perfbench's fading sweep and the generated ones."""
+    paths = sorted(SCENARIOS.glob("*.scenario")) + [REPO / "perfbench" / "fading_sweep.scenario"]
+    paths += [write_config(tmp_path, doc, f"{name}.scenario") for name, doc in generated_scenarios().items()]
+    return paths
+
+
+def hashlib_digest(path):
+    canonical = json.dumps(json.loads(path.read_text(encoding="utf-8")), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def count_hashlib_calls(monkeypatch):
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    return calls
+
+
+class TestConfigDigest:
+    """config_hash is the SHA-256 hashlib gives of the canonical JSON, from
+    CPython's built-in module, or from hashlib where that is not built."""
+
+    def test_built_in_module_gives_hashlibs_digest(self, digest_documents, monkeypatch):
+        want = [hashlib_digest(path) for path in digest_documents]
+        calls = count_hashlib_calls(monkeypatch)
+        assert [load_scenario(path).config_hash() for path in digest_documents] == want
+        assert calls == []
+
+    def test_hashlib_fallback_gives_the_same_digest(self, digest_documents, monkeypatch):
+        want = [hashlib_digest(path) for path in digest_documents]
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        calls = count_hashlib_calls(monkeypatch)
+        assert [load_scenario(path).config_hash() for path in digest_documents] == want
+        assert len(calls) == len(digest_documents)
