@@ -505,8 +505,9 @@ def test_quadrature_fading_variance_peaks():
         assert level / 2.0 <= variances[i] <= 2.0 * level
 
 
-def parent_rule_grid(n_s, n_chi, n_theta):
-    """The rule's nodes and weights as fading_moments built them on every call."""
+def uncached_rule_grid(n_s, n_chi, n_theta):
+    """The rule's nodes and weights built afresh on each call: the reference
+    for the cached ones."""
     x, w_s = np.polynomial.legendre.leggauss(n_s)
     s = 3.0 * (1.0 + x)
     x, w_chi = np.polynomial.legendre.leggauss(n_chi)
@@ -520,7 +521,7 @@ def parent_rule_grid(n_s, n_chi, n_theta):
 def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
     grid = beam._rule_grid(*beam._RULE_NODES)
     assert beam._rule_grid(*beam._RULE_NODES) is grid
-    for got, want in zip(grid, parent_rule_grid(*beam._RULE_NODES), strict=True):
+    for got, want in zip(grid, uncached_rule_grid(*beam._RULE_NODES), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
@@ -531,6 +532,6 @@ def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
 @pytest.mark.parametrize("scen", [QUADRATURE_LINKS[1], daily_links()[1]], ids=["1750m", "daily-high-cn2"])
 def test_cached_rule_gives_the_moments_of_a_rebuilt_one(scen, monkeypatch):
     cached = fading_moments(scen)
-    monkeypatch.setattr(beam, "_rule_grid", parent_rule_grid)
+    monkeypatch.setattr(beam, "_rule_grid", uncached_rule_grid)
     rebuilt = fading_moments(scen)
     assert (cached.mean_eta.hex(), cached.mean_sqrt_eta.hex()) == (rebuilt.mean_eta.hex(), rebuilt.mean_sqrt_eta.hex())

@@ -513,9 +513,11 @@ def line_oracle(body: bytes, first: int):
         if not text or text.startswith("#"):
             continue
         row = next(csv.reader([text]))
+        if len(row) != 1:
+            return n
         try:
-            values.append(float(*row))
-        except (TypeError, ValueError):
+            values.append(float(row[0]))
+        except ValueError:
             return n
     return values
 

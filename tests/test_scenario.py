@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import sys
 from dataclasses import fields
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MALFORMED_CN2
+from conftest import MALFORMED_CN2, load_script
 from cvfade.beam import BeamScenario, fading_moments
 from cvfade.channel import CompositeChannel
 from cvfade.cli import main
@@ -320,10 +319,7 @@ def test_read_cn2_csv_errors(tmp_path):
 
 def generated_scenarios():
     """scripts/diff_outputs.py's scenarios that set every optional key."""
-    spec = importlib.util.spec_from_file_location("diff_outputs", REPO / "scripts" / "diff_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {name: doc for name, doc in module.GENERATED.items() if name.startswith("all_keys")}
+    return {name: doc for name, doc in load_script("diff_outputs").GENERATED.items() if name.startswith("all_keys")}
 
 
 @pytest.fixture

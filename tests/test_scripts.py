@@ -1,18 +1,10 @@
 """The experiment scripts in scripts/ run, write their tables and clean up after themselves."""
-import importlib.util
 import tempfile
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import SCRIPTS, load_script
 
 
 def test_run_fig1b_leaves_no_temporary_files(tmp_path, monkeypatch):
