@@ -10,8 +10,7 @@ phi, uniform on [0, pi/2].  The single-shot aperture transmittance is
 with scale/shape functions R, lambda built from scaled Bessel I0/I1, an
 effective spot radius W_eff obtained through the Lambert W function, and eta0
 the centered-beam transmittance.  The turbulence statistics of (x0, y0,
-Theta1, Theta2) come from a versioned coefficient table shipped with the
-package (see data/beam_spread_model.json for provenance notes).
+Theta1, Theta2) rest on the five versioned coefficients below.
 
 `simulate` draws Monte Carlo samples of eta.  `fading_moments` computes <eta>
 and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule.
@@ -19,18 +18,15 @@ and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .channel import FadingStats
-from .errors import ConfigError, DomainError, NumericalFailure
+from .errors import DomainError, NumericalFailure
 from .specialfn import bessel_i0e, bessel_i0e_minus_exp, bessel_i1e, lambert_w_exp
 
-DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "beam_spread_model.json"
 GENERATOR_NAME = "philox"
 
 _CHUNK = 8192          # samples per generator chunk
@@ -42,33 +38,29 @@ _RULE_NODES = (24, 8, 8)
 # limit for eta0's last term; their truncation errors are then below 1e-17
 # relative in L and lambda and 1e-17 absolute in eta0
 _SMALL_Z = 1e-5
-_TABLE_KEYS = (
-    "version",
-    "rytov_normalization",
-    "centroid_wander",
-    "theta_gain",
-    "theta_variance",
-    "theta_covariance",
-)
 
-
-@functools.cache
-def load_coefficient_table() -> dict:
-    """Load (once) the turbulence-moment coefficient table at DEFAULT_TABLE_PATH."""
-    p = DEFAULT_TABLE_PATH
-    if not p.exists():
-        raise ConfigError(f"coefficient table not found: {p}")
-    try:
-        table = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"coefficient table is not valid JSON: {p}") from exc
-    missing = [k for k in _TABLE_KEYS if k not in table]
-    if missing:
-        raise ConfigError(f"coefficient table {p} missing keys: {missing}")
-    for k in _TABLE_KEYS[1:]:
-        if not isinstance(table[k], (int, float)) or table[k] <= 0:
-            raise ConfigError(f"coefficient table entry {k!r} must be a positive number")
-    return table
+# Gaussian moments of the elliptic-beam parameter vector (x0, y0, Theta1,
+# Theta2) for a beam focused at the receiver plane propagating through
+# isotropic Kolmogorov turbulence.  Semiaxes are log-parametrized, W_i^2 =
+# W0^2 exp(Theta_i).  Vacuum limit of the spread is the focused-beam
+# diffraction W(L) = W0 / Omega, Omega = k W0^2 / (2 L).
+# Moments are polynomial in S = RYTOV_NORMALIZATION * sigma_R^2 * Omega^(5/6);
+# RYTOV_NORMALIZATION converts the plane-wave Rytov variance used throughout
+# this package (1.23 Cn^2 k^(7/6) L^(11/6)) to the spherical-wave
+# normalization (prefactor 0.5) in which the coefficients are calibrated.
+# Per-axis centroid-wander variance is CENTROID_WANDER * W0^2 * S_w with
+# S_w = RYTOV_NORMALIZATION * sigma_R^2 * Omega^(-7/6); tracking zeroes it.
+#   mean(Theta)   = ln[ Omega^-2 (1+gS)^2 / sqrt((1+gS)^2 + vS) ]
+#   var(Theta)    = ln[ 1 + vS / (1+gS)^2 ]
+#   cov(Th1,Th2)  = ln[ 1 - cS / (1+gS)^2 ]
+# with g = THETA_GAIN, v = THETA_VARIANCE, c = THETA_COVARIANCE.  `simulate`
+# records COEFFICIENT_TABLE_VERSION with its samples.
+COEFFICIENT_TABLE_VERSION = "elliptic-focused-2024.1"
+RYTOV_NORMALIZATION = 0.4065040650406504
+CENTROID_WANDER = 0.33
+THETA_GAIN = 2.96
+THETA_VARIANCE = 1.2
+THETA_COVARIANCE = 0.8
 
 
 def rytov(cn2: float, k: float, distance: float) -> float:
@@ -142,21 +134,20 @@ def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, trackin
 
     Centroid wander is zero-mean isotropic with variance proportional to
     W0^2 sigma_R^2 Omega^(-7/6) (zero under tracking); the log-semiaxis
-    moments are functions of sigma_R^2 Omega^(5/6).  Coefficients come from
-    the versioned table.  Raises DomainError where a moment leaves the float
+    moments are functions of sigma_R^2 Omega^(5/6).  The coefficients are
+    the module's versioned constants.  Raises DomainError where a moment leaves the float
     range.
     """
     if sigma_r2 < 0 or omega < 0 or w0 <= 0:  # omega = 0 (an underflow) is reported below
         raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega >= 0, w0 > 0")
-    t = load_coefficient_table()
-    norm = t["rytov_normalization"]
+    norm = RYTOV_NORMALIZATION
     try:
         s = norm * sigma_r2 * omega ** (5.0 / 6.0)
-        base = (1.0 + t["theta_gain"] * s) ** 2
-        mean_theta = math.log(base / (omega**2 * math.sqrt(base + t["theta_variance"] * s)))
-        var_theta = math.log1p(t["theta_variance"] * s / base)
-        cov_theta = math.log1p(-t["theta_covariance"] * s / base)
-        var_bw = 0.0 if tracking else t["centroid_wander"] * w0**2 * norm * sigma_r2 * omega ** (-7.0 / 6.0)
+        base = (1.0 + THETA_GAIN * s) ** 2
+        mean_theta = math.log(base / (omega**2 * math.sqrt(base + THETA_VARIANCE * s)))
+        var_theta = math.log1p(THETA_VARIANCE * s / base)
+        cov_theta = math.log1p(-THETA_COVARIANCE * s / base)
+        var_bw = 0.0 if tracking else CENTROID_WANDER * w0**2 * norm * sigma_r2 * omega ** (-7.0 / 6.0)
         moments = (mean_theta, var_theta, cov_theta, var_bw)
     except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: the log of an underflowed 0
         moments = (math.nan,)
@@ -314,7 +305,7 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
         "n": int(n),
         "chunk_size": _CHUNK,
         "scenario": asdict(scenario),
-        "coefficient_table_version": load_coefficient_table()["version"],
+        "coefficient_table_version": COEFFICIENT_TABLE_VERSION,
     }
     return SimulationResult(samples=samples, metadata=metadata)
 

@@ -47,11 +47,6 @@ class FadingStats:
     def var_sqrt(self) -> float:
         return max(0.0, self.mean_eta - self.mean_sqrt_eta**2)
 
-    @classmethod
-    def fixed(cls, eta: float) -> "FadingStats":
-        """Degenerate (non-fluctuating) channel of transmittance eta."""
-        return cls(eta, math.sqrt(eta))
-
 
 _LEAF = 8192  # samples per np.sqrt temporary: 64 KB, below malloc's 128 KB mmap threshold
 

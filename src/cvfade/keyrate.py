@@ -63,13 +63,19 @@ class FiniteSizeParams:
             raise DomainError("eps_bar must lie in (0, 1)")
         if not 0.0 < self.key_fraction <= 1.0:
             raise DomainError("key_fraction must lie in (0, 1]")
+        finite_size_penalty(self.n, self.eps_bar)
 
 
 def finite_size_penalty(n: float, eps_bar: float = 1e-10) -> float:
-    """Block-size penalty Delta(n) = 7 sqrt(log2(2/eps_bar) / n)."""
+    """Block-size penalty Delta(n) = 7 sqrt(log2(2/eps_bar) / n); DomainError
+    where it is not finite (2/eps_bar overflows below about 1.1e-308)."""
     if n <= 0:
         raise DomainError("n must be positive")
-    return 7.0 * math.sqrt(math.log2(2.0 / eps_bar) / n)
+    delta = 7.0 * math.sqrt(math.log2(2.0 / eps_bar) / n)
+    if not math.isfinite(delta):
+        raise DomainError(f"eps_bar = {eps_bar!r} puts the block-size penalty 7 sqrt(log2(2 / eps_bar) / n) "
+                          "beyond the float range")
+    return delta
 
 
 @dataclass(frozen=True)

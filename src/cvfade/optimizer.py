@@ -27,9 +27,6 @@ from .errors import ConfigError
 from .keyrate import FiniteSizeParams, KeyRateResult, KeyRates, key_rates
 from .sources import ProtocolParams, variance_from_db
 
-COHERENT = "coherent"
-SQUEEZED = "squeezed"
-
 # the search ends once every free step is below this fraction of its box width
 _STEP_FLOOR = 1e-12
 # ... or after this many rounds: on a wide V_m box the shared step can shrink
@@ -42,7 +39,7 @@ class OptimizationSpec:
     """Search region and termination settings.
 
     vs_cap_db: most-negative allowed squeezing in dB (<= 0, with a variance
-    that does not underflow to 0); the coherent family ignores it and fixes
+    that does not underflow to 0); a coherent template ignores it and keeps
     V_s = 1.  vm_range: inclusive modulation
     bounds in SNU.  grid: (n_vs, n_vm) coarse densities; one grid cell is
     also the search's initial step.  tolerance: stencil rate spread, bits;
@@ -52,7 +49,6 @@ class OptimizationSpec:
     searches V_m only (used by fixed-squeezing sweeps).
     """
 
-    family: str = SQUEEZED
     vs_cap_db: float = -10.0
     vm_range: tuple[float, float] = (0.0, 1000.0)
     grid: tuple[int, int] = (25, 25)
@@ -60,8 +56,6 @@ class OptimizationSpec:
     optimize_vs: bool = True
 
     def __post_init__(self):
-        if self.family not in (COHERENT, SQUEEZED):
-            raise ConfigError(f"unknown protocol family {self.family!r}")
         if self.vs_cap_db > 0:
             raise ConfigError("vs_cap_db must be <= 0 dB")
         if self.vs_min == 0.0:
@@ -78,10 +72,11 @@ class OptimizationSpec:
     def vs_min(self) -> float:
         return variance_from_db(self.vs_cap_db)
 
-    @property
-    def searches_vs(self) -> bool:
-        """Whether V_s is searched: the coherent family fixes it, optimize_vs=False freezes it."""
-        return self.family == SQUEEZED and self.optimize_vs
+
+def searches_vs(spec: OptimizationSpec, template: ProtocolParams) -> bool:
+    """Whether optimize searches V_s: a coherent template (b = 1) fixes it at
+    1, and optimize_vs=False freezes it at the template's value."""
+    return spec.optimize_vs and not template.is_coherent
 
 
 @dataclass(frozen=True)
@@ -109,12 +104,9 @@ def optimize(
     given, rate_asymptotic otherwise.  Ties break toward larger V_s, then
     smaller V_m.  The returned point never violates the caps and its rate is
     >= every evaluated point.  no_positive_rate flags a best rate <= 0 (the
-    argmax is still returned).  The template must be of the spec's family
-    (b = 1 for coherent, b = 0 for squeezed); where V_s is not searched it
-    keeps the template's value, which is 1 for a coherent template.
+    argmax is still returned).  Where V_s is not searched (see searches_vs)
+    it keeps the template's value, which is 1 for a coherent template.
     """
-    if (spec.family == COHERENT) != protocol_template.is_coherent:
-        raise ConfigError(f"a {spec.family} optimizer cannot search a template with b = {protocol_template.b}")
     # per evaluated point, in evaluation order: its objective, and the batch
     # and index that computed it
     cache: dict[tuple[float, float], tuple[float, KeyRates, int]] = {}
@@ -131,7 +123,7 @@ def optimize(
         return [cache[p][0] for p in points]
 
     n_vs, n_vm = spec.grid
-    if spec.searches_vs:
+    if searches_vs(spec, protocol_template):
         vs_grid = np.logspace(math.log10(spec.vs_min), 0.0, n_vs)
         vs_grid[-1] = 1.0
     else:

@@ -24,7 +24,7 @@ from .beam import BeamScenario, fading_moments
 from .channel import CompositeChannel, FadingStats, fading_stats, read_eta_csv
 from .errors import ConfigError, DomainError
 from .keyrate import FiniteSizeParams
-from .optimizer import OptimizationSpec
+from .optimizer import OptimizationSpec, searches_vs
 from .sources import ProtocolParams, build_source_stack, variance_from_db
 
 _FIXED_SEGMENTS = ("eta1", "eta2")  # the channel's keys that may be given in dB
@@ -240,8 +240,11 @@ def schema_document() -> dict:
 class ProtocolVariant:
     label: str
     params: ProtocolParams
-    family: str
     optimizer: OptimizationSpec | None
+
+    @property
+    def family(self) -> str:
+        return "coherent" if self.params.is_coherent else "squeezed"
 
 
 @dataclass(frozen=True)
@@ -311,14 +314,15 @@ def _check_box(params: ProtocolParams, spec: OptimizationSpec, path: str):
     every command that searches the box would exit 3.  The source's trace
     grows with v_m and is convex in log v_s, so the ends of the v_s range
     bound it; the channel scales the signal mode down and adds its noise."""
-    v_s = np.array([spec.vs_min, 1.0] if spec.searches_vs else [params.v_s])
+    free_vs = searches_vs(spec, params)
+    v_s = np.array([spec.vs_min, 1.0] if free_vs else [params.v_s])
     vm_max = spec.vm_range[1]
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.trace(build_source_stack(params, v_s, np.full(v_s.size, vm_max)), axis1=1, axis2=2)
     if not (trace < gaussian.TRACE_MAX).all():
         raise ConfigError(
             f"{path}: the optimizer box reaches tr gamma = {trace.max():.6g} >= {gaussian.TRACE_MAX:.6g} "
-            f"(vm_max = {vm_max:g}{f', vs_cap_db = {spec.vs_cap_db:g}' if spec.searches_vs else ''}), "
+            f"(vm_max = {vm_max:g}{f', vs_cap_db = {spec.vs_cap_db:g}' if free_vs else ''}), "
             "whose key rates are not resolved")
 
 
@@ -332,10 +336,10 @@ def _resolve_protocol(doc, path) -> ProtocolVariant:
             o["vm_range"] = (0.0, o.pop("vm_max"))
         if "grid" in o:
             o["grid"] = tuple(o["grid"])
-        opt = OptimizationSpec(family=family, **o)
+        opt = OptimizationSpec(**o)
         _check_box(params, opt, path)
     label = doc.get("label", family)
-    return ProtocolVariant(label=label, params=params, family=family, optimizer=opt)
+    return ProtocolVariant(label=label, params=params, optimizer=opt)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -1,9 +1,12 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+from cvfade.channel import FadingStats
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -14,6 +17,11 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fixed_fading(eta):
+    """Moments of a channel whose transmittance is eta at every instant."""
+    return FadingStats(eta, math.sqrt(eta))
 
 
 def rotation(theta):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fixed_fading
 from cvfade.beam import BeamScenario, EllipticSample, simulate, transmittance
 from cvfade.channel import CompositeChannel, FadingStats, fading_stats
 from cvfade.cli import main
@@ -39,11 +40,11 @@ def report(capsys):
 def optimized_rate(v_s, chan, beta=1.0, vm_max=60.0, family="squeezed", finite=None):
     """V_m-optimized rate at fixed squeezing (or the coherent protocol)."""
     if family == "coherent":
-        spec = OptimizationSpec(family="coherent", vm_range=(0.0, vm_max), grid=(2, 21))
+        spec = OptimizationSpec(vm_range=(0.0, vm_max), grid=(2, 21))
         template = ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=beta)
     else:
         spec = OptimizationSpec(
-            family="squeezed", vm_range=(0.0, vm_max), grid=(2, 21), optimize_vs=False
+            vm_range=(0.0, vm_max), grid=(2, 21), optimize_vs=False
         )
         template = ProtocolParams(v_s=v_s, v_m=1.0, b=0, beta=beta)
     out = optimize(spec, template, chan, finite)
@@ -91,7 +92,7 @@ def test_criterion_02_uniform_channel_statistic(tmp_path, capsys, report):
 
 def test_criterion_03_squeezing_monotonicity_and_fading_insecurity(report):
     """(a) no fading: stronger squeezing never hurts; (b) fading breaks V_s = 0.01."""
-    chan0 = CompositeChannel(fading=FadingStats.fixed(0.5))
+    chan0 = CompositeChannel(fading=fixed_fading(0.5))
     rates = [optimized_rate(v_s, chan0) for v_s in (0.9, 0.7, 0.5, 0.3, 0.1)]
     monotone = all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
 
@@ -116,14 +117,14 @@ def test_criterion_04_dr_rr_loss_behavior(report):
     """Pure loss, beta = 1, coherent: RR positive everywhere; DR bounded by eta = 1/2."""
     rr_ok = True
     for eta in np.arange(0.05, 1.0001, 0.05):
-        chan = CompositeChannel(fading=FadingStats.fixed(float(eta)))
+        chan = CompositeChannel(fading=fixed_fading(float(eta)))
         if optimized_rate(None, chan, family="coherent", vm_max=100.0) <= 0.0:
             rr_ok = False
             break
 
     def dr_rate(eta):
-        chan = CompositeChannel(fading=FadingStats.fixed(eta))
-        spec = OptimizationSpec(family="coherent", vm_range=(0.0, 100.0), grid=(2, 21))
+        chan = CompositeChannel(fading=fixed_fading(eta))
+        spec = OptimizationSpec(vm_range=(0.0, 100.0), grid=(2, 21))
         template = ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=1.0, reconciliation="dr")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

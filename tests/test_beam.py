@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -13,14 +12,13 @@ from cvfade.beam import (
     BeamScenario,
     EllipticSample,
     fading_moments,
-    load_coefficient_table,
     rytov,
     simulate,
     transmittance,
     turbulence_gaussian_params,
 )
 from cvfade.channel import fading_stats
-from cvfade.errors import ConfigError, DomainError
+from cvfade.errors import DomainError
 from cvfade.scenario import read_cn2_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -97,39 +95,14 @@ class TestBeamScenario:
 
 
 class TestCoefficientTable:
-    def test_default_table_loads(self):
-        t = load_coefficient_table()
-        assert t["centroid_wander"] == pytest.approx(0.33)
-        assert t["theta_gain"] == pytest.approx(2.96)
-        assert t["theta_variance"] == pytest.approx(1.2)
-        assert t["theta_covariance"] == pytest.approx(0.8)
-
-    @pytest.fixture
-    def table_at(self, monkeypatch):
-        """Point DEFAULT_TABLE_PATH at a path, with the cached table cleared
-        before and after the test."""
-        load_coefficient_table.cache_clear()
-        yield lambda path: monkeypatch.setattr(beam, "DEFAULT_TABLE_PATH", path)
-        load_coefficient_table.cache_clear()
-
-    def test_missing_table(self, tmp_path, table_at):
-        table_at(tmp_path / "nope.json")
-        with pytest.raises(ConfigError, match="not found"):
-            load_coefficient_table()
-
-    def test_invalid_json(self, tmp_path, table_at):
-        p = tmp_path / "broken.json"
-        p.write_text("{not json")
-        table_at(p)
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_coefficient_table()
-
-    def test_missing_keys(self, tmp_path, table_at):
-        p = tmp_path / "partial.json"
-        p.write_text(json.dumps({"version": "x"}))
-        table_at(p)
-        with pytest.raises(ConfigError, match="missing keys"):
-            load_coefficient_table()
+    def test_coefficients_are_the_versioned_table(self):
+        assert beam.COEFFICIENT_TABLE_VERSION == "elliptic-focused-2024.1"
+        coefficients = (beam.RYTOV_NORMALIZATION, beam.CENTROID_WANDER, beam.THETA_GAIN,
+                        beam.THETA_VARIANCE, beam.THETA_COVARIANCE)
+        assert [c.hex() for c in coefficients] == [
+            c.hex() for c in (0.4065040650406504, 0.33, 2.96, 1.2, 0.8)]
+        # the spherical-wave prefactor 0.5 over the plane-wave 1.23 of rytov()
+        assert beam.RYTOV_NORMALIZATION == 0.5 / 1.23
 
 
 class TestTurbulenceMoments:

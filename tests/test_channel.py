@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_OF_LINES, hex_values, sample_values
+from conftest import BLOCK_OF_LINES, fixed_fading, hex_values, sample_values
 from cvfade import channel, outputs
 from cvfade.channel import (
     CompositeChannel,
@@ -128,7 +128,7 @@ def fading_noise(params, stats, eta1=1.0):
     """(x, p) noise that apply_equivalent_fixed adds to the signal block, over a
     fixed channel of the same mean amplitude <sqrt(eta)>."""
     src = build_source(params)
-    fixed = FadingStats.fixed(stats.mean_sqrt_eta**2)
+    fixed = fixed_fading(stats.mean_sqrt_eta**2)
     fading_out = apply_equivalent_fixed(src, CompositeChannel(fading=stats, eta1=eta1))
     fixed_out = apply_equivalent_fixed(src, CompositeChannel(fading=fixed, eta1=eta1))
     return np.diag(fading_out.matrix[-2:, -2:] - fixed_out.matrix[-2:, -2:])
@@ -144,7 +144,7 @@ class TestEffectiveExcessNoise:
         assert noise == pytest.approx([0.008, 0.008], rel=1e-9)
 
     def test_no_fading(self):
-        noise = fading_noise(ProtocolParams(v_s=1.0, v_m=4.0, b=1), FadingStats.fixed(0.8))
+        noise = fading_noise(ProtocolParams(v_s=1.0, v_m=4.0, b=1), fixed_fading(0.8))
         assert noise == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_vacuum_quadrature_immune(self):
@@ -173,7 +173,7 @@ class TestCompositeChannel:
         assert ch.mean_transmittance == pytest.approx(0.36)
 
     def test_validation(self):
-        good = FadingStats.fixed(0.5)
+        good = fixed_fading(0.5)
         with pytest.raises(DomainError):
             CompositeChannel(fading=good, eta1=0.0)
         with pytest.raises(DomainError):
@@ -183,12 +183,12 @@ class TestCompositeChannel:
 class TestApplyComposite:
     def test_identity_channel(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
-        out = apply_composite(src, CompositeChannel(fading=FadingStats.fixed(1.0)))
+        out = apply_composite(src, CompositeChannel(fading=fixed_fading(1.0)))
         assert np.allclose(out.matrix, src.matrix, atol=1e-12)
 
     def test_pure_fading_no_fluctuations(self):
         src = build_source(ProtocolParams(v_s=0.5, v_m=1.5, b=0))
-        out = apply_composite(src, CompositeChannel(fading=FadingStats.fixed(0.5)))
+        out = apply_composite(src, CompositeChannel(fading=fixed_fading(0.5)))
         assert np.allclose(out.matrix[2:, 2:], 1.5 * np.eye(2), atol=1e-12)
         assert np.allclose(out.matrix[:2, 2:], math.sqrt(0.5) * src.matrix[:2, 2:], atol=1e-12)
 
@@ -544,6 +544,76 @@ def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, fina
                 read_eta_csv(path)
         else:
             assert hex_values(read_eta_csv(path)) == hex_values(csv_float_reader(path)) == hex_values(want)
+
+
+# comment lines: ASCII, UTF-8 but not ASCII, not UTF-8, and holding a lone
+# CR, which text mode splits into two lines: the second a comment, a header
+# `eta` (so that the real header is a row), or another header
+HEAD_COMMENTS = (b"# metadata: {}", "# \u00e9t\u00e9".encode(), b"# \xff\xfe", b"# a\r# b", b"# a\reta", b"# a\rb")
+# headers, None for a file that ends after its comments
+HEADERS = (b"eta", b" eta ", b'"eta"', b"eta,x", b"x", b"\xef\xbb\xbfeta", None)
+
+
+def head_oracle(body: bytes):
+    """What csv.reader and float() read from a sample file, split into lines
+    as text mode splits them: the values; else its first fault, the number
+    of a line that does not decode, has other than one cell or is not a
+    number, or "header" if the first line that is not a comment is not `eta`,
+    or "empty" if no sample follows it."""
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding
+    lines = io.TextIOWrapper(io.BytesIO(body), encoding, "surrogateescape", newline="")
+    values, header = [], None
+    for n, line in enumerate(lines, 1):
+        try:
+            line.encode(encoding)
+        except UnicodeEncodeError:
+            return n
+        if line.startswith("#"):
+            continue
+        row = next(csv.reader([line]), [])
+        if header is None:
+            header = row
+            if [h.strip() for h in row] != ["eta"]:
+                return "header"
+        elif row:
+            if len(row) != 1:
+                return n
+            try:
+                values.append(float(row[0]))
+            except ValueError:
+                return n
+    return "header" if header is None else values or "empty"
+
+
+@settings(max_examples=300, deadline=None)
+@given(comments=st.lists(st.sampled_from(HEAD_COMMENTS), max_size=3), header=st.sampled_from(HEADERS),
+       lines=st.lists(fraction_lines(), min_size=1, max_size=10), eol=st.sampled_from([b"\n", b"\r\n"]),
+       block=st.sampled_from([1, 5, 24, outputs._READ_BLOCK]))
+def test_reader_head_matches_line_oracle(tmp_path_factory, comments, header, lines, eol, block):
+    """Files of 0-3 comment lines and a header, or none, before simulate's
+    lines: the doubles of csv.reader and float(), or a DomainError naming the
+    first fault, whichever reader (the kernel or numpy's) the head sends the
+    file to."""
+    head = comments + ([header] if header is not None else [])
+    body = b"".join(line + eol for line in head)
+    if header is not None:
+        body += eol.join(line.encode() for line in lines) + eol
+    path = tmp_path_factory.mktemp("eta") / "samples.csv"
+    path.write_bytes(body)
+    want = head_oracle(body)
+    faults = {"header": f"expected single-column CSV with header 'eta' in {path}",
+              "empty": f"no samples found in {path}"}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outputs, "_READ_BLOCK", block)
+        if isinstance(want, list):
+            assert hex_values(read_eta_csv(path)) == hex_values(want)
+        else:
+            with pytest.raises(DomainError) as err:
+                read_eta_csv(path)
+            if isinstance(want, int):
+                assert str(err.value).startswith(f"cannot parse samples in {path}: line {want} "), err.value
+            else:
+                assert str(err.value) == faults[want]
 
 
 def test_fraction_reader_reads_many_blocks_as_float(tmp_path, monkeypatch):

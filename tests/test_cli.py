@@ -17,7 +17,7 @@ from cvfade.cli import main
 from cvfade.errors import DomainError
 from cvfade.keyrate import key_rate
 from cvfade.outputs import _CHUNK, _tables, metadata_line, render_csv, write_csv, write_text
-from cvfade.scenario import SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
+from cvfade.scenario import SCHEMA, SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -1039,3 +1039,115 @@ def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario):
         assert len({(v_s, v_m) for v_s, v_m, _ in trace}) == len(trace)
         objective = want.rate_asymptotic if config.finite is None else want.rate_finite
         assert max(r for _, _, r in trace) == objective
+
+
+@pytest.mark.parametrize("command", ["keyrate", "optimize"])
+@pytest.mark.parametrize("eps_bar", [1e-308, 5e-324])
+def test_eps_bar_whose_penalty_overflows_exits_2(tmp_path, capsys, command, eps_bar):
+    """2 / eps_bar overflows below about 1.1e-308: one error line, not rows of -inf."""
+    doc = dict(FINITE_DOC, finite_size={"n": 1e6, "eps_bar": eps_bar})
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, [command, "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err.startswith(f"error: finite_size: eps_bar = {eps_bar!r} "), err
+
+
+# coherent RR, squeezed DR with a trusted ancilla, and squeezed with a 3x3 optimizer
+EXTREME_DOC = {
+    "protocols": [
+        {"label": "coh_rr", "family": "coherent", "v_m": 3.0},
+        {"label": "sq_dr", "family": "squeezed", "v_s_db": -3.0, "v_m": 3.0, "v_an": 0.5,
+         "prep_noise_trust": "trusted", "reconciliation": "dr"},
+        {"label": "sq_opt", "family": "squeezed", "v_s_db": -3.0, "v_m": 3.0,
+         "optimizer": {"vm_max": 20.0, "grid": [3, 3]}},
+    ],
+    "channel": {"eta1": 0.8, "eps2": 0.01, "fading": {"stats": {"mean_eta": 0.5}}},
+    "finite_size": {"n": 1e6},
+    "sweep": {"variable": "v_m", "start": 1.0, "stop": 2.0, "steps": 2},
+}
+EXTREME_BEAM = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1500.0, "sigma_r2": 0.25}
+EXTREME_MAGNITUDES = (5e-324, 1e-300, 1e300, 1.7976931348623157e308)
+SQUEEZED_ONLY = ("v_s", "v_an")  # a coherent variant fixes v_s = 1 and holds no anti-squeezing
+
+
+def number_keys(children, path=()):
+    """(path, schema node) of every number key under a schema node's children;
+    a protocol's keys once, under `protocols`."""
+    for key, node in children.items():
+        if key == "protocol":
+            continue
+        if node["type"] == "number":
+            yield path + (key,), node
+        elif "children" in node:
+            yield from number_keys(node["children"], path + (key,))
+
+
+def allowed(node, x):
+    return (x >= node.get("min", -math.inf) and x > node.get("min_excl", -math.inf)
+            and x <= node.get("max", math.inf) and x < node.get("max_excl", math.inf))
+
+
+def extreme_cases():
+    """Every number key of the schema at its inclusive bounds and at +-5e-324,
+    1e-300, 1e300 and the largest double, wherever the schema allows them."""
+    for path, node in number_keys(SCHEMA):
+        bounds = {node[b] for b in ("min", "max") if b in node}
+        values = bounds | {s * x for x in EXTREME_MAGNITUDES for s in (1.0, -1.0) if allowed(node, s * x)}
+        for value in sorted(values):
+            yield pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
+
+
+def set_key(section, key, value):
+    """section with key set, its alternative form (X / X_db, cn2 / sigma_r2,
+    mean_eta / mean_eta_db) removed."""
+    alternatives = {"sigma_r2": "cn2", "cn2": "sigma_r2"}
+    other = alternatives.get(key, key[:-3] if key.endswith("_db") else f"{key}_db")
+    section.pop(other, None)
+    section[key] = value
+
+
+def extreme_doc(path, value):
+    doc = json.loads(json.dumps(EXTREME_DOC))
+    *parents, key = path
+    if parents[:1] == ["protocols"]:
+        for variant in doc["protocols"]:
+            if parents[1:] == ["optimizer"]:
+                if "optimizer" in variant:
+                    set_key(variant["optimizer"], key, value)
+            elif variant["family"] == "squeezed" or key.removesuffix("_db") not in SQUEEZED_ONLY:
+                set_key(variant, key, value)
+        return doc
+    if parents[-1:] == ["beam"]:
+        doc["channel"]["fading"] = {"beam": dict(EXTREME_BEAM)}
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    set_key(node, key, value)
+    return doc
+
+
+@pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
+@pytest.mark.parametrize("path,value", extreme_cases())
+def test_extreme_scenario_numbers_exit_cleanly(tmp_path, capsys, path, value):
+    """keyrate and optimize with any schema number at an extreme that the
+    schema allows: rows whose every number is finite, or one `error:` or
+    numerical-failure line and no output."""
+    cfg = write_cfg(tmp_path, extreme_doc(path, value))
+    out = tmp_path / "x.csv"
+    for command in ("keyrate", "optimize"):
+        code = main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and err.count("\n") == 1, (command, err)
+        assert err.startswith({0: "wrote ", 2: "error: ", 3: "numerical failure: "}[code]), (command, err)
+        if code:
+            assert not out.exists(), command
+            continue
+        rows = read_rows(out)
+        assert len(rows) == 3, command
+        for row in rows:
+            for name, cell in row.items():
+                try:
+                    number = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (command, row["label"], name, cell)
+        out.unlink()

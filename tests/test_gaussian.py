@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_physical_two_mode, random_symplectic_two_mode, rotation, two_mode_nu_closed_form
-from cvfade.channel import CompositeChannel, FadingStats, apply_composite
+from conftest import (
+    fixed_fading,
+    random_physical_two_mode,
+    random_symplectic_two_mode,
+    rotation,
+    two_mode_nu_closed_form,
+)
+from cvfade.channel import CompositeChannel, apply_composite
 from cvfade.errors import DomainError, NonPhysicalState, NumericalFailure
 from cvfade.gaussian import (
     TRACE_MAX,
@@ -217,7 +223,7 @@ def test_spectra_within_a_few_ulps_of_norm_of_exact(protocol, stage):
     """
     gamma = build_source(protocol)
     if stage != "source":
-        gamma = apply_composite(gamma, CompositeChannel(fading=FadingStats.fixed(0.5)))
+        gamma = apply_composite(gamma, CompositeChannel(fading=fixed_fading(0.5)))
     if stage == "conditioned":
         gamma = condition_on_homodyne(gamma, gamma.n_modes - 1)
     got = symplectic_spectra(gamma.matrix[None])[0]

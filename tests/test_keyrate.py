@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_fading
 from cvfade.channel import CompositeChannel, FadingStats, fading_stats
 from cvfade import keyrate
 from cvfade.errors import CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
@@ -33,7 +34,7 @@ from cvfade.channel import apply_composite, apply_composite_stack
 
 
 def fixed_channel(eta, **kw):
-    return CompositeChannel(fading=FadingStats.fixed(eta), **kw)
+    return CompositeChannel(fading=fixed_fading(eta), **kw)
 
 
 def state_after(params, chan):
@@ -167,6 +168,18 @@ class TestFiniteSize:
             FiniteSizeParams(n=1e6, eps_bar=0.0)
         with pytest.raises(DomainError):
             FiniteSizeParams(n=1e6, key_fraction=0.0)
+
+    @pytest.mark.parametrize("eps_bar", [1e-308, 5e-324])
+    def test_penalty_beyond_the_float_range_is_rejected(self, eps_bar):
+        """2 / eps_bar overflows below about 1.1e-308: no -inf rate, a DomainError."""
+        for call in (lambda: finite_size_penalty(1e6, eps_bar), lambda: FiniteSizeParams(n=1e6, eps_bar=eps_bar)):
+            with pytest.raises(DomainError, match=f"^eps_bar = {eps_bar!r} puts the block-size penalty"):
+                call()
+
+    def test_penalty_just_inside_the_float_range(self):
+        eps_bar = 1.2e-308  # 2 / eps_bar = 1.67e308
+        assert finite_size_penalty(1e3, eps_bar) == 7.0 * math.sqrt(math.log2(2.0 / eps_bar) / 1e3)
+        assert FiniteSizeParams(n=1e3, eps_bar=eps_bar).eps_bar == eps_bar
 
 
 class TestPurificationChoice:
@@ -335,7 +348,7 @@ def batches(draw):
     v_m = [0.0, draw(st.floats(0.1, 50.0))] + draw(st.lists(st.floats(0.0, 50.0), min_size=n - 2, max_size=n - 2))
     chans = [
         draw(channels(st.floats(0.05, 0.5))),  # mean transmittance <= 1/2
-        CompositeChannel(fading=FadingStats.fixed(draw(st.floats(0.55, 1.0)))),
+        CompositeChannel(fading=fixed_fading(draw(st.floats(0.55, 1.0)))),
     ] + draw(st.lists(channels(), min_size=n - 2, max_size=n - 2))
     v_s = [1.0] * n if protocol.is_coherent else draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
@@ -418,7 +431,7 @@ EXTREME_PROTOCOLS = [ProtocolParams(v_s=1.0, b=1, reconciliation=r, beta=0.95) f
     for v_an, trust in ((0.0, "trusted"), (1.0, "trusted"), (1.0, "untrusted"))
 ]
 EXTREME_CHANNELS = [
-    CompositeChannel(fading=FadingStats.fixed(eta), eps2=eps)
+    CompositeChannel(fading=fixed_fading(eta), eps2=eps)
     for eta in (1e-6, 0.3, 0.5, 1.0 - 1e-9)  # 0.3: direct reconciliation below 1/2
     for eps in (0.0, 0.01)
 ] + [fading_channel(0.5, 0.04, eps2=eps) for eps in (0.0, 0.01)]
@@ -460,7 +473,7 @@ def impossible_moments(mean_eta=0.05, mean_sqrt_eta=0.999):
 @pytest.mark.parametrize("family", ["coherent", "squeezed"])
 def test_failing_point_raises_its_error_from_any_batch(family, monkeypatch):
     protocol = ProtocolParams(v_s=1.0, v_m=5.0, b=1 if family == "coherent" else 0, reconciliation="dr")
-    good = [CompositeChannel(fading=FadingStats.fixed(eta), eps2=0.01) for eta in (1e-6, 0.3, 1.0 - 1e-9)]
+    good = [CompositeChannel(fading=fixed_fading(eta), eps2=0.01) for eta in (1e-6, 0.3, 1.0 - 1e-9)]
     bad = impossible_moments()
     with pytest.raises(NonPhysicalState):
         apply_composite(build_source(protocol), bad)  # the single-state channel map
@@ -551,7 +564,7 @@ def test_rates_respect_plob_bound(protocol):
     rng = np.random.default_rng(15043)
     n = 3000
     chans = [
-        CompositeChannel(fading=FadingStats.fixed(float(eta)), eta1=float(eta1), eta2=float(eta2),
+        CompositeChannel(fading=fixed_fading(float(eta)), eta1=float(eta1), eta2=float(eta2),
                          eps1=float(e1), eps2=float(e2), eps_atm=float(ea))
         for eta, eta1, eta2, e1, e2, ea in zip(
             rng.uniform(1e-4, 1.0 - 1e-6, n), rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n),

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from cvfade.channel import CompositeChannel, FadingStats
 from cvfade.errors import ConfigError, NumericalFailure
 from cvfade.keyrate import FiniteSizeParams, key_rate, key_rate_equivalent_fixed
-from cvfade.optimizer import OptimizationSpec, optimize
+from cvfade.optimizer import OptimizationSpec, optimize, searches_vs
 from cvfade.sources import ProtocolParams
 
 SQ_TEMPLATE = ProtocolParams(v_s=0.5, v_m=1.0, b=0, beta=1.0)
@@ -22,8 +22,6 @@ def fading_channel(mean_eta, var, **kw):
 class TestOptimizationSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            OptimizationSpec(family="thermal")
-        with pytest.raises(ConfigError):
             OptimizationSpec(vs_cap_db=1.0)
         with pytest.raises(ConfigError):
             OptimizationSpec(vm_range=(5.0, 2.0))
@@ -34,15 +32,15 @@ class TestOptimizationSpec:
         assert OptimizationSpec(vs_cap_db=-10.0).vs_min == pytest.approx(0.1)
 
     def test_searches_vs_only_for_a_free_squeezed_family(self):
-        assert OptimizationSpec(family="squeezed").searches_vs
-        assert not OptimizationSpec(family="squeezed", optimize_vs=False).searches_vs
-        assert not OptimizationSpec(family="coherent").searches_vs
-        assert not OptimizationSpec(family="coherent", optimize_vs=False).searches_vs
+        assert searches_vs(OptimizationSpec(), SQ_TEMPLATE)
+        assert not searches_vs(OptimizationSpec(optimize_vs=False), SQ_TEMPLATE)
+        assert not searches_vs(OptimizationSpec(), COH_TEMPLATE)
+        assert not searches_vs(OptimizationSpec(optimize_vs=False), COH_TEMPLATE)
 
 
 class TestOptimize:
     def test_no_fading_pins_squeezing_at_cap(self):
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0,
+        spec = OptimizationSpec(vs_cap_db=-10.0,
                                 vm_range=(0.0, 60.0), grid=(13, 13))
         out = optimize(spec, SQ_TEMPLATE, fading_channel(0.5, 0.0))
         assert out.v_s == pytest.approx(0.1, rel=1e-6)
@@ -50,21 +48,21 @@ class TestOptimize:
 
     def test_short_link_regime_pins_at_cap(self):
         # negligible fading but nonzero receiver noise: cap-pinned optimum
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-3.0,
+        spec = OptimizationSpec(vs_cap_db=-3.0,
                                 vm_range=(0.0, 60.0), grid=(13, 13))
         ch = fading_channel(0.99, 1e-7, eta1=0.4, eps2=0.025)
         out = optimize(spec, ProtocolParams(v_s=0.5, v_m=1.0, b=0, beta=0.95), ch)
         assert out.v_s == pytest.approx(10.0 ** (-0.3), rel=1e-3)
 
     def test_fading_gives_interior_squeezing_optimum(self):
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-30.0,
+        spec = OptimizationSpec(vs_cap_db=-30.0,
                                 vm_range=(0.0, 60.0), grid=(21, 15))
         out = optimize(spec, SQ_TEMPLATE, fading_channel(0.5, 0.04))
         assert out.v_s > 0.02
         assert out.v_s < 1.0
 
     def test_returned_rate_dominates_grid(self):
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0,
+        spec = OptimizationSpec(vs_cap_db=-10.0,
                                 vm_range=(0.0, 40.0), grid=(7, 7))
         ch = fading_channel(0.5, 0.01, eps2=0.01)
         out = optimize(spec, SQ_TEMPLATE, ch)
@@ -73,7 +71,7 @@ class TestOptimize:
         assert all(best_rate >= r - 1e-12 for (_, _, r) in out.trace)
 
     def test_deterministic(self):
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0,
+        spec = OptimizationSpec(vs_cap_db=-10.0,
                                 vm_range=(0.0, 40.0), grid=(9, 9))
         ch = fading_channel(0.4, 0.005, eps2=0.01)
         a = optimize(spec, SQ_TEMPLATE, ch)
@@ -82,7 +80,7 @@ class TestOptimize:
         assert a.result.rate_asymptotic == b.result.rate_asymptotic
 
     def test_caps_respected(self):
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-6.0,
+        spec = OptimizationSpec(vs_cap_db=-6.0,
                                 vm_range=(0.0, 10.0), grid=(9, 9))
         for ch in (
             fading_channel(0.5, 0.0),
@@ -94,26 +92,20 @@ class TestOptimize:
             assert 0.0 <= out.v_m <= 10.0 + 1e-9
 
     def test_coherent_family_fixes_vs(self):
-        spec = OptimizationSpec(family="coherent", vm_range=(0.0, 60.0), grid=(9, 17))
+        spec = OptimizationSpec(vm_range=(0.0, 60.0), grid=(9, 17))
         out = optimize(spec, COH_TEMPLATE, fading_channel(0.5, 0.0))
         assert out.v_s == 1.0
         assert out.result.rate_asymptotic > 0.0
 
-    @pytest.mark.parametrize("family,template", [("coherent", SQ_TEMPLATE), ("squeezed", COH_TEMPLATE)])
-    def test_template_of_the_other_family_is_rejected(self, family, template):
-        spec = OptimizationSpec(family=family, vm_range=(0.0, 10.0), grid=(3, 3))
-        with pytest.raises(ConfigError, match=f"{family} optimizer cannot search a template with b = {template.b}"):
-            optimize(spec, template, fading_channel(0.5, 0.0))
-
     def test_frozen_vs_search(self):
-        spec = OptimizationSpec(family="squeezed", vm_range=(0.0, 60.0),
+        spec = OptimizationSpec(vm_range=(0.0, 60.0),
                                 grid=(9, 17), optimize_vs=False)
         template = ProtocolParams(v_s=0.3, v_m=1.0, b=0)
         out = optimize(spec, template, fading_channel(0.5, 0.0))
         assert out.v_s == 0.3
 
     def test_no_positive_rate_flag(self):
-        spec = OptimizationSpec(family="coherent", vm_range=(0.0, 30.0), grid=(5, 9))
+        spec = OptimizationSpec(vm_range=(0.0, 30.0), grid=(5, 9))
         ch = fading_channel(0.05, 0.0, eps2=0.3)
         out = optimize(spec, ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.9), ch)
         assert out.no_positive_rate
@@ -126,7 +118,7 @@ class TestOptimize:
         states are too large to resolve raises instead."""
         ch = fading_channel(0.1, 0.0, eps2=0.01)
         template = ProtocolParams(v_s=1.0, v_m=0.0, b=0, beta=0.95)
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-3.0, vm_range=(0.0, 1e5), grid=(5, 5))
+        spec = OptimizationSpec(vs_cap_db=-3.0, vm_range=(0.0, 1e5), grid=(5, 5))
         start = time.perf_counter()
         out = optimize(spec, template, ch)
         assert time.perf_counter() - start < 5.0
@@ -138,7 +130,7 @@ class TestOptimize:
     def test_search_ends_by_tolerance_or_step_floor(self):
         """With the default tolerance the stencil's rate spread ends the search;
         with a tolerance no spread reaches, the step floor does."""
-        spec = OptimizationSpec(family="squeezed", vs_cap_db=-10.0, vm_range=(0.0, 60.0), grid=(13, 13))
+        spec = OptimizationSpec(vs_cap_db=-10.0, vm_range=(0.0, 60.0), grid=(13, 13))
         ch = fading_channel(0.5, 0.0)
         converged = optimize(spec, SQ_TEMPLATE, ch)
         floored = optimize(replace(spec, tolerance=1e-300), SQ_TEMPLATE, ch)
@@ -151,17 +143,17 @@ class TestOptimize:
         # cap already outperforms the optimized coherent protocol
         ch = fading_channel(0.5, 0.01, eps2=0.01)
         sq = optimize(
-            OptimizationSpec(family="squeezed", vs_cap_db=-3.0, vm_range=(0.0, 60.0), grid=(9, 15)),
+            OptimizationSpec(vs_cap_db=-3.0, vm_range=(0.0, 60.0), grid=(9, 15)),
             ProtocolParams(v_s=0.5, v_m=1.0, b=0, beta=0.95), ch,
         )
         coh = optimize(
-            OptimizationSpec(family="coherent", vm_range=(0.0, 60.0), grid=(2, 15)),
+            OptimizationSpec(vm_range=(0.0, 60.0), grid=(2, 15)),
             ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.95), ch,
         )
         assert sq.result.rate_asymptotic > coh.result.rate_asymptotic
 
     def test_finite_size_objective(self):
-        spec = OptimizationSpec(family="coherent", vm_range=(0.0, 40.0), grid=(5, 11))
+        spec = OptimizationSpec(vm_range=(0.0, 40.0), grid=(5, 11))
         ch = fading_channel(0.6, 0.0, eps2=0.01)
         out = optimize(spec, ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.95), ch,
                        finite=FiniteSizeParams(n=1e6))
@@ -174,11 +166,11 @@ class TestOptimize:
 
 # <eta> = 0.5, Var(sqrt(eta)) = 0.01, eta1 = -4 dB, eps2 = 0.025, beta = 0.95, n = 1e6
 ORACLE_CASES = {
-    "squeezed_cap10db": (OptimizationSpec(family="squeezed", vs_cap_db=-10.0, vm_range=(0.0, 100.0)),
+    "squeezed_cap10db": (OptimizationSpec(vs_cap_db=-10.0, vm_range=(0.0, 100.0)),
                          ProtocolParams(v_s=0.5, v_m=1.0, b=0, beta=0.95)),
-    "coherent": (OptimizationSpec(family="coherent", vm_range=(0.0, 100.0)),
+    "coherent": (OptimizationSpec(vm_range=(0.0, 100.0)),
                  ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=0.95)),
-    "frozen_vs": (OptimizationSpec(family="squeezed", vm_range=(0.0, 100.0), optimize_vs=False),
+    "frozen_vs": (OptimizationSpec(vm_range=(0.0, 100.0), optimize_vs=False),
                   ProtocolParams(v_s=0.3, v_m=1.0, b=0, beta=0.95)),
 }
 
@@ -190,7 +182,7 @@ def test_matches_independent_multistart_search(case):
     spec, template = ORACLE_CASES[case]
     ch = fading_channel(0.5, 0.01, eta1=10.0 ** -0.4, eps2=0.025)
     finite = FiniteSizeParams(n=1e6)
-    vs_free = spec.family == "squeezed" and spec.optimize_vs
+    vs_free = searches_vs(spec, template)
 
     def loss(u):  # u in the unit box: (log10 V_s scaled, V_m scaled) or (V_m scaled,)
         v_s = 10.0 ** (spec.vs_cap_db / 10.0 * (1.0 - u[0])) if vs_free else template.v_s

@@ -136,7 +136,7 @@ class TestResolution:
         spec = cfg.variants[0].optimizer
         assert spec.vm_range == (0.0, 40.0)
         assert spec.grid == (5, 9)
-        assert spec.family == "coherent"
+        assert cfg.variants[0].family == "coherent"
 
     def test_samples_file_fading(self, tmp_path):
         csv = tmp_path / "etas.csv"
@@ -232,7 +232,8 @@ class TestDefaults:
         cfg = load_scenario(write_config(tmp_path, doc))
         for variant, b in zip(cfg.variants, (1, 0)):
             assert field_values(variant.params) == field_values(ProtocolParams(b=b))
-            assert field_values(variant.optimizer) == field_values(OptimizationSpec(family=variant.family))
+            assert variant.family == ("squeezed", "coherent")[b]
+            assert field_values(variant.optimizer) == field_values(OptimizationSpec())
         assert field_values(cfg.finite) == field_values(FiniteSizeParams(n=1e4))
         stats = resolve_fading(cfg)
         assert field_values(build_channel(cfg, stats)) == field_values(CompositeChannel(fading=stats))
