@@ -29,6 +29,9 @@ scenario files:
                     the moments' sums shows in their last bits
   keyrate --trace   on a scenario generated in the temporary directory whose
                     fading segment is simulate's output as a samples_file
+  simulate --n 1 and --n 16384 on fig3: one partial generator chunk and an
+                    exact multiple of the 8192-sample chunk (--n 100000
+                    ends in a partial one)
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -137,6 +140,9 @@ def commands():
              for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT)]
     runs.append(("keyrate_samples_file", ["keyrate", "--config", "samples_file.scenario",
                                           "--out", "keyrate_samples_file.csv", "--trace"]))
+    runs += [(f"simulate_fig3_{n}", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
+                                     "--n", str(n), "--out", f"eta_{n}.csv"])
+             for n in (1, 16384)]
     return runs
 
 

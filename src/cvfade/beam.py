@@ -12,7 +12,8 @@ effective spot radius W_eff obtained through the Lambert W function, and eta0
 the centered-beam transmittance.  The turbulence statistics of (x0, y0,
 Theta1, Theta2) rest on the five versioned coefficients below.
 
-`simulate` draws Monte Carlo samples of eta.  `fading_moments` computes <eta>
+`sample_chunks` draws Monte Carlo samples of eta a chunk at a time, and
+`simulate` collects them into one array.  `fading_moments` computes <eta>
 and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule.
 """
 from __future__ import annotations
@@ -53,8 +54,8 @@ _SMALL_Z = 1e-5
 #   mean(Theta)   = ln[ Omega^-2 (1+gS)^2 / sqrt((1+gS)^2 + vS) ]
 #   var(Theta)    = ln[ 1 + vS / (1+gS)^2 ]
 #   cov(Th1,Th2)  = ln[ 1 - cS / (1+gS)^2 ]
-# with g = THETA_GAIN, v = THETA_VARIANCE, c = THETA_COVARIANCE.  `simulate`
-# records COEFFICIENT_TABLE_VERSION with its samples.
+# with g = THETA_GAIN, v = THETA_VARIANCE, c = THETA_COVARIANCE.  `sample_metadata`
+# records COEFFICIENT_TABLE_VERSION in a sample file's sidecar.
 COEFFICIENT_TABLE_VERSION = "elliptic-focused-2024.1"
 RYTOV_NORMALIZATION = 0.4065040650406504
 CENTROID_WANDER = 0.33
@@ -276,30 +277,9 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
-    """Draw n transmittance samples; a pure function of (scenario, n, seed).
-
-    Samples are generated in fixed-size chunks, each from its own
-    counter-advanced Philox stream; this layout defines the sample values.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not 0 <= int(seed) < 2**64:
-        raise DomainError("seed must fit in 64 bits")
-    var_bw, mean_theta, chol = _wander_and_theta(scenario)
-
-    samples = np.empty(n)
-    for ci, lo in enumerate(range(0, n, _CHUNK)):
-        m = min(_CHUNK, n - lo)
-        rng = _chunk_generator(int(seed), ci)
-        zn = rng.standard_normal((m, 4))
-        x0 = math.sqrt(var_bw) * zn[:, 0]
-        y0 = math.sqrt(var_bw) * zn[:, 1]
-        th = mean_theta + zn[:, 2:4] @ chol.T
-        phi = rng.uniform(0.0, math.pi / 2.0, m)
-        samples[lo:lo + m] = _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
-
-    metadata = {
+def sample_metadata(scenario: BeamScenario, n: int, seed: int) -> dict:
+    """What defines the samples of (scenario, n, seed): the sidecar of a sample file."""
+    return {
         "generator": GENERATOR_NAME,
         "seed": int(seed),
         "n": int(n),
@@ -307,7 +287,43 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
         "scenario": asdict(scenario),
         "coefficient_table_version": COEFFICIENT_TABLE_VERSION,
     }
-    return SimulationResult(samples=samples, metadata=metadata)
+
+
+def sample_chunks(scenario: BeamScenario, n: int, seed: int):
+    """An iterator over n transmittance samples, one chunk array of up to
+    _CHUNK samples at a time, each from its own counter-advanced Philox
+    stream; this layout defines the sample values.  n, seed and the
+    turbulence moments are checked here, before the first chunk is drawn."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if not 0 <= int(seed) < 2**64:
+        raise DomainError("seed must fit in 64 bits")
+    var_bw, mean_theta, chol = _wander_and_theta(scenario)
+
+    def chunks():
+        for ci, lo in enumerate(range(0, n, _CHUNK)):
+            m = min(_CHUNK, n - lo)
+            rng = _chunk_generator(int(seed), ci)
+            zn = rng.standard_normal((m, 4))
+            x0 = math.sqrt(var_bw) * zn[:, 0]
+            y0 = math.sqrt(var_bw) * zn[:, 1]
+            th = mean_theta + zn[:, 2:4] @ chol.T
+            phi = rng.uniform(0.0, math.pi / 2.0, m)
+            yield _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
+
+    return chunks()
+
+
+def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
+    """Draw n transmittance samples; a pure function of (scenario, n, seed).
+    The samples are sample_chunks' chunks, end to end."""
+    chunks = sample_chunks(scenario, n, seed)
+    samples = np.empty(n)
+    lo = 0
+    for chunk in chunks:
+        samples[lo:lo + chunk.size] = chunk
+        lo += chunk.size
+    return SimulationResult(samples=samples, metadata=sample_metadata(scenario, n, seed))
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beam import GENERATOR_NAME, fading_moments, simulate
+from .beam import GENERATOR_NAME, fading_moments, sample_chunks, sample_metadata
 from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
@@ -228,12 +228,13 @@ def cmd_simulate(args) -> int:
     if "beam" not in fading:
         raise ConfigError("simulate requires channel.fading.beam in the scenario")
     seed = _effective_seed(config, args)
-    n = args.n if args.n is not None else fading["beam"].get("n_samples", 100000)
-    result = simulate(beam_scenario(config), n=int(n), seed=seed)
+    n = int(args.n if args.n is not None else fading["beam"].get("n_samples", 100000))
+    scenario = beam_scenario(config)
+    chunks = sample_chunks(scenario, n, seed)  # checks n, seed and the moments before the file is opened
 
-    meta = _meta(config, seed, {"n": int(n), "generator": GENERATOR_NAME})
-    write_csv(args.out, meta, ["eta"], [result.samples])
-    sidecar = dict(result.metadata)
+    meta = _meta(config, seed, {"n": n, "generator": GENERATOR_NAME})
+    write_csv(args.out, meta, ["eta"], ([chunk] for chunk in chunks))
+    sidecar = sample_metadata(scenario, n, seed)
     sidecar["config_sha256"] = config.config_hash()
     write_json(str(args.out) + ".json", sidecar)
     print(f"wrote {args.out} ({n} samples) and {args.out}.json", file=sys.stderr)
@@ -260,7 +261,7 @@ def cmd_stats(args) -> int:
 
 def _write_rate_table(args, config, columns, extra_meta=None, traces=None, header=ROW_FIELDS):
     meta = _meta(config, _effective_seed(config, args), extra_meta)
-    write_csv(args.out, meta, header, columns)
+    write_csv(args.out, meta, header, [columns])
     if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
     print(f"wrote {args.out} ({len(columns[0])} rows)", file=sys.stderr)

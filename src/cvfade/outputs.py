@@ -5,15 +5,17 @@ for sample files the generator) followed by an RFC-4180-style header row.
 No timestamps anywhere: reruns with identical inputs must be byte-identical.
 Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
-write_csv takes a table as columns, one per header field, and writes every
-table the same way: each chunk of about _CHUNK cells is rendered and written
-to the open file before the next, so no whole-table str is built.
-render_csv returns the same text as one str; both take their pieces from
-_csv_pieces, which checks the columns before the file is opened.  A column is
-a float array or a sequence of str, int, float or None cells.  Cells are
-written as csv.writer's default dialect writes them: str cells quoted when
-they hold a comma, a quote, CR or LF; ints as str(int); floats as '%.17g';
-None as an empty cell.
+write_csv takes a table as row blocks, each a list of columns, one per
+header field, and writes every table the same way: each chunk of about _CHUNK
+cells of a block is rendered and written to the open file before the next, so
+no whole-table str is built, and a sample file's blocks can come from a
+generator, one sample chunk at a time.  Rate tables pass one block.
+render_csv returns the text of one block's table as one str; both take their
+pieces from _csv_pieces, which checks the first block before the file is
+opened.  A column is a float array or a sequence of str, int, float or None
+cells.  Cells are written as csv.writer's default dialect writes them: str
+cells quoted when they hold a comma, a quote, CR or LF; ints as str(int);
+floats as '%.17g'; None as an empty cell.
 
 Float columns are rendered by a numpy kernel that writes the same bytes as
 `'%.17g'` for every double that format prints in fixed notation, the signed
@@ -58,9 +60,12 @@ none in a million '%.17g' lines of samples, are read by float().
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -272,22 +277,36 @@ def metadata_line(meta: dict) -> str:
     return "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_pieces(meta: dict, header: list[str], columns):
-    """The CSV text of a table as an iterator of pieces: the metadata line and
-    header, the rows of each chunk of about _CHUNK cells, and the final CRLF.
-    The columns are checked here, before any piece is taken."""
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+def _block(columns, fields: int):
+    """One row block's columns, checked against the header's field count,
+    each cell column as its cells' text; and the block's row count."""
+    if len(columns) != fields:
+        raise ValueError(f"{fields} header fields but {len(columns)} columns")
     size = len(columns[0]) if columns else 0
     if any(len(c) != size for c in columns):
         raise ValueError("columns of different lengths")
     lone = len(columns) == 1
-    columns = [c if _is_floats(c) else _cell_texts(c, lone) for c in columns]
+    return [c if _is_floats(c) else _cell_texts(c, lone) for c in columns], size
+
+
+def _block_rows(columns, size: int):
+    """The rows of a checked block, a chunk of about _CHUNK cells at a time."""
     step = max(1, _CHUNK // max(1, len(columns)))
-    head = metadata_line(meta) + "\r\n" + ",".join(_cell_texts(header, lone))
-    chunks = (_render_rows([c[start:start + step] for c in columns], min(step, size - start))
-              for start in range(0, size, step))
-    return itertools.chain((head,), chunks, ("\r\n",))
+    return (_render_rows([c[start:start + step] for c in columns], min(step, size - start))
+            for start in range(0, size, step))
+
+
+def _csv_pieces(meta: dict, header: list[str], blocks):
+    """The CSV text of a table given as row blocks, as an iterator of pieces:
+    the metadata line and header, the rows of each chunk of about _CHUNK
+    cells of each block, and the final CRLF.  The first block (no block is a
+    table of no rows) is checked here, before any piece is taken; each later
+    block when the pieces reach it."""
+    blocks = iter(blocks)
+    first = _block(next(blocks, [[]] * len(header)), len(header))
+    head = metadata_line(meta) + "\r\n" + ",".join(_cell_texts(header, len(header) == 1))
+    rest = itertools.chain.from_iterable(_block_rows(*_block(b, len(header))) for b in blocks)
+    return itertools.chain((head,), _block_rows(*first), rest, ("\r\n",))
 
 
 def render_csv(meta: dict, header: list[str], columns) -> str:
@@ -297,16 +316,32 @@ def render_csv(meta: dict, header: list[str], columns) -> str:
     array, whose cells are '%.17g' text, or a sequence of str, int, float or
     None cells.
     """
-    return "".join(_csv_pieces(meta, header, columns))
+    return "".join(_csv_pieces(meta, header, [columns]))
 
 
-def write_csv(path, meta: dict, header: list[str], columns):
-    """Write render_csv's text to path a chunk at a time, so that no
-    whole-table str is built.  A column mismatch raises ValueError before the
-    file is opened."""
-    pieces = _csv_pieces(meta, header, columns)
+def write_csv(path, meta: dict, header: list[str], blocks):
+    """Write a table to path a chunk at a time, so that no whole-table str is
+    built.  `blocks` is an iterable of row blocks, each a list of columns as
+    render_csv takes them; the file holds render_csv's text of the blocks'
+    rows end to end.  A column mismatch in the first block raises ValueError
+    before the file is opened.  If a later block raises, the partial file is
+    removed and the error re-raised."""
+    pieces = _csv_pieces(meta, header, blocks)
     with open(path, "w", newline="") as fh:
-        fh.writelines(pieces)
+        try:
+            fh.writelines(pieces)
+        except BaseException:
+            _remove_written(path, fh)
+            raise
+
+
+def _remove_written(path, fh):
+    """Remove the file that fh writes, if path names that regular file itself
+    and not a device or a link to it."""
+    written = os.fstat(fh.fileno())
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(written.st_mode) and os.path.samestat(written, os.lstat(path)):
+            os.remove(path)
 
 
 # Bytes per block of read_fractions: large enough to amortize numpy's per-call

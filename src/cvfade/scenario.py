@@ -299,12 +299,12 @@ def _section(cls, doc, path, linear=(), **fixed):
     Only the keys doc gives reach cls, so an absent key takes the dataclass's
     own default; each name in `linear` may be given as X or as X_db (see
     _linear_keys), and `fixed` sets fields the section does not hold.  The
-    dataclass's DomainError is reported as "{path}: ..."."""
+    dataclass's DomainError or ConfigError is reported as "{path}: ..."."""
     doc = _linear_keys(doc, path, linear)
     given = {name: value for name, value in doc.items() if name in cls.__dataclass_fields__}
     try:
         return cls(**{**given, **fixed})
-    except DomainError as exc:
+    except (DomainError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -336,10 +336,21 @@ def _resolve_protocol(doc, path) -> ProtocolVariant:
             o["vm_range"] = (0.0, o.pop("vm_max"))
         if "grid" in o:
             o["grid"] = tuple(o["grid"])
-        opt = OptimizationSpec(**o)
+        opt = _section(OptimizationSpec, o, f"{path}.optimizer")
         _check_box(params, opt, path)
     label = doc.get("label", family)
     return ProtocolVariant(label=label, params=params, optimizer=opt)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is rejected, where json
+    would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"scenario gives the key {key!r} twice in one object")
+        doc[key] = value
+    return doc
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -348,7 +359,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or an over-long integer
         raise ConfigError(f"scenario is not valid JSON: {p}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -87,24 +87,31 @@ def written_tables(monkeypatch):
                         lambda args, kwargs, result: signature.bind(*args, **kwargs).arguments)
 
 
-def check_written_table(call, out) -> str:
+def check_written_table(call, out, columns=None) -> str:
     """The text of the file one write_csv call wrote to out, checked to be
-    render_csv's text of the same arguments."""
+    render_csv's text of the call's metadata and header and of `columns`, by
+    default the call's one row block."""
     from cvfade.outputs import render_csv
 
     assert Path(call["path"]) == out
+    if columns is None:
+        (columns,) = call["blocks"]
     text = out.read_bytes().decode()
-    assert text == render_csv(call["meta"], call["header"], call["columns"])
+    assert text == render_csv(call["meta"], call["header"], columns)
     return text
 
 
 def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     """simulate writes its sample file in one outputs.write_csv call, whose
-    file is render_csv's text of its arguments; stats reads it through
+    file is render_csv's text of its metadata and header and of
+    beam.simulate's samples (its row blocks come from a generator, which the
+    call consumes); stats reads it through
     channel.read_eta_csv, whose returned array (.size) the per-layer counters
     read.  Both calls go through module attributes that the tracer can
     replace."""
+    from cvfade.beam import simulate
     from cvfade.cli import main  # imports every layer
+    from cvfade.scenario import beam_scenario, load_scenario
 
     csv_rows_cells = load_tracer().csv_rows_cells
     assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
@@ -114,7 +121,7 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     n = 1234
     assert main(["simulate", "--config", str(FIG3), "--n", str(n), "--seed", "3", "--out", str(samples)]) == 0
     assert len(written) == 1
-    text = check_written_table(written[0], samples)
+    text = check_written_table(written[0], samples, [simulate(beam_scenario(load_scenario(FIG3)), n, 3).samples])
     assert text.count("\n") - 2 == n  # one metadata line, one header line
     assert csv_rows_cells(text) == [n, n]
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0

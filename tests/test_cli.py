@@ -3,7 +3,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, sample_values
+from cvfade import __version__, beam
+from cvfade.beam import simulate
 from cvfade.channel import read_eta_csv
 from cvfade.cli import main
-from cvfade.errors import DomainError
+from cvfade.errors import DomainError, NumericalFailure
 from cvfade.keyrate import key_rate
 from cvfade.outputs import _CHUNK, _tables, metadata_line, render_csv, write_csv, write_text
-from cvfade.scenario import SCHEMA, SWEEP_VARIABLES, build_channel, load_scenario, resolve_fading
+from cvfade.scenario import SCHEMA, SWEEP_VARIABLES, beam_scenario, build_channel, load_scenario, resolve_fading
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -433,6 +435,68 @@ def test_rows_flag_a_search_that_did_not_converge(tmp_path):
         ("capped", "optimizer_round_cap")]
 
 
+SAMPLE_CHUNK = 8192  # samples per generator chunk of beam.sample_chunks
+
+
+@pytest.mark.parametrize("n", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5])
+def test_streamed_sample_file_is_render_csv_of_simulate(tmp_path, n):
+    """simulate writes its samples a generator chunk at a time: the file is
+    render_csv's text of beam.simulate's samples, and the sidecar holds the
+    keys and values it held when simulate's array was written whole."""
+    cfg = write_cfg(tmp_path, BEAM_DOC)
+    out = tmp_path / "eta.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--n", str(n)]) == 0
+    config = load_scenario(cfg)
+    scenario = beam_scenario(config)
+    meta = {"config_sha256": config.config_hash(), "seed": 11, "package": f"cvfade {__version__}",
+            "n": n, "generator": "philox"}
+    assert out.read_bytes().decode() == render_csv(meta, ["eta"], [simulate(scenario, n, 11).samples])
+    sidecar = {"generator": "philox", "seed": 11, "n": n, "chunk_size": SAMPLE_CHUNK, "scenario": asdict(scenario),
+               "coefficient_table_version": "elliptic-focused-2024.1", "config_sha256": config.config_hash()}
+    assert Path(f"{out}.json").read_text() == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+
+
+def test_simulate_memory_does_not_grow_with_n(tmp_path):
+    """No n-sized array is built on simulate's way to the file: its traced peak
+    at 40 generator chunks is within 256 KB of its peak at 4, where an array
+    of 40 chunks' samples alone would take 2.6 MB."""
+    cfg = write_cfg(tmp_path, BEAM_DOC)
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "eta.csv"), "--n"]
+    assert main(argv + ["10"]) == 0  # loads and caches what any first run does
+    peaks = []
+    for chunks in (4, 40):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(chunks * SAMPLE_CHUNK)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
+
+def test_failure_in_the_middle_of_the_sample_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A chunk that fails after the file is opened exits 3 with one line; the
+    partial file is removed, and an older file at --out with it, and no
+    sidecar is written."""
+    batches = []
+    transmittance_batch = beam._transmittance_batch
+
+    def third_fails(*args):
+        batches.append(None)
+        if len(batches) == 3:
+            raise NumericalFailure("transmittance evaluation produced non-finite values")
+        return transmittance_batch(*args)
+
+    monkeypatch.setattr(beam, "_transmittance_batch", third_fails)
+    out = tmp_path / "eta.csv"
+    out.write_text("older\n")
+    assert main(["simulate", "--config", write_cfg(tmp_path, BEAM_DOC), "--out", str(out),
+                 "--n", str(4 * SAMPLE_CHUNK)]) == 3
+    assert capsys.readouterr().err == "numerical failure: transmittance evaluation produced non-finite values\n"
+    assert len(batches) == 3
+    assert not out.exists() and not Path(f"{out}.json").exists()
+
+
 def test_generator_recorded_by_simulate_only(tmp_path):
     """Only `simulate` draws random numbers, so only its CSV and sidecar name the generator."""
     cfg = write_cfg(tmp_path, BEAM_DOC)
@@ -707,7 +771,7 @@ def test_write_csv_writes_render_csv_text(tmp_path, layout, size):
     columns = [column(kind) for kind in layout]
     header = [f"h{i}" for i in range(len(layout))]
     meta = {"layout": layout, "size": size}
-    write_csv(tmp_path / "streamed.csv", meta, header, columns)
+    write_csv(tmp_path / "streamed.csv", meta, header, [columns])
     write_text(tmp_path / "whole.csv", render_csv(meta, header, columns))
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -722,7 +786,7 @@ def test_write_csv_checks_columns_before_opening_the_file(tmp_path, header, colu
     path = tmp_path / "table.csv"
     path.write_bytes(b"kept\r\n")
     with pytest.raises(ValueError):
-        write_csv(path, {}, header, columns)
+        write_csv(path, {}, header, [columns])
     assert path.read_bytes() == b"kept\r\n"
 
 
@@ -733,12 +797,43 @@ def test_write_csv_holds_no_whole_table_text(tmp_path):
     path = tmp_path / "eta.csv"
     tracemalloc.start()
     try:
-        write_csv(path, {"n": samples.size}, ["eta"], [samples])
+        write_csv(path, {"n": samples.size}, ["eta"], [[samples]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.stat().st_size > 6e6
     assert peak < 3e6, peak
+
+
+@pytest.mark.parametrize("layout", ["f", "cffc"])  # float and cell columns
+def test_write_csv_joins_row_blocks(tmp_path, layout):
+    """A table given as row blocks, cut at any rows, is written as render_csv's
+    text of the whole columns."""
+    size = 2 * _CHUNK + 7
+    rng = np.random.default_rng(len(layout))
+    columns = [rng.random(size) if kind == "f" else [TRICKY_CELLS[i] for i in rng.integers(0, len(TRICKY_CELLS), size)]
+               for kind in layout]
+    cuts = [0, 1, 1, _CHUNK - 3, _CHUNK + 100, size]  # an empty block among them
+    header = [f"h{i}" for i in range(len(layout))]
+    path = tmp_path / "blocks.csv"
+    write_csv(path, {}, header, ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:])))
+    assert path.read_bytes().decode() == render_csv({}, header, columns)
+
+
+def test_write_csv_removes_its_file_when_a_later_block_fails(tmp_path):
+    """A later block is checked as the first is; when it fails, the file
+    written so far is removed, but not through a link to it."""
+    blocks = [[np.zeros(_CHUNK)], [np.zeros(3), np.zeros(3)]]
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"older\r\n")
+    with pytest.raises(ValueError, match="1 header fields but 2 columns"):
+        write_csv(path, {}, ["a"], iter(blocks))
+    assert not path.exists()
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    with pytest.raises(ValueError):
+        write_csv(link, {}, ["a"], iter(blocks))
+    assert link.is_symlink() and path.exists()
 
 
 def test_lookup_tables_equal_their_byte_string_construction():
@@ -933,6 +1028,28 @@ def test_squeezing_cap_whose_variance_underflows_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     err = _exits_2_with_one_line(capsys, ["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
     assert "vs_cap_db" in err, err
+
+
+def test_optimizer_spec_error_names_its_variant(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "fig3.scenario").read_text())
+    doc["protocols"][2]["optimizer"]["vs_cap_db"] = -1e300
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)], out)
+    assert err == "error: protocols[2].optimizer: vs_cap_db -1e+300 dB is a variance that underflows to 0\n"
+
+
+@pytest.mark.parametrize("key, before, repeated", [
+    ("seed", '"seed": 20240811,', '"seed": 5,'),  # json would keep the last value, 5
+    ("beam", '"fading": {', '"beam": {"wavelength": 1.0, "w0": 1.0, "aperture": 1.0},'),  # channel.fading.beam
+])
+def test_duplicate_scenario_key_exits_2(tmp_path, capsys, key, before, repeated):
+    text = (SCENARIOS / "fig3.scenario").read_text()
+    assert text.count(before) == 1
+    cfg = tmp_path / "dup.scenario"
+    cfg.write_text(text.replace(before, before + repeated))
+    out = tmp_path / "x.csv"
+    err = _exits_2_with_one_line(capsys, ["simulate", "--config", str(cfg), "--out", str(out), "--n", "10"], out)
+    assert err == f"error: scenario gives the key {key!r} twice in one object\n"
 
 
 @pytest.mark.parametrize("family, optimizer, key", [
