@@ -17,6 +17,10 @@ scenario files:
                     coherent and a trusted-ancilla squeezed variant over
                     v_m up to 1e5 on a lossless noiseless channel, whose
                     near-pure states test the spectrum's nu >= 1 check
+  keyrate --trace   and sweep --trace over distance on two beam links
+                    generated in the temporary directory: one with tracking,
+                    where r0 = 0 at every node of the moments' rule, and one
+                    with a 2 mm aperture, a / w0 = 0.05
   simulate --n 100000 on fig3, then stats on its output, which the sample
                     lines' reader reads, and on copies of it: with a comment
                     line and a blank line after the header, which numpy's
@@ -115,6 +119,25 @@ GENERATED = {
 }
 
 
+# two beam links on which the rule's spot and aperture stages part: tracking
+# (r0 = 0 at every node) and a 2 mm aperture (a / w0 = 0.05); each is run
+# through keyrate --trace and a distance sweep --trace
+BEAM_LINK = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1750.0, "sigma_r2": 0.56}
+BEAM_GENERATED = {
+    name: {
+        "description": f"beam link, {name}",
+        "protocols": [
+            {"label": "coherent", "family": "coherent", "beta": 0.95,
+             "optimizer": {"vm_max": 50.0, "grid": [5, 5]}},
+            {"label": "squeezed", "family": "squeezed", "v_s_db": -3.0, "v_m": 8.0, "beta": 0.95},
+        ],
+        "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"beam": {**BEAM_LINK, **beam}}},
+        "finite_size": {"n": 1e8},
+        "sweep": {"variable": "distance", "start": 250.0, "stop": 3250.0, "steps": 7},
+    }
+    for name, beam in (("beam_tracking", {"tracking": True}), ("beam_narrow_aperture", {"aperture": 0.002}))
+}
+
 # the first generated scenario with simulate's output as its fading segment
 SAMPLES_FILE = {**GENERATED["all_keys_linear"], "description": "fading from simulate's samples",
                 "channel": {**GENERATED["all_keys_linear"]["channel"], "fading": {"samples_file": "eta.csv"}}}
@@ -133,6 +156,9 @@ def commands():
     runs += [(f"{command}_{name}", [command, "--config", f"{name}.scenario",
                                     "--out", f"{command}_{name}.csv", "--trace"])
              for name in GENERATED for command in ("keyrate", "optimize", "sweep")]
+    runs += [(f"{command}_{name}", [command, "--config", f"{name}.scenario",
+                                    "--out", f"{command}_{name}.csv", "--trace"])
+             for name in BEAM_GENERATED for command in ("keyrate", "sweep")]
     runs.append(("simulate_fig3", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
@@ -161,7 +187,7 @@ def sample_copies(out: Path):
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in {**GENERATED, "samples_file": SAMPLES_FILE}.items():
+    for name, doc in {**GENERATED, **BEAM_GENERATED, "samples_file": SAMPLES_FILE}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():

@@ -14,13 +14,14 @@ Theta1, Theta2) rest on the five versioned coefficients below.
 
 `sample_chunks` draws Monte Carlo samples of eta a chunk at a time, and
 `simulate` collects them into one array.  `fading_moments` computes <eta>
-and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule.
+and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule:
+_spot on its 512 (chi, Theta) nodes, _aperture on all 12 288.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -32,8 +33,9 @@ GENERATOR_NAME = "philox"
 
 _CHUNK = 8192          # samples per generator chunk
 _CHUNK_STRIDE = 2**40  # Philox counter stride between chunks (>> draws used)
-# fading_moments' nodes in s, chi and each Theta coordinate; doubling every
-# count moves no moment by more than 1e-9 on the geometries in tests/test_beam.py
+# fading_moments' nodes in s, chi and each Theta coordinate, _spot's all but s;
+# doubling every count moves no moment by more than 1e-9 on the geometries in
+# tests/test_beam.py
 _RULE_NODES = (24, 8, 8)
 # below this z = a^2 xi^2, series stand in for L and lambda, and the W1 -> W2
 # limit for eta0's last term; their truncation errors are then below 1e-17
@@ -42,8 +44,7 @@ _SMALL_Z = 1e-5
 
 # Gaussian moments of the elliptic-beam parameter vector (x0, y0, Theta1,
 # Theta2) for a beam focused at the receiver plane propagating through
-# isotropic Kolmogorov turbulence.  Semiaxes are log-parametrized, W_i^2 =
-# W0^2 exp(Theta_i).  Vacuum limit of the spread is the focused-beam
+# isotropic Kolmogorov turbulence.  Vacuum limit of the spread is the focused-beam
 # diffraction W(L) = W0 / Omega, Omega = k W0^2 / (2 L).
 # Moments are polynomial in S = RYTOV_NORMALIZATION * sigma_R^2 * Omega^(5/6);
 # RYTOV_NORMALIZATION converts the plane-wave Rytov variance used throughout
@@ -131,14 +132,9 @@ class EllipticSample:
 
 
 def turbulence_gaussian_params(sigma_r2: float, omega: float, w0: float, tracking: bool = False):
-    """Mean vector and covariance of v = (x0, y0, Theta1, Theta2).
-
-    Centroid wander is zero-mean isotropic with variance proportional to
-    W0^2 sigma_R^2 Omega^(-7/6) (zero under tracking); the log-semiaxis
-    moments are functions of sigma_R^2 Omega^(5/6).  The coefficients are
-    the module's versioned constants.  Raises DomainError where a moment leaves the float
-    range.
-    """
+    """Mean vector and covariance of v = (x0, y0, Theta1, Theta2), the centroid
+    zero-mean and isotropic, by the formulas above.  Raises DomainError where a
+    moment leaves the float range."""
     if sigma_r2 < 0 or omega < 0 or w0 <= 0:  # omega = 0 (an underflow) is reported below
         raise DomainError("turbulence_gaussian_params requires sigma_r2 >= 0, omega >= 0, w0 > 0")
     norm = RYTOV_NORMALIZATION
@@ -173,11 +169,7 @@ def _wander_and_theta(scenario: BeamScenario):
         raise DomainError("the beam geometry puts the Rytov variance or the Fresnel "
                           "parameter beyond the float range") from None
     mu, cov = turbulence_gaussian_params(sigma_r2, omega, scenario.w0, tracking=scenario.tracking)
-    theta_cov = cov[2:, 2:]
-    if theta_cov[0, 0] > 0:
-        chol = np.linalg.cholesky(theta_cov)
-    else:
-        chol = np.zeros((2, 2))
+    chol = np.linalg.cholesky(cov[2:, 2:]) if cov[2, 2] > 0 else np.zeros((2, 2))
     return cov[0, 0], mu[2], chol
 
 
@@ -227,8 +219,8 @@ def _eta0(e1, e2):
     return 1.0 - t1 - t3
 
 
-def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
-    """Vectorized single-shot transmittance for parameter arrays."""
+def _spot(theta1, theta2, cos2chi, scenario: BeamScenario):
+    """The spot stage: eta0, L and lambda, the part of eta free of r0."""
     a = scenario.aperture
     try:
         a2w0 = (a / scenario.w0) ** 2
@@ -237,32 +229,33 @@ def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
         raise DomainError(f"aperture / w0 = {a / scenario.w0:g} squares beyond the float range") from None
     e1 = a2w0 * np.exp(-theta1)  # a^2 / W1^2
     e2 = a2w0 * np.exp(-theta2)
-    r0 = np.hypot(x0, y0)
-    cos2chi = np.cos(2.0 * (phi - np.arctan2(y0, x0)))
     # W_eff^2(chi) = 4 a^2 / W(zeta); zeta handled in log form so the huge
     # exponentials of narrow beams never overflow; 1 + 2 cos^2 = 2 + cos 2chi
     log_zeta = (log_4a2w0 - 0.5 * (theta1 + theta2)
                 + e1 * (2.0 + cos2chi) + e2 * (2.0 - cos2chi))
     z = lambert_w_exp(log_zeta)  # = 4 a^2 / W_eff^2
     lnterm, shape = _scale_shape(z)
+    return _eta0(e1, e2), lnterm, shape
+
+
+def _aperture(eta0, lnterm, shape, r0, a):
+    """The aperture stage: eta from _spot's output and r0."""
     with np.errstate(over="ignore"):  # (r0 / a)^shape = inf far outside a tiny aperture: eta = 0
-        eta = _eta0(e1, e2) * np.exp(-((r0 / a) ** shape) * lnterm)
+        eta = eta0 * np.exp(-((r0 / a) ** shape) * lnterm)
     if not np.all(np.isfinite(eta)):
         raise NumericalFailure("transmittance evaluation produced non-finite values")
     return np.clip(eta, 0.0, 1.0)
 
 
+def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
+    """Single-shot transmittance of per-sample arrays."""
+    spot = _spot(theta1, theta2, np.cos(2.0 * (phi - np.arctan2(y0, x0))), scenario)
+    return _aperture(*spot, np.hypot(x0, y0), scenario.aperture)
+
+
 def transmittance(sample: EllipticSample, scenario: BeamScenario) -> float:
     """Single-shot aperture transmittance of one beam realization."""
-    eta = _transmittance_batch(
-        np.array([sample.x0]),
-        np.array([sample.y0]),
-        np.array([sample.theta1]),
-        np.array([sample.theta2]),
-        np.array([sample.phi]),
-        scenario,
-    )
-    return float(eta[0])
+    return float(_transmittance_batch(*np.array(astuple(sample))[:, None], scenario)[0])
 
 
 @dataclass(frozen=True)
@@ -279,14 +272,8 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 def sample_metadata(scenario: BeamScenario, n: int, seed: int) -> dict:
     """What defines the samples of (scenario, n, seed): the sidecar of a sample file."""
-    return {
-        "generator": GENERATOR_NAME,
-        "seed": int(seed),
-        "n": int(n),
-        "chunk_size": _CHUNK,
-        "scenario": asdict(scenario),
-        "coefficient_table_version": COEFFICIENT_TABLE_VERSION,
-    }
+    return {"generator": GENERATOR_NAME, "seed": int(seed), "n": int(n), "chunk_size": _CHUNK,
+            "scenario": asdict(scenario), "coefficient_table_version": COEFFICIENT_TABLE_VERSION}
 
 
 def sample_chunks(scenario: BeamScenario, n: int, seed: int):
@@ -317,10 +304,9 @@ def sample_chunks(scenario: BeamScenario, n: int, seed: int):
 def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
     """Draw n transmittance samples; a pure function of (scenario, n, seed).
     The samples are sample_chunks' chunks, end to end."""
-    chunks = sample_chunks(scenario, n, seed)
     samples = np.empty(n)
     lo = 0
-    for chunk in chunks:
+    for chunk in sample_chunks(scenario, n, seed):
         samples[lo:lo + chunk.size] = chunk
         lo += chunk.size
     return SimulationResult(samples=samples, metadata=sample_metadata(scenario, n, seed))
@@ -328,10 +314,9 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
 
 @functools.cache
 def _rule_grid(n_s: int, n_chi: int, n_theta: int):
-    """The scenario-independent part of fading_moments' rule, built once per
-    process and node counts: s, chi, the two standard-normal Theta
-    coordinates z (one row per node) and the weights up to a common factor,
-    all read-only.
+    """The scenario-independent factors of fading_moments' rule, built once per
+    process and node counts: s, chi, the standard-normal Theta pairs z and
+    the weights up to a common factor (s slowest, z fastest), all read-only.
 
     r0 = sqrt(2 var_bw) s, s Rayleigh: Gauss-Legendre in s with the density
     2 s e^-s^2 in the weights (Laguerre in s^2 converges only algebraically:
@@ -343,9 +328,9 @@ def _rule_grid(n_s: int, n_chi: int, n_theta: int):
     x, w_chi = np.polynomial.legendre.leggauss(n_chi)
     chi = 0.25 * math.pi * (1.0 + x)
     z, w_z = np.polynomial.hermite_e.hermegauss(n_theta)
-    weights = np.prod(np.meshgrid(w_s * s * np.exp(-s * s), w_chi, w_z, w_z, indexing="ij"), axis=0).ravel()
-    s, chi, z1, z2 = (a.ravel() for a in np.meshgrid(s, chi, z, z, indexing="ij"))
-    grid = (s, chi, np.stack([z1, z2], axis=1), weights)
+    outer = np.multiply.outer  # np.prod(np.meshgrid(...))'s order
+    weights = outer(outer(outer(w_s * s * np.exp(-s * s), w_chi), w_z), w_z).ravel()
+    grid = (s, chi, np.stack([np.repeat(z, n_theta), np.tile(z, n_theta)], axis=1), weights)
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -361,9 +346,10 @@ def _transmittance_rule(scenario: BeamScenario):
     """
     var_bw, mean_theta, chol = _wander_and_theta(scenario)
     s, chi, z, weights = _rule_grid(*_RULE_NODES)
-    th = mean_theta + z @ chol.T
-    r0 = math.sqrt(2.0 * var_bw) * s
-    return _transmittance_batch(r0, np.zeros_like(r0), th[:, 0], th[:, 1], chi, scenario), weights
+    th = np.tile(mean_theta + z @ chol.T, (chi.size, 1))
+    spot = _spot(th[:, 0], th[:, 1], np.repeat(np.cos(2.0 * chi), len(z)), scenario)
+    r0 = np.repeat(math.sqrt(2.0 * var_bw) * s, len(th))
+    return _aperture(*(np.tile(a, s.size) for a in spot), r0, scenario.aperture), weights
 
 
 def fading_moments(scenario: BeamScenario) -> FadingStats:

@@ -23,7 +23,7 @@ from .channel import fading_stats, read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import OptimizationResult, optimize
-from .outputs import write_csv, write_json
+from .outputs import remove_file, write_csv, write_json
 from .scenario import (
     ScenarioConfig,
     beam_scenario,
@@ -233,10 +233,15 @@ def cmd_simulate(args) -> int:
     chunks = sample_chunks(scenario, n, seed)  # checks n, seed and the moments before the file is opened
 
     meta = _meta(config, seed, {"n": n, "generator": GENERATOR_NAME})
-    write_csv(args.out, meta, ["eta"], ([chunk] for chunk in chunks))
+    try:
+        write_csv(args.out, meta, ["eta"], ([chunk] for chunk in chunks))
+    except BaseException:
+        if not os.path.lexists(args.out):  # write_csv removed the file it opened: an older sidecar describes none
+            remove_file(f"{args.out}.json")
+        raise
     sidecar = sample_metadata(scenario, n, seed)
     sidecar["config_sha256"] = config.config_hash()
-    write_json(str(args.out) + ".json", sidecar)
+    write_json(f"{args.out}.json", sidecar)
     print(f"wrote {args.out} ({n} samples) and {args.out}.json", file=sys.stderr)
     return EXIT_OK
 

@@ -344,6 +344,13 @@ def _remove_written(path, fh):
             os.remove(path)
 
 
+def remove_file(path):
+    """Remove path if it names a regular file itself, not a device or a link."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+
+
 # Bytes per block of read_fractions: large enough to amortize numpy's per-call
 # cost, small enough that each of a block's temporaries stays below malloc's
 # 128 KB mmap threshold and their total, which the heap may keep after the

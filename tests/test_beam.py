@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -478,17 +479,36 @@ def test_quadrature_fading_variance_peaks():
         assert level / 2.0 <= variances[i] <= 2.0 * level
 
 
-def uncached_rule_grid(n_s, n_chi, n_theta):
-    """The rule's nodes and weights built afresh on each call: the reference
-    for the cached ones."""
+def rule_factors(n_s, n_chi, n_theta):
+    """The rule's 1-d nodes s, chi and z and their weights, the s weights with
+    the Rayleigh density, built afresh on each call."""
     x, w_s = np.polynomial.legendre.leggauss(n_s)
     s = 3.0 * (1.0 + x)
     x, w_chi = np.polynomial.legendre.leggauss(n_chi)
     chi = 0.25 * math.pi * (1.0 + x)
     z, w_z = np.polynomial.hermite_e.hermegauss(n_theta)
-    weights = np.prod(np.meshgrid(w_s * s * np.exp(-s * s), w_chi, w_z, w_z, indexing="ij"), axis=0).ravel()
-    s, chi, z1, z2 = (a.ravel() for a in np.meshgrid(s, chi, z, z, indexing="ij"))
+    return (s, chi, z), (w_s * s * np.exp(-s * s), w_chi, w_z)
+
+
+def uncached_rule_grid(n_s, n_chi, n_theta):
+    """The rule's factored grid built afresh on each call: the reference for
+    the cached one."""
+    (s, chi, z), (w_s, w_chi, w_z) = rule_factors(n_s, n_chi, n_theta)
+    z1, z2 = (a.ravel() for a in np.meshgrid(z, z, indexing="ij"))
+    weights = np.multiply.outer(np.multiply.outer(np.multiply.outer(w_s, w_chi), w_z), w_z).ravel()
     return s, chi, np.stack([z1, z2], axis=1), weights
+
+
+def full_grid_transmittance(scen, nodes):
+    """The oracle for the factored rule: _transmittance_batch at every node of
+    the full tensor grid, and the weights as a product over a meshgrid's axis 0."""
+    (s, chi, z), factor_weights = rule_factors(*nodes)
+    weights = np.prod(np.meshgrid(*factor_weights, factor_weights[2], indexing="ij"), axis=0).ravel()
+    s, chi, z1, z2 = (a.ravel() for a in np.meshgrid(s, chi, z, z, indexing="ij"))
+    var_bw, mean_theta, chol = beam._wander_and_theta(scen)
+    th = mean_theta + np.stack([z1, z2], axis=1) @ chol.T
+    r0 = math.sqrt(2.0 * var_bw) * s
+    return beam._transmittance_batch(r0, np.zeros_like(r0), th[:, 0], th[:, 1], chi, scen), weights
 
 
 def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
@@ -500,6 +520,10 @@ def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
+    # the weights' products are taken in the order of np.prod over a meshgrid's axis 0
+    _, factor_weights = rule_factors(*beam._RULE_NODES)
+    meshgrid = np.meshgrid(*factor_weights, factor_weights[2], indexing="ij")
+    assert grid[3].tobytes() == np.prod(meshgrid, axis=0).ravel().tobytes()
 
 
 @pytest.mark.parametrize("scen", [QUADRATURE_LINKS[1], daily_links()[1]], ids=["1750m", "daily-high-cn2"])
@@ -508,3 +532,33 @@ def test_cached_rule_gives_the_moments_of_a_rebuilt_one(scen, monkeypatch):
     monkeypatch.setattr(beam, "_rule_grid", uncached_rule_grid)
     rebuilt = fading_moments(scen)
     assert (cached.mean_eta.hex(), cached.mean_sqrt_eta.hex()) == (rebuilt.mean_eta.hex(), rebuilt.mean_sqrt_eta.hex())
+
+
+@pytest.mark.parametrize("scen, doubled", [(scen, False) for scen in QUADRATURE_LINKS] + [
+    (link(distance=1000.0, sigma_r2=0.0), False),  # no turbulence: the Cholesky factor is 0
+    (link(distance=1750.0, sigma_r2=0.56, aperture=4e-5), False),  # a = 1e-3 w0
+    (link(distance=1750.0, sigma_r2=0.56, aperture=0.4), False),  # a = 10 w0
+    (QUADRATURE_LINKS[1], True),
+    (link(distance=1750.0, sigma_r2=0.56, w0=1e-3, aperture=1e197), False),  # a / w0 squares to inf
+    (link(distance=1750.0, sigma_r2=0.56, aperture=1e-200), False),  # a / w0 squares to 0
+], ids=LINK_IDS + ["no-turbulence", "a=1e-3w0", "a=10w0", "doubled-nodes",
+                   "a2w0-overflows", "a2w0-underflows"])
+def test_factored_rule_is_the_full_grid_oracle(scen, doubled, monkeypatch):
+    """The rule, which runs the spot stage once per (chi, Theta) node, gives
+    _transmittance_batch's bits at every node of the full grid, and the
+    moments of those bits; or the oracle's error."""
+    if doubled:
+        monkeypatch.setattr(beam, "_RULE_NODES", tuple(2 * n for n in beam._RULE_NODES))
+    try:
+        want, weights = full_grid_transmittance(scen, beam._RULE_NODES)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            beam._transmittance_rule(scen)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            fading_moments(scen)
+        return
+    eta, rule_weights = beam._transmittance_rule(scen)
+    assert eta.tobytes() == want.tobytes() and rule_weights.tobytes() == weights.tobytes()
+    moments = fading_moments(scen)
+    assert moments.mean_eta == float(np.average(want, weights=weights))
+    assert moments.mean_sqrt_eta == float(np.average(np.sqrt(want), weights=weights))

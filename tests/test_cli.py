@@ -474,27 +474,60 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path):
     assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
 
-def test_failure_in_the_middle_of_the_sample_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
-    """A chunk that fails after the file is opened exits 3 with one line; the
-    partial file is removed, and an older file at --out with it, and no
-    sidecar is written."""
+def failing_batches(monkeypatch, failing):
+    """Make beam._transmittance_batch raise NumericalFailure on its call
+    number `failing`; the calls are counted in the returned list."""
     batches = []
     transmittance_batch = beam._transmittance_batch
 
-    def third_fails(*args):
+    def fails(*args):
         batches.append(None)
-        if len(batches) == 3:
+        if len(batches) == failing:
             raise NumericalFailure("transmittance evaluation produced non-finite values")
         return transmittance_batch(*args)
 
-    monkeypatch.setattr(beam, "_transmittance_batch", third_fails)
-    out = tmp_path / "eta.csv"
+    monkeypatch.setattr(beam, "_transmittance_batch", fails)
+    return batches
+
+
+def test_failure_in_the_middle_of_the_sample_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A chunk that fails after the file is opened exits 3 with one line; the
+    partial file is removed, and an older file at --out with it, and so is
+    that file's older sidecar: no sidecar is left beside no file."""
+    batches = failing_batches(monkeypatch, 3)
+    out, sidecar = tmp_path / "eta.csv", tmp_path / "eta.csv.json"
     out.write_text("older\n")
+    sidecar.write_text('{"older": true}\n')
     assert main(["simulate", "--config", write_cfg(tmp_path, BEAM_DOC), "--out", str(out),
                  "--n", str(4 * SAMPLE_CHUNK)]) == 3
     assert capsys.readouterr().err == "numerical failure: transmittance evaluation produced non-finite values\n"
     assert len(batches) == 3
-    assert not out.exists() and not Path(f"{out}.json").exists()
+    assert not out.exists() and not sidecar.exists()
+
+
+def test_failure_before_the_sample_file_opens_keeps_the_older_pair(tmp_path, capsys, monkeypatch):
+    """The first chunk is drawn before the file is opened: when it fails, an
+    older sample file and its sidecar both stay."""
+    failing_batches(monkeypatch, 1)
+    out, sidecar = tmp_path / "eta.csv", tmp_path / "eta.csv.json"
+    out.write_text("older\n")
+    sidecar.write_text('{"older": true}\n')
+    assert main(["simulate", "--config", write_cfg(tmp_path, BEAM_DOC), "--out", str(out),
+                 "--n", str(4 * SAMPLE_CHUNK)]) == 3
+    assert capsys.readouterr().err == "numerical failure: transmittance evaluation produced non-finite values\n"
+    assert out.read_text() == "older\n" and sidecar.read_text() == '{"older": true}\n'
+
+
+def test_failure_in_the_sample_stream_leaves_a_linked_sidecar(tmp_path, monkeypatch):
+    """Only a regular file at the sidecar's path is removed, not a link nor
+    the file it names."""
+    failing_batches(monkeypatch, 3)
+    out, sidecar, target = tmp_path / "eta.csv", tmp_path / "eta.csv.json", tmp_path / "kept.json"
+    target.write_text("{}\n")
+    sidecar.symlink_to(target)
+    assert main(["simulate", "--config", write_cfg(tmp_path, BEAM_DOC), "--out", str(out),
+                 "--n", str(4 * SAMPLE_CHUNK)]) == 3
+    assert not out.exists() and sidecar.is_symlink() and target.read_text() == "{}\n"
 
 
 def test_generator_recorded_by_simulate_only(tmp_path):
