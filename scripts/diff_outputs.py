@@ -35,7 +35,8 @@ scenario files:
                     fading segment is simulate's output as a samples_file
   simulate --n 1 and --n 16384 on fig3: one partial generator chunk and an
                     exact multiple of the 8192-sample chunk (--n 100000
-                    ends in a partial one)
+                    ends in a partial one); then stats on each, one sample
+                    and exactly two 8192-sample leaves of the moments' sums
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -169,6 +170,7 @@ def commands():
     runs += [(f"simulate_fig3_{n}", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                      "--n", str(n), "--out", f"eta_{n}.csv"])
              for n in (1, 16384)]
+    runs += [(f"stats_eta_{n}", ["stats", f"eta_{n}.csv", "--out", f"stats_eta_{n}.json"]) for n in (1, 16384)]
     return runs
 
 

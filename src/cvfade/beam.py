@@ -41,6 +41,10 @@ _RULE_NODES = (24, 8, 8)
 # limit for eta0's last term; their truncation errors are then below 1e-17
 # relative in L and lambda and 1e-17 absolute in eta0
 _SMALL_Z = 1e-5
+# _spot clamps a^2 / W^2 here: a centred spot passes whole (eta0 = 1 to the
+# last bit) from a^2 / W^2 ~ 40 on, lambda ~ 1e125 makes the aperture stage a
+# step at r0 = a as any larger value does, and no sum or Bessel term overflows
+_E_MAX = 1e250
 
 # Gaussian moments of the elliptic-beam parameter vector (x0, y0, Theta1,
 # Theta2) for a beam focused at the receiver plane propagating through
@@ -224,11 +228,12 @@ def _spot(theta1, theta2, cos2chi, scenario: BeamScenario):
     a = scenario.aperture
     try:
         a2w0 = (a / scenario.w0) ** 2
-        log_4a2w0 = math.log(4.0 * a2w0)
+        log_4a2w0 = math.log(4.0 * min(a2w0, _E_MAX))
     except (OverflowError, ValueError):  # the square overflows, or underflows to 0
         raise DomainError(f"aperture / w0 = {a / scenario.w0:g} squares beyond the float range") from None
-    e1 = a2w0 * np.exp(-theta1)  # a^2 / W1^2
-    e2 = a2w0 * np.exp(-theta2)
+    with np.errstate(over="ignore"):  # inf for a huge aperture: clamped
+        e1 = np.minimum(a2w0 * np.exp(-theta1), _E_MAX)  # a^2 / W1^2
+        e2 = np.minimum(a2w0 * np.exp(-theta2), _E_MAX)
     # W_eff^2(chi) = 4 a^2 / W(zeta); zeta handled in log form so the huge
     # exponentials of narrow beams never overflow; 1 + 2 cos^2 = 2 + cos 2chi
     log_zeta = (log_4a2w0 - 0.5 * (theta1 + theta2)

@@ -6,6 +6,7 @@ whose covariance is the subchannel average.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gaussian import CovarianceMatrix, require_physical
-from .outputs import count_lines, read_buffer, read_fractions
+from .outputs import read_fractions
 
 
 @dataclass(frozen=True)
@@ -39,48 +40,57 @@ class FadingStats:
         # Jensen both ways for eta in [0, 1]: <sqrt(eta)>^2 <= <eta> <= <sqrt(eta)>
         tol = 1e-12
         if me > ms + tol or ms * ms > me + tol:
-            raise DomainError(
-                f"moments violate Jensen bounds: <eta>={me}, <sqrt(eta)>={ms}"
-            )
+            raise DomainError(f"moments violate Jensen bounds: <eta>={me}, <sqrt(eta)>={ms}")
 
     @property
     def var_sqrt(self) -> float:
         return max(0.0, self.mean_eta - self.mean_sqrt_eta**2)
 
 
-_LEAF = 8192  # samples per np.sqrt temporary: 64 KB, below malloc's 128 KB mmap threshold
+_LEAF = 8192  # samples per leaf of the moments' sums: 64 KB, below malloc's mmap threshold
 
 
-def _sqrt_sum(arr: np.ndarray) -> float:
-    """np.sqrt(arr).sum() of a 1-D array, bit for bit, holding at most _LEAF
-    square roots at a time.  numpy sums a contiguous run pairwise: a run of
-    more than 128 (its PW_BLOCKSIZE) splits at n//2 - (n//2) % 8 and the two
-    halves' sums are added.  Splitting the same way down to runs of at most
-    _LEAF >= 128 and letting numpy sum each run repeats that recursion."""
-    n = arr.size
-    if n <= _LEAF:
-        return np.sqrt(arr).sum()
-    half = n // 2 - (n // 2) % 8
-    return _sqrt_sum(arr[:half]) + _sqrt_sum(arr[half:])
+def _moments(blocks) -> tuple[FadingStats, int]:
+    """The moments of the samples in an iterable of 1-D float arrays, and their
+    count.  Sample k is in leaf k // _LEAF, summed by numpy.  While the top two
+    partial sums cover equally many leaves (the last leaf, even partial, counts
+    as one), they merge as older + newer; the stack then folds from the newest.
+    The order is fixed by position, with pairwise summation's O(eps log n) error
+    (Higham, SIAM J. Sci. Comput. 14, 783 (1993)).  Per block: a min and a max."""
+    buf, fill, n, stack = np.empty(_LEAF), 0, 0, []  # stack: (leaves, sum of eta, sum of sqrt(eta)), oldest first
+    def push(leaf):
+        top = (1, float(leaf.sum()), float(np.sqrt(leaf).sum()))
+        while stack and stack[-1][0] == top[0]:
+            older = stack.pop()
+            top = (older[0] + top[0], older[1] + top[1], older[2] + top[2])
+        stack.append(top)
+
+    for x in blocks:
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # False for NaN
+            i = int(((x >= 0.0) & (x <= 1.0)).argmin())
+            raise DomainError(f"transmittance samples must lie in [0, 1]: sample {n + i} (from 0) is {float(x[i])!r}")
+        n += x.size
+        while x.size:
+            take = min(_LEAF - fill, x.size)
+            buf[fill:fill + take], x = x[:take], x[take:]
+            fill = (fill + take) % _LEAF
+            if not fill:
+                push(buf)
+    if fill:
+        push(buf[:fill])
+    if not n:
+        raise DomainError("sample set is empty")
+    _, total, roots = stack.pop()
+    for _, older, older_roots in reversed(stack):
+        total, roots = older + total, older_roots + roots
+    return FadingStats(total / n, roots / n), n
 
 
 def fading_stats(samples) -> FadingStats:
-    """Moments of a transmittance sample set (pairwise summation, reproducible).
-
-    Allocates nothing of the samples' size, only _LEAF square roots (64 KB)
-    at a time: the range check is a min and a max, and _sqrt_sum adds the
-    square roots in numpy's own pairwise order, so <sqrt(eta)> has the bits
-    of np.sqrt(samples).mean() and <eta> is samples.mean() as before.
-    """
+    """Moments of a transmittance sample set, fed to _moments _LEAF samples at
+    a time: no copy of the samples, and the bits of a file that holds them."""
     arr = np.asarray(samples, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise DomainError("sample set is empty")
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # False for NaN
-        inside = arr >= 0.0
-        inside &= arr <= 1.0
-        i = int(inside.argmin())
-        raise DomainError(f"transmittance samples must lie in [0, 1]: sample {i} (from 0) is {float(arr[i])!r}")
-    return FadingStats(float(arr.mean()), float(_sqrt_sum(arr) / arr.size))
+    return _moments(arr[i:i + _LEAF] for i in range(0, arr.size, _LEAF))[0]
 
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
@@ -143,14 +153,17 @@ def _ends_in_quote(text: str, quoted: bool = False) -> bool:
     return quoted
 
 
-def _first_rejected(lines, before: int, encoding) -> str | None:
-    """"line N <reason>" for the first of lines after the header that
-    _body_rows rejects alone, the first being line before + 1; None if none is."""
-    for n, line in enumerate(lines, before + 1):
-        try:
-            _body_rows([line], encoding)
-        except ValueError as exc:
-            return f"line {n} {exc.args[0]}"
+def _first_rejected(lines, encoding):
+    """(index, reason) of the first record of lines that _body_rows rejects alone,
+    a record being a line and those to the one closing a quote it opens; or None."""
+    start, quoted = 0, False
+    for i, line in enumerate(lines, 1):
+        if not (quoted := _ends_in_quote(line, quoted)) or i == len(lines):
+            try:
+                _body_rows(lines[start:i], encoding)
+            except ValueError as exc:
+                return start, exc.args[0]
+            start = i
     return None
 
 
@@ -187,12 +200,11 @@ def _read_head(fh, path) -> int:
     return n
 
 
-def _read_body(fh, out, done: int, before: int, path) -> np.ndarray:
-    """out[:done] and the samples of text file fh from its position, line
-    before + 1, read by numpy _BLOCK lines at a time into the rest of out.
-    A block whose text leaves a quoted cell open takes the lines up to the one
-    that closes it.  A failing block's first line that fails alone is named,
-    else numpy's text."""
+def _read_body(fh, before: int, done: int, path):
+    """Yield the samples of text file fh from its position, line before + 1,
+    after `done` samples, as numpy reads them _BLOCK lines at a time and the
+    lines that close a quoted cell left open.  A failing block's first record
+    that fails alone is named, after the samples before it, else numpy's text."""
     while lines := list(islice(fh, _BLOCK)):
         quoted = _ends_in_quote("".join(lines))
         while quoted and (line := next(fh, None)) is not None:
@@ -201,37 +213,47 @@ def _read_body(fh, out, done: int, before: int, path) -> np.ndarray:
         try:
             rows = _body_rows(lines, fh.encoding)[:, 0]
         except ValueError as exc:
-            raise DomainError(f"cannot parse samples in {path}: "
-                              f"{_first_rejected(lines, before, fh.encoding) or exc.args[1]}") from exc
-        if rows.size > out.size - done:  # more lines than were counted: the file grew, or ends lines in CR
-            out = np.concatenate([out[:done], np.empty(max(rows.size, done))])
-        out[done:done + rows.size] = rows
-        done += rows.size
-        before += len(lines)
-    if done == 0:
+            if (bad := _first_rejected(lines, fh.encoding)) is None:
+                raise DomainError(f"cannot parse samples in {path}: {exc.args[1]}") from exc
+            i, reason = bad
+            yield _body_rows(lines[:i], fh.encoding)[:, 0]  # a sample outside [0, 1] among them is the first fault
+            raise DomainError(f"cannot parse samples in {path}: line {before + 1 + i} {reason}") from exc
+        yield rows
+        done, before = done + rows.size, before + len(lines)
+    if not done:
         raise DomainError(f"no samples found in {path}")
-    return out[:done]
+
+
+def _sample_blocks(path):
+    """Yield the samples of the file at path, an array per block, each line read
+    once: outputs.read_fractions's in `simulate`'s form (ASCII comments, a header
+    of exactly `eta`), then numpy's.  DomainError names the first fault: a line
+    not decoding, a header not `eta`, a row of 2+ cells, a non-number, no sample."""
+    with io.TextIOWrapper(open(path, "rb"), newline="", errors="surrogateescape") as fh:
+        raw, done = fh.buffer, 0  # the kernel reads raw before any text is read
+        if head := _fraction_file(raw):
+            for x in read_fractions(raw):
+                done += x.size
+                yield x
+        else:
+            raw.seek(0)
+        yield from _read_body(fh, head + done if head else _read_head(fh, path), done, path)
 
 
 def read_eta_csv(path) -> np.ndarray:
-    """Read a transmittance sample set from a CSV with single column `eta`.
+    """The samples of a CSV with single column `eta`, the blocks of
+    _sample_blocks joined.  Lines starting with '#' are comments; after the
+    header a '#' anywhere starts one, and blank lines are skipped."""
+    with contextlib.closing(_sample_blocks(path)) as blocks:
+        return np.concatenate(list(blocks))
 
-    Lines starting with '#' are ignored (metadata comments); after the
-    header a '#' anywhere starts a comment, and blank lines are skipped.
-    Each line is read once, into one array sized by a count of the lines:
-    by outputs.read_fractions while they are in `simulate`'s form (after
-    ASCII comment lines and a header of exactly `eta`), then by numpy's C
-    reader, which gives the same doubles.  DomainError names the first
-    fault in file order: a line that does not decode, a header other than
-    `eta`, a row of more than one cell or a cell that is not a number.
-    """
-    with io.TextIOWrapper(open(path, "rb"), newline="", errors="surrogateescape") as fh:
-        raw, buf = fh.buffer, read_buffer()  # the kernel reads raw before any text is read
-        if not (head := _fraction_file(raw)):
-            raw.seek(0)
-        out = np.empty(count_lines(raw, buf))
-        done = read_fractions(raw, out, buf) if head else 0
-        return _read_body(fh, out, done, head + done if head else _read_head(fh, path), path)
+
+def sample_file_stats(path) -> tuple[FadingStats, int]:
+    """fading_stats of the samples in the file at path, as read_eta_csv reads
+    them, and their count, holding one block of them at a time.  A sample
+    outside [0, 1] before a line that does not parse is the fault named."""
+    with contextlib.closing(_sample_blocks(path)) as blocks:
+        return _moments(blocks)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .beam import GENERATOR_NAME, fading_moments, sample_chunks, sample_metadata
-from .channel import fading_stats, read_eta_csv
+from .channel import sample_file_stats
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import OptimizationResult, optimize
@@ -247,13 +247,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    samples = read_eta_csv(args.samples)
-    st = fading_stats(samples)
+    st, n = sample_file_stats(args.samples)
     doc = {
         "mean_eta": st.mean_eta,
         "mean_sqrt_eta": st.mean_sqrt_eta,
         "var_sqrt": st.var_sqrt,
-        "n_samples": int(samples.size),
+        "n_samples": n,
     }
     if args.out:
         write_json(args.out, doc)

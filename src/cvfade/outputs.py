@@ -6,16 +6,14 @@ No timestamps anywhere: reruns with identical inputs must be byte-identical.
 Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
 write_csv takes a table as row blocks, each a list of columns, one per
-header field, and writes every table the same way: each chunk of about _CHUNK
-cells of a block is rendered and written to the open file before the next, so
-no whole-table str is built, and a sample file's blocks can come from a
-generator, one sample chunk at a time.  Rate tables pass one block.
-render_csv returns the text of one block's table as one str; both take their
-pieces from _csv_pieces, which checks the first block before the file is
-opened.  A column is a float array or a sequence of str, int, float or None
-cells.  Cells are written as csv.writer's default dialect writes them: str
-cells quoted when they hold a comma, a quote, CR or LF; ints as str(int);
-floats as '%.17g'; None as an empty cell.
+header field, and writes each chunk of about _CHUNK cells of a block to the
+open file before it renders the next: no whole-table str is built, and a
+sample file's blocks can come from a generator.  Rate tables pass one block.
+render_csv returns one block's table as one str; both take their pieces from
+_csv_pieces, which checks the first block before the file is opened.  A
+column is a float array or a sequence of str, int, float or None cells,
+written as csv.writer's default dialect writes them (str cells quoted when
+they hold a comma, a quote, CR or LF), floats as '%.17g', None as ''.
 
 Float columns are rendered by a numpy kernel that writes the same bytes as
 `'%.17g'` for every double that format prints in fixed notation, the signed
@@ -42,11 +40,11 @@ rows; the text of the runs, joined in Python, replaces the markers in order.
 
 read_fractions is the read side of that text for the lines of a sample file:
 `0.` and 1-20 digits, at most 18 of them significant, ending in LF or CRLF.
-It reads a block of _READ_BLOCK bytes at a time into an array sized by
-count_lines, and stops at the first line of the first block that leaves that
-form, where numpy's reader goes on.  The 8-byte little-endian words that end
-at a line's last digit, their bytes before the digits set to '0', are checked
-and folded into the integer D of its digits with the SWAR steps of D. Lemire,
+It yields the doubles of a block of _READ_BLOCK bytes at a time and stops at
+the first line of the first block that leaves that form, where numpy's reader
+goes on.  The 8-byte little-endian words that end at a line's last digit,
+their bytes before the digits set to '0', are checked and folded into the
+integer D of its digits with the SWAR steps of D. Lemire,
 "Number parsing at a gigabyte per second", Softw. Pract. Exper. 51 (2021).  Its
 value x = D / 10^k, k digits, then follows W. D. Clinger, "How to read
 floating point numbers accurately", PLDI 1990: q = fl(D) / 10^k is the
@@ -351,10 +349,8 @@ def remove_file(path):
             os.remove(path)
 
 
-# Bytes per block of read_fractions: large enough to amortize numpy's per-call
-# cost, small enough that each of a block's temporaries stays below malloc's
-# 128 KB mmap threshold and their total, which the heap may keep after the
-# read, near 0.5 MB.
+# Bytes per block of read_fractions: enough to amortize numpy's per-call cost,
+# few enough that each temporary stays below malloc's 128 KB mmap threshold.
 _READ_BLOCK = 1 << 16
 _LINE_MAX = 23  # the longest line read_fractions reads, before its LF: 0., 20 digits, CR
 _CARRY = 48  # bytes before a block: the line it continues and the first line's word loads
@@ -398,37 +394,21 @@ def _nearest(d, k):
     return q + r / scale, np.flatnonzero(float_read)
 
 
-def read_buffer() -> bytearray:
-    """The buffer of count_lines and read_fractions: a block, _CARRY bytes before it and 8 after."""
-    return bytearray(_CARRY + _READ_BLOCK + 8)  # the 8 for the word loads at a block's end
-
-
-def count_lines(fh, buf) -> int:
-    """The lines from binary file fh's position to its end, a last line
-    without LF included; fh is left where it was."""
-    start, count, last = fh.tell(), 0, 10
-    while got := fh.readinto(buf):
-        count += buf.count(b"\n", 0, got)
-        last = buf[got - 1]
-    fh.seek(start)
-    return count + (last != 10)
-
-
-def read_fractions(fh, out, buf) -> int:
-    """Read the lines from binary file fh's position into out as float() does,
-    a block at a time while out has room for a block's lines and each is `0.`
-    and 1-20 digits, at most 18 of them significant, ending in LF or CRLF (or
-    the file).  Returns how many it read; fh is left at the next line."""
+def read_fractions(fh):
+    """Yield float() of the lines from binary file fh's position, an array
+    per block of _READ_BLOCK bytes, while a block's lines are in the form of
+    the module docstring; stop at the first that is not, fh at its first line."""
+    buf = bytearray(_CARRY + _READ_BLOCK + 8)  # a block, the bytes it continues and 8 for the word loads at its end
     block = memoryview(buf)[_CARRY:_CARRY + _READ_BLOCK]
     data = np.frombuffer(buf, dtype=np.uint8)
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # the 8 bytes from each offset
-    carry = done = 0
+    carry = 0
     while True:
         got = fh.readinto(block)
         end = _CARRY + got
         if not got:
             if not carry:
-                return done
+                return
             buf[end] = 10  # the last line ends the file
             end += 1
         begin = _CARRY - carry
@@ -439,19 +419,17 @@ def read_fractions(fh, out, buf) -> int:
         starts[:1] = begin
         starts[1:] = lf[:-1] + 1
         stop = lf - (data[lf - 1] == 13)  # after the last digit
-        k = stop - starts - 2
-        fits = carry <= _LINE_MAX and lf.size <= out.size - done  # and out has room for the lines
-        fits &= ((k >= 1) & (k <= 20) & (words[starts] & 0xFFFF == 0x2E30)).all()  # 1-20 digits after '0.'
+        k = stop - starts - 2  # the digits after '0.'
+        fits = carry <= _LINE_MAX and ((k >= 1) & (k <= 20) & (words[starts] & 0xFFFF == 0x2E30)).all()
         d = _digit_integers(words[stop - _WORD_ENDS], k) if fits else None
         if d is None:
             fh.seek(begin - _CARRY - got, 1)  # back to the block's first line
-            return done
+            return
         x, float_read = _nearest(d, k)
         for i in float_read.tolist():
             x[i] = float(buf[starts[i]:stop[i]])
-        out[done:done + x.size] = x
-        done += x.size
         buf[_CARRY - carry:_CARRY] = buf[end - carry:end]
+        yield x
 
 
 def write_text(path, text: str):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gaussian
 from .beam import BeamScenario, fading_moments
-from .channel import CompositeChannel, FadingStats, fading_stats, read_eta_csv
+from .channel import CompositeChannel, FadingStats, sample_file_stats
 from .errors import ConfigError, DomainError
 from .keyrate import FiniteSizeParams
 from .optimizer import OptimizationSpec, searches_vs
@@ -465,8 +465,7 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
         return _section(FadingStats, s, "fading.stats")
     if "samples_file" in fading:
         try:
-            samples = read_eta_csv(fading["samples_file"])
-            return fading_stats(samples)
+            return sample_file_stats(fading["samples_file"])[0]
         except OSError as exc:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
         except Exception as exc:

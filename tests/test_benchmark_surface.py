@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -105,11 +104,14 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     """simulate writes its sample file in one outputs.write_csv call, whose
     file is render_csv's text of its metadata and header and of
     beam.simulate's samples (its row blocks come from a generator, which the
-    call consumes); stats reads it through
-    channel.read_eta_csv, whose returned array (.size) the per-layer counters
-    read.  Both calls go through module attributes that the tracer can
-    replace."""
+    call consumes).  stats streams the file into the moments through one
+    channel.sample_file_stats call, which returns the moments and the count,
+    and holds no array of the samples: channel.read_eta_csv, whose returned
+    array (.size) the per-layer counters read, is not called, so those
+    counters read 0 on stats.  The calls go through module attributes that
+    the tracer can replace."""
     from cvfade.beam import simulate
+    from cvfade.channel import FadingStats, fading_stats, read_eta_csv
     from cvfade.cli import main  # imports every layer
     from cvfade.scenario import beam_scenario, load_scenario
 
@@ -117,6 +119,7 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
     written = written_tables(monkeypatch)
     read = traced_calls(monkeypatch, "channel.read_eta_csv")
+    streamed = traced_calls(monkeypatch, "channel.sample_file_stats")
     samples = tmp_path / "eta.csv"
     n = 1234
     assert main(["simulate", "--config", str(FIG3), "--n", str(n), "--seed", "3", "--out", str(samples)]) == 0
@@ -125,7 +128,11 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert text.count("\n") - 2 == n  # one metadata line, one header line
     assert csv_rows_cells(text) == [n, n]
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
-    assert len(read) == 1 and isinstance(read[0], np.ndarray) and read[0].size == n
+    assert not read
+    assert len(streamed) == 1
+    stats, count = streamed[0]
+    assert isinstance(stats, FadingStats) and count == n
+    assert stats == fading_stats(read_eta_csv(samples))
 
 
 def load_tracer():

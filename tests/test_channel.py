@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -20,10 +21,39 @@ from cvfade.channel import (
     apply_equivalent_fixed,
     fading_stats,
     read_eta_csv,
+    sample_file_stats,
 )
+from cvfade.cli import main
 from cvfade.errors import DomainError, NonPhysicalState
 from cvfade.gaussian import symplectic_eigenvalues
 from cvfade.sources import ProtocolParams, build_source
+
+
+def leaf_order_sum(values) -> float:
+    """The sum of a 1-D array in the order fading_stats documents, built
+    another way: the full leaves split into runs by the binary digits of their
+    count, the longest run first, each run a balanced tree of numpy's leaf
+    sums (first half + second half); then the partial leaf; and the runs
+    added up from the last one."""
+    leaf = channel._LEAF
+    full = values.size // leaf
+
+    def tree(first, count):
+        if count == 1:
+            return float(values[first * leaf:(first + 1) * leaf].sum())
+        return tree(first, count // 2) + tree(first + count // 2, count // 2)
+
+    runs, first = [], 0
+    for bit in reversed(range(full.bit_length())):
+        if full >> bit & 1:
+            runs.append(tree(first, 1 << bit))
+            first += 1 << bit
+    if values.size > first * leaf:
+        runs.append(float(values[first * leaf:].sum()))
+    total = runs.pop()
+    for run in reversed(runs):
+        total = run + total
+    return total
 
 
 class TestFadingStats:
@@ -78,24 +108,39 @@ class TestFadingStats:
         pytest.param([m * channel._LEAF + d for m in (1, 2, 8) for d in (-1, 0, 1)], id="around_leaf_multiples"),
         pytest.param(np.random.default_rng(18).integers(0, 3_000_001, 12), id="random_to_3e6"),
     ])
-    def test_sqrt_sum_has_numpys_bits(self, sizes):
-        """The blockwise sum of square roots is np.sqrt(a).sum(), and the
-        moments are a.mean() and np.sqrt(a).mean(), bit for bit."""
+    def test_moments_follow_the_leaf_order(self, sizes):
+        """The moments are the sums in the documented order, over n; up to
+        one leaf they are numpy's a.mean() and np.sqrt(a).mean()."""
         samples = np.random.default_rng(5).random(max(sizes)) ** 3
         for n in map(int, sizes):
+            if not n:
+                continue
             a = samples[:n]
-            assert float(channel._sqrt_sum(a)).hex() == float(np.sqrt(a).sum()).hex(), n
-            if n:
-                st_ = fading_stats(a)
+            st_ = fading_stats(a)
+            expected = (leaf_order_sum(a) / n, leaf_order_sum(np.sqrt(a)) / n)
+            assert (st_.mean_eta.hex(), st_.mean_sqrt_eta.hex()) == tuple(map(float.hex, expected)), n
+            if n <= channel._LEAF:
                 assert (st_.mean_eta.hex(), st_.mean_sqrt_eta.hex()) == (
                     float(a.mean()).hex(), float(np.sqrt(a).mean()).hex()), n
 
-    def test_two_dimensional_and_list_inputs_have_numpys_bits(self):
+    def test_two_dimensional_and_list_inputs_follow_the_leaf_order(self):
         a = np.random.default_rng(6).random((300, 70))  # C-contiguous, 21000 samples
-        expected = (float(a.mean()).hex(), float(np.sqrt(a).mean()).hex())
-        for samples in (a, a.tolist(), a.ravel().tolist()):
+        flat = a.ravel()
+        expected = (float.hex(leaf_order_sum(flat) / flat.size), float.hex(leaf_order_sum(np.sqrt(flat)) / flat.size))
+        for samples in (a, a.tolist(), flat.tolist()):
             st_ = fading_stats(samples)
             assert (st_.mean_eta.hex(), st_.mean_sqrt_eta.hex()) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 8191, 8193, 3 * 8192 + 5, 99_999, 1_000_000])
+    def test_moments_are_within_the_pairwise_bound_of_fsum(self, n):
+        """Both moments lie within (ceil(log2 n) + 1) eps relative of the
+        correctly rounded means."""
+        a = np.random.default_rng(n).random(n)
+        st_ = fading_stats(a)
+        bound = (math.ceil(math.log2(n)) + 1) * np.finfo(float).eps
+        for got, values in ((st_.mean_eta, a), (st_.mean_sqrt_eta, np.sqrt(a))):
+            exact = math.fsum(values.tolist()) / n
+            assert abs(got - exact) <= bound * exact, (n, got, exact)
 
     def test_moments_hold_no_copy_of_the_samples(self):
         """Nothing of the samples' size is allocated: an np.sqrt copy and a
@@ -409,6 +454,15 @@ def test_quoted_cells_over_lines_read_alike_in_any_block(tmp_path, monkeypatch, 
     assert read_eta_csv(path).tolist() == [0.5, 0.25, 0.125, 0.75]
 
 
+def test_bad_line_after_a_quoted_cell_over_lines_is_named(tmp_path):
+    """A quoted cell with a line end inside it is one record, so a bad line
+    after it in the same block is the one named, not the cell's first line."""
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'eta\n0.5\n"\n0.25"\nabc\n')
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line 5 is not a number$"):
+        read_eta_csv(path)
+
+
 def first_cells(lines):
     """The first cell of each row numpy's reader finds in lines, as text."""
     with warnings.catch_warnings():
@@ -709,3 +763,150 @@ def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
     monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
     assert hex_values(read_eta_csv(path)) == [0.5.hex(), 0.25.hex()]
     assert calls
+
+
+# --- the sample stream into the moments (channel.sample_file_stats) ---------
+
+def moments_hex(stats):
+    return stats.mean_eta.hex(), stats.mean_sqrt_eta.hex()
+
+
+def simulate_text(samples) -> str:
+    """A sample file of samples in [1e-4, 1) as simulate writes it."""
+    return outputs.render_csv({}, ["eta"], [np.asarray(samples, dtype=float)])
+
+
+# simulate's text as such, which the kernel reads, and with a change that
+# takes its body to numpy's reader: a comment line or a blank line after the
+# header, or a last line `1`; and the samples each file then holds
+ROUTES = {
+    "kernel": (lambda text: text, lambda a: a),
+    "comment": (lambda text: text.replace("\r\neta\r\n", "\r\neta\r\n# a comment\r\n", 1), lambda a: a),
+    "blank": (lambda text: text.replace("\r\neta\r\n", "\r\neta\r\n\r\n", 1), lambda a: a),
+    "last_one": (lambda text: text + "1\r\n", lambda a: np.append(a, 1.0)),
+}
+FILE_SIZES = [*range(401), *(m * channel._LEAF + d for m in (1, 2, 8) for d in (-1, 1)), 99_999]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_sample_file_has_the_bits_of_its_array(tmp_path, route):
+    """The moments of a file, read a block at a time, are fading_stats of its
+    samples bit for bit, at every size to 400 and next to leaf multiples."""
+    edit, held = ROUTES[route]
+    samples = np.random.default_rng(25).uniform(1e-4, 1.0, max(FILE_SIZES))
+    path = tmp_path / "eta.csv"
+    for n in FILE_SIZES:
+        path.write_bytes(edit(simulate_text(samples[:n])).encode())
+        a = held(samples[:n])
+        if not a.size:
+            with pytest.raises(DomainError, match="^no samples found in "):
+                sample_file_stats(path)
+            continue
+        st_, count = sample_file_stats(path)
+        assert count == a.size, n
+        assert moments_hex(st_) == moments_hex(fading_stats(a)) == moments_hex(fading_stats(read_eta_csv(path))), n
+
+
+@pytest.fixture(scope="module")
+def million_samples():
+    return np.random.default_rng(26).uniform(1e-4, 1.0, 1_000_000)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_stats_streams_a_million_samples_in_under_1_mb(tmp_path, million_samples, route):
+    """`stats` on 1e6 samples holds no array of them on either reader's
+    route (an array alone would be 8 MB), and writes fading_stats of the
+    samples bit for bit."""
+    edit, held = ROUTES[route]
+    path, out = tmp_path / "eta.csv", tmp_path / "stats.json"
+    path.write_bytes(edit(simulate_text(million_samples)).encode())
+    tracemalloc.start()
+    try:
+        assert main(["stats", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    a = held(million_samples)
+    st_ = fading_stats(a)
+    assert json.loads(out.read_text()) == {"mean_eta": st_.mean_eta, "mean_sqrt_eta": st_.mean_sqrt_eta,
+                                           "var_sqrt": st_.var_sqrt, "n_samples": a.size}
+
+
+@pytest.mark.parametrize("body, fault", [
+    (b"eta\n0.5\n1.5\nabc\n", "must lie in [0, 1]: sample 1 (from 0) is 1.5"),
+    (b'eta\n"0.5\n"\n-1\n"abc\n"\n', "must lie in [0, 1]: sample 1 (from 0) is -1.0"),
+    (b"eta\r\n" + BLOCK_OF_LINES + b"1.5\r\n" + b"0.5\r\n" * 5000 + b"abc\r\n", "sample 7000 (from 0) is 1.5"),
+    (b"eta\n" + b"0.5\n" * 5000 + b"nan\n0.5,0.25\n", "sample 5000 (from 0) is nan"),
+    (b"eta\n0.5\nabc\n1.5\n", "line 3 is not a number"),
+    (b"eta\n0.5\n1.5,0.25\n1.5\n", "line 3 has 2 cells, expected one"),
+], ids=["range_then_word", "range_then_quoted_word", "range_then_word_blocks_later",
+        "range_then_two_cells_in_a_block", "word_then_range", "two_cells_then_range"])
+def test_first_fault_in_file_order_is_named(tmp_path, body, fault):
+    """A sample outside [0, 1] before a line that does not parse is the
+    fault the moments name, in one numpy block or blocks before it, and the
+    other way round; read_eta_csv, which checks no range, names the line."""
+    path = tmp_path / "eta.csv"
+    path.write_bytes(body)
+    with pytest.raises(DomainError) as err:
+        sample_file_stats(path)
+    assert str(err.value).endswith(fault), err.value
+    with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line "):
+        read_eta_csv(path)
+
+
+def record_oracle(body: str, first: int):
+    """What csv.reader and float() read from body, whose first line is line
+    `first`: the values, else the line on which the first record that is not
+    one number starts.  Blank lines are skipped; a quoted cell may hold line
+    ends."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    values, start = [], first
+    for row in reader:
+        if row:
+            try:
+                (cell,) = row
+                values.append(float(cell))
+            except ValueError:
+                return start
+        start = first + reader.line_num
+    return values
+
+
+# what goes around a number inside its quotes; EOL stands for the file's line end
+QUOTE_PADS = ("", "EOL", " EOL", "EOLEOL", "EOL ", " ")
+FAULTS = ("abc", "0.5,0.25", '"EOLabc"', '"0.5EOL",1')
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(fraction_lines(), max_size=12),
+       cells=st.lists(st.tuples(fraction_lines(), st.sampled_from(QUOTE_PADS), st.sampled_from(QUOTE_PADS),
+                                st.booleans()), min_size=1, max_size=14),
+       fault=st.one_of(st.none(), st.tuples(st.sampled_from(FAULTS), st.integers(0, 14))),
+       eol=st.sampled_from(["\n", "\r\n"]), block=st.sampled_from([1, 5, 24, 100]),
+       lines=st.sampled_from([1, 2, 3, 5, channel._BLOCK]))
+def test_quoted_cells_over_line_ends_match_record_oracle(tmp_path_factory, head, cells, fault, eol, block,
+                                                         lines):
+    """Files of simulate's lines, then numbers plain and quoted, quotes that
+    hold line ends before or after the number, and maybe one faulty record,
+    at small kernel and numpy blocks, so that quoted cells cross block
+    boundaries: the stream holds the doubles of csv.reader and float(), or
+    names the line on which their first faulty record starts."""
+    records = [f'"{pre}{text}{post}"'.replace("EOL", eol) if quoted else text for text, pre, post, quoted in cells]
+    if fault is not None:
+        records.insert(min(fault[1], len(records)), fault[0].replace("EOL", eol))
+    body = eol.join(head + records) + eol
+    path = tmp_path_factory.mktemp("eta") / "samples.csv"
+    path.write_bytes(f"# metadata: {{}}{eol}eta{eol}{body}".encode())
+    want = record_oracle(body, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outputs, "_READ_BLOCK", block)
+        mp.setattr(channel, "_BLOCK", lines)
+        if isinstance(want, int):
+            for read in (read_eta_csv, sample_file_stats):
+                with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line {want} "):
+                    read(path)
+        else:
+            assert hex_values(read_eta_csv(path)) == hex_values(want)
+            st_, count = sample_file_stats(path)
+            assert count == len(want) and moments_hex(st_) == moments_hex(fading_stats(want))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -932,10 +933,11 @@ def test_malformed_sample_file_exits_2_with_one_line(tmp_path, capsys, name):
     (b"eta\n0.5\n0.25\n1.5\n-1\n", "sample 2 (from 0) is 1.5"),
     (b"eta\r\n" + BLOCK_OF_LINES + b"nan\r\n", "sample 7000 (from 0) is nan"),
     (b"eta\r\n-inf\r\n" + BLOCK_OF_LINES, "sample 0 (from 0) is -inf"),
-], ids=["short", "nan_after_block", "minus_inf_first"])
+    (b"eta\n0.5\n1.5\nabc\n", "sample 1 (from 0) is 1.5"),
+], ids=["short", "nan_after_block", "minus_inf_first", "before_a_malformed_line"])
 def test_sample_outside_range_is_named(tmp_path, capsys, body, first):
     """stats and a scenario's samples_file name the first sample outside [0, 1]
-    in one error line."""
+    in one error line, also where a line that does not parse comes after it."""
     samples = tmp_path / "etas.csv"
     samples.write_bytes(body)
     doc = {"protocol": {"family": "coherent", "v_m": 3.0}, "channel": {"fading": {"samples_file": str(samples)}}}
@@ -1145,6 +1147,25 @@ def test_extreme_sweep_and_beam_values_exit_cleanly(tmp_path, capsys, command, v
         assert err == "error: fading.stats.mean_eta_db: 4000.0 dB is a variance beyond the float range\n"
     if command != "sweep":
         assert code == (0 if value == 1e-30 else 2), err
+
+
+@pytest.mark.parametrize("aperture", [4e151, 1e152])
+def test_huge_aperture_passes_the_whole_beam(tmp_path, capsys, aperture):
+    """A spot some 1e-150 of the aperture wide passes whole: keyrate writes
+    <eta> = <sqrt(eta)> = 1 and simulate samples of 1, each with its one
+    stderr line and no overflow warning."""
+    doc = json.loads((SCENARIOS / "fig3.scenario").read_text())
+    doc["channel"]["fading"]["beam"]["aperture"] = aperture
+    cfg = write_cfg(tmp_path, doc)
+    out, samples = tmp_path / "kr.csv", tmp_path / "eta.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.count("\n") == 1
+        assert {(row["mean_eta"], row["mean_sqrt_eta"], row["var_sqrt"]) for row in read_rows(out)} == {("1", "1", "0")}
+        assert main(["simulate", "--config", cfg, "--n", "20000", "--out", str(samples)]) == 0
+        assert capsys.readouterr().err.count("\n") == 1
+    assert set(samples.read_text().splitlines()[2:]) == {"1"}
 
 
 def test_lossless_optimize_gives_chi_0(tmp_path):
