@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +48,17 @@ class FadingStats:
         return max(0.0, self.mean_eta - self.mean_sqrt_eta**2)
 
 
+class SampleMoments(NamedTuple):
+    """The moments of a sample set and its number of samples."""
+
+    stats: FadingStats
+    size: int
+
+
 _LEAF = 8192  # samples per leaf of the moments' sums: 64 KB, below malloc's mmap threshold
 
 
-def _moments(blocks) -> tuple[FadingStats, int]:
+def _moments(blocks) -> SampleMoments:
     """The moments of the samples in an iterable of 1-D float arrays, and their
     count.  Sample k is in leaf k // _LEAF, summed by numpy.  While the top two
     partial sums cover equally many leaves (the last leaf, even partial, counts
@@ -83,14 +91,14 @@ def _moments(blocks) -> tuple[FadingStats, int]:
     _, total, roots = stack.pop()
     for _, older, older_roots in reversed(stack):
         total, roots = older + total, older_roots + roots
-    return FadingStats(total / n, roots / n), n
+    return SampleMoments(FadingStats(total / n, roots / n), n)
 
 
 def fading_stats(samples) -> FadingStats:
     """Moments of a transmittance sample set, fed to _moments _LEAF samples at
     a time: no copy of the samples, and the bits of a file that holds them."""
     arr = np.asarray(samples, dtype=float).reshape(-1)
-    return _moments(arr[i:i + _LEAF] for i in range(0, arr.size, _LEAF))[0]
+    return _moments(arr[i:i + _LEAF] for i in range(0, arr.size, _LEAF)).stats
 
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
@@ -240,20 +248,17 @@ def _sample_blocks(path):
         yield from _read_body(fh, head + done if head else _read_head(fh, path), done, path)
 
 
-def read_eta_csv(path) -> np.ndarray:
+def read_eta_csv(path, moments: bool = False):
     """The samples of a CSV with single column `eta`, the blocks of
     _sample_blocks joined.  Lines starting with '#' are comments; after the
-    header a '#' anywhere starts one, and blank lines are skipped."""
-    with contextlib.closing(_sample_blocks(path)) as blocks:
-        return np.concatenate(list(blocks))
+    header a '#' anywhere starts one, and blank lines are skipped.
 
-
-def sample_file_stats(path) -> tuple[FadingStats, int]:
-    """fading_stats of the samples in the file at path, as read_eta_csv reads
-    them, and their count, holding one block of them at a time.  A sample
-    outside [0, 1] before a line that does not parse is the fault named."""
+    With moments=True the samples are not kept: the result is their
+    SampleMoments, fading_stats of the samples and their count, summed one
+    block at a time.  A sample outside [0, 1] before a line that does not
+    parse is then the fault named."""
     with contextlib.closing(_sample_blocks(path)) as blocks:
-        return _moments(blocks)
+        return _moments(blocks) if moments else np.concatenate(list(blocks))
 
 
 @dataclass(frozen=True)

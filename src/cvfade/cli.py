@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .beam import GENERATOR_NAME, fading_moments, sample_chunks, sample_metadata
-from .channel import sample_file_stats
+from .channel import read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .keyrate import FiniteSizeParams, key_rates
 from .optimizer import OptimizationResult, optimize
@@ -247,7 +247,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    st, n = sample_file_stats(args.samples)
+    st, n = read_eta_csv(args.samples, moments=True)
     doc = {
         "mean_eta": st.mean_eta,
         "mean_sqrt_eta": st.mean_sqrt_eta,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gaussian
 from .beam import BeamScenario, fading_moments
-from .channel import CompositeChannel, FadingStats, sample_file_stats
+from .channel import CompositeChannel, FadingStats, read_eta_csv
 from .errors import ConfigError, DomainError
 from .keyrate import FiniteSizeParams
 from .optimizer import OptimizationSpec, searches_vs
@@ -465,7 +465,7 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
         return _section(FadingStats, s, "fading.stats")
     if "samples_file" in fading:
         try:
-            return sample_file_stats(fading["samples_file"])[0]
+            return read_eta_csv(fading["samples_file"], moments=True).stats
         except OSError as exc:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
         except Exception as exc:

@@ -105,10 +105,9 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     file is render_csv's text of its metadata and header and of
     beam.simulate's samples (its row blocks come from a generator, which the
     call consumes).  stats streams the file into the moments through one
-    channel.sample_file_stats call, which returns the moments and the count,
-    and holds no array of the samples: channel.read_eta_csv, whose returned
-    array (.size) the per-layer counters read, is not called, so those
-    counters read 0 on stats.  The calls go through module attributes that
+    channel.read_eta_csv call with moments=True, which holds no array of the
+    samples and returns the moments and their count as .size, the value the
+    per-layer counters read.  The calls go through module attributes that
     the tracer can replace."""
     from cvfade.beam import simulate
     from cvfade.channel import FadingStats, fading_stats, read_eta_csv
@@ -118,8 +117,7 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     csv_rows_cells = load_tracer().csv_rows_cells
     assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
     written = written_tables(monkeypatch)
-    read = traced_calls(monkeypatch, "channel.read_eta_csv")
-    streamed = traced_calls(monkeypatch, "channel.sample_file_stats")
+    read = traced_calls(monkeypatch, "channel.read_eta_csv", lambda args, kwargs, result: (args, kwargs, result))
     samples = tmp_path / "eta.csv"
     n = 1234
     assert main(["simulate", "--config", str(FIG3), "--n", str(n), "--seed", "3", "--out", str(samples)]) == 0
@@ -128,10 +126,10 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert text.count("\n") - 2 == n  # one metadata line, one header line
     assert csv_rows_cells(text) == [n, n]
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
-    assert not read
-    assert len(streamed) == 1
-    stats, count = streamed[0]
-    assert isinstance(stats, FadingStats) and count == n
+    assert len(read) == 1
+    args, kwargs, (stats, count) = read[0]
+    assert args == (str(samples),) and kwargs == {"moments": True}
+    assert isinstance(stats, FadingStats) and count == n == read[0][2].size
     assert stats == fading_stats(read_eta_csv(samples))
 
 

@@ -21,7 +21,6 @@ from cvfade.channel import (
     apply_equivalent_fixed,
     fading_stats,
     read_eta_csv,
-    sample_file_stats,
 )
 from cvfade.cli import main
 from cvfade.errors import DomainError, NonPhysicalState
@@ -765,7 +764,7 @@ def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
     assert calls
 
 
-# --- the sample stream into the moments (channel.sample_file_stats) ---------
+# --- the sample stream into the moments (read_eta_csv(path, moments=True)) --
 
 def moments_hex(stats):
     return stats.mean_eta.hex(), stats.mean_sqrt_eta.hex()
@@ -800,9 +799,9 @@ def test_sample_file_has_the_bits_of_its_array(tmp_path, route):
         a = held(samples[:n])
         if not a.size:
             with pytest.raises(DomainError, match="^no samples found in "):
-                sample_file_stats(path)
+                read_eta_csv(path, moments=True)
             continue
-        st_, count = sample_file_stats(path)
+        st_, count = read_eta_csv(path, moments=True)
         assert count == a.size, n
         assert moments_hex(st_) == moments_hex(fading_stats(a)) == moments_hex(fading_stats(read_eta_csv(path))), n
 
@@ -849,7 +848,7 @@ def test_first_fault_in_file_order_is_named(tmp_path, body, fault):
     path = tmp_path / "eta.csv"
     path.write_bytes(body)
     with pytest.raises(DomainError) as err:
-        sample_file_stats(path)
+        read_eta_csv(path, moments=True)
     assert str(err.value).endswith(fault), err.value
     with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line "):
         read_eta_csv(path)
@@ -903,10 +902,10 @@ def test_quoted_cells_over_line_ends_match_record_oracle(tmp_path_factory, head,
         mp.setattr(outputs, "_READ_BLOCK", block)
         mp.setattr(channel, "_BLOCK", lines)
         if isinstance(want, int):
-            for read in (read_eta_csv, sample_file_stats):
+            for moments in (False, True):
                 with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line {want} "):
-                    read(path)
+                    read_eta_csv(path, moments)
         else:
             assert hex_values(read_eta_csv(path)) == hex_values(want)
-            st_, count = sample_file_stats(path)
+            st_, count = read_eta_csv(path, moments=True)
             assert count == len(want) and moments_hex(st_) == moments_hex(fading_stats(want))
