@@ -12,9 +12,9 @@ import io
 import math
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +48,8 @@ class FadingStats:
         return max(0.0, self.mean_eta - self.mean_sqrt_eta**2)
 
 
-class SampleMoments(NamedTuple):
-    """The moments of a sample set and its number of samples."""
-
-    stats: FadingStats
-    size: int
-
+# FadingStats of a sample set and its count, `size` as an array's
+SampleMoments = namedtuple("SampleMoments", ["stats", "size"])
 
 _LEAF = 8192  # samples per leaf of the moments' sums: 64 KB, below malloc's mmap threshold
 
@@ -248,17 +244,14 @@ def _sample_blocks(path):
         yield from _read_body(fh, head + done if head else _read_head(fh, path), done, path)
 
 
-def read_eta_csv(path, moments: bool = False):
-    """The samples of a CSV with single column `eta`, the blocks of
-    _sample_blocks joined.  Lines starting with '#' are comments; after the
-    header a '#' anywhere starts one, and blank lines are skipped.
-
-    With moments=True the samples are not kept: the result is their
-    SampleMoments, fading_stats of the samples and their count, summed one
-    block at a time.  A sample outside [0, 1] before a line that does not
-    parse is then the fault named."""
+def read_eta_csv(path) -> SampleMoments:
+    """SampleMoments of the samples in a CSV with single column `eta`, summed
+    block by block from _sample_blocks: no array of them is held.  Lines
+    starting with '#' are comments; after the header a '#' anywhere starts
+    one, and blank lines are skipped.  A sample outside [0, 1] before a line
+    that does not parse is the fault named."""
     with contextlib.closing(_sample_blocks(path)) as blocks:
-        return _moments(blocks) if moments else np.concatenate(list(blocks))
+        return _moments(blocks)
 
 
 @dataclass(frozen=True)

@@ -247,7 +247,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    st, n = read_eta_csv(args.samples, moments=True)
+    st, n = read_eta_csv(args.samples)
     doc = {
         "mean_eta": st.mean_eta,
         "mean_sqrt_eta": st.mean_sqrt_eta,

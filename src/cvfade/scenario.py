@@ -465,7 +465,7 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
         return _section(FadingStats, s, "fading.stats")
     if "samples_file" in fading:
         try:
-            return read_eta_csv(fading["samples_file"], moments=True).stats
+            return read_eta_csv(fading["samples_file"]).stats
         except OSError as exc:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
         except Exception as exc:

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cvfade import channel
 from cvfade.channel import FadingStats
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -98,6 +100,13 @@ def sample_values():
 # one block of outputs.read_fractions, so that a line after them is read in a
 # later block
 BLOCK_OF_LINES = b"".join(b"%.17g\r\n" % v for v in np.random.default_rng(15).uniform(1e-4, 1.0, 7000))
+
+
+def read_samples(path):
+    """The samples of a sample file as one array: the blocks of
+    channel._sample_blocks, the stream that read_eta_csv sums, joined."""
+    with contextlib.closing(channel._sample_blocks(path)) as blocks:
+        return np.concatenate(list(blocks))
 
 
 def hex_values(values):

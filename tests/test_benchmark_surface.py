@@ -105,16 +105,18 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     file is render_csv's text of its metadata and header and of
     beam.simulate's samples (its row blocks come from a generator, which the
     call consumes).  stats streams the file into the moments through one
-    channel.read_eta_csv call with moments=True, which holds no array of the
-    samples and returns the moments and their count as .size, the value the
-    per-layer counters read.  The calls go through module attributes that
-    the tracer can replace."""
+    channel.read_eta_csv call, which holds no array of the samples and
+    returns the moments and their count, the rows the tracer's counter reads
+    from .size.  The calls go through module attributes that the tracer can
+    replace."""
+    from conftest import read_samples
     from cvfade.beam import simulate
-    from cvfade.channel import FadingStats, fading_stats, read_eta_csv
+    from cvfade.channel import FadingStats, fading_stats
     from cvfade.cli import main  # imports every layer
     from cvfade.scenario import beam_scenario, load_scenario
 
-    csv_rows_cells = load_tracer().csv_rows_cells
+    tracer = load_tracer()
+    csv_rows_cells = tracer.csv_rows_cells
     assert {"outputs.render_csv", "channel.read_eta_csv"} <= set(tracer_targets())
     written = written_tables(monkeypatch)
     read = traced_calls(monkeypatch, "channel.read_eta_csv", lambda args, kwargs, result: (args, kwargs, result))
@@ -127,10 +129,11 @@ def test_eta_csv_counters_reach_their_layers(tmp_path, monkeypatch):
     assert csv_rows_cells(text) == [n, n]
     assert main(["stats", str(samples), "--out", str(tmp_path / "stats.json")]) == 0
     assert len(read) == 1
-    args, kwargs, (stats, count) = read[0]
-    assert args == (str(samples),) and kwargs == {"moments": True}
-    assert isinstance(stats, FadingStats) and count == n == read[0][2].size
-    assert stats == fading_stats(read_eta_csv(samples))
+    args, kwargs, result = read[0]
+    assert args == (str(samples),) and kwargs == {}
+    stats, count = result
+    assert isinstance(stats, FadingStats) and count == n == tracer.COUNTERS["channel.read_eta_csv"](args, kwargs, result)
+    assert stats == fading_stats(read_samples(samples))
 
 
 def load_tracer():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_OF_LINES, fixed_fading, hex_values, sample_values
+from conftest import BLOCK_OF_LINES, fixed_fading, hex_values, read_samples, sample_values
 from cvfade import channel, outputs
 from cvfade.channel import (
     CompositeChannel,
@@ -299,8 +299,8 @@ class TestApplyComposite:
 def test_read_eta_csv(tmp_path):
     p = tmp_path / "samples.csv"
     p.write_text("# metadata: {}\neta\n0.5\n0.25\n")
-    arr = read_eta_csv(p)
-    assert np.array_equal(arr, [0.5, 0.25])
+    assert read_eta_csv(p) == (fading_stats([0.5, 0.25]), 2)
+    assert np.array_equal(read_samples(p), [0.5, 0.25])
     bad = tmp_path / "bad.csv"
     bad.write_text("transmittance\n0.5\n")
     with pytest.raises(DomainError):
@@ -310,7 +310,7 @@ def test_read_eta_csv(tmp_path):
 # --- the eta sample file against the reader it replaced ----------------------
 
 def csv_float_reader(path):
-    """The row-at-a-time reader (csv.reader plus float) that read_eta_csv
+    """The row-at-a-time reader (csv.reader plus float) that the block stream
     replaced, kept as the oracle for its values."""
     values = []
     with open(path, newline="") as fh:
@@ -344,7 +344,7 @@ def test_reader_matches_csv_float_oracle(tmp_path_factory, values, data):
     path = tmp_path_factory.mktemp("eta") / "samples.csv"
     with open(path, "w", newline="") as fh:
         fh.write(eol.join(ln for ln in lines if ln != "" or data.draw(st.booleans())) + eol)
-    got = read_eta_csv(path)
+    got = read_samples(path)
     assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(values),)
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(values)
 
@@ -356,7 +356,7 @@ FIRST_OF_BLOCK = BLOCK_OF_LINES[:BLOCK_OF_LINES.index(b"\n") + 1].decode()
 
 
 def record_reads(monkeypatch):
-    """Lists that fill as read_eta_csv runs: the files it opens, and each
+    """Lists that fill as the block stream runs: the files it opens, and each
     input it gives numpy's reader."""
     opened, inputs = [], []
     load_body = channel._load_body
@@ -409,7 +409,7 @@ def test_reader_rejects_malformed_files(tmp_path, monkeypatch, body):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning leaks out of the reader
         with pytest.raises(DomainError) as err:
-            read_eta_csv(path)
+            read_samples(path)
     line = dict(AFTER_BLOCK.values()).get(body)
     if line:
         assert f"{path}: line {line} " in str(err.value)
@@ -425,7 +425,7 @@ def test_rejected_line_streams_the_file(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line 200002 is not a number"):
-            read_eta_csv(path)
+            read_samples(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,11 +438,11 @@ def test_quoted_cell_across_a_block_boundary_is_one_cell(tmp_path):
     body = b"eta\n# c\n" + b"0.5\n" * 4094 + b'"0.25\n"\n'
     path = tmp_path / "quoted.csv"
     path.write_bytes(body)
-    got = read_eta_csv(path)
+    got = read_samples(path)
     assert got.size == 4095 and got[-1] == 0.25 and np.all(got[:-1] == 0.5)
     path.write_bytes(body + b"abc\n")
     with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line 4099 is not a number$"):
-        read_eta_csv(path)
+        read_samples(path)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -450,7 +450,7 @@ def test_quoted_cells_over_lines_read_alike_in_any_block(tmp_path, monkeypatch, 
     path = tmp_path / "quoted.csv"
     path.write_bytes(b'eta\n"0.5\n"# a "comment\n0.25\n"0.125\n "\n0.75\n')
     monkeypatch.setattr(channel, "_BLOCK", block)
-    assert read_eta_csv(path).tolist() == [0.5, 0.25, 0.125, 0.75]
+    assert read_samples(path).tolist() == [0.5, 0.25, 0.125, 0.75]
 
 
 def test_bad_line_after_a_quoted_cell_over_lines_is_named(tmp_path):
@@ -459,7 +459,7 @@ def test_bad_line_after_a_quoted_cell_over_lines_is_named(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_bytes(b'eta\n0.5\n"\n0.25"\nabc\n')
     with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line 5 is not a number$"):
-        read_eta_csv(path)
+        read_samples(path)
 
 
 def first_cells(lines):
@@ -542,7 +542,7 @@ def test_fraction_reader_matches_csv_float_oracle(tmp_path_factory, lines, eol, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_load_body", must_not_load)
         mp.setattr(outputs, "_READ_BLOCK", block)
-        got = read_eta_csv(path)
+        got = read_samples(path)
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(map(float, lines))
 
 
@@ -594,9 +594,9 @@ def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, fina
         mp.setattr(channel, "_BLOCK", lines)
         if isinstance(want, int):
             with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line {want} "):
-                read_eta_csv(path)
+                read_samples(path)
         else:
-            assert hex_values(read_eta_csv(path)) == hex_values(csv_float_reader(path)) == hex_values(want)
+            assert hex_values(read_samples(path)) == hex_values(csv_float_reader(path)) == hex_values(want)
 
 
 # comment lines: ASCII, UTF-8 but not ASCII, not UTF-8, and holding a lone
@@ -659,10 +659,10 @@ def test_reader_head_matches_line_oracle(tmp_path_factory, comments, header, lin
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(outputs, "_READ_BLOCK", block)
         if isinstance(want, list):
-            assert hex_values(read_eta_csv(path)) == hex_values(want)
+            assert hex_values(read_samples(path)) == hex_values(want)
         else:
             with pytest.raises(DomainError) as err:
-                read_eta_csv(path)
+                read_samples(path)
             if isinstance(want, int):
                 assert str(err.value).startswith(f"cannot parse samples in {path}: line {want} "), err.value
             else:
@@ -679,7 +679,7 @@ def test_fraction_reader_reads_many_blocks_as_float(tmp_path, monkeypatch):
     fraction_file(tmp_path / "samples.csv", lines, "\r\n", True)
     assert (tmp_path / "samples.csv").stat().st_size > 2 * outputs._READ_BLOCK
     monkeypatch.setattr(channel, "_load_body", must_not_load)
-    got = read_eta_csv(tmp_path / "samples.csv")
+    got = read_samples(tmp_path / "samples.csv")
     assert hex_values(got) == hex_values(map(float, lines))
 
 
@@ -691,7 +691,7 @@ def test_fraction_reader_carries_lines_across_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(channel, "_load_body", must_not_load)
     for block in range(1, 31):
         monkeypatch.setattr(outputs, "_READ_BLOCK", block)
-        assert hex_values(read_eta_csv(tmp_path / "samples.csv")) == hex_values(map(float, lines)), block
+        assert hex_values(read_samples(tmp_path / "samples.csv")) == hex_values(map(float, lines)), block
 
 
 def test_nearest_flags_near_ties_and_powers_of_two():
@@ -711,7 +711,7 @@ def test_flagged_lines_are_read_by_float(tmp_path, monkeypatch):
     fraction_file(tmp_path / "samples.csv", lines, "\n", True)
     monkeypatch.setattr(channel, "_load_body", must_not_load)
     monkeypatch.setattr(outputs, "_nearest", lambda d, k: (np.full(d.size, np.nan), np.arange(d.size)))
-    assert hex_values(read_eta_csv(tmp_path / "samples.csv")) == hex_values(map(float, lines))
+    assert hex_values(read_samples(tmp_path / "samples.csv")) == hex_values(map(float, lines))
 
 
 # lines after more than one block of sample lines that send a file to numpy's reader
@@ -728,7 +728,7 @@ def test_other_lines_take_the_numpy_reader(tmp_path, monkeypatch, name):
     path = tmp_path / "samples.csv"
     path.write_bytes(b"# metadata: {}\r\neta\r\n" + BLOCK_OF_LINES + ROUTED[name] + b"\r\n0.75\r\n")
     opened, inputs = record_reads(monkeypatch)
-    got = read_eta_csv(path)
+    got = read_samples(path)
     assert_single_pass(opened, inputs)
     assert hex_values(got) == hex_values(csv_float_reader(path))
 
@@ -743,9 +743,9 @@ def test_numpy_reader_resumes_where_the_kernel_stops(tmp_path, monkeypatch):
     fraction_file(abc, ["abc" if line == "1" else line for line in lines], "\r\n", False)
     for block in range(1, 31):
         monkeypatch.setattr(outputs, "_READ_BLOCK", block)
-        assert hex_values(read_eta_csv(one)) == hex_values(csv_float_reader(one)), block
+        assert hex_values(read_samples(one)) == hex_values(csv_float_reader(one)), block
         with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(abc))}: line 6 is not a number$"):
-            read_eta_csv(abc)
+            read_samples(abc)
 
 
 @pytest.mark.parametrize("head", [
@@ -760,11 +760,11 @@ def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
     calls = []
     load_body = channel._load_body
     monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
-    assert hex_values(read_eta_csv(path)) == [0.5.hex(), 0.25.hex()]
+    assert hex_values(read_samples(path)) == [0.5.hex(), 0.25.hex()]
     assert calls
 
 
-# --- the sample stream into the moments (read_eta_csv(path, moments=True)) --
+# --- the sample stream into the moments (channel.read_eta_csv) --------------
 
 def moments_hex(stats):
     return stats.mean_eta.hex(), stats.mean_sqrt_eta.hex()
@@ -799,11 +799,11 @@ def test_sample_file_has_the_bits_of_its_array(tmp_path, route):
         a = held(samples[:n])
         if not a.size:
             with pytest.raises(DomainError, match="^no samples found in "):
-                read_eta_csv(path, moments=True)
+                read_eta_csv(path)
             continue
-        st_, count = read_eta_csv(path, moments=True)
+        st_, count = read_eta_csv(path)
         assert count == a.size, n
-        assert moments_hex(st_) == moments_hex(fading_stats(a)) == moments_hex(fading_stats(read_eta_csv(path))), n
+        assert moments_hex(st_) == moments_hex(fading_stats(a)) == moments_hex(fading_stats(read_samples(path))), n
 
 
 @pytest.fixture(scope="module")
@@ -844,14 +844,15 @@ def test_stats_streams_a_million_samples_in_under_1_mb(tmp_path, million_samples
 def test_first_fault_in_file_order_is_named(tmp_path, body, fault):
     """A sample outside [0, 1] before a line that does not parse is the
     fault the moments name, in one numpy block or blocks before it, and the
-    other way round; read_eta_csv, which checks no range, names the line."""
+    other way round; the block stream alone, which checks no range, names
+    the line."""
     path = tmp_path / "eta.csv"
     path.write_bytes(body)
     with pytest.raises(DomainError) as err:
-        read_eta_csv(path, moments=True)
+        read_eta_csv(path)
     assert str(err.value).endswith(fault), err.value
     with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line "):
-        read_eta_csv(path)
+        read_samples(path)
 
 
 def record_oracle(body: str, first: int):
@@ -902,10 +903,10 @@ def test_quoted_cells_over_line_ends_match_record_oracle(tmp_path_factory, head,
         mp.setattr(outputs, "_READ_BLOCK", block)
         mp.setattr(channel, "_BLOCK", lines)
         if isinstance(want, int):
-            for moments in (False, True):
+            for read in (read_samples, read_eta_csv):
                 with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line {want} "):
-                    read_eta_csv(path, moments)
+                    read(path)
         else:
-            assert hex_values(read_eta_csv(path)) == hex_values(want)
-            st_, count = read_eta_csv(path, moments=True)
+            assert hex_values(read_samples(path)) == hex_values(want)
+            st_, count = read_eta_csv(path)
             assert count == len(want) and moments_hex(st_) == moments_hex(fading_stats(want))

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, sample_values
+from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, read_samples, sample_values
 from cvfade import __version__, beam
 from cvfade.beam import simulate
-from cvfade.channel import read_eta_csv
 from cvfade.cli import main
 from cvfade.errors import DomainError, NumericalFailure
 from cvfade.keyrate import key_rate
@@ -659,7 +658,7 @@ SIZES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
        seed=st.integers(0, 2**32 - 1))
 def test_float_array_renders_like_row_renderer_and_reads_back(tmp_path_factory, size, values, seed):
     """Byte-identical to the per-row renderer at sizes around the chunk
-    length, and read_eta_csv gives back the same doubles."""
+    length, and the sample stream gives back the same doubles."""
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
     samples = np.concatenate([values, np.where(rng.random(size) < 0.5, rng.random(size), wide)])[:size]
@@ -672,9 +671,9 @@ def test_float_array_renders_like_row_renderer_and_reads_back(tmp_path_factory, 
     write_text(path, text)
     if size == 0:
         with pytest.raises(DomainError):
-            read_eta_csv(path)
+            read_samples(path)
     else:
-        assert hex_values(read_eta_csv(path)) == hex_values(samples)
+        assert hex_values(read_samples(path)) == hex_values(samples)
 
 
 def _any_bit_pattern(rng, n):
