@@ -33,6 +33,9 @@ scenario files:
                     the moments' sums shows in their last bits
   keyrate --trace   on a scenario generated in the temporary directory whose
                     fading segment is simulate's output as a samples_file
+  sweep --trace     over a fading variable whose section the scenario lacks,
+                    which exits 2: distance on a stats scenario, var_sqrt on
+                    a beam link and var_sqrt on the samples_file scenario
   simulate --n 1 and --n 16384 on fig3: one partial generator chunk and an
                     exact multiple of the 8192-sample chunk (--n 100000
                     ends in a partial one); then stats on each, one sample
@@ -143,6 +146,14 @@ BEAM_GENERATED = {
 SAMPLES_FILE = {**GENERATED["all_keys_linear"], "description": "fading from simulate's samples",
                 "channel": {**GENERATED["all_keys_linear"]["channel"], "fading": {"samples_file": "eta.csv"}}}
 
+# sweeps over a fading variable whose section the scenario lacks
+MISSING_SECTION = {
+    "stats_over_distance": {**GENERATED["all_keys_linear"],
+                            "sweep": {"variable": "distance", "values": [500.0, 1000.0]}},
+    "beam_over_var_sqrt": {**BEAM_GENERATED["beam_tracking"], "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}},
+    "samples_file_over_var_sqrt": {**SAMPLES_FILE, "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}},
+}
+
 
 def commands():
     """(name, argv) per run; {tree} stands for the source tree's root."""
@@ -167,6 +178,8 @@ def commands():
              for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT)]
     runs.append(("keyrate_samples_file", ["keyrate", "--config", "samples_file.scenario",
                                           "--out", "keyrate_samples_file.csv", "--trace"]))
+    runs += [(f"sweep_{name}", ["sweep", "--config", f"{name}.scenario", "--out", f"sweep_{name}.csv", "--trace"])
+             for name in MISSING_SECTION]
     runs += [(f"simulate_fig3_{n}", ["simulate", "--config", "{tree}/scenarios/fig3.scenario",
                                      "--n", str(n), "--out", f"eta_{n}.csv"])
              for n in (1, 16384)]
@@ -189,7 +202,7 @@ def sample_copies(out: Path):
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in {**GENERATED, **BEAM_GENERATED, "samples_file": SAMPLES_FILE}.items():
+    for name, doc in {**GENERATED, **BEAM_GENERATED, "samples_file": SAMPLES_FILE, **MISSING_SECTION}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():

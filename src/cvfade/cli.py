@@ -21,7 +21,7 @@ from . import __version__
 from .beam import GENERATOR_NAME, fading_moments, sample_chunks, sample_metadata
 from .channel import read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from .keyrate import FiniteSizeParams, key_rates
+from .keyrate import key_rates
 from .optimizer import OptimizationResult, optimize
 from .outputs import remove_file, write_csv, write_json
 from .scenario import (
@@ -31,6 +31,7 @@ from .scenario import (
     load_scenario,
     read_cn2_csv,
     resolve_fading,
+    sweep_points,
     sweep_values,
 )
 
@@ -79,7 +80,8 @@ def _parser() -> argparse.ArgumentParser:
         kp.add_argument("--seed", type=int, default=None, help="seed recorded in the metadata line")
         kp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
         if name != "daily":
-            kp.add_argument("--trace", action="store_true", help="write optimizer trace JSON next to the CSV")
+            kp.add_argument("--trace", action="store_true", help="write optimizer trace JSON next to the CSV"
+                            + (' ({"traces": []}: keyrate runs no search)' if name == "keyrate" else ""))
     return p
 
 
@@ -286,44 +288,15 @@ def cmd_optimize(args) -> int:
     return cmd_keyrate(args, optimizing=True)
 
 
-# the fading section each channel variable of a sweep overrides
-_SWEPT_FADING = {"distance": "beam", "mean_eta_db": "stats", "var_sqrt": "stats"}
-
-
-def _sweep_point(config, variable, value, chan):
-    """Scenario and channel at one sweep point; `chan` is the sweep's channel,
-    resolved once, when the variable leaves the channel alone."""
-    section = _SWEPT_FADING.get(variable)
-    if section is not None:
-        if section not in config.channel_doc["fading"]:
-            raise ConfigError(f"sweep over {variable} requires channel.fading.{section}")
-        return config, build_channel(config, resolve_fading(config, **{variable: value}))
-    if variable == "block_size":
-        base = config.finite if config.finite is not None else FiniteSizeParams(n=value)
-        return replace(config, finite=replace(base, n=value)), chan
-
-    def sweep_variant(v):
-        if variable == "v_s" and v.params.is_coherent:
-            return v  # the coherent family fixes v_s = 1
-        # sweeping a source parameter freezes it in any configured optimizer
-        opt = v.optimizer
-        if opt is not None:
-            opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
-        return replace(v, params=replace(v.params, **{variable: value}), optimizer=opt)
-
-    return replace(config, variants=tuple(sweep_variant(v) for v in config.variants)), chan
-
-
 def cmd_sweep(args) -> int:
     config = _load(args)
     if config.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
     variable = config.sweep["variable"]
     values = sweep_values(config.sweep)
-    chan = None if variable in _SWEPT_FADING else build_channel(config, resolve_fading(config))
     traces = [] if args.trace else None
-    points = [_sweep_point(config, variable, value, chan) for value in values]
-    columns = _rate_columns(points, sweep_variable=variable, values=values, trace_sink=traces)
+    columns = _rate_columns(sweep_points(config, variable, values), sweep_variable=variable,
+                            values=values, trace_sink=traces)
     return _write_rate_table(args, config, columns, extra_meta={"sweep_variable": variable},
                              traces=traces)
 
@@ -340,19 +313,13 @@ def cmd_daily(args) -> int:
         )
     distance = fading["beam"].get("distance", 2200.0)
 
-    header = ["label", "cn2", "sigma_r2", "mean_eta", "mean_sqrt_eta", "var_sqrt"]
-    for variant in config.variants:
-        header += [
-            f"{variant.label}_v_s", f"{variant.label}_v_m",
-            f"{variant.label}_rate_asymptotic", f"{variant.label}_rate_finite",
-        ]
-
     rytov, stats, points = [], [], []
     for cn2 in series.cn2:
         scen = beam_scenario(config, distance=distance, cn2=cn2)
         stats.append(fading_moments(scen))
         points.append((config, build_channel(config, stats[-1])))
         rytov.append(scen.rytov_variance)
+    header = ["label", "cn2", "sigma_r2", "mean_eta", "mean_sqrt_eta", "var_sqrt"]
     columns = [
         list(series.labels),
         np.array(series.cn2, dtype=float),
@@ -361,7 +328,8 @@ def cmd_daily(args) -> int:
         np.array([st.mean_sqrt_eta for st in stats], dtype=float),
         np.array([st.var_sqrt for st in stats], dtype=float),
     ]
-    for rates in _evaluate_points(points):
+    for variant, rates in zip(config.variants, _evaluate_points(points)):
+        header += [f"{variant.label}_{name}" for name in ("v_s", "v_m", "rate_asymptotic", "rate_finite")]
         columns += [rates.v_s, rates.v_m, rates.rate_asymptotic,
                     [None] * len(stats) if rates.rate_finite is None else rates.rate_finite]
     return _write_rate_table(args, config, columns, extra_meta={"cn2_rows": len(stats)}, header=header)

@@ -14,7 +14,7 @@ import csv
 import importlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,8 @@ from .optimizer import OptimizationSpec, searches_vs
 from .sources import ProtocolParams, build_source_stack, variance_from_db
 
 _FIXED_SEGMENTS = ("eta1", "eta2")  # the channel's keys that may be given in dB
-SWEEP_VARIABLES = ("distance", "mean_eta_db", "var_sqrt", "block_size", "v_s", "v_m")
+_FADING_VARIABLES = ("distance", "mean_eta_db", "var_sqrt")  # sweep variables that override the fading segment
+SWEEP_VARIABLES = (*_FADING_VARIABLES, "block_size", "v_s", "v_m")
 
 # schema node: {"type": ..., "required": bool, "doc": str, ...bounds/enums/children}
 PROTOCOL_SCHEMA = {
@@ -363,7 +364,7 @@ def load_scenario(path) -> ScenarioConfig:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or an over-long integer
         raise ConfigError(f"scenario is not valid JSON: {p}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("scenario document must be a JSON object")
+        raise ConfigError(f"scenario document must be a JSON object: {p}")
     _validate_dict(raw, SCHEMA)
 
     if ("protocol" in raw) == ("protocols" in raw):
@@ -409,7 +410,7 @@ def sweep_values(sweep: dict) -> list[float]:
     start, stop, steps = sweep["start"], sweep["stop"], sweep["steps"]
     if sweep.get("spacing", "linear") == "log":
         if start <= 0 or stop <= 0:
-            raise ConfigError("log spacing requires positive start/stop")
+            raise ConfigError("sweep: log spacing requires positive start/stop")
         la, lb = math.log10(start), math.log10(stop)
         try:
             return [10.0 ** (la + (lb - la) * i / (steps - 1)) for i in range(steps)]
@@ -421,6 +422,29 @@ def sweep_values(sweep: dict) -> list[float]:
         raise ConfigError(f"sweep: a linear-spaced value from {start} to {stop} overflows "
                           "the float range")
     return values
+
+
+def sweep_points(config: ScenarioConfig, variable: str, values) -> list[tuple[ScenarioConfig, CompositeChannel]]:
+    """The (scenario, channel) of each sweep value.  A fading variable resolves
+    the fading segment per point; block_size, v_s and v_m share one channel.
+    A swept v_s is frozen in the optimizer, a swept v_m drops it, and the
+    coherent family keeps v_s = 1."""
+    if variable in _FADING_VARIABLES:
+        return [(config, build_channel(config, resolve_fading(config, **{variable: value}))) for value in values]
+    chan = build_channel(config, resolve_fading(config))
+    if variable == "block_size":
+        return [(replace(config, finite=FiniteSizeParams(n=value) if config.finite is None
+                         else replace(config.finite, n=value)), chan) for value in values]
+
+    def swept(variant, value):
+        if variable == "v_s" and variant.params.is_coherent:
+            return variant
+        opt = variant.optimizer
+        if opt is not None:
+            opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
+        return replace(variant, params=replace(variant.params, **{variable: value}), optimizer=opt)
+
+    return [(replace(config, variants=tuple(swept(v, value) for v in config.variants)), chan) for value in values]
 
 
 def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:
@@ -444,8 +468,13 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
     """The fading segment's moments: explicit, of a sample file, or a beam
     link's quadrature moments.  `override` replaces keys of the stats section,
     each dropping its alternative (mean_eta_db drops mean_eta, var_sqrt drops
-    mean_sqrt_eta and vice versa), or of the beam section as in beam_scenario."""
+    mean_sqrt_eta and vice versa), or of the beam section as in beam_scenario;
+    an override of a section the scenario lacks is rejected."""
     fading = config.channel_doc["fading"]
+    for key in override:
+        section = "stats" if key in _STATS_ALTERNATIVE else "beam"
+        if section not in fading:
+            raise ConfigError(f"sweep over {key} requires channel.fading.{section}")
     if "stats" in fading:
         s = dict(fading["stats"])
         for key, value in override.items():

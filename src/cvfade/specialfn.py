@@ -60,7 +60,7 @@ def _iv_asymptotic(x, mu):
     """
     acc = np.ones_like(x)
     term = np.ones_like(x)
-    ex = 8.0 * x
+    ex = 8.0 * np.minimum(x, 1e300)  # the sum is 1 past 1e300 either way; 8 k x stays finite
     for k in range(1, 30):
         factor = (mu - (2 * k - 1) ** 2) / (k * ex)
         new = -term * factor
@@ -70,7 +70,7 @@ def _iv_asymptotic(x, mu):
         acc = acc + term
         if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
             break
-    return acc / np.sqrt(2.0 * np.pi * x)
+    return acc / (4.0 * np.sqrt(0.125 * np.pi * x))  # 16 (pi / 8) x: the bits of 2 pi x, finite to the float max
 
 
 def _bessel_ive(x, nu, name, first=0):

@@ -199,14 +199,6 @@ class TestSweepCommand:
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_distance_sweep_requires_beam(self, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "protocol": {"family": "coherent"},
-            "channel": {"fading": {"stats": {"mean_eta": 0.5}}},
-            "sweep": {"variable": "distance", "values": [500.0, 1000.0]},
-        })
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-
     def test_trace_flag_writes_one_entry_per_point(self, tmp_path):
         doc = {
             "protocol": {
@@ -1022,6 +1014,97 @@ def _exits_2_with_one_line(capsys, argv, out):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
     return err
+
+
+STATS_DOC = {"protocol": {"family": "coherent", "v_m": 3.0}, "channel": {"fading": {"stats": {"mean_eta": 0.5}}}}
+GEOMETRY = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02}
+ABSENT = object()  # a key the case removes
+
+
+def edited(changes, base=STATS_DOC):
+    """A copy of base with each dotted path of `changes` set to its value, or removed."""
+    doc = json.loads(json.dumps(base))
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        if value is ABSENT:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+NO_PROTOCOL = {"protocol": ABSENT}
+# name: (command, scenario document, cn2 series of `daily` or None for no file, part of the error line)
+VALIDATION_CASES = {
+    "object": ("keyrate", edited({"channel.fading": 5}), None, "config.channel.fading: expected object"),
+    "empty_list": ("keyrate", edited({**NO_PROTOCOL, "protocols": []}), None,
+                   "config.protocols: expected non-empty list"),
+    "list_item": ("keyrate", edited({**NO_PROTOCOL, "protocols": [5]}), None, "config.protocols[0]: expected object"),
+    "list_of_numbers": ("sweep", edited({"sweep": {"variable": "v_m", "values": [1.0, "2"]}}), None,
+                        "config.sweep.values: expected non-empty list of numbers"),
+    "grid": ("optimize", edited({"protocol.optimizer": {"grid": [3]}}), None,
+             "config.protocol.optimizer.grid: expected [n_vs, n_vm]"),
+    "integer": ("keyrate", edited({"seed": 1.5}), None, "config.seed: expected integer"),
+    "number": ("keyrate", edited({"channel.eps2": "0.1"}), None, "config.channel.eps2: expected number"),
+    "boolean": ("optimize", edited({"protocol.optimizer": {"optimize_vs": 1}}), None,
+                "config.protocol.optimizer.optimize_vs: expected boolean"),
+    "string": ("keyrate", edited({"description": 5}), None, "config.description: expected string"),
+    "enum": ("keyrate", edited({"protocol.family": "thermal"}), None, "config.protocol.family: must be one of"),
+    "min": ("keyrate", edited({"channel.eps2": -0.1}), None, "config.channel.eps2: must be >= 0.0"),
+    "min_excl": ("keyrate", edited({"channel.eta1": 0.0}), None, "config.channel.eta1: must be > 0.0"),
+    "max_excl": ("keyrate", edited({"finite_size": {"n": 1e6, "eps_bar": 1.0}}), None,
+                 "config.finite_size.eps_bar: must be < 1.0"),
+    "required_key": ("keyrate", edited({"channel": ABSENT}), None, "config: missing required key 'channel'"),
+    "not_an_object": ("keyrate", [], None, "scenario document must be a JSON object: cfg.scenario"),
+    "sweep_values_and_range": ("sweep", edited({"sweep": {"variable": "v_m", "values": [1.0], "start": 1.0,
+                                                          "stop": 2.0, "steps": 2}}), None,
+                               "sweep: give either values or start/stop/steps"),
+    "log_sweep_from_0": ("sweep", edited({"sweep": {"variable": "v_m", "start": 0.0, "stop": 10.0, "steps": 3,
+                                                    "spacing": "log"}}), None,
+                         "sweep: log spacing requires positive start/stop"),
+    "mean_eta_twice": ("keyrate", edited({"channel.fading.stats.mean_eta_db": -3.0}), None,
+                       "fading.stats: give exactly one of mean_eta / mean_eta_db"),
+    "shape_twice": ("keyrate", edited({"channel.fading.stats": {"mean_eta": 0.5, "mean_sqrt_eta": 0.7,
+                                                                "var_sqrt": 0.01}}), None,
+                    "fading.stats: give only one of mean_sqrt_eta / var_sqrt"),
+    "samples_file_absent": ("keyrate", edited({"channel.fading": {"samples_file": "absent.csv"}}), None,
+                            "cannot read samples_file: [Errno 2] No such file or directory: 'absent.csv'"),
+    "cn2_absent": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), None,
+                   "cannot read cn2 series: [Errno 2] No such file or directory: 'cn2.csv'"),
+    "cn2_empty": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"",
+                  "expected two-column CSV with `<label>,cn2` header in cn2.csv"),
+    "cn2_bad_value": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"hour,cn2\n00,abc\n",
+                      "bad cn2 value in cn2.csv"),
+    "cn2_blank_row": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"hour,cn2\n\n00,1e-15,0\n",
+                      "expected two cells `<label>,cn2` per row in cn2.csv, got 3"),
+    "daily_without_beam": ("daily", STATS_DOC, b"hour,cn2\n00,1e-15\n", "daily requires channel.fading.beam"),
+    # the sweep's fading override needs the section it overrides
+    "distance_on_stats": ("sweep", edited({"sweep": {"variable": "distance", "values": [500.0, 1000.0]}}), None,
+                          "sweep over distance requires channel.fading.beam"),
+    "var_sqrt_on_beam": ("sweep", edited({"channel.fading": {"beam": {**GEOMETRY, "distance": 1500.0,
+                                                                      "sigma_r2": 0.25}},
+                                          "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}}), None,
+                         "sweep over var_sqrt requires channel.fading.stats"),
+    "var_sqrt_on_samples_file": ("sweep", edited({"channel.fading": {"samples_file": "eta.csv"},
+                                                  "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}}),
+                                 None, "sweep over var_sqrt requires channel.fading.stats"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
+def test_invalid_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, name):
+    command, doc, series, expected = VALIDATION_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    Path("eta.csv").write_text("eta\n0.5\n0.7\n")
+    Path("cfg.scenario").write_text(json.dumps(doc))
+    if series is not None:
+        Path("cn2.csv").write_bytes(series)
+    argv = [command, *(["cn2.csv"] if command == "daily" else []), "--config", "cfg.scenario", "--out", "x.csv"]
+    err = _exits_2_with_one_line(capsys, argv, tmp_path / "x.csv")
+    assert expected in err, err
 
 
 @pytest.mark.parametrize("command", ["keyrate", "optimize"])

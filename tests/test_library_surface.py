@@ -1,4 +1,5 @@
-"""No public function or method of the package is there only for the tests."""
+"""No public function or method of the package is there only for the tests,
+and no private module-level name is there for nobody."""
 import ast
 import re
 from pathlib import Path
@@ -27,14 +28,15 @@ def public_definitions(tree: ast.Module) -> tuple[set[str], set[str]]:
     return public_functions(tree.body), set().union(*map(public_functions, classes))
 
 
-def referenced_names(paths) -> tuple[set[str], set[str]]:
-    """Every name the files read: as a bare name, an attribute, an import or
-    the last part of a dotted string such as perfbench's "keyrate.key_rate";
-    and apart, the names they read as an attribute (`x.name`) or as the last
-    part of a dotted string, the only ways to reach a method."""
+def referenced_names(trees) -> tuple[set[str], set[str]]:
+    """Every name the syntax trees read: as a bare name, an attribute, an
+    import or the last part of a dotted string such as perfbench's
+    "keyrate.key_rate"; and apart, the names they read as an attribute
+    (`x.name`) or as the last part of a dotted string, the only ways to reach
+    a method."""
     names, attributes = set(), set()
-    for path in paths:
-        for node in ast.walk(parse(path)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -58,7 +60,34 @@ def test_no_public_name_is_referenced_only_by_tests():
         module_functions, class_methods = public_definitions(parse(path))
         functions |= module_functions
         methods |= class_methods
-    used, used_as_attribute = referenced_names(python_files("src", "scripts", "perfbench"))
-    test_only = ((functions - used) | (methods - used_as_attribute)) & referenced_names(python_files("tests"))[0]
+    used, used_as_attribute = referenced_names(map(parse, python_files("src", "scripts", "perfbench")))
+    in_tests = referenced_names(map(parse, python_files("tests")))[0]
+    test_only = ((functions - used) | (methods - used_as_attribute)) & in_tests
     test_only -= ALLOWED
     assert not test_only, f"public names referenced only under tests/: {sorted(test_only)}"
+
+
+def private_definitions(statement) -> set[str]:
+    """Private names a module-level statement defines (dunder names aside)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {statement.name}
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_private_name_is_unread():
+    """Each private function, class or constant at module level of the package
+    is read by some statement of src/ other than its own definition."""
+    defined, reads = [], []  # (file, statement index, names)
+    for path in python_files("src"):
+        for i, statement in enumerate(parse(path).body):
+            defined += [(path, i, name) for name in private_definitions(statement)]
+            reads.append((path, i, referenced_names([statement])[0]))
+    unread = sorted(f"{path.relative_to(REPO)}: {name}" for path, i, name in defined
+                    if not any(name in names for other, j, names in reads if (other, j) != (path, i)))
+    assert not unread, f"private names nothing under src/ reads: {unread}"
+

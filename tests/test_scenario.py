@@ -21,6 +21,7 @@ from cvfade.scenario import (
     read_cn2_csv,
     resolve_fading,
     schema_document,
+    sweep_points,
     sweep_values,
 )
 from cvfade.sources import ProtocolParams
@@ -187,6 +188,37 @@ class TestResolution:
         docs = [{**MINIMAL, "channel": {"fading": {"stats": s}}} for s in (stats, written)]
         base, expected = (load_scenario(write_config(tmp_path, d, f"{i}.scenario")) for i, d in enumerate(docs))
         assert resolve_fading(base, **override) == resolve_fading(expected)
+
+    @pytest.mark.parametrize("fading, key, section", [
+        ({"stats": {"mean_eta": 0.5}}, "distance", "beam"),
+        ({"beam": {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1500.0, "sigma_r2": 0.25}},
+         "var_sqrt", "stats"),
+        ({"samples_file": "absent.csv"}, "var_sqrt", "stats"),
+    ])
+    def test_override_of_a_missing_section_is_rejected(self, tmp_path, fading, key, section):
+        cfg = load_scenario(write_config(tmp_path, {**MINIMAL, "channel": {"fading": fading}}))
+        with pytest.raises(ConfigError, match=f"^sweep over {key} requires channel.fading.{section}$"):
+            resolve_fading(cfg, **{key: 0.01})
+
+    def test_sweep_points_set_each_variant(self, tmp_path):
+        """A swept v_s is frozen in the optimizer and leaves the coherent family
+        at 1; a swept v_m drops the optimizer; block_size adds a block."""
+        doc = {**MINIMAL, "protocols": [
+            {"label": "coh", "family": "coherent", "optimizer": {"vm_max": 20.0}},
+            {"label": "sq", "family": "squeezed", "v_s": 0.5, "optimizer": {"vs_cap_db": -3.0, "vm_max": 20.0}},
+        ]}
+        del doc["protocol"]
+        cfg = load_scenario(write_config(tmp_path, doc))
+        chan = build_channel(cfg, resolve_fading(cfg))
+        (vs_cfg, vs_chan), = sweep_points(cfg, "v_s", [0.3])
+        coh, sq = vs_cfg.variants
+        assert coh == cfg.variants[0] and vs_chan == chan
+        assert sq.params.v_s == 0.3 and sq.optimizer.optimize_vs is False
+        (vm_cfg, _), = sweep_points(cfg, "v_m", [4.0])
+        assert all(v.optimizer is None and v.params.v_m == 4.0 for v in vm_cfg.variants)
+        assert [c.finite.n for c, _ in sweep_points(cfg, "block_size", [1e4, 1e6])] == [1e4, 1e6]
+        swept = [c.fading.var_sqrt for _, c in sweep_points(cfg, "var_sqrt", [0.0, 0.01])]
+        assert swept == pytest.approx([0.0, 0.01], rel=1e-12)
 
     def test_sweep_values(self):
         assert sweep_values({"values": [1, 2, 3]}) == [1.0, 2.0, 3.0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -39,6 +41,18 @@ def test_i0e_minus_exp():
     ref = np.exp(-small) * t * (1 + t / 4)
     assert np.max(np.abs(bessel_i0e_minus_exp(small) - ref) / ref) < 1e-15
     assert bessel_i0e_minus_exp(0.0) == 0.0
+
+
+@pytest.mark.parametrize("ours, ref", [
+    (bessel_i0e, sps.i0e), (bessel_i1e, sps.i1e), (bessel_i0e_minus_exp, lambda x: sps.i0e(x) - np.exp(-x)),
+], ids=["i0e", "i1e", "i0e_minus_exp"])
+def test_bessel_near_the_float_maximum(ours, ref):
+    """8x and 2 pi x pass the float maximum from about 2.2e307 and 2.9e307."""
+    x = np.array([30.0, 2.3e307, 1e308, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = ours(x)
+    assert np.max(np.abs(values - ref(x)) / ref(x)) < 2e-15
 
 
 def test_bessel_endpoints():
