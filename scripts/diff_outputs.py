@@ -10,13 +10,15 @@ scenario files:
   sweep --trace     on fig3, fig3_text, fig1b and perfbench/fading_sweep.scenario
   daily             on prague-like.csv x fig2b_caption and fig2b_text
   keyrate --trace   and optimize --trace on fig3
-  keyrate, optimize and sweep --trace on three scenarios generated in the
+  keyrate, optimize and sweep --trace on four scenarios generated in the
                     temporary directory: two set every optional key, each
                     to a value other than its default in at least one
                     variant, in linear and in dB forms; the third sweeps a
                     coherent and a trusted-ancilla squeezed variant over
                     v_m up to 1e5 on a lossless noiseless channel, whose
-                    near-pure states test the spectrum's nu >= 1 check
+                    near-pure states test the spectrum's nu >= 1 check; the
+                    fourth gives every channel key as a JSON integer and
+                    sweeps var_sqrt
   keyrate --trace   and sweep --trace over distance on two beam links
                     generated in the temporary directory: one with tracking,
                     where r0 = 0 at every node of the moments' rule, and one
@@ -73,7 +75,7 @@ NOT_UTF8 = "eta_not_utf8.csv"  # a line of bytes that are not UTF-8 after the fi
 SHORT = "eta_short.csv"  # without its last line
 
 # two scenarios that set every optional key, each to a value other than its default in some
-# variant, and one of near-pure states
+# variant, one of near-pure states and one whose channel keys are integers
 GENERATED = {
     "all_keys_linear": {
         "description": "every optional key, linear forms",
@@ -119,6 +121,18 @@ GENERATED = {
         ],
         "channel": {"fading": {"stats": {"mean_eta": 1.0}}},
         "sweep": {"variable": "v_m", "start": 100.0, "stop": 1e5, "steps": 13, "spacing": "log"},
+    },
+    "integer_channel": {
+        "description": "every channel key a JSON integer",
+        "protocols": [
+            {"label": "coh", "family": "coherent", "v_m": 4.0, "optimizer": {"vm_max": 30.0, "grid": [3, 7]}},
+            {"label": "sq", "family": "squeezed", "v_s_db": -3.0, "v_m": 5.0,
+             "optimizer": {"vs_cap_db": -6.0, "vm_max": 25.0, "grid": [4, 5]}},
+        ],
+        "channel": {"eta1": 1, "eta2": 1, "eps1": 0, "eps2": 0, "eps_atm": 0,
+                    "fading": {"stats": {"mean_eta": 0.5}}},
+        "finite_size": {"n": 1e8},
+        "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01, 0.05]},
     },
 }
 

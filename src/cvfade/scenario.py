@@ -433,8 +433,8 @@ def sweep_points(config: ScenarioConfig, variable: str, values) -> list[tuple[Sc
         return [(config, build_channel(config, resolve_fading(config, **{variable: value}))) for value in values]
     chan = build_channel(config, resolve_fading(config))
     if variable == "block_size":
-        return [(replace(config, finite=FiniteSizeParams(n=value) if config.finite is None
-                         else replace(config.finite, n=value)), chan) for value in values]
+        finite = {} if config.finite is None else vars(config.finite)
+        return [(replace(config, finite=_section(FiniteSizeParams, finite, "sweep", n=value)), chan) for value in values]
 
     def swept(variant, value):
         if variable == "v_s" and variant.params.is_coherent:
@@ -442,22 +442,24 @@ def sweep_points(config: ScenarioConfig, variable: str, values) -> list[tuple[Sc
         opt = variant.optimizer
         if opt is not None:
             opt = replace(opt, optimize_vs=False) if variable == "v_s" else None
-        return replace(variant, params=replace(variant.params, **{variable: value}), optimizer=opt)
+        return replace(variant, params=_section(ProtocolParams, vars(variant.params), "sweep", **{variable: value}),
+                       optimizer=opt)
 
     return [(replace(config, variants=tuple(swept(v, value) for v in config.variants)), chan) for value in values]
 
 
 def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:
-    """channel.fading.beam as a BeamScenario, with keys such as `distance` or
-    `cn2` overridden and n_samples, which only `simulate` reads, dropped."""
-    beam = {k: v for k, v in config.channel_doc["fading"]["beam"].items() if k != "n_samples"}
-    beam.update(override)
+    """channel.fading.beam as a BeamScenario, with fields such as `distance` or
+    `cn2` overridden; an override that is no BeamScenario field is rejected,
+    where _section would drop it.  n_samples, which only `simulate` reads, is
+    no field and does not reach the dataclass."""
+    unknown = [key for key in override if key not in BeamScenario.__dataclass_fields__]
+    if unknown:
+        raise ConfigError(f"fading.beam: {unknown[0]!r} is no BeamScenario field to override")
+    beam = {**config.channel_doc["fading"]["beam"], **override}
     if "distance" not in beam:
         raise ConfigError("fading.beam: distance is required (except for the daily command)")
-    try:
-        return BeamScenario(**beam)
-    except DomainError as exc:
-        raise ConfigError(f"fading.beam: {exc}") from exc
+    return _section(BeamScenario, beam, "fading.beam")
 
 
 _STATS_ALTERNATIVE = {"mean_eta": "mean_eta_db", "mean_eta_db": "mean_eta",
@@ -468,8 +470,8 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
     """The fading segment's moments: explicit, of a sample file, or a beam
     link's quadrature moments.  `override` replaces keys of the stats section,
     each dropping its alternative (mean_eta_db drops mean_eta, var_sqrt drops
-    mean_sqrt_eta and vice versa), or of the beam section as in beam_scenario;
-    an override of a section the scenario lacks is rejected."""
+    mean_sqrt_eta and vice versa), or fields of the beam section as in
+    beam_scenario; an override of a section the scenario lacks is rejected."""
     fading = config.channel_doc["fading"]
     for key in override:
         section = "stats" if key in _STATS_ALTERNATIVE else "beam"
@@ -497,15 +499,13 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
             return read_eta_csv(fading["samples_file"]).stats
         except OSError as exc:
             raise ConfigError(f"cannot read samples_file: {exc}") from exc
-        except Exception as exc:
+        except DomainError as exc:
             raise ConfigError(f"samples_file: {exc}") from exc
     return fading_moments(beam_scenario(config, **override))
 
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:
-    ch = config.channel_doc
-    ch = {**ch, **{name: float(ch[name]) for name in _FIXED_SEGMENTS if name in ch}}
-    return _section(CompositeChannel, ch, "channel", _FIXED_SEGMENTS, fading=stats)
+    return _section(CompositeChannel, config.channel_doc, "channel", _FIXED_SEGMENTS, fading=stats)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
@@ -1080,6 +1082,8 @@ VALIDATION_CASES = {
                       "bad cn2 value in cn2.csv"),
     "cn2_blank_row": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"hour,cn2\n\n00,1e-15,0\n",
                       "expected two cells `<label>,cn2` per row in cn2.csv, got 3"),
+    "cn2_header_only": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"hour,cn2\n",
+                        "cn2 series must be non-empty with matching labels"),
     "daily_without_beam": ("daily", STATS_DOC, b"hour,cn2\n00,1e-15\n", "daily requires channel.fading.beam"),
     # the sweep's fading override needs the section it overrides
     "distance_on_stats": ("sweep", edited({"sweep": {"variable": "distance", "values": [500.0, 1000.0]}}), None,
@@ -1091,6 +1095,14 @@ VALIDATION_CASES = {
     "var_sqrt_on_samples_file": ("sweep", edited({"channel.fading": {"samples_file": "eta.csv"},
                                                   "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}}),
                                  None, "sweep over var_sqrt requires channel.fading.stats"),
+    # a swept value that its dataclass rejects names the sweep section
+    "swept_v_s": ("sweep", edited({"protocol": {"family": "squeezed", "v_s": 0.5},
+                                   "sweep": {"variable": "v_s", "values": [2.0]}}), None,
+                  "error: sweep: v_s must be in (0, 1], got 2.0"),
+    "swept_block_size": ("sweep", edited({"sweep": {"variable": "block_size", "values": [10]}}), None,
+                         "error: sweep: block size must be >= 1e3, got 10.0"),
+    "swept_v_m": ("sweep", edited({"sweep": {"variable": "v_m", "values": [-1.0]}}), None,
+                  "error: sweep: v_m must be >= 0, got -1.0"),
 }
 
 
@@ -1404,3 +1416,87 @@ def test_extreme_scenario_numbers_exit_cleanly(tmp_path, capsys, path, value):
                     continue
                 assert math.isfinite(number), (command, row["label"], name, cell)
         out.unlink()
+
+
+FUZZ_VARIANTS = [{"label": "coh", "family": "coherent", "v_m": 3.0, "optimizer": {"vm_max": 20.0, "grid": [3, 3]}},
+                 {"label": "sq", "family": "squeezed", "v_s_db": -3.0, "v_m": 4.0, "v_an": 0.1}]
+FUZZ_FADING = {
+    "stats": ({"stats": {"mean_eta": 0.5, "var_sqrt": 0.01}}, {"variable": "var_sqrt", "values": [0.0, 0.02]}),
+    "beam": ({"beam": {**GEOMETRY, "distance": 1500.0, "sigma_r2": 0.25, "n_samples": 64}},
+             {"variable": "distance", "values": [1000.0, 2000.0]}),
+}
+FUZZ_SECTIONS = ("protocols", "protocols.0", "protocols.0.optimizer", "channel", "channel.fading",
+                 "channel.fading.stats", "channel.fading.beam", "finite_size", "sweep", "daily")
+FUZZ_DB_KEYS = ("protocols.1.v_s", "protocols.1.v_an", "channel.eta1", "channel.eta2", "channel.fading.stats.mean_eta")
+
+
+def fuzz_node(doc, path):
+    """The object at dotted `path` of doc ("" for doc), or None where the path leads to none."""
+    node = doc
+    for name in path.split(".") if path else ():
+        if isinstance(node, list) and name.isdigit() and int(name) < len(node):
+            node = node[int(name)]
+        elif isinstance(node, dict) and name in node:
+            node = node[name]
+        else:
+            return None
+    return node if isinstance(node, dict) else None
+
+
+def fuzz_edit(doc, edit):
+    """Apply the edit (kind, dotted path, value) to doc in place where the path's parent is an object."""
+    kind, path, value = edit
+    parent, _, key = path.rpartition(".")
+    node = fuzz_node(doc, parent)
+    if node is None:
+        return
+    if kind == "section":  # the section given as a list or as a number; daily is added where absent
+        if key in node or key == "daily":
+            node[key] = [node[key]] if value == "wrap" and key in node else value
+    elif kind == "pair":  # both forms of a dB pair
+        node.update({key: 0.5, f"{key}_db": value})
+    else:  # one key set, an X_db key in place of its X
+        node.pop(key.removesuffix("_db"), None)
+        node[key] = value
+
+
+near_3100_db = st.builds(lambda x, sign: sign * round(x, 3), st.floats(3000.0, 3200.0), st.sampled_from([1, -1]))
+fuzz_edits = st.one_of(
+    st.tuples(st.just("section"), st.sampled_from(FUZZ_SECTIONS), st.sampled_from([[], "wrap", 0, 7, 2.5, -3100.0])),
+    st.tuples(st.just("pair"), st.sampled_from(FUZZ_DB_KEYS), st.sampled_from([-3.0, 0.0]) | near_3100_db),
+    st.tuples(st.just("set"), st.sampled_from([f"{key}_db" for key in FUZZ_DB_KEYS] + ["protocols.0.optimizer.vs_cap_db"]),
+              near_3100_db),
+    st.just(("set", "protocols.1.label", "coh")),  # the label of protocols[0]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["keyrate", "optimize", "sweep", "daily", "simulate"]),
+       fading=st.sampled_from(sorted(FUZZ_FADING)), edits=st.lists(fuzz_edits, max_size=2),
+       text=st.sampled_from(["json", "json", "json", "empty", "bom"]))
+def test_fuzzed_scenario_structure_exits_cleanly(command, fading, edits, text):
+    """Structural edits of a small scenario (sections given as lists or numbers,
+    duplicate labels, both forms of a dB pair, dB values near +-3100, an empty
+    file, a UTF-8 BOM) through each command: exit 0, 2, 3 or 4 with exactly one
+    stderr line, and no warning."""
+    segment, sweep = FUZZ_FADING[fading]
+    doc = json.loads(json.dumps({"protocols": FUZZ_VARIANTS, "channel": {"eta1_db": -2.0, "eps2": 0.01,
+                                                                         "fading": segment},
+                                 "finite_size": {"n": 1e8}, "sweep": sweep}))
+    if command == "daily":  # daily takes turbulence from the cn2 series alone
+        doc["channel"]["fading"].get("beam", {}).pop("sigma_r2", None)
+    for edit in edits:
+        fuzz_edit(doc, edit)
+    body = {"json": json.dumps(doc), "empty": "", "bom": "\ufeff" + json.dumps(doc)}[text]
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cfg.scenario").write_text(body, encoding="utf-8")
+        Path(tmp, "cn2.csv").write_text("hour,cn2\n00,1e-15\n01,3e-15\n")
+        argv = [command, *([str(Path(tmp, "cn2.csv"))] if command == "daily" else []),
+                "--config", str(Path(tmp, "cfg.scenario")), "--out", str(Path(tmp, "x.csv"))]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv + (["--n", "64"] if command == "simulate" else []))
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4) and err.count("\n") == 1, (code, err)
+    assert err.startswith({0: "wrote ", 2: "error: ", 3: "numerical failure: ", 4: "i/o error: "}[code]), err

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_CN2, load_script
-from cvfade.beam import BeamScenario, fading_moments
+from cvfade import scenario
+from cvfade.beam import BeamScenario, fading_moments, turbulence_gaussian_params
 from cvfade.channel import CompositeChannel
 from cvfade.cli import main
-from cvfade.errors import ConfigError
-from cvfade.keyrate import FiniteSizeParams
+from cvfade.errors import ConfigError, DomainError
+from cvfade.keyrate import FiniteSizeParams, finite_size_penalty
 from cvfade.optimizer import OptimizationSpec
 from cvfade.scenario import (
     SCHEMA,
@@ -200,6 +201,35 @@ class TestResolution:
         with pytest.raises(ConfigError, match=f"^sweep over {key} requires channel.fading.{section}$"):
             resolve_fading(cfg, **{key: 0.01})
 
+    @pytest.mark.parametrize("call, key", [
+        (resolve_fading, "n_samples"),  # a key of the beam section that is no BeamScenario field
+        (resolve_fading, "foo"),
+        (beam_scenario, "foo"),
+        (beam_scenario, "n_samples"),
+        (beam_scenario, "var_sqrt"),
+    ])
+    def test_override_that_is_no_beam_field_is_rejected(self, call, key):
+        """_section drops a key that is no field, so the override is checked first."""
+        cfg = load_scenario(SCENARIOS / "fig3.scenario")
+        with pytest.raises(ConfigError, match=f"^fading.beam: '{key}' is no BeamScenario field to override$"):
+            call(cfg, **{key: 10})
+
+    @pytest.mark.parametrize("fault, raised", [
+        (DomainError("no samples found in eta.csv"), ConfigError),
+        (TypeError("a fault of the reader's code"), TypeError),
+    ])
+    def test_samples_file_reports_only_the_readers_domain_errors(self, tmp_path, monkeypatch, fault, raised):
+        def reader(path):
+            raise fault
+
+        monkeypatch.setattr(scenario, "read_eta_csv", reader)
+        doc = {**MINIMAL, "channel": {"fading": {"samples_file": "eta.csv"}}}
+        cfg = load_scenario(write_config(tmp_path, doc))
+        with pytest.raises(raised) as info:
+            resolve_fading(cfg)
+        expected = f"samples_file: {fault}" if raised is ConfigError else str(fault)
+        assert str(info.value) == expected
+
     def test_sweep_points_set_each_variant(self, tmp_path):
         """A swept v_s is frozen in the optimizer and leaves the coherent family
         at 1; a swept v_m drops the optimizer; block_size adds a block."""
@@ -225,6 +255,37 @@ class TestResolution:
         assert sweep_values({"start": 0.0, "stop": 1.0, "steps": 3}) == [0.0, 0.5, 1.0]
         logv = sweep_values({"start": 1.0, "stop": 100.0, "steps": 3, "spacing": "log"})
         assert logv == pytest.approx([1.0, 10.0, 100.0])
+
+
+GEOMETRY = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1000.0}
+# checks of the library that the scenario schema shadows: the CLI rejects each
+# value before it reaches the dataclass or function
+LIBRARY_CHECKS = {
+    "b": (lambda: ProtocolParams(b=2), DomainError, "b must be 0 or 1, got 2"),
+    "v_an": (lambda: ProtocolParams(b=0, v_an=-0.1), DomainError, "v_an must be >= 0, got -0.1"),
+    "prep_noise_trust": (lambda: ProtocolParams(prep_noise_trust="partly"), DomainError,
+                         "prep_noise_trust must be 'trusted' or 'untrusted'"),
+    "sifting_0": (lambda: ProtocolParams(sifting=0.0), DomainError, "sifting must lie in (0, 1], got 0.0"),
+    "sifting_above_1": (lambda: ProtocolParams(sifting=1.5), DomainError, "sifting must lie in (0, 1], got 1.5"),
+    "cn2": (lambda: BeamScenario(**GEOMETRY, cn2=-1e-15), DomainError, "cn2 must be >= 0"),
+    "sigma_r2": (lambda: BeamScenario(**GEOMETRY, sigma_r2=-0.1), DomainError, "sigma_r2 must be >= 0"),
+    "turbulence_sigma_r2": (lambda: turbulence_gaussian_params(-0.1, 1.0, 0.04), DomainError,
+                            "requires sigma_r2 >= 0, omega >= 0, w0 > 0"),
+    "turbulence_omega": (lambda: turbulence_gaussian_params(0.5, -1.0, 0.04), DomainError,
+                         "requires sigma_r2 >= 0, omega >= 0, w0 > 0"),
+    "turbulence_w0": (lambda: turbulence_gaussian_params(0.5, 1.0, 0.0), DomainError,
+                      "requires sigma_r2 >= 0, omega >= 0, w0 > 0"),
+    "tolerance": (lambda: OptimizationSpec(tolerance=0.0), ConfigError, "tolerance must be > 0"),
+    "finite_size_penalty": (lambda: finite_size_penalty(0), DomainError, "n must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CHECKS))
+def test_library_checks_behind_the_schema(name):
+    build, error, message = LIBRARY_CHECKS[name]
+    with pytest.raises(error) as info:
+        build()
+    assert message in str(info.value)
 
 
 def field_values(obj):
