@@ -33,10 +33,25 @@ GENERATOR_NAME = "philox"
 
 _CHUNK = 8192          # samples per generator chunk
 _CHUNK_STRIDE = 2**40  # Philox counter stride between chunks (>> draws used)
-# fading_moments' nodes in s, chi and each Theta coordinate, _spot's all but s;
-# doubling every count moves no moment by more than 1e-9 on the geometries in
-# tests/test_beam.py
-_RULE_NODES = (24, 8, 8)
+# fading_moments' 1-d rules, each the positive half (nodes, weights) of a rule
+# symmetric to the bit: Gauss-Legendre with 24 nodes in s and 8 in chi, and
+# probabilists' Gauss-Hermite with 8 in each Theta coordinate (_spot's nodes
+# are all but s).  They are the float64 values of numpy.polynomial's
+# leggauss(24), leggauss(8) and hermegauss(8), to which tests/test_beam.py pins
+# them; a finer rule is regenerated from those functions.  Doubling every count
+# moves no moment by more than 1e-9 on the links of tests/test_beam.py, and on
+# those only: against a (192, 32, 32) rule, 30 of 288 other plausible links are
+# off by more, up to 2.4e-7 in <eta>, the Theta rule the limit.
+_S_RULE = ((0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+            0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+            0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+           (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+            0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+            0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869))
+_CHI_RULE = ((0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+             (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706))
+_THETA_RULE = ((0.5390798113513751, 1.636519042435108, 2.8024858612875416, 4.1445471861258945),
+               (0.9350030718823198, 0.2938768674600929, 0.02415191518706137, 0.00028228278602621435))
 # below this z = a^2 xi^2, series stand in for L and lambda, and the W1 -> W2
 # limit for eta0's last term; their truncation errors are then below 1e-17
 # relative in L and lambda and 1e-17 absolute in eta0
@@ -317,25 +332,31 @@ def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
     return SimulationResult(samples=samples, metadata=sample_metadata(scenario, n, seed))
 
 
+def _symmetric(half):
+    """A symmetric rule's ascending nodes and their weights from its positive half."""
+    x, w = np.array(half)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
 @functools.cache
-def _rule_grid(n_s: int, n_chi: int, n_theta: int):
+def _rule_grid():
     """The scenario-independent factors of fading_moments' rule, built once per
-    process and node counts: s, chi, the standard-normal Theta pairs z and
-    the weights up to a common factor (s slowest, z fastest), all read-only.
+    process from the 1-d rules above: s, chi, the standard-normal Theta pairs z and the weights up to
+    a common factor (s slowest, z fastest), all read-only.
 
     r0 = sqrt(2 var_bw) s, s Rayleigh: Gauss-Legendre in s with the density
     2 s e^-s^2 in the weights (Laguerre in s^2 converges only algebraically:
     r0^lambda is not analytic there at 0).  chi, uniform: Gauss-Legendre.
     Theta: probabilists' Gauss-Hermite in each coordinate.
     """
-    x, w_s = np.polynomial.legendre.leggauss(n_s)  # numpy.polynomial loads on first use
+    x, w_s = _symmetric(_S_RULE)
     s = 3.0 * (1.0 + x)  # on [0, 6]: the Rayleigh mass beyond is e^-36
-    x, w_chi = np.polynomial.legendre.leggauss(n_chi)
+    x, w_chi = _symmetric(_CHI_RULE)
     chi = 0.25 * math.pi * (1.0 + x)
-    z, w_z = np.polynomial.hermite_e.hermegauss(n_theta)
+    z, w_z = _symmetric(_THETA_RULE)
     outer = np.multiply.outer  # np.prod(np.meshgrid(...))'s order
     weights = outer(outer(outer(w_s * s * np.exp(-s * s), w_chi), w_z), w_z).ravel()
-    grid = (s, chi, np.stack([np.repeat(z, n_theta), np.tile(z, n_theta)], axis=1), weights)
+    grid = (s, chi, np.stack([np.repeat(z, z.size), np.tile(z, z.size)], axis=1), weights)
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -350,7 +371,7 @@ def _transmittance_rule(scenario: BeamScenario):
     factor of its covariance.
     """
     var_bw, mean_theta, chol = _wander_and_theta(scenario)
-    s, chi, z, weights = _rule_grid(*_RULE_NODES)
+    s, chi, z, weights = _rule_grid()
     th = np.tile(mean_theta + z @ chol.T, (chi.size, 1))
     spot = _spot(th[:, 0], th[:, 1], np.repeat(np.cos(2.0 * chi), len(z)), scenario)
     r0 = np.repeat(math.sqrt(2.0 * var_bw) * s, len(th))

@@ -7,7 +7,8 @@ Every float is written as `'%.17g'`, which round-trips a float64 exactly.
 
 write_csv takes a table as row blocks, each a list of columns, one per
 header field, and writes each chunk of about _CHUNK cells of a block to the
-open file before it renders the next: no whole-table str is built, and a
+open file before it renders the next: no whole-table str is built, the
+kernel's temporaries stay near 0.35 MB whatever the table's size, and a
 sample file's blocks can come from a generator.  Rate tables pass one block.
 render_csv returns one block's table as one str; both take their pieces from
 _csv_pieces, which checks the first block before the file is opened.  A
@@ -68,8 +69,9 @@ import stat
 import numpy as np
 
 # Cells per chunk of a table: large enough to amortize numpy's per-call
-# cost, small enough that the kernel's temporaries stay near 1 MB.
-_CHUNK = 8192
+# cost, small enough that the kernel's temporaries stay near 0.35 MB (1.4 MB
+# at 8192 cells, whose freed blocks the process then faults in afresh).
+_CHUNK = 2048
 
 # The kernel's domain: '%.17g' writes these in fixed notation, 0.<0-3 zeros><digits> or <I>[.<digits>].
 _KERNEL_LO, _KERNEL_HI = 1e-4, 1e17

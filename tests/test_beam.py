@@ -450,7 +450,7 @@ def test_quadrature_agrees_with_monte_carlo(scen):
 def test_quadrature_converged(scen, monkeypatch):
     """Doubling the nodes on every axis moves neither moment by 1e-7."""
     moments = fading_moments(scen)
-    monkeypatch.setattr(beam, "_RULE_NODES", tuple(2 * n for n in beam._RULE_NODES))
+    monkeypatch.setattr(beam, "_rule_grid", functools.partial(uncached_rule_grid, *DOUBLED_RULE_NODES))
     doubled = fading_moments(scen)
     assert abs(doubled.mean_eta - moments.mean_eta) < 1e-7
     assert abs(doubled.mean_sqrt_eta - moments.mean_sqrt_eta) < 1e-7
@@ -477,6 +477,22 @@ def test_quadrature_fading_variance_peaks():
         assert 0 < i < len(distances) - 1
         assert lo <= distances[i] <= hi
         assert level / 2.0 <= variances[i] <= 2.0 * level
+
+
+# The node counts of the shipped rule in s, chi and each Theta coordinate, and
+# of the rule that doubles them.
+RULE_NODES = (24, 8, 8)
+DOUBLED_RULE_NODES = tuple(2 * n for n in RULE_NODES)
+
+
+def test_rule_literals_are_numpy_polynomials_rules():
+    """The rule's 1-d nodes and weights, stored as literals, are the bits of
+    numpy.polynomial's rules at the shipped counts."""
+    want = (np.polynomial.legendre.leggauss(RULE_NODES[0]), np.polynomial.legendre.leggauss(RULE_NODES[1]),
+            np.polynomial.hermite_e.hermegauss(RULE_NODES[2]))
+    for half, (x, w) in zip((beam._S_RULE, beam._CHI_RULE, beam._THETA_RULE), want, strict=True):
+        got_x, got_w = beam._symmetric(half)
+        assert (got_x.tobytes(), got_w.tobytes()) == (x.tobytes(), w.tobytes())
 
 
 def rule_factors(n_s, n_chi, n_theta):
@@ -512,16 +528,16 @@ def full_grid_transmittance(scen, nodes):
 
 
 def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
-    grid = beam._rule_grid(*beam._RULE_NODES)
-    assert beam._rule_grid(*beam._RULE_NODES) is grid
-    for got, want in zip(grid, uncached_rule_grid(*beam._RULE_NODES), strict=True):
+    grid = beam._rule_grid()
+    assert beam._rule_grid() is grid
+    for got, want in zip(grid, uncached_rule_grid(*RULE_NODES), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
     # the weights' products are taken in the order of np.prod over a meshgrid's axis 0
-    _, factor_weights = rule_factors(*beam._RULE_NODES)
+    _, factor_weights = rule_factors(*RULE_NODES)
     meshgrid = np.meshgrid(*factor_weights, factor_weights[2], indexing="ij")
     assert grid[3].tobytes() == np.prod(meshgrid, axis=0).ravel().tobytes()
 
@@ -529,7 +545,7 @@ def test_cached_rule_grid_is_the_rebuilt_one_and_read_only():
 @pytest.mark.parametrize("scen", [QUADRATURE_LINKS[1], daily_links()[1]], ids=["1750m", "daily-high-cn2"])
 def test_cached_rule_gives_the_moments_of_a_rebuilt_one(scen, monkeypatch):
     cached = fading_moments(scen)
-    monkeypatch.setattr(beam, "_rule_grid", uncached_rule_grid)
+    monkeypatch.setattr(beam, "_rule_grid", functools.partial(uncached_rule_grid, *RULE_NODES))
     rebuilt = fading_moments(scen)
     assert (cached.mean_eta.hex(), cached.mean_sqrt_eta.hex()) == (rebuilt.mean_eta.hex(), rebuilt.mean_sqrt_eta.hex())
 
@@ -547,10 +563,11 @@ def test_factored_rule_is_the_full_grid_oracle(scen, doubled, monkeypatch):
     """The rule, which runs the spot stage once per (chi, Theta) node, gives
     _transmittance_batch's bits at every node of the full grid, and the
     moments of those bits; or the oracle's error."""
+    nodes = DOUBLED_RULE_NODES if doubled else RULE_NODES
     if doubled:
-        monkeypatch.setattr(beam, "_RULE_NODES", tuple(2 * n for n in beam._RULE_NODES))
+        monkeypatch.setattr(beam, "_rule_grid", functools.partial(uncached_rule_grid, *nodes))
     try:
-        want, weights = full_grid_transmittance(scen, beam._RULE_NODES)
+        want, weights = full_grid_transmittance(scen, nodes)
     except DomainError as exc:
         with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
             beam._transmittance_rule(scen)

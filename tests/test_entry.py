@@ -1,16 +1,19 @@
 """The package entry points: an `import cvfade` that loads no numpy, a CLI
-entry that runs on one thread, and rate and stats commands that load no
-OpenSSL (hashlib's _hashlib maps libcrypto, 3.4 MB resident)."""
+entry that runs on one thread, and commands that load no OpenSSL (hashlib's
+_hashlib maps libcrypto, 3.4 MB resident) and no numpy.polynomial."""
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCENARIOS = SRC.parent / "scenarios"
 
 # Runs the CLI as `python -m cvfade` does, then prints the process's thread
 # count and its OPENBLAS_NUM_THREADS as one JSON line.
@@ -81,14 +84,100 @@ def test_no_module_imports_hashlib_at_module_level():
     assert not found, found
 
 
+def names_in_code(tree):
+    """The attribute names and imported names of a module's code, comments
+    and strings left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield getattr(node, "module", None) or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_module_names_numpy_polynomial():
+    """The beam rule's nodes and weights are literals: no module imports
+    numpy.polynomial or reaches it as an attribute, at any level."""
+    found = [path.name for path in sorted(SRC.glob("cvfade/**/*.py"))
+             if any("polynomial" in name.split(".") for name in names_in_code(ast.parse(path.read_text())))]
+    assert not found, found
+
+
 # Runs cvfade.__main__.main on each argument list of argv[1] (JSON), then
-# prints their exit codes and whether _hashlib is loaded as one JSON line.
+# prints their exit codes and whether _hashlib and numpy.polynomial are
+# loaded as one JSON line.  A module the entry marked absent is None in
+# sys.modules: not loaded.
 FOOTPRINT_CODE = """\
 import json, sys
 from cvfade.__main__ import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps([codes, "_hashlib" in sys.modules]))
+print(json.dumps([codes, sys.modules.get("_hashlib") is not None, "numpy.polynomial" in sys.modules]))
 """
+
+# FOOTPRINT_CODE in a CPython that has no built-in SHA-256 module.
+NO_BUILTIN_SHA256_CODE = "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n" + FOOTPRINT_CODE
+
+
+def run_main(commands, code=FOOTPRINT_CODE):
+    """The exit codes of the CLI commands run in one child through
+    cvfade.__main__.main, whether _hashlib was loaded and whether
+    numpy.polynomial was."""
+    return json.loads(run_python(["-c", code, json.dumps(commands)], child_env()))
+
+
+def has_builtin_sha256():
+    return any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.fixture
+def simulate_args(tmp_path):
+    cfg = tmp_path / "beam.scenario"
+    cfg.write_text(json.dumps({"protocol": {"family": "squeezed", "v_m": 5.0},
+                               "channel": {"fading": {"beam": {"wavelength": 1.55e-6, "w0": 0.02, "aperture": 0.02,
+                                                               "distance": 1750.0, "sigma_r2": 0.56}}}}))
+    # two generator chunks and a part, several render chunks
+    return ["simulate", "--config", str(cfg), "--n", "20000", "--seed", "7", "--out", str(tmp_path / "eta.csv")]
+
+
+@pytest.mark.skipif(not has_builtin_sha256(), reason="hashlib needs _hashlib in a CPython without built-in SHA-256")
+def test_simulate_loads_no_openssl(simulate_args, tmp_path):
+    codes, hashlib_loaded, _ = run_main([simulate_args])
+    assert codes == [0]
+    assert "config_sha256" in json.loads((tmp_path / "eta.csv.json").read_text())
+    assert not hashlib_loaded
+
+
+def test_simulate_without_openssl_writes_the_samples_of_a_process_with_it(simulate_args, tmp_path):
+    """The CLI's Philox draws, made without _hashlib, are those of this
+    process, in which _hashlib stays importable."""
+    pytest.importorskip("_hashlib")
+    from cvfade import beam, outputs
+    from cvfade.scenario import beam_scenario, load_scenario
+
+    assert run_main([simulate_args])[0] == [0]
+    text = (tmp_path / "eta.csv").read_bytes()
+    meta = json.loads(text.split(b"\r\n", 1)[0].removeprefix(b"# metadata: "))
+    chunks = beam.sample_chunks(beam_scenario(load_scenario(simulate_args[2])), 20000, 7)
+    assert text == outputs.render_csv(meta, ["eta"], [np.concatenate(list(chunks))]).encode()
+
+
+def test_fig3_sweep_and_daily_load_no_numpy_polynomial(tmp_path):
+    commands = [["sweep", "--config", str(SCENARIOS / "fig3.scenario"), "--out", str(tmp_path / "fig3.csv")],
+                ["daily", str(SCENARIOS / "prague-like.csv"), "--config", str(SCENARIOS / "fig2b_caption.scenario"),
+                 "--out", str(tmp_path / "daily.csv")]]
+    codes, _, polynomial_loaded = run_main(commands)
+    assert codes == [0, 0]
+    assert not polynomial_loaded
+
+
+def test_keyrate_without_builtin_sha256_keeps_openssl_for_the_digest(keyrate_args):
+    """Where CPython has no built-in SHA-256 module, the entry leaves _hashlib
+    importable: hashlib needs it for the config digest."""
+    pytest.importorskip("_hashlib")
+    codes, hashlib_loaded, _ = run_main([keyrate_args], NO_BUILTIN_SHA256_CODE)
+    assert codes == [0]
+    assert "config_sha256" in Path(keyrate_args[-1]).read_text().splitlines()[0]
+    assert hashlib_loaded
 
 
 def test_sweep_and_stats_load_no_openssl(tmp_path):
@@ -102,7 +191,7 @@ def test_sweep_and_stats_load_no_openssl(tmp_path):
     samples.write_text("eta\n0.5\n0.25\n")
     commands = [["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
                 ["stats", str(samples), "--out", str(tmp_path / "stats.json")]]
-    codes, loaded = json.loads(run_python(["-c", FOOTPRINT_CODE, json.dumps(commands)], child_env()))
+    codes, loaded, _ = run_main(commands)
     assert codes == [0, 0]
     assert "config_sha256" in (tmp_path / "sweep.csv").read_text().splitlines()[0]  # the digest was computed
     assert not loaded
