@@ -42,6 +42,11 @@ scenario files:
                     exact multiple of the 8192-sample chunk (--n 100000
                     ends in a partial one); then stats on each, one sample
                     and exactly two 8192-sample leaves of the moments' sums
+  keyrate --trace   and simulate --n 20000 on a calm beam link (sigma_R^2 =
+                    0) generated in the temporary directory, then stats on
+                    its output: the spot is circular in every sample and at
+                    every node, so each z of the centred-beam term takes its
+                    small branch, where the infinite G is replaced
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -156,6 +161,10 @@ BEAM_GENERATED = {
     for name, beam in (("beam_tracking", {"tracking": True}), ("beam_narrow_aperture", {"aperture": 0.002}))
 }
 
+# a calm link: W1 = W2 in every sample
+BEAM_CALM = {**BEAM_GENERATED["beam_tracking"], "description": "beam link, calm",
+             "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"beam": {**BEAM_LINK, "sigma_r2": 0.0}}}}
+
 # the first generated scenario with simulate's output as its fading segment
 SAMPLES_FILE = {**GENERATED["all_keys_linear"], "description": "fading from simulate's samples",
                 "channel": {**GENERATED["all_keys_linear"]["channel"], "fading": {"samples_file": "eta.csv"}}}
@@ -198,6 +207,11 @@ def commands():
                                      "--n", str(n), "--out", f"eta_{n}.csv"])
              for n in (1, 16384)]
     runs += [(f"stats_eta_{n}", ["stats", f"eta_{n}.csv", "--out", f"stats_eta_{n}.json"]) for n in (1, 16384)]
+    runs += [("keyrate_beam_calm", ["keyrate", "--config", "beam_calm.scenario", "--out", "keyrate_beam_calm.csv",
+                                    "--trace"]),
+             ("simulate_beam_calm", ["simulate", "--config", "beam_calm.scenario", "--n", "20000",
+                                     "--out", "eta_calm.csv"]),
+             ("stats_eta_calm", ["stats", "eta_calm.csv", "--out", "stats_eta_calm.json"])]
     return runs
 
 
@@ -216,7 +230,8 @@ def sample_copies(out: Path):
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in {**GENERATED, **BEAM_GENERATED, "samples_file": SAMPLES_FILE, **MISSING_SECTION}.items():
+    for name, doc in {**GENERATED, **BEAM_GENERATED, "beam_calm": BEAM_CALM, "samples_file": SAMPLES_FILE,
+                      **MISSING_SECTION}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():

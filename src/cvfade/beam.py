@@ -13,9 +13,12 @@ the centered-beam transmittance.  The turbulence statistics of (x0, y0,
 Theta1, Theta2) rest on the five versioned coefficients below.
 
 `sample_chunks` draws Monte Carlo samples of eta a chunk at a time, and
-`simulate` collects them into one array.  `fading_moments` computes <eta>
-and <sqrt(eta)>, all that a key rate needs, by one fixed tensor Gauss rule:
-_spot on its 512 (chi, Theta) nodes, _aperture on all 12 288.
+`simulate` collects them into one array.  Each stage works in place in arrays
+of its own, writes into none of its arguments and drops each array once used,
+so a chunk of 8192 samples is drawn and evaluated in about 1.1 MB of heap.
+`fading_moments` computes <eta> and <sqrt(eta)>, all that a key rate needs,
+by one fixed tensor Gauss rule: _spot on its 512 (chi, Theta) nodes,
+_aperture on all 12 288.
 """
 from __future__ import annotations
 
@@ -205,37 +208,64 @@ def _scale_shape(z):
     """
     small = z < _SMALL_Z
     if np.any(small):
-        lnterm = np.empty_like(z)
-        lam = np.full_like(z, 2.0)
+        # the large z first, so that its temporaries and the full arrays are not live at once
+        large = None if np.all(small) else _scale_shape(z[~small])
+        lnterm, lam = np.empty_like(z), np.full_like(z, 2.0)
         zs = z[small]
         lnterm[small] = 0.5 * zs - zs**2 / 8.0 + zs**3 / 96.0
-        if not np.all(small):
-            lnterm[~small], lam[~small] = _scale_shape(z[~small])
+        if large is not None:
+            lnterm[~small], lam[~small] = large
         return lnterm, lam
     m = bessel_i0e_minus_exp(z)
-    d = -np.expm1(-z) - m
-    lnterm = np.log1p((np.expm1(-0.5 * z) ** 2 + m) / d)
-    return lnterm, 2.0 * z * bessel_i1e(z) / (d * lnterm)
+    d = np.negative(z)
+    np.negative(np.expm1(d, out=d), out=d)
+    d -= m  # D = (1 - e^-z) - M
+    lnterm = np.multiply(-0.5, z)
+    np.square(np.expm1(lnterm, out=lnterm), out=lnterm)
+    lnterm += m
+    del m
+    lnterm /= d
+    np.log1p(lnterm, out=lnterm)
+    lam = bessel_i1e(z)
+    lam *= 2.0 * z
+    d *= lnterm
+    lam /= d  # 2 z e^-z I1(z) / (D L)
+    return lnterm, lam
 
 
 def _eta0(e1, e2):
     """Centered-beam transmittance of an elliptic Gaussian spot through a disk,
     from e_i = a^2 / W_i^2."""
-    u = np.abs(e1 - e2)
-    t1 = bessel_i0e(u) * np.exp(u - (e1 + e2))  # I0(u) e^-v without overflow (v = e1 + e2 >= u)
-
     s1, s2 = np.sqrt(e1), np.sqrt(e2)  # a / W_i
-    z = (s1 - s2) ** 2
+    g = s1 - s2
+    sp = np.add(s1, s2, out=s1)
+    del s2
+    z = np.square(g)
+    np.abs(g, out=g)
     lnterm, lam = _scale_shape(z)
     # q^lambda = (G/R)^lambda = G^lambda L with G = (W1+W2)/|W1-W2| = (s1+s2)/|s1-s2|
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # G = inf at W1 = W2: replaced below
-        qlam = ((s1 + s2) / np.abs(s1 - s2)) ** lam * lnterm
+        qlam = np.power(np.divide(sp, g, out=g), lam, out=g)
+        qlam *= lnterm
+    del lnterm, lam
     small = z < _SMALL_Z
     if np.any(small):
         # G and R both diverge as W2 -> W1: closed-form limit of G/R, squared (lambda = 2)
-        qlam[small] = ((s1[small] + s2[small]) / math.sqrt(2.0) * (1.0 - z[small] / 8.0)) ** 2
-    t3 = -2.0 * np.expm1(-0.5 * z) * np.exp(-qlam)
-    return 1.0 - t1 - t3
+        qlam[small] = (sp[small] / math.sqrt(2.0) * (1.0 - z[small] / 8.0)) ** 2
+    del sp
+    t3 = np.expm1(np.multiply(-0.5, z, out=z), out=z)
+    t3 *= -2.0
+    t3 *= np.exp(np.negative(qlam, out=qlam), out=qlam)  # -2 expm1(-z/2) e^-q^lambda
+    del qlam
+    # the first term last, so that its array is not live across _scale_shape
+    u = np.subtract(e1, e2)
+    np.abs(u, out=u)
+    t1 = np.add(e1, e2)
+    np.exp(np.subtract(u, t1, out=t1), out=t1)
+    t1 *= bessel_i0e(u)  # I0(u) e^-v without overflow (v = e1 + e2 >= u)
+    np.subtract(1.0, t1, out=t1)
+    t1 -= t3
+    return t1
 
 
 def _spot(theta1, theta2, cos2chi, scenario: BeamScenario):
@@ -247,29 +277,47 @@ def _spot(theta1, theta2, cos2chi, scenario: BeamScenario):
     except (OverflowError, ValueError):  # the square overflows, or underflows to 0
         raise DomainError(f"aperture / w0 = {a / scenario.w0:g} squares beyond the float range") from None
     with np.errstate(over="ignore"):  # inf for a huge aperture: clamped
-        e1 = np.minimum(a2w0 * np.exp(-theta1), _E_MAX)  # a^2 / W1^2
-        e2 = np.minimum(a2w0 * np.exp(-theta2), _E_MAX)
+        e1, e2 = (np.minimum(np.multiply(a2w0, np.exp(t, out=t), out=t), _E_MAX, out=t)  # a^2 / W_i^2
+                  for t in (np.negative(theta1), np.negative(theta2)))
     # W_eff^2(chi) = 4 a^2 / W(zeta); zeta handled in log form so the huge
     # exponentials of narrow beams never overflow; 1 + 2 cos^2 = 2 + cos 2chi
-    log_zeta = (log_4a2w0 - 0.5 * (theta1 + theta2)
-                + e1 * (2.0 + cos2chi) + e2 * (2.0 - cos2chi))
+    log_zeta = np.add(theta1, theta2)
+    log_zeta *= 0.5
+    np.subtract(log_4a2w0, log_zeta, out=log_zeta)
+    term = np.add(2.0, cos2chi)
+    term *= e1
+    log_zeta += term
+    term = np.subtract(2.0, cos2chi, out=term)
+    term *= e2
+    log_zeta += term
+    del term
+    eta0 = _eta0(e1, e2)
+    del e1, e2
     z = lambert_w_exp(log_zeta)  # = 4 a^2 / W_eff^2
-    lnterm, shape = _scale_shape(z)
-    return _eta0(e1, e2), lnterm, shape
+    del log_zeta
+    return (eta0, *_scale_shape(z))
 
 
 def _aperture(eta0, lnterm, shape, r0, a):
-    """The aperture stage: eta from _spot's output and r0."""
+    """The aperture stage: eta from _spot's output and r0, which broadcasts
+    against them."""
     with np.errstate(over="ignore"):  # (r0 / a)^shape = inf far outside a tiny aperture: eta = 0
-        eta = eta0 * np.exp(-((r0 / a) ** shape) * lnterm)
+        eta = np.power(r0 / a, shape)
+        np.negative(eta, out=eta)
+        eta *= lnterm
+        np.exp(eta, out=eta)
+        eta *= eta0
     if not np.all(np.isfinite(eta)):
         raise NumericalFailure("transmittance evaluation produced non-finite values")
-    return np.clip(eta, 0.0, 1.0)
+    return np.clip(eta, 0.0, 1.0, out=eta)
 
 
 def _transmittance_batch(x0, y0, theta1, theta2, phi, scenario: BeamScenario):
-    """Single-shot transmittance of per-sample arrays."""
-    spot = _spot(theta1, theta2, np.cos(2.0 * (phi - np.arctan2(y0, x0))), scenario)
+    """Single-shot transmittance of per-sample arrays, which it leaves unchanged."""
+    cos2chi = np.arctan2(y0, x0)
+    np.subtract(phi, cos2chi, out=cos2chi)
+    cos2chi *= 2.0
+    spot = _spot(theta1, theta2, np.cos(cos2chi, out=cos2chi), scenario)
     return _aperture(*spot, np.hypot(x0, y0), scenario.aperture)
 
 
@@ -309,16 +357,23 @@ def sample_chunks(scenario: BeamScenario, n: int, seed: int):
 
     def chunks():
         for ci, lo in enumerate(range(0, n, _CHUNK)):
-            m = min(_CHUNK, n - lo)
-            rng = _chunk_generator(int(seed), ci)
-            zn = rng.standard_normal((m, 4))
-            x0 = math.sqrt(var_bw) * zn[:, 0]
-            y0 = math.sqrt(var_bw) * zn[:, 1]
-            th = mean_theta + zn[:, 2:4] @ chol.T
-            phi = rng.uniform(0.0, math.pi / 2.0, m)
-            yield _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
+            yield _sample_chunk(int(seed), ci, min(_CHUNK, n - lo), var_bw, mean_theta, chol, scenario)
 
     return chunks()
+
+
+def _sample_chunk(seed, ci, m, var_bw, mean_theta, chol, scenario):
+    """The m samples of chunk ci.  Its arrays are this call's locals, so none
+    outlives the chunk."""
+    rng = _chunk_generator(seed, ci)
+    zn = rng.standard_normal((m, 4))
+    x0 = math.sqrt(var_bw) * zn[:, 0]
+    y0 = math.sqrt(var_bw) * zn[:, 1]
+    th = zn[:, 2:4] @ chol.T
+    th += mean_theta
+    del zn
+    phi = rng.uniform(0.0, math.pi / 2.0, m)
+    return _transmittance_batch(x0, y0, th[:, 0], th[:, 1], phi, scenario)
 
 
 def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
@@ -374,8 +429,8 @@ def _transmittance_rule(scenario: BeamScenario):
     s, chi, z, weights = _rule_grid()
     th = np.tile(mean_theta + z @ chol.T, (chi.size, 1))
     spot = _spot(th[:, 0], th[:, 1], np.repeat(np.cos(2.0 * chi), len(z)), scenario)
-    r0 = np.repeat(math.sqrt(2.0 * var_bw) * s, len(th))
-    return _aperture(*(np.tile(a, s.size) for a in spot), r0, scenario.aperture), weights
+    r0 = math.sqrt(2.0 * var_bw) * s[:, None]  # against the spot's values: s slowest
+    return _aperture(*spot, r0, scenario.aperture).ravel(), weights
 
 
 def fading_moments(scenario: BeamScenario) -> FadingStats:

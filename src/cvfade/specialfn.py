@@ -41,7 +41,8 @@ def _iv_series(x, nu, first=0):
     """Iv(x) for v = 0 or 1 by power series in Horner form, from the term k =
     first on (first = 1 drops the leading 1 of I0); valid (and fast) for
     0 <= x <= ~25."""
-    t = 0.25 * x * x
+    t = 0.25 * x
+    t *= x
     coeffs = _SERIES_COEFFS[nu][first:_series_terms(float(t.max()), nu)]
     acc = np.full_like(x, coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -49,7 +50,9 @@ def _iv_series(x, nu, first=0):
         acc += c
     if first:
         acc *= t
-    return 0.5 * x * acc if nu else acc
+    if nu:
+        acc *= np.multiply(0.5, x, out=t)
+    return acc
 
 
 def _iv_asymptotic(x, mu):
@@ -82,7 +85,8 @@ def _bessel_ive(x, nu, name, first=0):
     if np.any(x < 0) or np.any(~np.isfinite(x)):
         raise NumericalFailure(f"{name} requires finite x >= 0")
     if x.size and x.max() < _SERIES_CUTOFF:  # all series: no mask copies
-        out = _iv_series(x, nu, first) * np.exp(-x)
+        out, ex = _iv_series(x, nu, first), np.negative(x)
+        out *= np.exp(ex, out=ex)
     else:
         out = np.empty_like(x)
         lo = x < _SERIES_CUTOFF
@@ -121,16 +125,28 @@ def lambert_w_exp(log_x):
     """
     y = np.asarray(log_x, dtype=float)
     scalar = y.ndim == 0
-    y = np.atleast_1d(y).astype(float)
+    y = np.atleast_1d(y)
     if np.any(~np.isfinite(y)):
         raise NumericalFailure("lambert_w_exp requires finite log-argument")
     # u0 = y is accurate for y << 0 (W ~ e^y); else start near y - log(y)
-    u = np.where(y < 1.0, np.minimum(y, 0.2), np.log(np.maximum(y - np.log(np.maximum(y, 1.1)), 0.2)))
+    u = np.maximum(y, 1.1)
+    np.log(u, out=u)
+    np.subtract(y, u, out=u)
+    np.maximum(u, 0.2, out=u)
+    np.log(u, out=u)
+    np.minimum(y, 0.2, out=u, where=y < 1.0)
+    eu, step = np.empty_like(u), np.empty_like(u)
     for _ in range(60):
-        eu = np.exp(u)
-        step = (u + eu - y) / (1.0 + eu)
-        u = u - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(u))):
+        np.exp(u, out=eu)
+        np.add(u, eu, out=step)
+        step -= y
+        eu += 1.0
+        step /= eu  # (u + e^u - y) / (1 + e^u)
+        u -= step
+        np.abs(u, out=eu)
+        eu += 1.0
+        eu *= 1e-15
+        if np.all(np.abs(step, out=step) <= eu):
             break
-    out = np.exp(u)
+    out = np.exp(u, out=u)
     return float(out[0]) if scalar else out

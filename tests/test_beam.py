@@ -1,12 +1,15 @@
 import functools
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvfade import beam
 from cvfade.beam import (
@@ -20,7 +23,8 @@ from cvfade.beam import (
 )
 from cvfade.channel import fading_stats
 from cvfade.errors import DomainError
-from cvfade.scenario import read_cn2_csv
+from cvfade.scenario import beam_scenario, load_scenario, read_cn2_csv
+from cvfade.specialfn import _SERIES_CUTOFF, bessel_i0e, bessel_i0e_minus_exp, bessel_i1e, lambert_w_exp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -579,3 +583,186 @@ def test_factored_rule_is_the_full_grid_oracle(scen, doubled, monkeypatch):
     moments = fading_moments(scen)
     assert moments.mean_eta == float(np.average(want, weights=weights))
     assert moments.mean_sqrt_eta == float(np.average(np.sqrt(want), weights=weights))
+
+
+# --- the stages' working set, their inputs and their bits ---------------------
+
+def test_sample_chunks_working_set():
+    """Past the first chunk, drawing and evaluating fig3's beam 8192 samples at
+    a time, with the previous chunk alive as a consumer keeps it, peaks below
+    1.6 MB of heap: about 1.2 MB, and 2.18 MB when the stages held every
+    intermediate to their end."""
+    chunks = beam.sample_chunks(beam_scenario(load_scenario(SCENARIOS / "fig3.scenario")), 300_000, 1)
+    next(chunks)
+    tracemalloc.start()
+    try:
+        for _ in chunks:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6, peak
+
+
+# The stages as one expression per quantity, the form whose bits the in-place
+# stages keep: references for the tests only.
+def reference_scale_shape(z):
+    small = z < beam._SMALL_Z
+    if np.any(small):
+        lnterm = np.empty_like(z)
+        lam = np.full_like(z, 2.0)
+        zs = z[small]
+        lnterm[small] = 0.5 * zs - zs**2 / 8.0 + zs**3 / 96.0
+        if not np.all(small):
+            lnterm[~small], lam[~small] = reference_scale_shape(z[~small])
+        return lnterm, lam
+    m = bessel_i0e_minus_exp(z)
+    d = -np.expm1(-z) - m
+    lnterm = np.log1p((np.expm1(-0.5 * z) ** 2 + m) / d)
+    return lnterm, 2.0 * z * bessel_i1e(z) / (d * lnterm)
+
+
+def reference_eta0(e1, e2):
+    u = np.abs(e1 - e2)
+    t1 = bessel_i0e(u) * np.exp(u - (e1 + e2))
+    s1, s2 = np.sqrt(e1), np.sqrt(e2)
+    z = (s1 - s2) ** 2
+    lnterm, lam = reference_scale_shape(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qlam = ((s1 + s2) / np.abs(s1 - s2)) ** lam * lnterm
+    small = z < beam._SMALL_Z
+    if np.any(small):
+        qlam[small] = ((s1[small] + s2[small]) / math.sqrt(2.0) * (1.0 - z[small] / 8.0)) ** 2
+    t3 = -2.0 * np.expm1(-0.5 * z) * np.exp(-qlam)
+    return 1.0 - t1 - t3
+
+
+def reference_spot_inputs(theta1, theta2, cos2chi, scen):
+    """e1 and e2, the arguments of _eta0, and log zeta, that of lambert_w_exp."""
+    a2w0 = (scen.aperture / scen.w0) ** 2
+    with np.errstate(over="ignore"):
+        e1 = np.minimum(a2w0 * np.exp(-theta1), beam._E_MAX)
+        e2 = np.minimum(a2w0 * np.exp(-theta2), beam._E_MAX)
+    log_zeta = (math.log(4.0 * min(a2w0, beam._E_MAX)) - 0.5 * (theta1 + theta2)
+                + e1 * (2.0 + cos2chi) + e2 * (2.0 - cos2chi))
+    return e1, e2, log_zeta
+
+
+def reference_spot(theta1, theta2, cos2chi, scen):
+    e1, e2, log_zeta = reference_spot_inputs(theta1, theta2, cos2chi, scen)
+    return (reference_eta0(e1, e2), *reference_scale_shape(lambert_w_exp(log_zeta)))
+
+
+def reference_aperture(eta0, lnterm, shape, r0, a):
+    with np.errstate(over="ignore"):
+        return np.clip(eta0 * np.exp(-((r0 / a) ** shape) * lnterm), 0.0, 1.0)
+
+
+def reference_transmittance_batch(x0, y0, theta1, theta2, phi, scen):
+    spot = reference_spot(theta1, theta2, np.cos(2.0 * (phi - np.arctan2(y0, x0))), scen)
+    return reference_aperture(*spot, np.hypot(x0, y0), scen.aperture)
+
+
+def _calm(rng, n):
+    """sigma_R^2 = 0: W1 = W2, so every z of _eta0 is 0, below _SMALL_Z."""
+    scen = link(distance=1000.0, sigma_r2=0.0)
+    mu, _ = turbulence_gaussian_params(0.0, scen.fresnel_omega, scen.w0)
+    theta = np.full(n, mu[2])
+    return scen, (np.zeros(n), np.zeros(n), theta, theta.copy(), rng.uniform(0.0, math.pi / 2.0, n))
+
+
+def _wide_aperture(rng, n):
+    """a = 10 w0: Bessel arguments beyond _SERIES_CUTOFF, the asymptotic branch."""
+    scen = link(distance=1750.0, sigma_r2=0.56, aperture=0.4)
+    return scen, _model_draws(scen, n, rng)
+
+
+def _clamped(rng, n):
+    """(a / w0)^2 = 1e262: every e = a^2 / W^2 clamped at _E_MAX."""
+    scen = link(distance=1750.0, sigma_r2=0.56, w0=1e-3, aperture=1e128)
+    return scen, _model_draws(scen, n, rng)
+
+
+STAGE_CASES = {"calm": _calm, "mixed": _near_circular, "asymptotic": _wide_aperture, "clamped": _clamped}
+
+
+def stage_inputs(scen, x0, y0, theta1, theta2, phi):
+    """Each stage's arguments on one set of draws, by the reference stages."""
+    cos2chi = np.cos(2.0 * (phi - np.arctan2(y0, x0)))
+    e1, e2, log_zeta = reference_spot_inputs(theta1, theta2, cos2chi, scen)
+    z_spot, z_eta0 = lambert_w_exp(log_zeta), (np.sqrt(e1) - np.sqrt(e2)) ** 2
+    spot = reference_spot(theta1, theta2, cos2chi, scen)
+    return [(beam._transmittance_batch, (x0, y0, theta1, theta2, phi, scen)),
+            (beam._spot, (theta1, theta2, cos2chi, scen)),
+            (beam._eta0, (e1, e2)),
+            (beam._scale_shape, (z_spot,)),
+            (beam._scale_shape, (z_eta0,)),
+            (beam._aperture, (*spot, np.hypot(x0, y0), scen.aperture)),
+            (lambert_w_exp, (log_zeta,)),
+            *((f, (x,)) for f in (bessel_i0e, bessel_i1e, bessel_i0e_minus_exp)
+              for x in (np.abs(e1 - e2), z_spot, z_eta0))]
+
+
+REFERENCES = {beam._transmittance_batch: reference_transmittance_batch, beam._spot: reference_spot,
+              beam._eta0: reference_eta0, beam._scale_shape: reference_scale_shape,
+              beam._aperture: reference_aperture}
+
+
+def assert_reference_bits(calls):
+    """Each beam stage among (stage, arguments) calls gives its reference's bits."""
+    def as_bytes(result):
+        return [a.tobytes() for a in (result if isinstance(result, tuple) else (result,))]
+    for f, args in calls:
+        if f in REFERENCES:
+            assert as_bytes(f(*args)) == as_bytes(REFERENCES[f](*args)), f.__name__
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_stage_cases_reach_their_branches(case):
+    scen, (x0, y0, theta1, theta2, phi) = STAGE_CASES[case](np.random.default_rng(29), 200)
+    e1, e2, log_zeta = reference_spot_inputs(theta1, theta2, np.cos(2.0 * (phi - np.arctan2(y0, x0))), scen)
+    z_eta0 = (np.sqrt(e1) - np.sqrt(e2)) ** 2
+    if case == "calm":
+        assert np.all(z_eta0 < beam._SMALL_Z)
+    elif case == "mixed":
+        assert np.any(z_eta0 < beam._SMALL_Z) and np.any(z_eta0 >= beam._SMALL_Z)
+    elif case == "asymptotic":
+        assert np.any(np.abs(e1 - e2) >= _SERIES_CUTOFF) and np.any(lambert_w_exp(log_zeta) >= _SERIES_CUTOFF)
+    else:
+        assert np.all(e1 == beam._E_MAX) and np.all(e2 == beam._E_MAX)
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_stages_leave_their_inputs_unchanged(case):
+    scen, params = STAGE_CASES[case](np.random.default_rng(29), 200)
+    for f, args in stage_inputs(scen, *params):
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert arrays and all(a.flags.writeable for a in arrays)
+        before = [a.tobytes() for a in arrays]
+        f(*args)
+        assert [a.tobytes() for a in arrays] == before, f.__name__
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_stages_keep_the_bits_of_their_expression_forms(case):
+    scen, params = STAGE_CASES[case](np.random.default_rng(29), 200)
+    assert_reference_bits(stage_inputs(scen, *params))
+
+
+STAGE_LINKS = [link(distance=1750.0, sigma_r2=0.56), link(distance=3000.0, sigma_r2=0.56, aperture=0.002),
+               link(distance=1750.0, sigma_r2=0.56, aperture=0.4),
+               link(distance=1750.0, sigma_r2=0.56, w0=1e-3, aperture=1e128)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta1=st.lists(st.floats(-25.0, 12.0), min_size=1, max_size=30), data=st.data())
+def test_stages_keep_their_bits_on_sampled_inputs(theta1, data):
+    """Theta2 at a sampled offset from Theta1, 0 and tiny ones included, so
+    that _eta0's z falls on both sides of _SMALL_Z."""
+    n = len(theta1)
+    column = functools.partial(st.lists, min_size=n, max_size=n)
+    offset = data.draw(column(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]) | st.floats(-5.0, 5.0)))
+    x0, y0 = (np.array(data.draw(column(st.floats(-0.1, 0.1)))) for _ in range(2))
+    phi = np.array(data.draw(column(st.floats(0.0, math.pi / 2.0))))
+    theta1 = np.array(theta1)
+    assert_reference_bits(stage_inputs(data.draw(st.sampled_from(STAGE_LINKS)), x0, y0, theta1, theta1 + offset, phi))

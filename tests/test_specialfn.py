@@ -6,6 +6,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvfade import specialfn
 from cvfade.errors import NumericalFailure
 from cvfade.specialfn import bessel_i0e, bessel_i0e_minus_exp, bessel_i1e, lambert_w_exp
 
@@ -105,3 +106,42 @@ def test_domain_errors():
         bessel_i0e_minus_exp(np.inf)
     with pytest.raises(NumericalFailure):
         lambert_w_exp(np.nan)
+
+
+# The all-series Bessel branch and lambert_w_exp with a fresh array per step,
+# the forms whose bits the in-place ones keep: references for the tests only.
+def reference_series_ive(x, nu, first=0):
+    t = 0.25 * x * x
+    coeffs = specialfn._SERIES_COEFFS[nu][first:specialfn._series_terms(float(t.max()), nu)]
+    acc = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    if first:
+        acc = acc * t
+    return (0.5 * x * acc if nu else acc) * np.exp(-x)
+
+
+def reference_lambert_w_exp(y):
+    u = np.where(y < 1.0, np.minimum(y, 0.2), np.log(np.maximum(y - np.log(np.maximum(y, 1.1)), 0.2)))
+    for _ in range(60):
+        eu = np.exp(u)
+        step = (u + eu - y) / (1.0 + eu)
+        u = u - step
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(u))):
+            break
+    return np.exp(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, specialfn._SERIES_CUTOFF, exclude_max=True), min_size=1, max_size=40))
+def test_series_bessel_keeps_the_bits_of_its_expression_form(x):
+    x = np.array(x)
+    for ours, nu, first in ((bessel_i0e, 0, 0), (bessel_i1e, 1, 0), (bessel_i0e_minus_exp, 0, 1)):
+        assert ours(x).tobytes() == reference_series_ive(x, nu, first).tobytes(), ours.__name__
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-800.0, 1e12), min_size=1, max_size=40))
+def test_lambert_w_exp_keeps_the_bits_of_its_expression_form(y):
+    y = np.array(y)
+    assert lambert_w_exp(y).tobytes() == reference_lambert_w_exp(y).tobytes()
