@@ -42,11 +42,15 @@ scenario files:
                     exact multiple of the 8192-sample chunk (--n 100000
                     ends in a partial one); then stats on each, one sample
                     and exactly two 8192-sample leaves of the moments' sums
-  keyrate --trace   and simulate --n 20000 on a calm beam link (sigma_R^2 =
-                    0) generated in the temporary directory, then stats on
-                    its output: the spot is circular in every sample and at
-                    every node, so each z of the centred-beam term takes its
-                    small branch, where the infinite G is replaced
+  keyrate --trace   and simulate --n 20000 on two beam links generated in
+                    the temporary directory, then stats on each output: a
+                    calm link (sigma_R^2 = 0), where the spot is circular in
+                    every sample and at every node, so each z of the
+                    centred-beam term takes its small branch, where the
+                    infinite G is replaced; and a link with a 5 cm aperture
+                    (a / w0 = 1.25), which sends 172 rule nodes and 48
+                    samples' Bessel arguments past the series cutoff, to
+                    the asymptotic expansion
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -161,9 +165,14 @@ BEAM_GENERATED = {
     for name, beam in (("beam_tracking", {"tracking": True}), ("beam_narrow_aperture", {"aperture": 0.002}))
 }
 
-# a calm link: W1 = W2 in every sample
-BEAM_CALM = {**BEAM_GENERATED["beam_tracking"], "description": "beam link, calm",
-             "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"beam": {**BEAM_LINK, "sigma_r2": 0.0}}}}
+# a calm link, W1 = W2 in every sample, and a 5 cm aperture, whose Bessel
+# arguments reach the asymptotic expansion; each is run through keyrate
+# --trace, simulate --n 20000 and stats
+BEAM_SAMPLED = {
+    f"beam_{name}": {**BEAM_GENERATED["beam_tracking"], "description": f"beam link, {name}",
+                     "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"beam": {**BEAM_LINK, **beam}}}}
+    for name, beam in (("calm", {"sigma_r2": 0.0}), ("wide_aperture", {"aperture": 0.05}))
+}
 
 # the first generated scenario with simulate's output as its fading segment
 SAMPLES_FILE = {**GENERATED["all_keys_linear"], "description": "fading from simulate's samples",
@@ -207,11 +216,13 @@ def commands():
                                      "--n", str(n), "--out", f"eta_{n}.csv"])
              for n in (1, 16384)]
     runs += [(f"stats_eta_{n}", ["stats", f"eta_{n}.csv", "--out", f"stats_eta_{n}.json"]) for n in (1, 16384)]
-    runs += [("keyrate_beam_calm", ["keyrate", "--config", "beam_calm.scenario", "--out", "keyrate_beam_calm.csv",
-                                    "--trace"]),
-             ("simulate_beam_calm", ["simulate", "--config", "beam_calm.scenario", "--n", "20000",
-                                     "--out", "eta_calm.csv"]),
-             ("stats_eta_calm", ["stats", "eta_calm.csv", "--out", "stats_eta_calm.json"])]
+    for name in BEAM_SAMPLED:
+        short = name.removeprefix("beam_")
+        runs += [(f"keyrate_{name}", ["keyrate", "--config", f"{name}.scenario", "--out", f"keyrate_{name}.csv",
+                                      "--trace"]),
+                 (f"simulate_{name}", ["simulate", "--config", f"{name}.scenario", "--n", "20000",
+                                       "--out", f"eta_{short}.csv"]),
+                 (f"stats_eta_{short}", ["stats", f"eta_{short}.csv", "--out", f"stats_eta_{short}.json"])]
     return runs
 
 
@@ -230,7 +241,7 @@ def sample_copies(out: Path):
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in {**GENERATED, **BEAM_GENERATED, "beam_calm": BEAM_CALM, "samples_file": SAMPLES_FILE,
+    for name, doc in {**GENERATED, **BEAM_GENERATED, **BEAM_SAMPLED, "samples_file": SAMPLES_FILE,
                       **MISSING_SECTION}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .gaussian import CovarianceMatrix, require_physical
 from .outputs import read_fractions
 
@@ -110,17 +110,17 @@ def _load_body(lines) -> np.ndarray:
 
 def _body_rows(lines, encoding) -> np.ndarray:
     """numpy's rows of text lines after the header, one cell each; else
-    ValueError(reason for one line, text for many) if the lines do not decode
+    ValueError(the reason, as said of one record) if the lines do not decode
     as `encoding`, a cell is not a number or a row has other than one cell."""
     try:
         "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
         rows = _load_body(lines)
     except UnicodeEncodeError:
-        raise ValueError(f"does not decode as {encoding}", f"a line does not decode as {encoding}") from None
+        raise ValueError(f"does not decode as {encoding}") from None
     except ValueError as exc:
-        raise ValueError("is not a number", str(exc)) from exc
+        raise ValueError("is not a number") from exc
     if rows.shape[1] != 1:
-        raise ValueError(f"has {rows.shape[1]} cells, expected one", f"found {rows.shape[1]} cells per row, expected one")
+        raise ValueError(f"has {rows.shape[1]} cells, expected one")
     return rows
 
 
@@ -159,7 +159,9 @@ def _ends_in_quote(text: str, quoted: bool = False) -> bool:
 
 def _first_rejected(lines, encoding):
     """(index, reason) of the first record of lines that _body_rows rejects alone,
-    a record being a line and those to the one closing a quote it opens; or None."""
+    a record being a line and those to the one closing a quote it opens.  Lines
+    that _body_rows rejects hold one: they are their records end to end, split
+    where numpy's reader starts a row."""
     start, quoted = 0, False
     for i, line in enumerate(lines, 1):
         if not (quoted := _ends_in_quote(line, quoted)) or i == len(lines):
@@ -168,7 +170,7 @@ def _first_rejected(lines, encoding):
             except ValueError as exc:
                 return start, exc.args[0]
             start = i
-    return None
+    raise InternalError(f"numpy's reader rejects {len(lines)} lines but none of their records alone")
 
 
 def _fraction_file(fh) -> int:
@@ -208,7 +210,7 @@ def _read_body(fh, before: int, done: int, path):
     """Yield the samples of text file fh from its position, line before + 1,
     after `done` samples, as numpy reads them _BLOCK lines at a time and the
     lines that close a quoted cell left open.  A failing block's first record
-    that fails alone is named, after the samples before it, else numpy's text."""
+    that fails alone is named, after the samples before it."""
     while lines := list(islice(fh, _BLOCK)):
         quoted = _ends_in_quote("".join(lines))
         while quoted and (line := next(fh, None)) is not None:
@@ -217,9 +219,7 @@ def _read_body(fh, before: int, done: int, path):
         try:
             rows = _body_rows(lines, fh.encoding)[:, 0]
         except ValueError as exc:
-            if (bad := _first_rejected(lines, fh.encoding)) is None:
-                raise DomainError(f"cannot parse samples in {path}: {exc.args[1]}") from exc
-            i, reason = bad
+            i, reason = _first_rejected(lines, fh.encoding)
             yield _body_rows(lines[:i], fh.encoding)[:, 0]  # a sample outside [0, 1] among them is the first fault
             raise DomainError(f"cannot parse samples in {path}: line {before + 1 + i} {reason}") from exc
         yield rows

@@ -604,8 +604,24 @@ def test_sample_chunks_working_set():
     assert peak <= 1.6e6, peak
 
 
-# The stages as one expression per quantity, the form whose bits the in-place
-# stages keep: references for the tests only.
+def test_fading_moments_working_set():
+    """After one warm call, the rule on fig3's link (_spot on 512 nodes,
+    _aperture on 12 288) peaks below 0.35 MB of heap: about 0.3 MB."""
+    scen = beam_scenario(load_scenario(SCENARIOS / "fig3.scenario"))
+    fading_moments(scen)
+    tracemalloc.start()
+    try:
+        fading_moments(scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.35e6, peak
+
+
+# The stages as one expression per quantity: references for the tests only.
+# _aperture, _spot, _eta0 and _transmittance_batch are written in this form;
+# _scale_shape works in place and keeps its reference's bits, as any later
+# in-place edit of a stage must.
 def reference_scale_shape(z):
     small = z < beam._SMALL_Z
     if np.any(small):

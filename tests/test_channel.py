@@ -462,6 +462,24 @@ def test_bad_line_after_a_quoted_cell_over_lines_is_named(tmp_path):
         read_samples(path)
 
 
+def test_block_rejected_with_no_record_rejected_alone_exits_3(tmp_path, monkeypatch, capsys):
+    """A rejected block always holds a record rejected alone; were it not so,
+    stats exits 3 with one line instead of quoting numpy's text."""
+    path = tmp_path / "eta.csv"
+    path.write_bytes(b"eta\n# c\n0.5\n0.25\n")
+    load_body = channel._load_body
+
+    def reject_many(lines):
+        if len(lines) > 1:
+            raise ValueError("rejected as a block")
+        return load_body(lines)
+
+    monkeypatch.setattr(channel, "_load_body", reject_many)
+    assert main(["stats", str(path), "--out", str(tmp_path / "stats.json")]) == 3
+    assert capsys.readouterr().err == ("numerical failure: numpy's reader rejects 3 lines "
+                                       "but none of their records alone\n")
+
+
 def first_cells(lines):
     """The first cell of each row numpy's reader finds in lines, as text."""
     with warnings.catch_warnings():

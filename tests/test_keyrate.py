@@ -428,11 +428,11 @@ V_S_CAP = variance_from_db(-10.0)
 EXTREME_PROTOCOLS = [ProtocolParams(v_s=1.0, b=1, reconciliation=r, beta=0.95) for r in ("dr", "rr")] + [
     ProtocolParams(v_s=V_S_CAP, b=0, reconciliation=r, v_an=v_an, prep_noise_trust=trust, beta=0.95)
     for r in ("dr", "rr")
-    for v_an, trust in ((0.0, "trusted"), (1.0, "trusted"), (1.0, "untrusted"))
+    for v_an, trust in ((0.0, "trusted"), (1.0, "trusted"), (1.0, "untrusted"), (1e-9, "trusted"), (1e-9, "untrusted"))
 ]
 EXTREME_CHANNELS = [
     CompositeChannel(fading=fixed_fading(eta), eps2=eps)
-    for eta in (1e-6, 0.3, 0.5, 1.0 - 1e-9)  # 0.3: direct reconciliation below 1/2
+    for eta in (1e-6, 0.3, 0.5, 1.0 - 1e-9, 1.0)  # 0.3: direct reconciliation below 1/2; 1.0, 0.0: lossless, noiseless
     for eps in (0.0, 0.01)
 ] + [fading_channel(0.5, 0.04, eps2=eps) for eps in (0.0, 0.01)]
 

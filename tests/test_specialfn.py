@@ -108,8 +108,9 @@ def test_domain_errors():
         lambert_w_exp(np.nan)
 
 
-# The all-series Bessel branch and lambert_w_exp with a fresh array per step,
-# the forms whose bits the in-place ones keep: references for the tests only.
+# The all-series Bessel branch and lambert_w_exp with a fresh array per step:
+# references for the tests only.  lambert_w_exp is written in this form; the
+# series branch works in place and keeps its reference's bits.
 def reference_series_ive(x, nu, first=0):
     t = 0.25 * x * x
     coeffs = specialfn._SERIES_COEFFS[nu][first:specialfn._series_terms(float(t.max()), nu)]
