@@ -51,6 +51,11 @@ scenario files:
                     (a / w0 = 1.25), which sends 172 rule nodes and 48
                     samples' Bessel arguments past the series cutoff, to
                     the asymptotic expansion
+  keyrate           on six scenarios generated in the temporary directory
+                    that the schema rejects, each with one fault: a wrong
+                    type, an out-of-bound number, a bad enum value, an
+                    unknown key, a missing required key and a key given
+                    twice; each exits 2 with its validation message
 
 Every file a command writes, its stderr and its exit code are compared.  One
 line per output says "identical" or names the first differing line; the exit
@@ -186,6 +191,25 @@ MISSING_SECTION = {
     "samples_file_over_var_sqrt": {**SAMPLES_FILE, "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}},
 }
 
+# scenario texts that the schema rejects, one fault each
+VALID = {"protocol": {"family": "coherent", "v_m": 3.0}, "channel": {"fading": {"stats": {"mean_eta": 0.5}}}}
+
+
+def with_keys(section, **keys):
+    return json.dumps({**VALID, section: {**VALID[section], **keys}})
+
+
+MALFORMED = {
+    "wrong_type": with_keys("protocol", beta="high"),
+    "out_of_bound": with_keys("protocol", beta=1.5),
+    "bad_enum": with_keys("protocol", family="thermal"),
+    "unknown_key": with_keys("channel", eta3=0.5),
+    "missing_required": json.dumps({**VALID, "channel": {"eta1": 0.5}}),
+    # json.dumps cannot write a key twice
+    "duplicate_key": '{"protocol": {"family": "coherent", "v_m": 3.0, "v_m": 4.0}, '
+                     '"channel": {"fading": {"stats": {"mean_eta": 0.5}}}}',
+}
+
 
 def commands():
     """(name, argv) per run; {tree} stands for the source tree's root."""
@@ -223,6 +247,9 @@ def commands():
                  (f"simulate_{name}", ["simulate", "--config", f"{name}.scenario", "--n", "20000",
                                        "--out", f"eta_{short}.csv"]),
                  (f"stats_eta_{short}", ["stats", f"eta_{short}.csv", "--out", f"stats_eta_{short}.json"])]
+    runs += [(f"keyrate_malformed_{name}", ["keyrate", "--config", f"malformed_{name}.scenario",
+                                            "--out", f"keyrate_malformed_{name}.csv"])
+             for name in MALFORMED]
     return runs
 
 
@@ -244,6 +271,8 @@ def run_all(tree: Path, out: Path):
     for name, doc in {**GENERATED, **BEAM_GENERATED, **BEAM_SAMPLED, "samples_file": SAMPLES_FILE,
                       **MISSING_SECTION}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
+    for name, text in MALFORMED.items():
+        (out / f"malformed_{name}.scenario").write_text(text)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, argv in commands():
         argv = [a.replace("{tree}", str(tree)) for a in argv]

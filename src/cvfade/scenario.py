@@ -5,8 +5,10 @@ fading segment comes from explicit moments, a sample file, or an elliptic-beam
 link, plus optional finite-size and sweep sections.  Rate commands take a beam
 link's moments from the fixed quadrature rule of beam.fading_moments; only
 `simulate` draws samples from it.  Unknown keys are rejected.
-docs/scenario_schema.json is generated from SCHEMA below and a test keeps the
-two in sync.
+SCHEMA below is written in the vocabulary docs/scenario_schema.json publishes,
+and schema_document() wraps it unchanged; regenerate the file with
+
+    PYTHONPATH=src python -c 'import json; from cvfade.scenario import schema_document; print(json.dumps(schema_document(), indent=2, sort_keys=True))' > docs/scenario_schema.json
 """
 from __future__ import annotations
 
@@ -31,78 +33,78 @@ _FIXED_SEGMENTS = ("eta1", "eta2")  # the channel's keys that may be given in dB
 _FADING_VARIABLES = ("distance", "mean_eta_db", "var_sqrt")  # sweep variables that override the fading segment
 SWEEP_VARIABLES = (*_FADING_VARIABLES, "block_size", "v_s", "v_m")
 
-# schema node: {"type": ..., "required": bool, "doc": str, ...bounds/enums/children}
+# schema node keys: type, description, required, min, min_excl, max, max_excl, enum (a list), properties
 PROTOCOL_SCHEMA = {
-    "label": {"type": "string", "doc": "row label in outputs"},
-    "family": {"type": "string", "enum": ("coherent", "squeezed"), "required": True, "doc": "protocol family"},
-    "v_s": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "squeezed-quadrature variance, SNU"},
-    "v_s_db": {"type": "number", "max": 0.0, "doc": "v_s in dB (<= 0)"},
-    "v_m": {"type": "number", "min": 0.0, "doc": "modulation variance, SNU"},
-    "v_an": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise, SNU"},
-    "v_an_db": {"type": "number", "min": 0.0, "doc": "anti-squeezing noise as positive dB"},
-    "prep_noise_trust": {"type": "string", "enum": ("trusted", "untrusted"), "doc": "attribution of v_an"},
-    "reconciliation": {"type": "string", "enum": ("dr", "rr"), "doc": "default rr"},
-    "beta": {"type": "number", "min": 0.0, "max": 1.0, "doc": "reconciliation efficiency"},
-    "sifting": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "kept fraction after sifting (default 1)"},
+    "label": {"type": "string", "description": "row label in outputs"},
+    "family": {"type": "string", "enum": ["coherent", "squeezed"], "required": True, "description": "protocol family"},
+    "v_s": {"type": "number", "min_excl": 0.0, "max": 1.0, "description": "squeezed-quadrature variance, SNU"},
+    "v_s_db": {"type": "number", "max": 0.0, "description": "v_s in dB (<= 0)"},
+    "v_m": {"type": "number", "min": 0.0, "description": "modulation variance, SNU"},
+    "v_an": {"type": "number", "min": 0.0, "description": "anti-squeezing noise, SNU"},
+    "v_an_db": {"type": "number", "min": 0.0, "description": "anti-squeezing noise as positive dB"},
+    "prep_noise_trust": {"type": "string", "enum": ["trusted", "untrusted"], "description": "attribution of v_an"},
+    "reconciliation": {"type": "string", "enum": ["dr", "rr"], "description": "default rr"},
+    "beta": {"type": "number", "min": 0.0, "max": 1.0, "description": "reconciliation efficiency"},
+    "sifting": {"type": "number", "min_excl": 0.0, "max": 1.0, "description": "kept fraction after sifting (default 1)"},
     "optimizer": {
         "type": "object",
-        "doc": "presence means: optimize (v_s under cap for squeezed) and v_m",
-        "children": {
-            "vs_cap_db": {"type": "number", "max": 0.0, "doc": "squeezing cap in dB (squeezed family)"},
-            "vm_max": {"type": "number", "min_excl": 0.0, "doc": "upper modulation bound, SNU (default 1000); the box's largest source state must have tr gamma < 450360"},
-            "grid": {"type": "list_int", "doc": "[n_vs, n_vm] coarse grid (default [25, 25])"},
-            "tolerance": {"type": "number", "min_excl": 0.0, "doc": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
-            "optimize_vs": {"type": "bool", "doc": "false freezes V_s at the configured value (V_m-only search)"},
+        "description": "presence means: optimize (v_s under cap for squeezed) and v_m",
+        "properties": {
+            "vs_cap_db": {"type": "number", "max": 0.0, "description": "squeezing cap in dB (squeezed family)"},
+            "vm_max": {"type": "number", "min_excl": 0.0, "description": "upper modulation bound, SNU (default 1000); the box's largest source state must have tr gamma < 450360"},
+            "grid": {"type": "list_int", "description": "[n_vs, n_vm] coarse grid (default [25, 25])"},
+            "tolerance": {"type": "number", "min_excl": 0.0, "description": "search stops once the stencil rate spread around the best point is below this, bits (default 1e-6)"},
+            "optimize_vs": {"type": "bool", "description": "false freezes V_s at the configured value (V_m-only search)"},
         },
     },
 }
 
 
 SCHEMA = {
-    "description": {"type": "string", "doc": "free-text note; no effect on computation"},
-    "seed": {"type": "int", "min": 0, "doc": "64-bit RNG seed of `simulate`; rate tables record it but do not depend on it"},
-    "protocol": {"type": "object", "doc": "single protocol variant", "children": PROTOCOL_SCHEMA},
-    "protocols": {"type": "list", "doc": "list of protocol variants", "children": PROTOCOL_SCHEMA},
+    "description": {"type": "string", "description": "free-text note; no effect on computation"},
+    "seed": {"type": "int", "min": 0, "description": "64-bit RNG seed of `simulate`; rate tables record it but do not depend on it"},
+    "protocol": {"type": "object", "description": "single protocol variant", "properties": PROTOCOL_SCHEMA},
+    "protocols": {"type": "list", "description": "list of protocol variants", "properties": PROTOCOL_SCHEMA},
     "channel": {
         "type": "object",
         "required": True,
-        "doc": "composite untrusted channel",
-        "children": {
-            "eta1": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "fixed transmittance before the fading segment"},
-            "eta1_db": {"type": "number", "max": 0.0, "doc": "eta1 as 10 log10(eta), dB <= 0"},
-            "eta2": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "fixed transmittance after the fading segment"},
-            "eta2_db": {"type": "number", "max": 0.0, "doc": "eta2 in dB <= 0"},
-            "eps1": {"type": "number", "min": 0.0, "doc": "excess noise of segment 1, SNU at receiver"},
-            "eps2": {"type": "number", "min": 0.0, "doc": "excess noise of segment 2, SNU at receiver"},
-            "eps_atm": {"type": "number", "min": 0.0, "doc": "excess noise of the fading segment, SNU at receiver"},
+        "description": "composite untrusted channel",
+        "properties": {
+            "eta1": {"type": "number", "min_excl": 0.0, "max": 1.0, "description": "fixed transmittance before the fading segment"},
+            "eta1_db": {"type": "number", "max": 0.0, "description": "eta1 as 10 log10(eta), dB <= 0"},
+            "eta2": {"type": "number", "min_excl": 0.0, "max": 1.0, "description": "fixed transmittance after the fading segment"},
+            "eta2_db": {"type": "number", "max": 0.0, "description": "eta2 in dB <= 0"},
+            "eps1": {"type": "number", "min": 0.0, "description": "excess noise of segment 1, SNU at receiver"},
+            "eps2": {"type": "number", "min": 0.0, "description": "excess noise of segment 2, SNU at receiver"},
+            "eps_atm": {"type": "number", "min": 0.0, "description": "excess noise of the fading segment, SNU at receiver"},
             "fading": {
                 "type": "object",
                 "required": True,
-                "doc": "exactly one of: stats, samples_file, beam",
-                "children": {
+                "description": "exactly one of: stats, samples_file, beam",
+                "properties": {
                     "stats": {
                         "type": "object",
-                        "doc": "explicit fading moments",
-                        "children": {
-                            "mean_eta": {"type": "number", "min": 0.0, "max": 1.0, "doc": "<eta> (or give mean_eta_db)"},
-                            "mean_sqrt_eta": {"type": "number", "min": 0.0, "max": 1.0, "doc": "<sqrt(eta)>; defaults to sqrt(<eta>) (no fading)"},
-                            "mean_eta_db": {"type": "number", "max": 0.0, "doc": "alternative to mean_eta, in dB"},
-                            "var_sqrt": {"type": "number", "min": 0.0, "max": 0.25, "doc": "alternative to mean_sqrt_eta: Var(sqrt(eta))"},
+                        "description": "explicit fading moments",
+                        "properties": {
+                            "mean_eta": {"type": "number", "min": 0.0, "max": 1.0, "description": "<eta> (or give mean_eta_db)"},
+                            "mean_sqrt_eta": {"type": "number", "min": 0.0, "max": 1.0, "description": "<sqrt(eta)>; defaults to sqrt(<eta>) (no fading)"},
+                            "mean_eta_db": {"type": "number", "max": 0.0, "description": "alternative to mean_eta, in dB"},
+                            "var_sqrt": {"type": "number", "min": 0.0, "max": 0.25, "description": "alternative to mean_sqrt_eta: Var(sqrt(eta))"},
                         },
                     },
-                    "samples_file": {"type": "string", "doc": "CSV with single `eta` column"},
+                    "samples_file": {"type": "string", "description": "CSV with single `eta` column"},
                     "beam": {
                         "type": "object",
-                        "doc": "elliptic-beam link: rate commands use its quadrature moments, `simulate` samples it",
-                        "children": {
-                            "wavelength": {"type": "number", "min_excl": 0.0, "required": True, "doc": "m"},
-                            "w0": {"type": "number", "min_excl": 0.0, "required": True, "doc": "initial beam-spot radius, m"},
-                            "aperture": {"type": "number", "min_excl": 0.0, "required": True, "doc": "receiver aperture radius, m"},
-                            "distance": {"type": "number", "min_excl": 0.0, "doc": "propagation distance, m (daily default: 2200)"},
-                            "cn2": {"type": "number", "min": 0.0, "doc": "refractive-index structure constant, m^(-2/3)"},
-                            "sigma_r2": {"type": "number", "min": 0.0, "doc": "Rytov variance given directly"},
-                            "tracking": {"type": "bool", "doc": "receiver-side beam tracking"},
-                            "n_samples": {"type": "int", "min": 1, "doc": "sample count of `simulate` (default 100000); rate commands ignore it"},
+                        "description": "elliptic-beam link: rate commands use its quadrature moments, `simulate` samples it",
+                        "properties": {
+                            "wavelength": {"type": "number", "min_excl": 0.0, "required": True, "description": "m"},
+                            "w0": {"type": "number", "min_excl": 0.0, "required": True, "description": "initial beam-spot radius, m"},
+                            "aperture": {"type": "number", "min_excl": 0.0, "required": True, "description": "receiver aperture radius, m"},
+                            "distance": {"type": "number", "min_excl": 0.0, "description": "propagation distance, m (daily default: 2200)"},
+                            "cn2": {"type": "number", "min": 0.0, "description": "refractive-index structure constant, m^(-2/3)"},
+                            "sigma_r2": {"type": "number", "min": 0.0, "description": "Rytov variance given directly"},
+                            "tracking": {"type": "bool", "description": "receiver-side beam tracking"},
+                            "n_samples": {"type": "int", "min": 1, "description": "sample count of `simulate` (default 100000); rate commands ignore it"},
                         },
                     },
                 },
@@ -111,30 +113,30 @@ SCHEMA = {
     },
     "finite_size": {
         "type": "object",
-        "doc": "finite-block correction; omit for asymptotic rates",
-        "children": {
-            "n": {"type": "number", "min": 1e3, "required": True, "doc": "block size"},
-            "eps_bar": {"type": "number", "min_excl": 0.0, "max_excl": 1.0, "doc": "smoothing parameter (default 1e-10)"},
-            "key_fraction": {"type": "number", "min_excl": 0.0, "max": 1.0, "doc": "fraction of block kept for key (default 1)"},
+        "description": "finite-block correction; omit for asymptotic rates",
+        "properties": {
+            "n": {"type": "number", "min": 1e3, "required": True, "description": "block size"},
+            "eps_bar": {"type": "number", "min_excl": 0.0, "max_excl": 1.0, "description": "smoothing parameter (default 1e-10)"},
+            "key_fraction": {"type": "number", "min_excl": 0.0, "max": 1.0, "description": "fraction of block kept for key (default 1)"},
         },
     },
     "sweep": {
         "type": "object",
-        "doc": "sweep one variable over a range",
-        "children": {
-            "variable": {"type": "string", "enum": SWEEP_VARIABLES, "required": True, "doc": "what to sweep"},
-            "values": {"type": "list_number", "doc": "explicit values (alternative to start/stop/steps)"},
-            "start": {"type": "number", "doc": "range start"},
-            "stop": {"type": "number", "doc": "range stop (inclusive)"},
-            "steps": {"type": "int", "min": 2, "doc": "number of points"},
-            "spacing": {"type": "string", "enum": ("linear", "log"), "doc": "default linear"},
+        "description": "sweep one variable over a range",
+        "properties": {
+            "variable": {"type": "string", "enum": list(SWEEP_VARIABLES), "required": True, "description": "what to sweep"},
+            "values": {"type": "list_number", "description": "explicit values (alternative to start/stop/steps)"},
+            "start": {"type": "number", "description": "range start"},
+            "stop": {"type": "number", "description": "range stop (inclusive)"},
+            "steps": {"type": "int", "min": 2, "description": "number of points"},
+            "spacing": {"type": "string", "enum": ["linear", "log"], "description": "default linear"},
         },
     },
     "daily": {
         "type": "object",
-        "doc": "accepted and ignored",
-        "children": {
-            "n_samples": {"type": "int", "min": 1, "doc": "ignored: `daily` uses the quadrature moments"},
+        "description": "accepted and ignored",
+        "properties": {
+            "n_samples": {"type": "int", "min": 1, "description": "ignored: `daily` uses the quadrature moments"},
         },
     },
 }
@@ -144,14 +146,14 @@ def _validate_node(value, node, path):
     if t == "object":
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected object")
-        _validate_dict(value, node["children"], path)
+        _validate_dict(value, node["properties"], path)
     elif t == "list":
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected non-empty list")
         for i, item in enumerate(value):
             if not isinstance(item, dict):
                 raise ConfigError(f"{path}[{i}]: expected object")
-            _validate_dict(item, node["children"], f"{path}[{i}]")
+            _validate_dict(item, node["properties"], f"{path}[{i}]")
     elif t == "list_number":
         if not isinstance(value, list) or not value or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             raise ConfigError(f"{path}: expected non-empty list of numbers")
@@ -175,9 +177,7 @@ def _validate_node(value, node, path):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected string")
         if "enum" in node and value not in node["enum"]:
-            raise ConfigError(f"{path}: must be one of {node['enum']}, got {value!r}")
-    else:  # pragma: no cover - schema authoring error
-        raise ConfigError(f"{path}: unknown schema type {t}")
+            raise ConfigError(f"{path}: must be one of {tuple(node['enum'])}, got {value!r}")
 
 
 def _finite(value, path) -> float:
@@ -215,25 +215,10 @@ def _validate_dict(doc, schema, path="config"):
 
 def schema_document() -> dict:
     """JSON-schema-style document published under docs/scenario_schema.json."""
-
-    def convert(schema):
-        out = {}
-        for key, node in schema.items():
-            entry = {"type": node["type"], "description": node.get("doc", "")}
-            for bound in ("min", "min_excl", "max", "max_excl", "enum"):
-                if bound in node:
-                    entry[bound] = list(node[bound]) if bound == "enum" else node[bound]
-            if node.get("required"):
-                entry["required"] = True
-            if "children" in node:
-                entry["properties"] = convert(node["children"])
-            out[key] = entry
-        return out
-
     return {
         "title": "cvfade scenario configuration",
         "description": "JSON scenario document; unknown keys are rejected; units per field descriptions",
-        "properties": convert(SCHEMA),
+        "properties": SCHEMA,
     }
 
 

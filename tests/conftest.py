@@ -126,3 +126,15 @@ MALFORMED_CN2 = {
     "nan": b"hour,cn2\n00,nan\n",
     "non_utf8": b"hour,cn2\n00,1e-15\n01,\xff\n",
 }
+
+
+def number_keys(properties, path=()):
+    """(path, schema node) of every number key under a schema node's
+    properties; a protocol's keys once, under `protocols`."""
+    for key, node in properties.items():
+        if key == "protocol":
+            continue
+        if node["type"] == "number":
+            yield path + (key,), node
+        elif "properties" in node:
+            yield from number_keys(node["properties"], path + (key,))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, read_samples, sample_values
+from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, number_keys, read_samples, sample_values
 from cvfade import __version__, beam
 from cvfade.beam import simulate
 from cvfade.cli import main
@@ -1332,18 +1332,6 @@ EXTREME_DOC = {
 EXTREME_BEAM = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1500.0, "sigma_r2": 0.25}
 EXTREME_MAGNITUDES = (5e-324, 1e-300, 1e300, 1.7976931348623157e308)
 SQUEEZED_ONLY = ("v_s", "v_an")  # a coherent variant fixes v_s = 1 and holds no anti-squeezing
-
-
-def number_keys(children, path=()):
-    """(path, schema node) of every number key under a schema node's children;
-    a protocol's keys once, under `protocols`."""
-    for key, node in children.items():
-        if key == "protocol":
-            continue
-        if node["type"] == "number":
-            yield path + (key,), node
-        elif "children" in node:
-            yield from number_keys(node["children"], path + (key,))
 
 
 def allowed(node, x):

@@ -5,6 +5,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,8 +445,11 @@ def outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS,
-                         ids=lambda p: f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}")
+def protocol_id(p):
+    return f"b{p.b}-{p.reconciliation}-van{p.v_an:g}-{p.prep_noise_trust}"
+
+
+@pytest.mark.parametrize("protocol", EXTREME_PROTOCOLS, ids=protocol_id)
 def test_extreme_inputs_agree_with_oracle(protocol):
     v_m = [0.0, 10.0, 1e3]
     for chan in EXTREME_CHANNELS:
@@ -460,6 +464,141 @@ def test_extreme_inputs_agree_with_oracle(protocol):
             got = rates.result(k)
             assert_matches_oracles(got, point, chan)
             assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
+
+
+# --- a 40-digit reference up to gaussian.TRACE_MAX ----------------------------
+
+U = 2.0**-53
+SPLITTER = ((1, 0, 1, 0), (0, 1, 0, 1), (-1, 0, 1, 0), (0, -1, 0, 1))  # times 1/sqrt(2)
+
+
+def mp_embed(gamma, size, rows):
+    """gamma on the given rows and columns of a size x size identity: vacuum modes elsewhere."""
+    out = mpmath.eye(size)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            out[a, b] = gamma[i, j]
+    return out
+
+
+def mp_source(p):
+    """build_source's state from the float inputs: a two-mode squeezed vacuum,
+    for b = 0 the squeezer sqrt(V_s (V_s + V_m)) on the signal, then V_an on the
+    signal's P, added directly (untrusted) or through a QND gain sqrt(V_an) from
+    a vacuum ancilla in the middle (trusted)."""
+    v_s, v_m, v_an = mpmath.mpf(p.v_s), mpmath.mpf(p.v_m), mpmath.mpf(p.v_an)
+    mu = v_m + 1 if p.is_coherent else mpmath.sqrt(1 + v_m / v_s)
+    c = mpmath.sqrt(mu * mu - 1)
+    r = mpmath.mpf(1) if p.is_coherent else mpmath.sqrt(mpmath.sqrt(v_s * (v_s + v_m)))  # signal X times r, P over r
+    gamma = mpmath.matrix([[mu, 0, c * r, 0], [0, mu, 0, -c / r], [c * r, 0, mu * r * r, 0], [0, -c / r, 0, mu / (r * r)]])
+    if v_an == 0:
+        return gamma
+    if p.prep_noise_trust == "untrusted":
+        gamma[3, 3] += v_an
+        return gamma
+    qnd = mpmath.eye(6)
+    qnd[5, 2] = qnd[3, 4] = mpmath.sqrt(v_an)
+    return qnd * mp_embed(gamma, 6, (0, 1, 4, 5)) * qnd.T
+
+
+def mp_channel(gamma, ch):
+    """The composite channel: signal block eta_comb <eta> (gamma_B - 1) + (1 + eps_plus) 1,
+    each cross block times sqrt(eta_comb) <sqrt(eta)>."""
+    eta1, eta2, mean_eta = mpmath.mpf(ch.eta1), mpmath.mpf(ch.eta2), mpmath.mpf(ch.fading.mean_eta)
+    eps_plus = mpmath.mpf(ch.eps2) + mpmath.mpf(ch.eps_atm) * eta2 + mpmath.mpf(ch.eps1) * eta2 * mean_eta
+    cross = mpmath.sqrt(eta1 * eta2) * mpmath.mpf(ch.fading.mean_sqrt_eta)
+    d = gamma.rows
+    out = gamma.copy()
+    for i in range(d):
+        for j in range(d):
+            if min(i, j) >= d - 2:
+                out[i, j] = eta1 * eta2 * mean_eta * (gamma[i, j] - (i == j)) + (1 + eps_plus) * (i == j)
+            elif max(i, j) >= d - 2:
+                out[i, j] *= cross
+    return out
+
+
+def mp_given_x(gamma, mode):
+    """The other modes after an X homodyne on `mode` (Schur complement)."""
+    i = 2 * mode
+    keep = [k for k in range(gamma.rows) if k // 2 != mode]
+    return mpmath.matrix([[gamma[a, b] - gamma[a, i] * gamma[i, b] / gamma[i, i] for b in keep] for a in keep])
+
+
+def mp_given_sender_x(gamma, coherent):
+    """After the sender's X data: an X homodyne on mode 0, for b = 1 on one
+    output of a balanced splitter that mixes mode 0 with a vacuum."""
+    if coherent:
+        d = gamma.rows + 2
+        split = mp_embed(mpmath.matrix(SPLITTER) / mpmath.sqrt(2), d, range(4))
+        gamma = split * mp_embed(gamma, d, (0, 1, *range(4, d))) * split.T
+    return mp_given_x(gamma, 0)
+
+
+def mp_entropy(gamma):
+    """Sum of g(nu) in bits over the spectrum nu = |eig(i Omega gamma)|, each +-nu pair once."""
+    m = gamma.rows // 2
+    omega = mpmath.zeros(2 * m)
+    for k in range(m):
+        omega[2 * k, 2 * k + 1], omega[2 * k + 1, 2 * k] = 1, -1
+    nus = sorted(abs(e) for e in mpmath.eig(1j * omega * gamma, left=False, right=False))[::2]
+    return sum((nu + 1) / 2 * mpmath.log((nu + 1) / 2, 2) - (nu - 1) / 2 * mpmath.log((nu - 1) / 2, 2)
+               for nu in nus if nu > 1)
+
+
+def reference_errors(protocol, chan, got):
+    """|got - reference| in bits of I_AB, chi and rate_asymptotic, and tr gamma,
+    with the reference state and entropies at 40 digits from the float inputs."""
+    with mpmath.workdps(40):
+        gamma = mp_channel(mp_source(protocol), chan)
+        d = gamma.rows
+        given_a = mp_given_sender_x(gamma, protocol.is_coherent)
+        i_ab = mpmath.log(gamma[d - 2, d - 2] / given_a[given_a.rows - 2, given_a.rows - 2], 2) / 2
+        conditioned = mp_given_x(gamma, d // 2 - 1) if protocol.reconciliation == "rr" else given_a
+        chi = max(mp_entropy(gamma) - mp_entropy(conditioned), 0)
+        reference = {"i_ab": i_ab, "chi": chi, "rate_asymptotic": protocol.beta * i_ab - chi}
+        errors = {name: float(abs(mpmath.mpf(getattr(got, name)) - value)) for name, value in reference.items()}
+        return errors, float(sum(gamma[k, k] for k in range(d)))
+
+
+# 10x the largest error measured on the cases below that stay within it:
+# 247 u tr(gamma), in chi, squeezed DR with v_an = 1e-9 on the near-lossless channel at v_m = 1e3
+ORACLE_C = 2500
+ORACLE_CHANNELS = {
+    "lossless": CompositeChannel(fading=fixed_fading(1.0)),
+    "near_lossless": CompositeChannel(fading=fixed_fading(1.0 - 1e-9)),
+    "fading": fading_channel(0.5, 0.04, eps2=0.01),
+}
+# the cases past ORACLE_C u tr(gamma), with their measured error in chi, bits: near-pure
+# coherent states, whose conditioned spectrum rounds by about u (tr gamma)^2, not u tr(gamma)
+ORACLE_EXCEEDED = {
+    "b1-dr-van0-trusted-lossless-vm100000": 3.12e-5,
+    "b1-rr-van0-trusted-lossless-vm100000": 3.33e-5,
+    "b1-dr-van0-trusted-near_lossless-vm1000": 1.62e-9,
+    "b1-rr-van0-trusted-near_lossless-vm1000": 2.35e-9,
+    "b1-dr-van0-trusted-near_lossless-vm100000": 1.25e-5,
+    "b1-rr-van0-trusted-near_lossless-vm100000": 2.90e-6,
+}
+
+
+def oracle_cases():
+    for protocol in EXTREME_PROTOCOLS:
+        for name, chan in ORACLE_CHANNELS.items():
+            for v_m in (10.0, 1e3, 1e5):
+                case = f"{protocol_id(protocol)}-{name}-vm{v_m:g}"
+                marks = ()
+                if case in ORACLE_EXCEEDED:
+                    marks = pytest.mark.xfail(strict=True, reason=f"chi is {ORACLE_EXCEEDED[case]:.3g} bits off")
+                yield pytest.param(replace(protocol, v_m=v_m), chan, id=case, marks=marks)
+
+
+@pytest.mark.parametrize("point,chan", oracle_cases())
+def test_kernel_within_rounding_of_40_digit_reference(point, chan):
+    """key_rate within ORACLE_C u tr(gamma) bits of the reference in I_AB, chi
+    and the rate, for v_m up to 1e5, where tr(gamma) nears gaussian.TRACE_MAX."""
+    errors, trace = reference_errors(point, chan, key_rate(point, chan))
+    for name, error in errors.items():
+        assert error <= ORACLE_C * U * trace, name
 
 
 def impossible_moments(mean_eta=0.05, mean_sqrt_eta=0.999):

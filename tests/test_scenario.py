@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MALFORMED_CN2, load_script
+from conftest import MALFORMED_CN2, load_script, number_keys
 from cvfade import scenario
 from cvfade.beam import BeamScenario, fading_moments, turbulence_gaussian_params
 from cvfade.channel import CompositeChannel
@@ -294,9 +294,9 @@ def field_values(obj):
 
 
 def schema_node(*keys):
-    node = {"children": SCHEMA}
+    node = {"properties": SCHEMA}
     for key in keys:
-        node = node["children"][key]
+        node = node["properties"][key]
     return node
 
 
@@ -334,7 +334,7 @@ class TestDefaults:
     @pytest.mark.parametrize("keys,stated,value,held", DOCUMENTED_DEFAULTS,
                              ids=[".".join(d[0]) for d in DOCUMENTED_DEFAULTS])
     def test_schema_states_the_dataclass_default(self, keys, stated, value, held):
-        assert stated in schema_node(*keys)["doc"]
+        assert stated in schema_node(*keys)["description"]
         assert held == value
 
     @pytest.mark.parametrize("protocol,error", [
@@ -383,14 +383,41 @@ class TestShippedScenarios:
         assert "SYNTHETIC" in head
 
 
+def schema_nodes(properties, path=()):
+    """(path, node) of every node under a schema node's properties, depth first."""
+    for key, node in properties.items():
+        yield path + (key,), node
+        yield from schema_nodes(node.get("properties", {}), path + (key,))
+
+
+PUBLISHED_KEYS = {"type", "description", "required", "min", "min_excl", "max", "max_excl", "enum", "properties"}
+
+
 class TestSchemaDocument:
     def test_published_document_in_sync(self):
-        published = json.loads((REPO / "docs" / "scenario_schema.json").read_text())
-        assert published == schema_document()
+        regenerated = json.dumps(schema_document(), indent=2, sort_keys=True) + "\n"
+        assert (REPO / "docs" / "scenario_schema.json").read_bytes() == regenerated.encode()
 
     def test_every_documented_key_is_validated(self):
-        doc = schema_document()
-        assert set(doc["properties"]) == set(SCHEMA)
+        assert schema_document()["properties"] is SCHEMA
+
+    def test_nodes_use_only_published_keys(self):
+        for path, node in schema_nodes(SCHEMA):
+            assert set(node) <= PUBLISHED_KEYS, path
+            assert isinstance(node["type"], str) and isinstance(node["description"], str), path
+            assert node.get("required", True) is True, path
+            assert isinstance(node.get("enum", []), list), path
+
+    def test_node_types_are_validated(self):
+        # _validate_node accepts any value of a type it does not handle
+        for path, node in schema_nodes(SCHEMA):
+            with pytest.raises(ConfigError, match="expected"):
+                scenario._validate_node(object(), node, ".".join(path))
+
+    def test_number_keys_finds_every_number_node(self):
+        found = [path for path, _ in number_keys(SCHEMA)]
+        walked = [path for path, node in schema_nodes(SCHEMA) if node["type"] == "number" and path[0] != "protocol"]
+        assert found == walked
 
 
 def test_read_cn2_csv_errors(tmp_path):
