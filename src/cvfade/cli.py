@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 4 I/O error.  Outputs are byte-identical across reruns.  Work runs on one
 thread; --jobs is accepted and ignored.  Only `simulate` draws random samples:
 rate tables record --seed in their metadata line and do not depend on it.
+Each command imports the modules it runs, so `stats` loads no rate module.
 """
 from __future__ import annotations
 
@@ -14,26 +15,18 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .beam import GENERATOR_NAME, fading_moments, sample_chunks, sample_metadata
 from .channel import read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from .keyrate import key_rates
-from .optimizer import OptimizationResult, optimize
 from .outputs import remove_file, write_csv, write_json
-from .scenario import (
-    ScenarioConfig,
-    beam_scenario,
-    build_channel,
-    load_scenario,
-    read_cn2_csv,
-    resolve_fading,
-    sweep_points,
-    sweep_values,
-)
+
+if TYPE_CHECKING:
+    from .optimizer import OptimizationResult
+    from .scenario import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,6 +80,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ScenarioConfig:
     """The --config scenario, falling back to $CVFADE_CONFIG_DIR for bare names."""
+    from .scenario import load_scenario
+
     path = Path(args.config)
     base = os.environ.get("CVFADE_CONFIG_DIR")
     if not path.exists() and base and (Path(base) / path).exists():
@@ -132,6 +127,9 @@ def _evaluate_points(points) -> list[_VariantRates]:
     without an optimizer is evaluated at all points in one key_rates call; an
     optimized variant runs its optimizer point by point.
     """
+    from .keyrate import key_rates
+    from .optimizer import optimize
+
     evaluated = []
     for j in range(len(points[0][0].variants) if points else 0):
         variants = [config.variants[j] for config, _ in points]
@@ -225,6 +223,9 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
 
 
 def cmd_simulate(args) -> int:
+    from .beam import GENERATOR_NAME, sample_chunks, sample_metadata
+    from .scenario import beam_scenario
+
     config = _load(args)
     fading = config.channel_doc["fading"]
     if "beam" not in fading:
@@ -275,6 +276,8 @@ def _write_rate_table(args, config, columns, extra_meta=None, traces=None, heade
 
 
 def cmd_keyrate(args, optimizing=False) -> int:
+    from .scenario import build_channel, resolve_fading
+
     config = _load(args)
     if not optimizing:
         config = replace(config, variants=tuple(replace(v, optimizer=None) for v in config.variants))
@@ -289,6 +292,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .scenario import sweep_points, sweep_values
+
     config = _load(args)
     if config.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
@@ -302,6 +307,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_daily(args) -> int:
+    from .beam import fading_moments
+    from .scenario import beam_scenario, build_channel, read_cn2_csv
+
     config = _load(args)
     series = read_cn2_csv(args.cn2)
     fading = config.channel_doc["fading"]

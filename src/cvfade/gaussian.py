@@ -168,6 +168,8 @@ def condition_on_homodyne(gamma: CovarianceMatrix, mode: int) -> CovarianceMatri
 
     Schur complement gamma_rest - sigma (Pi gamma_m Pi)^MP sigma^T with
     Pi = diag(1, 0) the projector onto X and MP the Moore-Penrose pseudoinverse.
+    The result is symmetrized, since near TRACE_MAX the product's rounding
+    alone can break CovarianceMatrix's symmetry check.
     """
     if gamma.n_modes < 2:
         raise DomainError("conditioning requires at least two modes")
@@ -181,7 +183,8 @@ def condition_on_homodyne(gamma: CovarianceMatrix, mode: int) -> CovarianceMatri
         raise NumericalFailure("pseudoinverse of projected block failed") from exc
     if not np.all(np.isfinite(pinv)):
         raise NumericalFailure("degenerate pseudoinverse in homodyne conditioning")
-    return CovarianceMatrix(rest - sigma @ pinv @ sigma.T)
+    out = rest - sigma @ pinv @ sigma.T
+    return CovarianceMatrix(0.5 * (out + out.T))
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:

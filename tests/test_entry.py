@@ -1,6 +1,7 @@
-"""The package entry points: an `import cvfade` that loads no numpy, a CLI
-entry that runs on one thread, and commands that load no OpenSSL (hashlib's
-_hashlib maps libcrypto, 3.4 MB resident) and no numpy.polynomial."""
+"""The package entry points: an `import cvfade` that loads no numpy and
+imports a submodule on attribute access, a CLI entry that runs on one thread,
+and commands that load no OpenSSL (hashlib's _hashlib maps libcrypto, 3.4 MB
+resident), no numpy.polynomial and, for `stats`, no rate modules."""
 import ast
 import importlib.util
 import json
@@ -43,6 +44,28 @@ def test_import_loads_no_numpy_and_leaves_the_environment_alone():
     code = ("import os, sys, cvfade; before = 'numpy' in sys.modules; import cvfade.cli; "
             "print(before, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert run_python(["-c", code], child_env()).split() == ["False", "True", "None"]
+
+
+def test_submodule_attribute_imports_the_submodule():
+    """perfbench's set-up probe reaches cvfade.scenario through the package."""
+    code = ("import cvfade, cvfade.cli, sys; config = cvfade.scenario.load_scenario(sys.argv[1]); "
+            "print(len(config.variants))")
+    assert int(run_python(["-c", code, str(SCENARIOS / "fig3.scenario")], child_env())) > 0
+
+
+def test_unknown_attribute_raises_attribute_error():
+    code = ("import cvfade, sys\n"
+            "try:\n    cvfade.no_such_module\nexcept AttributeError as exc:\n    print(exc)\n"
+            "print(hasattr(cvfade, 'no_such_module'), hasattr(cvfade, 'beam.x'), 'cvfade.beam' in sys.modules)")
+    assert run_python(["-c", code], child_env()).splitlines() == [
+        "module 'cvfade' has no attribute 'no_such_module'", "False False False"]
+
+
+def test_submodule_import_error_is_not_an_attribute_error():
+    """A module the submodule imports is missing: its ModuleNotFoundError propagates."""
+    code = ("import sys; sys.modules['numpy'] = None; import cvfade\n"
+            "try:\n    cvfade.scenario\nexcept ModuleNotFoundError as exc:\n    print(exc.name)")
+    assert run_python(["-c", code], child_env()).strip() == "numpy"
 
 
 @pytest.fixture
@@ -104,14 +127,15 @@ def test_no_module_names_numpy_polynomial():
 
 
 # Runs cvfade.__main__.main on each argument list of argv[1] (JSON), then
-# prints their exit codes and whether _hashlib and numpy.polynomial are
-# loaded as one JSON line.  A module the entry marked absent is None in
-# sys.modules: not loaded.
+# prints their exit codes, whether _hashlib and numpy.polynomial are loaded
+# and the cvfade modules loaded, as one JSON line.  A module the entry marked
+# absent is None in sys.modules: not loaded.
 FOOTPRINT_CODE = """\
 import json, sys
 from cvfade.__main__ import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps([codes, sys.modules.get("_hashlib") is not None, "numpy.polynomial" in sys.modules]))
+print(json.dumps([codes, sys.modules.get("_hashlib") is not None, "numpy.polynomial" in sys.modules,
+                  sorted(name for name in sys.modules if name.startswith("cvfade."))]))
 """
 
 # FOOTPRINT_CODE in a CPython that has no built-in SHA-256 module.
@@ -120,8 +144,8 @@ NO_BUILTIN_SHA256_CODE = "import sys; sys.modules['_sha2'] = sys.modules['_sha25
 
 def run_main(commands, code=FOOTPRINT_CODE):
     """The exit codes of the CLI commands run in one child through
-    cvfade.__main__.main, whether _hashlib was loaded and whether
-    numpy.polynomial was."""
+    cvfade.__main__.main, whether _hashlib was loaded, whether
+    numpy.polynomial was and the cvfade modules that were."""
     return json.loads(run_python(["-c", code, json.dumps(commands)], child_env()))
 
 
@@ -141,7 +165,7 @@ def simulate_args(tmp_path):
 
 @pytest.mark.skipif(not has_builtin_sha256(), reason="hashlib needs _hashlib in a CPython without built-in SHA-256")
 def test_simulate_loads_no_openssl(simulate_args, tmp_path):
-    codes, hashlib_loaded, _ = run_main([simulate_args])
+    codes, hashlib_loaded, *_ = run_main([simulate_args])
     assert codes == [0]
     assert "config_sha256" in json.loads((tmp_path / "eta.csv.json").read_text())
     assert not hashlib_loaded
@@ -165,7 +189,7 @@ def test_fig3_sweep_and_daily_load_no_numpy_polynomial(tmp_path):
     commands = [["sweep", "--config", str(SCENARIOS / "fig3.scenario"), "--out", str(tmp_path / "fig3.csv")],
                 ["daily", str(SCENARIOS / "prague-like.csv"), "--config", str(SCENARIOS / "fig2b_caption.scenario"),
                  "--out", str(tmp_path / "daily.csv")]]
-    codes, _, polynomial_loaded = run_main(commands)
+    codes, _, polynomial_loaded, _ = run_main(commands)
     assert codes == [0, 0]
     assert not polynomial_loaded
 
@@ -174,7 +198,7 @@ def test_keyrate_without_builtin_sha256_keeps_openssl_for_the_digest(keyrate_arg
     """Where CPython has no built-in SHA-256 module, the entry leaves _hashlib
     importable: hashlib needs it for the config digest."""
     pytest.importorskip("_hashlib")
-    codes, hashlib_loaded, _ = run_main([keyrate_args], NO_BUILTIN_SHA256_CODE)
+    codes, hashlib_loaded, *_ = run_main([keyrate_args], NO_BUILTIN_SHA256_CODE)
     assert codes == [0]
     assert "config_sha256" in Path(keyrate_args[-1]).read_text().splitlines()[0]
     assert hashlib_loaded
@@ -191,7 +215,20 @@ def test_sweep_and_stats_load_no_openssl(tmp_path):
     samples.write_text("eta\n0.5\n0.25\n")
     commands = [["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
                 ["stats", str(samples), "--out", str(tmp_path / "stats.json")]]
-    codes, loaded, _ = run_main(commands)
+    codes, loaded, *_ = run_main(commands)
     assert codes == [0, 0]
     assert "config_sha256" in (tmp_path / "sweep.csv").read_text().splitlines()[0]  # the digest was computed
     assert not loaded
+
+
+# The modules that only the rate commands and `simulate` run.
+RATE_MODULES = {f"cvfade.{name}" for name in ("beam", "specialfn", "keyrate", "sources", "optimizer", "scenario")}
+
+
+def test_stats_loads_no_rate_modules(tmp_path):
+    samples = tmp_path / "eta.csv"
+    samples.write_text("eta\n0.5\n0.25\n")
+    codes, _, _, modules = run_main([["stats", str(samples), "--out", str(tmp_path / "stats.json")]])
+    assert codes == [0]
+    assert json.loads((tmp_path / "stats.json").read_text())["n_samples"] == 2
+    assert "cvfade.channel" in modules and not RATE_MODULES.intersection(modules)
