@@ -2,22 +2,7 @@
 
 `import cvfade` loads nothing else: names are imported from the submodules
 (cvfade.keyrate, cvfade.beam, ...).  The command-line entry (cvfade.__main__)
-can therefore still choose the BLAS thread count before numpy starts.  A
-submodule is imported on first attribute access, so `cvfade.scenario` works
-after a bare `import cvfade`.
+can therefore still choose the BLAS thread count before numpy starts.
 """
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    """cvfade.<name>, imported on first access (PEP 562)."""
-    import importlib
-
-    if name.isidentifier():
-        try:
-            return importlib.import_module(f"{__name__}.{name}")
-        except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{name}":
-                raise  # the submodule exists; something it imports does not
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

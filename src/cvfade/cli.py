@@ -6,6 +6,9 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 thread; --jobs is accepted and ignored.  Only `simulate` draws random samples:
 rate tables record --seed in their metadata line and do not depend on it.
 Each command imports the modules it runs, so `stats` loads no rate module.
+Importing this module still binds every cvfade module as `cvfade.<name>` and
+in sys.modules, as an eager import did, but runs a module's code only when it
+is first used.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,6 +31,23 @@ from .outputs import remove_file, write_csv, write_json
 if TYPE_CHECKING:
     from .optimizer import OptimizationResult
     from .scenario import ScenarioConfig
+
+
+def _bind_lazily(*names: str) -> None:
+    """Bind each cvfade.<name> as an import would, but run its code on first attribute access."""
+    for name in names:
+        full_name = f"{__package__}.{name}"
+        if full_name in sys.modules:
+            continue
+        spec = find_spec(full_name)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[full_name] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+
+
+_bind_lazily("beam", "keyrate", "optimizer", "scenario", "sources", "specialfn")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

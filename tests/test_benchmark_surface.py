@@ -12,7 +12,10 @@ import importlib.util
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -54,6 +57,30 @@ def test_harness_imports_resolve():
     for path, module_name, name in found:
         module = importlib.import_module(module_name)
         assert hasattr(module, name), f"perfbench/{path}: from {module_name} import {name}"
+
+
+def traced_span_counts(tmp_path, argv):
+    """Span name -> count of one `perfbench/tracer.py` run of the CLI on argv, in a fresh process."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans), "--", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return Counter(span[0] for span in json.loads(spans.read_text())["spans"])
+
+
+def test_traced_runs_wrap_the_lazily_loaded_layers(tmp_path):
+    """`import cvfade.cli` runs no scenario, optimizer, beam or specialfn code,
+    but binds those modules, so the tracer, which lists the cvfade modules
+    right after that import, still wraps their functions."""
+    sweep = traced_span_counts(tmp_path, ["sweep", "--config", str(FIG3), "--out", str(tmp_path / "fig3.csv")])
+    assert sweep["scenario.load_scenario"] == 1
+    assert sweep["optimizer.optimize"] == 13 * 3  # every point of every optimized variant
+    assert sweep["scenario.resolve_fading"] == sweep["scenario.build_channel"] == 13
+    assert sweep["specialfn.bessel_i0e"] > 0
+    simulate = traced_span_counts(tmp_path, ["simulate", "--config", str(FIG3), "--n", "1000",
+                                             "--out", str(tmp_path / "eta.csv")])
+    assert simulate["scenario.load_scenario"] == 1 and simulate["specialfn.lambert_w_exp"] > 0
 
 
 def traced_calls(monkeypatch, target, record=lambda args, kwargs, result: result):

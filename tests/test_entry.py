@@ -1,7 +1,8 @@
-"""The package entry points: an `import cvfade` that loads no numpy and
-imports a submodule on attribute access, a CLI entry that runs on one thread,
-and commands that load no OpenSSL (hashlib's _hashlib maps libcrypto, 3.4 MB
-resident), no numpy.polynomial and, for `stats`, no rate modules."""
+"""The package entry points: an `import cvfade` that loads no numpy, an
+`import cvfade.cli` that binds every module but runs none it does not use, a
+CLI entry that runs on one thread, and commands that load no OpenSSL
+(hashlib's _hashlib maps libcrypto, 3.4 MB resident), no numpy.polynomial
+and, for `stats`, no rate modules."""
 import ast
 import importlib.util
 import json
@@ -46,26 +47,11 @@ def test_import_loads_no_numpy_and_leaves_the_environment_alone():
     assert run_python(["-c", code], child_env()).split() == ["False", "True", "None"]
 
 
-def test_submodule_attribute_imports_the_submodule():
+def test_cli_import_binds_every_module_on_the_package():
     """perfbench's set-up probe reaches cvfade.scenario through the package."""
     code = ("import cvfade, cvfade.cli, sys; config = cvfade.scenario.load_scenario(sys.argv[1]); "
             "print(len(config.variants))")
     assert int(run_python(["-c", code, str(SCENARIOS / "fig3.scenario")], child_env())) > 0
-
-
-def test_unknown_attribute_raises_attribute_error():
-    code = ("import cvfade, sys\n"
-            "try:\n    cvfade.no_such_module\nexcept AttributeError as exc:\n    print(exc)\n"
-            "print(hasattr(cvfade, 'no_such_module'), hasattr(cvfade, 'beam.x'), 'cvfade.beam' in sys.modules)")
-    assert run_python(["-c", code], child_env()).splitlines() == [
-        "module 'cvfade' has no attribute 'no_such_module'", "False False False"]
-
-
-def test_submodule_import_error_is_not_an_attribute_error():
-    """A module the submodule imports is missing: its ModuleNotFoundError propagates."""
-    code = ("import sys; sys.modules['numpy'] = None; import cvfade\n"
-            "try:\n    cvfade.scenario\nexcept ModuleNotFoundError as exc:\n    print(exc.name)")
-    assert run_python(["-c", code], child_env()).strip() == "numpy"
 
 
 @pytest.fixture
@@ -128,14 +114,17 @@ def test_no_module_names_numpy_polynomial():
 
 # Runs cvfade.__main__.main on each argument list of argv[1] (JSON), then
 # prints their exit codes, whether _hashlib and numpy.polynomial are loaded
-# and the cvfade modules loaded, as one JSON line.  A module the entry marked
-# absent is None in sys.modules: not loaded.
+# and the cvfade modules whose code ran, as one JSON line.  A module the entry
+# marked absent is None in sys.modules: not loaded.  A module the CLI bound
+# lazily and never used is still a LazyLoader module, a subclass of the
+# module type.
 FOOTPRINT_CODE = """\
 import json, sys
 from cvfade.__main__ import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
 print(json.dumps([codes, sys.modules.get("_hashlib") is not None, "numpy.polynomial" in sys.modules,
-                  sorted(name for name in sys.modules if name.startswith("cvfade."))]))
+                  sorted(name for name, module in sys.modules.items()
+                         if name.startswith("cvfade.") and type(module) is type(sys))]))
 """
 
 # FOOTPRINT_CODE in a CPython that has no built-in SHA-256 module.
@@ -145,7 +134,7 @@ NO_BUILTIN_SHA256_CODE = "import sys; sys.modules['_sha2'] = sys.modules['_sha25
 def run_main(commands, code=FOOTPRINT_CODE):
     """The exit codes of the CLI commands run in one child through
     cvfade.__main__.main, whether _hashlib was loaded, whether
-    numpy.polynomial was and the cvfade modules that were."""
+    numpy.polynomial was and the cvfade modules whose code ran."""
     return json.loads(run_python(["-c", code, json.dumps(commands)], child_env()))
 
 
@@ -189,9 +178,10 @@ def test_fig3_sweep_and_daily_load_no_numpy_polynomial(tmp_path):
     commands = [["sweep", "--config", str(SCENARIOS / "fig3.scenario"), "--out", str(tmp_path / "fig3.csv")],
                 ["daily", str(SCENARIOS / "prague-like.csv"), "--config", str(SCENARIOS / "fig2b_caption.scenario"),
                  "--out", str(tmp_path / "daily.csv")]]
-    codes, _, polynomial_loaded, _ = run_main(commands)
+    codes, _, polynomial_loaded, modules = run_main(commands)
     assert codes == [0, 0]
     assert not polynomial_loaded
+    assert RATE_MODULES <= set(modules)  # the lazily bound modules ran when used
 
 
 def test_keyrate_without_builtin_sha256_keeps_openssl_for_the_digest(keyrate_args):
