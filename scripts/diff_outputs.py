@@ -19,6 +19,12 @@ scenario files:
                     near-pure states test the spectrum's nu >= 1 check; the
                     fourth gives every channel key as a JSON integer and
                     sweeps var_sqrt
+  sweep --trace     over block_size, log-spaced from 1e3 to 1e9, on a
+                    scenario generated in the temporary directory with an
+                    optimized squeezed, an optimized coherent and a fixed
+                    variant; at 1e3 the penalty Delta(n), about 1.3 bits,
+                    leaves no positive rate, so its rows carry
+                    no_positive_rate
   keyrate --trace   and sweep --trace over distance on two beam links
                     generated in the temporary directory: one with tracking,
                     where r0 = 0 at every node of the moments' rule, and one
@@ -151,6 +157,22 @@ GENERATED = {
 }
 
 
+# optimized and fixed variants over block sizes, each point with its own
+# FiniteSizeParams; Delta(1e3) is about 1.3 bits
+BLOCK_SIZE = {
+    "description": "block_size sweep: optimized squeezed and coherent variants and a fixed one",
+    "protocols": [
+        {"label": "sq_opt", "family": "squeezed", "beta": 0.95,
+         "optimizer": {"vs_cap_db": -6.0, "vm_max": 30.0, "grid": [5, 7]}},
+        {"label": "coh_opt", "family": "coherent", "beta": 0.95, "optimizer": {"vm_max": 30.0, "grid": [3, 7]}},
+        {"label": "sq_fixed", "family": "squeezed", "v_s_db": -3.0, "v_m": 5.0, "beta": 0.95},
+    ],
+    "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"stats": {"mean_eta": 0.6, "var_sqrt": 0.005}}},
+    "finite_size": {"n": 1e6, "key_fraction": 0.9},
+    "sweep": {"variable": "block_size", "start": 1e3, "stop": 1e9, "steps": 7, "spacing": "log"},
+}
+
+
 # two beam links on which the rule's spot and aperture stages part: tracking
 # (r0 = 0 at every node) and a 2 mm aperture (a / w0 = 0.05); each is run
 # through keyrate --trace and a distance sweep --trace
@@ -224,6 +246,8 @@ def commands():
     runs += [(f"{command}_{name}", [command, "--config", f"{name}.scenario",
                                     "--out", f"{command}_{name}.csv", "--trace"])
              for name in GENERATED for command in ("keyrate", "optimize", "sweep")]
+    runs.append(("sweep_block_size", ["sweep", "--config", "block_size.scenario", "--out", "sweep_block_size.csv",
+                                      "--trace"]))
     runs += [(f"{command}_{name}", [command, "--config", f"{name}.scenario",
                                     "--out", f"{command}_{name}.csv", "--trace"])
              for name in BEAM_GENERATED for command in ("keyrate", "sweep")]
@@ -268,8 +292,8 @@ def sample_copies(out: Path):
 def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
-    for name, doc in {**GENERATED, **BEAM_GENERATED, **BEAM_SAMPLED, "samples_file": SAMPLES_FILE,
-                      **MISSING_SECTION}.items():
+    for name, doc in {**GENERATED, "block_size": BLOCK_SIZE, **BEAM_GENERATED, **BEAM_SAMPLED,
+                      "samples_file": SAMPLES_FILE, **MISSING_SECTION}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     for name, text in MALFORMED.items():
         (out / f"malformed_{name}.scenario").write_text(text)

@@ -29,6 +29,7 @@ from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, Inte
 from .outputs import remove_file, write_csv, write_json
 
 if TYPE_CHECKING:
+    from .keyrate import KeyRates
     from .optimizer import OptimizationResult
     from .scenario import ScenarioConfig
 
@@ -132,10 +133,7 @@ class _VariantRates:
 
     v_s: np.ndarray
     v_m: np.ndarray
-    i_ab: np.ndarray
-    chi: np.ndarray
-    rate_asymptotic: np.ndarray
-    rate_finite: np.ndarray | None
+    rates: KeyRates
     flags: list[str]
     optimized: list[OptimizationResult] | None = None
 
@@ -144,9 +142,10 @@ def _evaluate_points(points) -> list[_VariantRates]:
     """Key rates of every variant at every point of a sweep, per variant.
 
     `points` holds one (config, chan) per point; the configs share one list of
-    variants, whose parameters may differ from point to point.  A variant
-    without an optimizer is evaluated at all points in one key_rates call; an
-    optimized variant runs its optimizer point by point.
+    variants, whose parameters may differ from point to point.  An optimized
+    variant first runs its optimizer point by point.  Each variant is then
+    evaluated at all points in one key_rates call, at the optima or at its
+    own (v_s, v_m).
     """
     from .keyrate import key_rates
     from .optimizer import optimize
@@ -154,33 +153,22 @@ def _evaluate_points(points) -> list[_VariantRates]:
     evaluated = []
     for j in range(len(points[0][0].variants) if points else 0):
         variants = [config.variants[j] for config, _ in points]
-        if variants[0].optimizer is None:
-            params = [v.params for v in variants]
-            v_s = np.array([p.v_s for p in params], dtype=float)
-            v_m = np.array([p.v_m for p in params], dtype=float)
-            rates = key_rates(params[0], [chan for _, chan in points],
-                              [config.finite for config, _ in points], v_s=v_s, v_m=v_m)
-            evaluated.append(_VariantRates(
-                v_s, v_m, rates.i_ab, rates.chi, rates.rate_asymptotic, rates.rate_finite,
-                [";".join(rates.flags(k)) for k in range(len(points))]))
-            continue
-        opts = [optimize(variant.optimizer, variant.params, chan, config.finite)
-                for (config, chan), variant in zip(points, variants)]
-        flags = []
-        for opt in opts:
-            point_flags = list(opt.result.diagnostics["flags"])
-            if opt.no_positive_rate:
+        opts = None
+        if variants[0].optimizer is not None:
+            opts = [optimize(variant.optimizer, variant.params, chan, config.finite)
+                    for (config, chan), variant in zip(points, variants)]
+        at = opts if opts is not None else [v.params for v in variants]  # each point's (v_s, v_m)
+        v_s = np.array([p.v_s for p in at], dtype=float)
+        v_m = np.array([p.v_m for p in at], dtype=float)
+        rates = key_rates(variants[0].params, [chan for _, chan in points],
+                          [config.finite for config, _ in points], v_s=v_s, v_m=v_m)
+        flags = [rates.flags(k) for k in range(len(points))]
+        for point_flags, opt in zip(flags, opts or ()):
+            if opt.rate <= 0.0:
                 point_flags.append("no_positive_rate")
             if opt.stop in ("round_cap", "step_floor"):
                 point_flags.append(f"optimizer_{opt.stop}")
-            flags.append(";".join(point_flags))
-        results = [opt.result for opt in opts]
-        evaluated.append(_VariantRates(
-            np.array([opt.v_s for opt in opts]), np.array([opt.v_m for opt in opts]),
-            np.array([r.i_ab for r in results]), np.array([r.chi for r in results]),
-            np.array([r.rate_asymptotic for r in results]),
-            None if results[0].rate_finite is None else np.array([r.rate_finite for r in results]),
-            flags, opts))
+        evaluated.append(_VariantRates(v_s, v_m, rates, [";".join(f) for f in flags], opts))
     return evaluated
 
 
@@ -235,10 +223,10 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
         per_point([chan.eta_comb for _, chan in points]),
         per_point([chan.eps_plus for _, chan in points]),
         per_point([None if config.finite is None else config.finite.n for config, _ in points]),
-        interleaved([r.i_ab for r in evaluated]),
-        interleaved([r.chi for r in evaluated]),
-        interleaved([r.rate_asymptotic for r in evaluated]),
-        interleaved([r.rate_finite for r in evaluated]),
+        interleaved([r.rates.i_ab for r in evaluated]),
+        interleaved([r.rates.chi for r in evaluated]),
+        interleaved([r.rates.rate_asymptotic for r in evaluated]),
+        interleaved([r.rates.rate_finite for r in evaluated]),
         [flags for point in zip(*(r.flags for r in evaluated)) for flags in point],
     ]
 
@@ -357,9 +345,10 @@ def cmd_daily(args) -> int:
         np.array([st.mean_sqrt_eta for st in stats], dtype=float),
         np.array([st.var_sqrt for st in stats], dtype=float),
     ]
-    for variant, rates in zip(config.variants, _evaluate_points(points)):
+    for variant, evaluated in zip(config.variants, _evaluate_points(points)):
         header += [f"{variant.label}_{name}" for name in ("v_s", "v_m", "rate_asymptotic", "rate_finite")]
-        columns += [rates.v_s, rates.v_m, rates.rate_asymptotic,
+        rates = evaluated.rates
+        columns += [evaluated.v_s, evaluated.v_m, rates.rate_asymptotic,
                     [None] * len(stats) if rates.rate_finite is None else rates.rate_finite]
     return _write_rate_table(args, config, columns, extra_meta={"cn2_rows": len(stats)}, header=header)
 

@@ -11,9 +11,9 @@ Torczon, SIAM Rev. 45, 385 (2003)).  A search still running after a fixed
 number of rounds ends there and says so.  Everything is deterministic:
 identical inputs give identical optima.
 
-Each point is evaluated once: the best point's result is its element of the
-key_rates batch that evaluated it, and the trace lists the evaluated points in
-evaluation order.
+Each point is evaluated once, and the trace lists the evaluated points in
+evaluation order.  optimize returns the best point and its objective; the
+caller computes the full key rates there.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import CompositeChannel
 from .errors import ConfigError
-from .keyrate import FiniteSizeParams, KeyRateResult, KeyRates, key_rates
+from .keyrate import FiniteSizeParams, key_rates
 from .sources import ProtocolParams, variance_from_db
 
 # the search ends once every free step is below this fraction of its box width
@@ -83,8 +83,7 @@ def searches_vs(spec: OptimizationSpec, template: ProtocolParams) -> bool:
 class OptimizationResult:
     v_s: float
     v_m: float
-    result: KeyRateResult
-    no_positive_rate: bool
+    rate: float  # the objective at (v_s, v_m)
     evaluations: int
     rounds: int  # compass rounds run after the grid
     # what ended the search: "tolerance" (converged), "step_floor" or "round_cap"
@@ -102,14 +101,12 @@ def optimize(
 
     The optimized objective is rate_finite when finite-size parameters are
     given, rate_asymptotic otherwise.  Ties break toward larger V_s, then
-    smaller V_m.  The returned point never violates the caps and its rate is
-    >= every evaluated point.  no_positive_rate flags a best rate <= 0 (the
-    argmax is still returned).  Where V_s is not searched (see searches_vs)
-    it keeps the template's value, which is 1 for a coherent template.
+    smaller V_m.  The returned point never violates the caps and its rate,
+    the objective there, is >= every evaluated point's; it may be <= 0.
+    Where V_s is not searched (see searches_vs) it keeps the template's
+    value, which is 1 for a coherent template.
     """
-    # per evaluated point, in evaluation order: its objective, and the batch
-    # and index that computed it
-    cache: dict[tuple[float, float], tuple[float, KeyRates, int]] = {}
+    cache: dict[tuple[float, float], float] = {}  # objective per evaluated point, in evaluation order
 
     def rates(points: list[tuple[float, float]]) -> list[float]:
         """Objective at each (v_s, v_m); points not seen before are evaluated as one batch."""
@@ -118,9 +115,8 @@ def optimize(
             v_s, v_m = np.array(new).T
             res = key_rates(protocol_template, chan, finite, v_s=v_s, v_m=v_m)
             values = res.rate_finite if finite is not None else res.rate_asymptotic
-            for k, (p, r) in enumerate(zip(new, values.tolist())):
-                cache[p] = (r, res, k)
-        return [cache[p][0] for p in points]
+            cache.update(zip(new, values.tolist()))
+        return [cache[p] for p in points]
 
     n_vs, n_vm = spec.grid
     if searches_vs(spec, protocol_template):
@@ -162,15 +158,12 @@ def optimize(
             break
         else:
             step = [h / 2.0 for h in step]
-    v_s, v_m = best[1], -best[2]
-    _, batch, k = cache[v_s, v_m]
     return OptimizationResult(
-        v_s=v_s,
-        v_m=v_m,
-        result=batch.result(k),
-        no_positive_rate=(best[0] <= 0.0),
+        v_s=best[1],
+        v_m=-best[2],
+        rate=best[0],
         evaluations=len(cache),
         rounds=rounds,
         stop=stop,
-        trace=[(*p, r) for p, (r, _, _) in cache.items()],
+        trace=[(*p, r) for p, r in cache.items()],
     )

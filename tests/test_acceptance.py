@@ -48,7 +48,7 @@ def optimized_rate(v_s, chan, beta=1.0, vm_max=60.0, family="squeezed", finite=N
         )
         template = ProtocolParams(v_s=v_s, v_m=1.0, b=0, beta=beta)
     out = optimize(spec, template, chan, finite)
-    return out.result.rate_finite if finite is not None else out.result.rate_asymptotic
+    return out.rate
 
 
 def test_criterion_01_fading_equivalence(report):
@@ -128,7 +128,7 @@ def test_criterion_04_dr_rr_loss_behavior(report):
         template = ProtocolParams(v_s=1.0, v_m=1.0, b=1, beta=1.0, reconciliation="dr")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return optimize(spec, template, chan).result.rate_asymptotic
+            return optimize(spec, template, chan).rate
 
     dr_low = dr_rate(0.4)
     dr_high = dr_rate(0.8)

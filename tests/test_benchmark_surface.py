@@ -85,8 +85,12 @@ def test_traced_runs_wrap_the_lazily_loaded_layers(tmp_path):
 
 def traced_calls(monkeypatch, target, record=lambda args, kwargs, result: result):
     """Record calls of a cvfade function the way tracer.Tracer.install wraps
-    a TARGETS function: under every cvfade module attribute bound to it.  Each
-    call is recorded as record(args, kwargs, result)."""
+    a TARGETS function: it imports cvfade.cli, lists the cvfade modules, and
+    only then imports the target's module, and it replaces every attribute
+    of a listed module bound to the function.  Each call is recorded as
+    record(args, kwargs, result)."""
+    importlib.import_module("cvfade.cli")
+    modules = [m for n, m in sys.modules.items() if n == "cvfade" or n.startswith("cvfade.")]
     module_name, attr = target.split(".")
     original = getattr(importlib.import_module(f"cvfade.{module_name}"), attr)
     calls = []
@@ -96,11 +100,10 @@ def traced_calls(monkeypatch, target, record=lambda args, kwargs, result: result
         calls.append(record(args, kwargs, result))
         return result
 
-    for name, module in list(sys.modules.items()):
-        if name == "cvfade" or name.startswith("cvfade."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, recording)
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, recording)
     return calls
 
 

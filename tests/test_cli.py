@@ -1272,13 +1272,19 @@ def test_lossless_optimize_gives_chi_0(tmp_path):
     assert float(row["chi"]) == 0.0
 
 
-@pytest.mark.parametrize("scenario", ["fig1b", "fig3"])
-def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario):
-    """Every optimized row reports exactly key_rate at its (v_s, v_m), and its
-    trace lists each evaluated point once, the best at the row's objective."""
+@pytest.mark.parametrize("scenario, sweep", [
+    ("fig1b", None),
+    ("fig3", {"variable": "distance", "values": [1750.0]}),
+    # the penalty at 1e3 leaves no positive rate
+    ("fig3", {"variable": "block_size", "values": [1e3, 1e6, 1e9]}),
+], ids=["fig1b", "fig3", "block_size"])
+def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario, sweep):
+    """Every optimized row reports exactly key_rate at its (v_s, v_m) and
+    block size, and its trace lists each evaluated point once, the best at
+    the row's objective."""
     doc = json.loads((SCENARIOS / f"{scenario}.scenario").read_text())
-    if scenario == "fig3":
-        doc["sweep"] = {"variable": "distance", "values": [1750.0]}
+    if sweep is not None:
+        doc["sweep"] = sweep
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--trace"]) == 0
@@ -1293,7 +1299,8 @@ def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario):
         beam = {"distance": float(row["sweep_value"])} if variable == "distance" else {}
         chan = build_channel(config, resolve_fading(config, **beam))
         params = replace(variants[row["label"]].params, v_s=float(row["v_s"]), v_m=float(row["v_m"]))
-        want = key_rate(params, chan, config.finite)
+        finite = replace(config.finite, n=float(row["sweep_value"])) if variable == "block_size" else config.finite
+        want = key_rate(params, chan, finite)
         for name in ("i_ab", "chi", "rate_asymptotic", "rate_finite"):
             assert row[name] == format_number(getattr(want, name)), name
         optimizer_flags = ("no_positive_rate", "optimizer_round_cap", "optimizer_step_floor")
