@@ -307,7 +307,6 @@ def transmittance(sample: EllipticSample, scenario: BeamScenario) -> float:
 @dataclass(frozen=True)
 class SimulationResult:
     samples: np.ndarray
-    metadata: dict
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -356,13 +355,14 @@ def _sample_chunk(seed, ci, m, var_bw, mean_theta, chol, scenario):
 
 def simulate(scenario: BeamScenario, n: int, seed: int) -> SimulationResult:
     """Draw n transmittance samples; a pure function of (scenario, n, seed).
-    The samples are sample_chunks' chunks, end to end."""
+    The samples are sample_chunks' chunks, end to end; sample_metadata(scenario,
+    n, seed) says what defines them."""
     samples = np.empty(n)
     lo = 0
     for chunk in sample_chunks(scenario, n, seed):
         samples[lo:lo + chunk.size] = chunk
         lo += chunk.size
-    return SimulationResult(samples=samples, metadata=sample_metadata(scenario, n, seed))
+    return SimulationResult(samples=samples)
 
 
 def _symmetric(half):

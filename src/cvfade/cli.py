@@ -5,10 +5,10 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 4 I/O error.  Outputs are byte-identical across reruns.  Work runs on one
 thread; --jobs is accepted and ignored.  Only `simulate` draws random samples:
 rate tables record --seed in their metadata line and do not depend on it.
-Each command imports the modules it runs, so `stats` loads no rate module.
-Importing this module still binds every cvfade module as `cvfade.<name>` and
-in sys.modules, as an eager import did, but runs a module's code only when it
-is first used.
+The rate modules are bound lazily: importing this module binds each as
+`cvfade.<name>` and in sys.modules, as an eager import would, but runs its
+code only when a command first reads one of its attributes, so `stats` runs
+no rate module.  Commands reach them only through those module objects.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 from importlib.util import LazyLoader, find_spec, module_from_spec
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from . import __version__
 from .channel import read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .outputs import remove_file, write_csv, write_json
-
-if TYPE_CHECKING:
-    from .keyrate import KeyRates
-    from .optimizer import OptimizationResult
-    from .scenario import ScenarioConfig
 
 
 def _bind_lazily(*names: str) -> None:
@@ -49,6 +43,7 @@ def _bind_lazily(*names: str) -> None:
 
 
 _bind_lazily("beam", "keyrate", "optimizer", "scenario", "sources", "specialfn")
+from . import beam, keyrate, optimizer, scenario  # the lazily bound modules: their code has not run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,22 +95,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args) -> scenario.ScenarioConfig:
     """The --config scenario, falling back to $CVFADE_CONFIG_DIR for bare names."""
-    from .scenario import load_scenario
-
     path = Path(args.config)
     base = os.environ.get("CVFADE_CONFIG_DIR")
     if not path.exists() and base and (Path(base) / path).exists():
         path = Path(base) / path
-    return load_scenario(path)  # which reports a miss
+    return scenario.load_scenario(path)  # which reports a miss
 
 
-def _effective_seed(config: ScenarioConfig, args) -> int:
+def _effective_seed(config: scenario.ScenarioConfig, args) -> int:
     return args.seed if getattr(args, "seed", None) is not None else config.seed
 
 
-def _meta(config: ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
+def _meta(config: scenario.ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
     meta = {
         "config_sha256": config.config_hash(),
         "seed": seed,
@@ -133,9 +126,9 @@ class _VariantRates:
 
     v_s: np.ndarray
     v_m: np.ndarray
-    rates: KeyRates
+    rates: keyrate.KeyRates
     flags: list[str]
-    optimized: list[OptimizationResult] | None = None
+    optimized: list[optimizer.OptimizationResult] | None = None
 
 
 def _evaluate_points(points) -> list[_VariantRates]:
@@ -147,21 +140,18 @@ def _evaluate_points(points) -> list[_VariantRates]:
     evaluated at all points in one key_rates call, at the optima or at its
     own (v_s, v_m).
     """
-    from .keyrate import key_rates
-    from .optimizer import optimize
-
     evaluated = []
     for j in range(len(points[0][0].variants) if points else 0):
         variants = [config.variants[j] for config, _ in points]
         opts = None
         if variants[0].optimizer is not None:
-            opts = [optimize(variant.optimizer, variant.params, chan, config.finite)
+            opts = [optimizer.optimize(variant.optimizer, variant.params, chan, config.finite)
                     for (config, chan), variant in zip(points, variants)]
         at = opts if opts is not None else [v.params for v in variants]  # each point's (v_s, v_m)
         v_s = np.array([p.v_s for p in at], dtype=float)
         v_m = np.array([p.v_m for p in at], dtype=float)
-        rates = key_rates(variants[0].params, [chan for _, chan in points],
-                          [config.finite for config, _ in points], v_s=v_s, v_m=v_m)
+        rates = keyrate.key_rates(variants[0].params, [chan for _, chan in points],
+                                  [config.finite for config, _ in points], v_s=v_s, v_m=v_m)
         flags = [rates.flags(k) for k in range(len(points))]
         for point_flags, opt in zip(flags, opts or ()):
             if opt.rate <= 0.0:
@@ -232,26 +222,23 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
 
 
 def cmd_simulate(args) -> int:
-    from .beam import GENERATOR_NAME, sample_chunks, sample_metadata
-    from .scenario import beam_scenario
-
     config = _load(args)
     fading = config.channel_doc["fading"]
     if "beam" not in fading:
         raise ConfigError("simulate requires channel.fading.beam in the scenario")
     seed = _effective_seed(config, args)
     n = int(args.n if args.n is not None else fading["beam"].get("n_samples", 100000))
-    scenario = beam_scenario(config)
-    chunks = sample_chunks(scenario, n, seed)  # checks n, seed and the moments before the file is opened
+    scen = scenario.beam_scenario(config)
+    chunks = beam.sample_chunks(scen, n, seed)  # checks n, seed and the moments before the file is opened
 
-    meta = _meta(config, seed, {"n": n, "generator": GENERATOR_NAME})
+    meta = _meta(config, seed, {"n": n, "generator": beam.GENERATOR_NAME})
     try:
         write_csv(args.out, meta, ["eta"], ([chunk] for chunk in chunks))
     except BaseException:
         if not os.path.lexists(args.out):  # write_csv removed the file it opened: an older sidecar describes none
             remove_file(f"{args.out}.json")
         raise
-    sidecar = sample_metadata(scenario, n, seed)
+    sidecar = beam.sample_metadata(scen, n, seed)
     sidecar["config_sha256"] = config.config_hash()
     write_json(f"{args.out}.json", sidecar)
     print(f"wrote {args.out} ({n} samples) and {args.out}.json", file=sys.stderr)
@@ -285,12 +272,10 @@ def _write_rate_table(args, config, columns, extra_meta=None, traces=None, heade
 
 
 def cmd_keyrate(args, optimizing=False) -> int:
-    from .scenario import build_channel, resolve_fading
-
     config = _load(args)
     if not optimizing:
         config = replace(config, variants=tuple(replace(v, optimizer=None) for v in config.variants))
-    chan = build_channel(config, resolve_fading(config))
+    chan = scenario.build_channel(config, scenario.resolve_fading(config))
     traces = [] if args.trace else None
     columns = _rate_columns([(config, chan)], trace_sink=traces)
     return _write_rate_table(args, config, columns, traces=traces)
@@ -301,26 +286,21 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .scenario import sweep_points, sweep_values
-
     config = _load(args)
     if config.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
     variable = config.sweep["variable"]
-    values = sweep_values(config.sweep)
+    values = scenario.sweep_values(config.sweep)
     traces = [] if args.trace else None
-    columns = _rate_columns(sweep_points(config, variable, values), sweep_variable=variable,
+    columns = _rate_columns(scenario.sweep_points(config, variable, values), sweep_variable=variable,
                             values=values, trace_sink=traces)
     return _write_rate_table(args, config, columns, extra_meta={"sweep_variable": variable},
                              traces=traces)
 
 
 def cmd_daily(args) -> int:
-    from .beam import fading_moments
-    from .scenario import beam_scenario, build_channel, read_cn2_csv
-
     config = _load(args)
-    series = read_cn2_csv(args.cn2)
+    series = scenario.read_cn2_csv(args.cn2)
     fading = config.channel_doc["fading"]
     if "beam" not in fading:
         raise ConfigError("daily requires channel.fading.beam geometry in the scenario")
@@ -332,9 +312,9 @@ def cmd_daily(args) -> int:
 
     rytov, stats, points = [], [], []
     for cn2 in series.cn2:
-        scen = beam_scenario(config, distance=distance, cn2=cn2)
-        stats.append(fading_moments(scen))
-        points.append((config, build_channel(config, stats[-1])))
+        scen = scenario.beam_scenario(config, distance=distance, cn2=cn2)
+        stats.append(beam.fading_moments(scen))
+        points.append((config, scenario.build_channel(config, stats[-1])))
         rytov.append(scen.rytov_variance)
     header = ["label", "cn2", "sigma_r2", "mean_eta", "mean_sqrt_eta", "var_sqrt"]
     columns = [

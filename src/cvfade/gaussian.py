@@ -109,7 +109,7 @@ def symplectic_spectra(stack: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NonPhysicalState("covariance matrix is not positive definite") from None
     if m == 1:
-        # sqrt(det gamma) without forming det gamma, which overflows once entries pass ~1e154
+        # the factor is already computed, and L00 L11 = sqrt(det gamma)
         nus = factor[:, 0, :1] * factor[:, 1, 1:]
     else:
         form = factor.transpose(0, 2, 1) @ symplectic_form(m) @ factor

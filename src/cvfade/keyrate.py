@@ -12,6 +12,8 @@ one CovarianceMatrix at a time; `key_rate_equivalent_fixed` runs them through
 the equivalent fixed channel as an independent check of the state and its
 entropies.  Both routes turn I_AB and chi into rates through one function,
 so sifting, the finite-size correction and the flags are written once.
+`key_rate` and `key_rate_equivalent_fixed` return I_AB, chi and the two
+rates; a point's flags come from `key_rates(...).flags(k)`.
 
 Errors: `key_rates` raises at the first failed check and re-runs a failing
 batch point by point, so the error never depends on how points were batched.
@@ -80,19 +82,14 @@ def finite_size_penalty(n: float, eps_bar: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class KeyRateResult:
-    """Key-rate decomposition plus diagnostics for one protocol/channel point."""
+    """I_AB, chi and the two key rates of one protocol/channel point; rate_finite
+    is None without finite-size parameters.  The point's flags are not here:
+    key_rates(...).flags(k) gives them."""
 
     i_ab: float
     chi: float
     rate_asymptotic: float
     rate_finite: float | None = None
-    diagnostics: dict | None = None
-
-    def __post_init__(self):
-        if self.diagnostics and "beta" in self.diagnostics:
-            expected = self.diagnostics["beta"] * self.i_ab - self.chi
-            if expected != self.rate_asymptotic:
-                raise InternalError("rate_asymptotic must equal beta * i_ab - chi exactly")
 
 
 @dataclass(frozen=True)
@@ -108,20 +105,18 @@ class KeyRates:
     rate_asymptotic: np.ndarray
     rate_finite: np.ndarray | None
     dr_low_transmittance: np.ndarray
-    beta: float
 
     def flags(self, k: int) -> list[str]:
         """Point k's flags."""
         return ["dr_low_transmittance"] if self.dr_low_transmittance[k] else []
 
     def result(self, k: int) -> KeyRateResult:
-        """Point k as a KeyRateResult."""
+        """Point k's rates as a KeyRateResult."""
         return KeyRateResult(
             i_ab=float(self.i_ab[k]),
             chi=float(self.chi[k]),
             rate_asymptotic=float(self.rate_asymptotic[k]),
             rate_finite=None if self.rate_finite is None else float(self.rate_finite[k]),
-            diagnostics={"beta": self.beta, "flags": self.flags(k)},
         )
 
 
@@ -242,7 +237,6 @@ def _assemble(protocol: ProtocolParams, chans, finites, mi: np.ndarray, holevo: 
         rate_asymptotic=protocol.beta * i_ab - chi,
         rate_finite=rate_finite,
         dr_low_transmittance=dr_low,
-        beta=protocol.beta,
     )
 
 

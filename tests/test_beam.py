@@ -17,6 +17,7 @@ from cvfade.beam import (
     EllipticSample,
     fading_moments,
     rytov,
+    sample_metadata,
     simulate,
     transmittance,
     turbulence_gaussian_params,
@@ -391,12 +392,12 @@ class TestSimulate:
         assert 0.0 <= st.var_sqrt <= 0.25
 
     def test_metadata_contract(self):
-        res = simulate(self.SCEN, n=100, seed=9)
-        assert res.metadata["generator"] == "philox"
-        assert res.metadata["seed"] == 9
-        assert res.metadata["n"] == 100
-        assert res.metadata["scenario"]["distance"] == 1750.0
-        assert res.metadata["coefficient_table_version"]
+        meta = sample_metadata(self.SCEN, 100, 9)
+        assert meta["generator"] == "philox"
+        assert meta["seed"] == 9
+        assert meta["n"] == 100
+        assert meta["scenario"]["distance"] == 1750.0
+        assert meta["coefficient_table_version"]
 
     def test_mean_transmittance_non_increasing_in_turbulence(self):
         means, ses = [], []

@@ -19,7 +19,7 @@ from cvfade import __version__, beam
 from cvfade.beam import simulate
 from cvfade.cli import main
 from cvfade.errors import DomainError, NumericalFailure
-from cvfade.keyrate import key_rate
+from cvfade.keyrate import key_rate, key_rates
 from cvfade.outputs import _CHUNK, _tables, metadata_line, render_csv, write_csv, write_text
 from cvfade.scenario import SCHEMA, SWEEP_VARIABLES, beam_scenario, build_channel, load_scenario, resolve_fading
 
@@ -1304,7 +1304,8 @@ def test_optimized_rows_are_key_rate_at_their_point(tmp_path, scenario, sweep):
         for name in ("i_ab", "chi", "rate_asymptotic", "rate_finite"):
             assert row[name] == format_number(getattr(want, name)), name
         optimizer_flags = ("no_positive_rate", "optimizer_round_cap", "optimizer_step_floor")
-        assert [f for f in row["flags"].split(";") if f and f not in optimizer_flags] == want.diagnostics["flags"]
+        want_flags = key_rates(params, chan, finite).flags(0)
+        assert [f for f in row["flags"].split(";") if f and f not in optimizer_flags] == want_flags
 
         trace = entry["trace"]
         assert entry["evaluations"] == len(trace)

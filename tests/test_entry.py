@@ -87,6 +87,15 @@ def imports_at_import_time(body):
                 yield from imports_at_import_time(getattr(node, field, []))
 
 
+def test_cli_imports_only_at_module_level():
+    """cli reaches each module one way: no import inside a function, and none
+    under `if TYPE_CHECKING` for annotations."""
+    tree = ast.parse((SRC / "cvfade" / "cli.py").read_text())
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert not nested, f"imports below module level at lines {nested}"
+
+
 def test_no_module_imports_hashlib_at_module_level():
     found = {path.name: names for path in sorted(SRC.glob("cvfade/**/*.py"))
              if (names := {"hashlib", "_hashlib"}.intersection(imports_at_import_time(ast.parse(path.read_text()).body)))}

@@ -120,16 +120,15 @@ class TestKeyRate:
         v_b = 0.6 * 2.5 + 0.4
         v_b_given_a = 0.6 * 0.5 + 0.4
         assert res.i_ab == pytest.approx(0.5 * math.log2(v_b / v_b_given_a), rel=1e-12)
-        assert res.diagnostics["beta"] == 0.9
-        assert res.diagnostics["flags"] == []
+        assert key_rates(p, fixed_channel(0.6)).flags(0) == []
 
     def test_dr_low_transmittance_warning(self):
         # the low-transmittance DR case is reported as a flag, not a warning
         p = ProtocolParams(v_s=1.0, v_m=3.0, b=1, reconciliation="dr")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = key_rate(p, fixed_channel(0.4))
-        assert "dr_low_transmittance" in res.diagnostics["flags"]
+            rates = key_rates(p, fixed_channel(0.4))
+        assert "dr_low_transmittance" in rates.flags(0)
 
     def test_negative_rates_reported_not_clipped(self):
         p = ProtocolParams(v_s=0.01, v_m=15.0, b=0)
@@ -236,12 +235,6 @@ def test_information_quantities_nonnegative(v_s, v_m, eta, eps):
     state = state_after(p, fixed_channel(eta, eps2=eps))
     assert mutual_information(state, p) >= 0.0
     assert holevo_rr(state) >= 0.0
-
-
-def test_internal_error_guard():
-    with pytest.raises(InternalError):
-        from cvfade.keyrate import KeyRateResult
-        KeyRateResult(i_ab=1.0, chi=0.5, rate_asymptotic=0.123, diagnostics={"beta": 1.0})
 
 
 LOSSLESS = CompositeChannel(fading=FadingStats(1.0, 1.0))
@@ -375,8 +368,10 @@ def single_state(protocol, chan, finite=None):
     return {"i_ab": i_ab, "chi": chi, "rate_asymptotic": protocol.beta * i_ab - chi, "rate_finite": rate_finite}
 
 
-def assert_matches_oracles(got, protocol, chan, finite=None):
-    """Within 1e-12 bits of the single-state route and 1e-9 of the equivalent fixed channel.
+def assert_matches_oracles(got, flags, protocol, chan, finite=None):
+    """Within 1e-12 bits of the single-state route and 1e-9 of the equivalent
+    fixed channel, flagged dr_low_transmittance exactly when DR runs at a mean
+    transmittance of at most 1/2.
 
     The equivalent fixed channel rounds differently (its cross factor is
     sqrt(eta_comb (<eta> - Var(sqrt(eta)))), not sqrt(eta_comb) <sqrt(eta)>),
@@ -393,7 +388,8 @@ def assert_matches_oracles(got, protocol, chan, finite=None):
         value = getattr(got, field)
         assert abs(value - reference[field]) <= 1e-12, field
         assert abs(value - getattr(equivalent, field)) <= 1e-9, field
-    assert got.diagnostics["flags"] == equivalent.diagnostics["flags"]
+    low = protocol.reconciliation == "dr" and chan.mean_transmittance <= 0.5
+    assert flags == (["dr_low_transmittance"] if low else [])
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,10 +401,10 @@ def test_kernel_matches_oracle_and_batch_of_one(batch):
     for k, chan in enumerate(chans):
         point = replace(protocol, v_s=v_s[k], v_m=v_m[k])
         got = rates.result(k)
-        assert_matches_oracles(got, point, chan, finite)
+        assert_matches_oracles(got, rates.flags(k), point, chan, finite)
         one = key_rate(point, chan, finite)
         assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
-        assert got.diagnostics == one.diagnostics
+        assert rates.flags(k) == key_rates(point, chan, finite).flags(0)
         if v_m[k] == 0.0:
             assert got.i_ab == 0.0
 
@@ -462,7 +458,7 @@ def test_extreme_inputs_agree_with_oracle(protocol):
                 assert one is reference and isinstance(rates, type)
                 continue
             got = rates.result(k)
-            assert_matches_oracles(got, point, chan)
+            assert_matches_oracles(got, rates.flags(k), point, chan)
             assert [bits(getattr(got, f)) for f in FIELDS] == [bits(getattr(one, f)) for f in FIELDS]
 
 
@@ -759,8 +755,7 @@ def test_equivalent_fixed_applies_the_rate_policy_of_key_rate(protocol, finite, 
     chan = CompositeChannel(fading=FadingStats(mean_eta, math.sqrt(mean_eta - 0.01)), eps2=0.01)
     got, oracle = key_rate(protocol, chan, finite), key_rate_equivalent_fixed(protocol, chan, finite)
     low = protocol.reconciliation == "dr" and mean_eta <= 0.5
-    assert got.diagnostics == oracle.diagnostics == {
-        "beta": protocol.beta, "flags": ["dr_low_transmittance"] if low else []}
+    assert key_rates(protocol, chan, finite).flags(0) == (["dr_low_transmittance"] if low else [])
     for result in (got, oracle):
         if finite is None:
             assert result.rate_finite is None

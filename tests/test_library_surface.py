@@ -1,14 +1,16 @@
-"""No public function or method of the package is there only for the tests,
-and no private module-level name is there for nobody."""
+"""No public function, method or dataclass field of the package is there only
+for the tests, and no private module-level name is there for nobody."""
 import ast
 import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 # referenced only by tests on purpose: release-gate criterion 6 checks
-# transmittance, and docs/scenario_schema.json is generated from
+# transmittance, which reads EllipticSample's fields through
+# dataclasses.astuple, and docs/scenario_schema.json is generated from
 # schema_document, which test_scenario keeps in sync with it
-ALLOWED = {"transmittance", "schema_document"}
+ALLOWED = {"transmittance", "schema_document",
+           *(f"EllipticSample.{name}" for name in ("x0", "y0", "theta1", "theta2", "phi"))}
 DOTTED = re.compile(r"\w+(\.\w+)+")
 
 
@@ -65,6 +67,52 @@ def test_no_public_name_is_referenced_only_by_tests():
     test_only = ((functions - used) | (methods - used_as_attribute)) & in_tests
     test_only -= ALLOWED
     assert not test_only, f"public names referenced only under tests/: {sorted(test_only)}"
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def public_fields(tree: ast.Module) -> set[str]:
+    """`Class.field` for each public field of the module-level dataclasses."""
+    return {f"{node.name}.{statement.target.id}"
+            for node in tree.body if isinstance(node, ast.ClassDef) and is_dataclass(node)
+            for statement in node.body
+            if isinstance(statement, ast.AnnAssign) and not statement.target.id.startswith("_")}
+
+
+def attribute_reads(tree: ast.Module) -> set[tuple[str, str | None]]:
+    """(name, owner) for each name the tree reads as an attribute or as the
+    last part of a dotted string; owner is the class whose __post_init__ the
+    read is in, else None."""
+    owners = {id(node): cls.name
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for method in cls.body if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+              for node in ast.walk(method)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owners.get(id(node))))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+            reads.add((node.value.rpartition(".")[2], owners.get(id(node))))
+    return reads
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """Each public field of a dataclass of the package is read as an attribute
+    by a file outside tests/, other than in the class's own __post_init__,
+    whose checks run on every instance whether or not anyone reads it."""
+    fields = set().union(*(public_fields(parse(path)) for path in python_files("src/cvfade")))
+    reads = set().union(*map(attribute_reads, map(parse, python_files("src", "scripts", "perfbench"))))
+
+    def is_read(field):
+        cls, _, name = field.partition(".")
+        return any(read == name and owner != cls for read, owner in reads)
+
+    unread = {field for field in fields if not is_read(field)} - ALLOWED
+    assert not unread, f"dataclass fields nothing outside tests/ reads: {sorted(unread)}"
 
 
 def private_definitions(statement) -> set[str]:
