@@ -35,10 +35,16 @@ scenario files:
                     reads; with a last line `1`, where numpy's reader
                     resumes in the sample lines' reader's last block; with
                     a last line `abc`, which is rejected; with a line that
-                    is not UTF-8 after the first 64 KB, also rejected; and
+                    is not UTF-8 after the first 64 KB, also rejected;
                     without its last line, 99 999 samples, a count that is
                     not a multiple of 8, so that a change in the order of
-                    the moments' sums shows in their last bits
+                    the moments' sums shows in their last bits; and four
+                    whose records numpy's reader ends: every cell quoted; a
+                    comment line after the header and a quoted cell over
+                    lines 4096-4097 of the body numpy reads, the first
+                    block's end; a comment line and a blank line before a
+                    last line `abc`; and a quoted cell over a line end
+                    before a last line `abc`
   keyrate --trace   on a scenario generated in the temporary directory whose
                     fading segment is simulate's output as a samples_file
   sweep --trace     over a fading variable whose section the scenario lacks,
@@ -93,6 +99,10 @@ LAST_ONE = "eta_one.csv"  # a last line `1`
 REJECTED = "eta_abc.csv"  # a last line `abc`
 NOT_UTF8 = "eta_not_utf8.csv"  # a line of bytes that are not UTF-8 after the first 64 KB
 SHORT = "eta_short.csv"  # without its last line
+QUOTED = "eta_quoted.csv"  # every cell quoted
+QUOTE_AT_BLOCK = "eta_quote_at_block.csv"  # a comment line, and a quoted cell over body lines 4096-4097
+COMMENT_BEFORE_ABC = "eta_comment_abc.csv"  # a comment line and a blank line before a last line `abc`
+QUOTE_BEFORE_ABC = "eta_quote_abc.csv"  # a quoted cell over a line end before a last line `abc`
 
 # two scenarios that set every optional key, each to a value other than its default in some
 # variant, one of near-pure states and one whose channel keys are integers
@@ -255,7 +265,8 @@ def commands():
                                    "--n", "100000", "--out", "eta.csv"]))
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
     runs += [(f"stats_{Path(copy).stem}", ["stats", copy, "--out", f"stats_{Path(copy).stem}.json"])
-             for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT)]
+             for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT, QUOTED, QUOTE_AT_BLOCK,
+                          COMMENT_BEFORE_ABC, QUOTE_BEFORE_ABC)]
     runs.append(("keyrate_samples_file", ["keyrate", "--config", "samples_file.scenario",
                                           "--out", "keyrate_samples_file.csv", "--trace"]))
     runs += [(f"sweep_{name}", ["sweep", "--config", f"{name}.scenario", "--out", f"sweep_{name}.csv", "--trace"])
@@ -287,6 +298,13 @@ def sample_copies(out: Path):
     cut = text.index(b"\r\n", 1 << 16) + 2
     (out / NOT_UTF8).write_bytes(text[:cut] + b"\xff\xfe\r\n" + text[cut:])
     (out / SHORT).write_bytes(text[:text.rindex(b"\r\n", 0, -2) + 2])
+    lines = body.split(b"\r\n")[:-1]
+    (out / QUOTED).write_bytes(b"".join(line + b"\r\n" for line in [head, header, *(b'"%s"' % v for v in lines)]))
+    # numpy's body starts at the comment line, so body line 4096 is sample line 4095
+    lines[4094] = b'"' + lines[4094] + b'\r\n"'
+    (out / QUOTE_AT_BLOCK).write_bytes(b"\r\n".join([head, header, b"# a comment", *lines, b""]))
+    (out / COMMENT_BEFORE_ABC).write_bytes(text + b"# a comment\r\n\r\nabc\r\n")
+    (out / QUOTE_BEFORE_ABC).write_bytes(text + b'"0.5\r\n"\r\nabc\r\n')
 
 
 def run_all(tree: Path, out: Path):

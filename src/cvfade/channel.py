@@ -10,11 +10,10 @@ import contextlib
 import csv
 import io
 import math
-import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -98,23 +97,38 @@ def fading_stats(samples) -> FadingStats:
 
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
-_BLOCK = 4096  # lines per numpy call
+_BLOCK = 4096  # lines per numpy call, which reads on past them to the end of its _BLOCK-th row
 
 
-def _load_body(lines) -> np.ndarray:
-    """numpy's C reader over the lines after the header: one row per data line."""
+def _load_body(lines, max_rows: int) -> np.ndarray:
+    """numpy's C reader over the lines after the header: at most max_rows rows,
+    one per data line.  It decides where each record ends: from an iterator it
+    takes the lines through its last row, or through the row it rejects, and
+    leaves the rest unread."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, **_LOADTXT)
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # rows are what max_rows counts
+        return np.loadtxt(lines, max_rows=max_rows, **_LOADTXT)
 
 
-def _body_rows(lines, encoding) -> np.ndarray:
-    """numpy's rows of text lines after the header, one cell each; else
-    ValueError(the reason, as said of one record) if the lines do not decode
-    as `encoding`, a cell is not a number or a row has other than one cell."""
+def _recorded(lines, taken: list):
+    """Yield the lines of an iterator, appending each to taken as it goes."""
+    for line in lines:
+        taken.append(line)
+        yield line
+
+
+def _body_rows(lines: list, more, encoding, max_rows: int) -> np.ndarray:
+    """numpy's first max_rows rows of text lines after the header, one cell
+    each: the list `lines`, then those numpy takes from iterator `more`, which
+    join `lines`.  Else ValueError(the reason, as said of one record) if the
+    lines do not decode as `encoding`, a cell is not a number or a row has
+    other than one cell."""
     try:
-        "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
-        rows = _load_body(lines)
+        try:
+            rows = _load_body(chain(lines, _recorded(more, lines)), max_rows)
+        finally:  # a line that does not decode is the reason, before a cell it spoils
+            "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
     except UnicodeEncodeError:
         raise ValueError(f"does not decode as {encoding}") from None
     except ValueError as exc:
@@ -124,52 +138,27 @@ def _body_rows(lines, encoding) -> np.ndarray:
     return rows
 
 
-_CELL_REST = re.compile(r"[^,#\r\n]*")  # an unquoted cell to its end
-_LINE_REST = re.compile(r"[^\r\n]*")  # a comment to its line's end
-
-
-def _ends_in_quote(text: str, quoted: bool = False) -> bool:
-    """Whether numpy's reader (delimiter ',', comments '#', quotechar '"') is
-    inside a quoted cell at the end of text, whole lines after the header, if
-    it was inside one at their start when `quoted`.  A quote opens a cell as
-    its first character only; inside, "" is a quote and a lone one closes the
-    quoted part; outside quotes, '#' starts a comment to the line's end."""
-    if not quoted and '"' not in text:
+def _no_row(line) -> bool:
+    """Whether numpy's reader reads line alone as no row: a blank line or a comment."""
+    try:
+        return not _load_body([line], 1).size
+    except ValueError:
         return False
-    i, n = 0, len(text)
-    while i < n:
-        if quoted:
-            i = text.find('"', i) + 1
-            if not i:
-                return True
-            if text.startswith('"', i):
-                i += 1
-                continue
-            quoted = False
-        elif text[i] == '"':
-            quoted = True
-            i += 1
-            continue
-        i = _CELL_REST.match(text, i).end()
-        if text.startswith("#", i):
-            i = _LINE_REST.match(text, i).end()
-        i += 1  # past the delimiter or the line end
-    return quoted
 
 
 def _first_rejected(lines, encoding):
-    """(index, reason) of the first record of lines that _body_rows rejects alone,
-    a record being a line and those to the one closing a quote it opens.  Lines
-    that _body_rows rejects hold one: they are their records end to end, split
-    where numpy's reader starts a row."""
-    start, quoted = 0, False
-    for i, line in enumerate(lines, 1):
-        if not (quoted := _ends_in_quote(line, quoted)) or i == len(lines):
-            try:
-                _body_rows(lines[start:i], encoding)
-            except ValueError as exc:
-                return start, exc.args[0]
-            start = i
+    """(index, reason) of the first record of lines that _body_rows rejects
+    alone.  A line that numpy's reader reads alone as no row is a record of
+    its own; any other record is the lines numpy takes for its next row.
+    Lines that _body_rows rejects hold one: they are their records end to end."""
+    rest, start = iter(lines), 0
+    while start < len(lines):
+        record = []
+        try:
+            _body_rows(record, islice(rest, 1) if _no_row(lines[start]) else rest, encoding, 1)
+        except ValueError as exc:
+            return start, exc.args[0]
+        start += len(record)
     raise InternalError(f"numpy's reader rejects {len(lines)} lines but none of their records alone")
 
 
@@ -208,19 +197,15 @@ def _read_head(fh, path) -> int:
 
 def _read_body(fh, before: int, done: int, path):
     """Yield the samples of text file fh from its position, line before + 1,
-    after `done` samples, as numpy reads them _BLOCK lines at a time and the
-    lines that close a quoted cell left open.  A failing block's first record
-    that fails alone is named, after the samples before it."""
+    after `done` samples, as numpy reads them: _BLOCK lines a call, and on to
+    the end of its _BLOCK-th row.  A failing call's first record that fails
+    alone is named, after the samples before it."""
     while lines := list(islice(fh, _BLOCK)):
-        quoted = _ends_in_quote("".join(lines))
-        while quoted and (line := next(fh, None)) is not None:
-            lines.append(line)
-            quoted = _ends_in_quote(line, quoted)
         try:
-            rows = _body_rows(lines, fh.encoding)[:, 0]
+            rows = _body_rows(lines, fh, fh.encoding, _BLOCK)[:, 0]
         except ValueError as exc:
             i, reason = _first_rejected(lines, fh.encoding)
-            yield _body_rows(lines[:i], fh.encoding)[:, 0]  # a sample outside [0, 1] among them is the first fault
+            yield _load_body(lines[:i], i)[:, 0]  # a sample outside [0, 1] among them is the first fault
             raise DomainError(f"cannot parse samples in {path}: line {before + 1 + i} {reason}") from exc
         yield rows
         done, before = done + rows.size, before + len(lines)

@@ -121,7 +121,7 @@ def optimize(
     n_vs, n_vm = spec.grid
     if searches_vs(spec, protocol_template):
         vs_grid = np.logspace(math.log10(spec.vs_min), 0.0, n_vs)
-        vs_grid[-1] = 1.0
+        vs_grid[0], vs_grid[-1] = spec.vs_min, 1.0  # 10 ** log10(V_cap) can round an ulp below V_cap
     else:
         vs_grid = np.array([protocol_template.v_s])
     vm_grid = np.linspace(spec.vm_range[0], spec.vm_range[1], n_vm)
@@ -146,7 +146,10 @@ def optimize(
             moves = {x: value}
             for y in (x - step[k], x + step[k]) if k in free else ():
                 y = min(max(y, lo[k]), hi[k])
-                moves.setdefault(y, 10.0 ** y if k == 0 else y)
+                if k:
+                    moves.setdefault(y, y)
+                else:  # V_s, the cap itself at the low end, as on the grid
+                    moves.setdefault(y, spec.vs_min if y == lo[0] else 10.0 ** y)
             axes.append(moves.items())
         stencil = [(s, m) for s in axes[0] for m in axes[1]]
         values = rates([(s[1], m[1]) for s, m in stencil])

@@ -398,14 +398,16 @@ def sweep_values(sweep: dict) -> list[float]:
             raise ConfigError("sweep: log spacing requires positive start/stop")
         la, lb = math.log10(start), math.log10(stop)
         try:
-            return [10.0 ** (la + (lb - la) * i / (steps - 1)) for i in range(steps)]
+            values = [10.0 ** (la + (lb - la) * i / (steps - 1)) for i in range(steps)]
         except OverflowError:  # 10 ** log10(stop) can round past the float maximum
             raise ConfigError(f"sweep: a log-spaced value from {start} to {stop} overflows "
                               "the float range") from None
-    values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-    if not all(map(math.isfinite, values)):  # (stop - start) * i can overflow
-        raise ConfigError(f"sweep: a linear-spaced value from {start} to {stop} overflows "
-                          "the float range")
+    else:
+        values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+        if not all(map(math.isfinite, values)):  # (stop - start) * i can overflow
+            raise ConfigError(f"sweep: a linear-spaced value from {start} to {stop} overflows "
+                              "the float range")
+    values[0], values[-1] = float(start), float(stop)  # the formulas can miss either end by an ulp
     return values
 
 

@@ -356,24 +356,32 @@ FIRST_OF_BLOCK = BLOCK_OF_LINES[:BLOCK_OF_LINES.index(b"\n") + 1].decode()
 
 
 def record_reads(monkeypatch):
-    """Lists that fill as the block stream runs: the files it opens, and each
-    input it gives numpy's reader."""
-    opened, inputs = [], []
+    """Lists that fill as the block stream runs: the files it opens, and for
+    each call of numpy's reader, its max_rows and the lines it takes."""
+    opened, calls = [], []
     load_body = channel._load_body
+
+    def load(lines, max_rows):
+        taken = []
+        calls.append((max_rows, taken))
+        return load_body((taken.append(line) or line for line in lines), max_rows)
+
     monkeypatch.setattr(channel, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw), raising=False)
-    monkeypatch.setattr(channel, "_load_body", lambda lines: inputs.append(lines) or load_body(lines))
-    return opened, inputs
+    monkeypatch.setattr(channel, "_load_body", load)
+    return opened, calls
 
 
-def assert_single_pass(opened, inputs):
-    """The file was opened once, and numpy's reader was given lists of at most
-    _BLOCK lines, none of them the first of BLOCK_OF_LINES, which the
-    kernel has read."""
+def assert_single_pass(opened, calls, path, end=None):
+    """The file was opened once; numpy's reader took no line that the kernel
+    read, such as the first of BLOCK_OF_LINES; and its streaming calls, of
+    _BLOCK rows each, took the lines after the kernel's once each, in order,
+    through line `end` (the last line if None)."""
     assert len(opened) == 1, opened
-    assert inputs
-    for lines in inputs:
-        assert isinstance(lines, list) and len(lines) <= channel._BLOCK
-        assert FIRST_OF_BLOCK not in lines
+    assert all(FIRST_OF_BLOCK not in taken for _, taken in calls)
+    streamed = [line for max_rows, taken in calls if max_rows == channel._BLOCK for line in taken]
+    with open(path, newline="", errors="surrogateescape") as fh:
+        lines = fh.readlines()[:end]
+    assert streamed and streamed == lines[len(lines) - len(streamed):]
 
 
 # bodies whose bad line follows more than one block of sample lines, and the line each error names
@@ -405,7 +413,7 @@ AFTER_BLOCK = {
 def test_reader_rejects_malformed_files(tmp_path, monkeypatch, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
-    opened, inputs = record_reads(monkeypatch)
+    opened, calls = record_reads(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning leaks out of the reader
         with pytest.raises(DomainError) as err:
@@ -413,7 +421,7 @@ def test_reader_rejects_malformed_files(tmp_path, monkeypatch, body):
     line = dict(AFTER_BLOCK.values()).get(body)
     if line:
         assert f"{path}: line {line} " in str(err.value)
-        assert_single_pass(opened, inputs)
+        assert_single_pass(opened, calls, path, line)
     if body in HEADER_FIRST:
         assert str(err.value) == f"expected single-column CSV with header 'eta' in {path}"
 
@@ -469,38 +477,44 @@ def test_block_rejected_with_no_record_rejected_alone_exits_3(tmp_path, monkeypa
     path.write_bytes(b"eta\n# c\n0.5\n0.25\n")
     load_body = channel._load_body
 
-    def reject_many(lines):
-        if len(lines) > 1:
+    def reject_blocks(lines, max_rows):
+        if max_rows > 1:
+            list(lines)
             raise ValueError("rejected as a block")
-        return load_body(lines)
+        return load_body(lines, max_rows)
 
-    monkeypatch.setattr(channel, "_load_body", reject_many)
+    monkeypatch.setattr(channel, "_load_body", reject_blocks)
     assert main(["stats", str(path), "--out", str(tmp_path / "stats.json")]) == 3
     assert capsys.readouterr().err == ("numerical failure: numpy's reader rejects 3 lines "
                                        "but none of their records alone\n")
 
 
-def first_cells(lines):
-    """The first cell of each row numpy's reader finds in lines, as text."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return np.loadtxt(lines, dtype=str, delimiter=",", comments="#", quotechar='"',
-                          ndmin=2, usecols=0)[:, 0].tolist() if lines else []
+# lines after the header, the number of rows asked for, and then the number
+# of lines numpy's reader takes and the values it reads (None: it rejects a row)
+TAKES = {
+    "blank_and_comments_first": (["# c\n", "\n", "0.5\n", "# d\r\n", "\r\n", "0.25\n", "# e\n", "0.125\n"], 2, 6,
+                                 [0.5, 0.25]),
+    "quoted_over_line_ends": (['"0.5\n', '\n', '"\n', '"0.25\r\n', '"\r\n', "abc\n"], 2, 5, [0.5, 0.25]),
+    "comment_after_last_row": (["0.5\n", "# c\n", "0.25\n"], 1, 1, [0.5]),
+    "not_a_number": (["0.5\n", "# c\n", "abc\n", "0.25\n"], 3, 3, None),
+    "quoted_not_a_number": (["0.5\n", '"ab\n', '# c"\n', "0.25\n"], 3, 3, None),
+    "two_cells": (["0.5\n", "0.5,0.7\n", "0.25\n"], 3, 2, None),
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(['"', '""', "#", ",", "a", " ", "\n", "\r", "\r\n"]), max_size=14))
-def test_open_quote_follows_numpys_reader(pieces):
-    """After each whole line, _ends_in_quote says whether numpy's reader is
-    inside a quoted cell: then a next line `Q` runs on in that cell instead
-    of being a row of its own.  Line by line and all at once agree."""
-    lines = list(io.StringIO("".join(pieces), newline=""))
-    quoted = False
-    for k, line in enumerate(lines, 1):
-        quoted = channel._ends_in_quote(line, quoted)
-        if line[-1] in "\r\n":
-            assert quoted == (first_cells(lines[:k] + ["Q\n"]) != first_cells(lines[:k]) + ["Q"])
-            assert channel._ends_in_quote("".join(lines[:k])) == quoted
+@pytest.mark.parametrize("name", sorted(TAKES))
+def test_load_body_takes_the_lines_through_its_last_row(name):
+    """Given an iterator, numpy's reader takes exactly the lines through its
+    last row, or through the row it rejects, and leaves the rest unread: the
+    block stream relies on it to find where each record ends."""
+    lines, rows, taken, values = TAKES[name]
+    rest = iter(lines)
+    if values is None:
+        with pytest.raises(ValueError):
+            channel._load_body(rest, rows)
+    else:
+        assert channel._load_body(rest, rows)[:, 0].tolist() == values
+    assert list(rest) == lines[taken:]
 
 
 # --- the reader of simulate's lines (outputs.read_fractions) -----------------
@@ -544,7 +558,7 @@ def fraction_file(path, lines, eol, final_eol):
     path.write_bytes(("# metadata: {}" + eol + "eta" + eol + eol.join(lines) + eol * final_eol).encode())
 
 
-def must_not_load(lines):
+def must_not_load(lines, max_rows):
     raise AssertionError("the numpy reader read a file of read_fractions's form")
 
 
@@ -745,9 +759,9 @@ ROUTED = {
 def test_other_lines_take_the_numpy_reader(tmp_path, monkeypatch, name):
     path = tmp_path / "samples.csv"
     path.write_bytes(b"# metadata: {}\r\neta\r\n" + BLOCK_OF_LINES + ROUTED[name] + b"\r\n0.75\r\n")
-    opened, inputs = record_reads(monkeypatch)
+    opened, calls = record_reads(monkeypatch)
     got = read_samples(path)
-    assert_single_pass(opened, inputs)
+    assert_single_pass(opened, calls, path)
     assert hex_values(got) == hex_values(csv_float_reader(path))
 
 
@@ -777,7 +791,7 @@ def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
     path.write_bytes(head + b"0.5\r\n0.25\r\n")
     calls = []
     load_body = channel._load_body
-    monkeypatch.setattr(channel, "_load_body", lambda lines: calls.append(1) or load_body(lines))
+    monkeypatch.setattr(channel, "_load_body", lambda lines, max_rows: calls.append(1) or load_body(lines, max_rows))
     assert hex_values(read_samples(path)) == [0.5.hex(), 0.25.hex()]
     assert calls
 

@@ -1140,6 +1140,17 @@ def test_log_sweep_to_the_float_maximum_exits_2(tmp_path, capsys, variable):
     assert err.startswith("error: sweep: ") and "float range" in err, err
 
 
+def test_log_v_s_sweep_ends_at_its_stop(tmp_path):
+    """A log-spaced v_s range to 1.0 ends at 1.0, not one ulp above the
+    largest v_s allowed."""
+    doc = dict(FINITE_DOC, sweep={"variable": "v_s", "start": 0.24604820415283, "stop": 1.0, "steps": 8,
+                                  "spacing": "log"})
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    v_s = [float(r["v_s"]) for r in read_rows(out)]
+    assert len(v_s) == 8 and v_s[0] == 0.24604820415283 and v_s[-1] == 1.0
+
+
 @pytest.mark.parametrize("variable", ["v_m", "block_size"])
 def test_linear_sweep_that_overflows_exits_2(tmp_path, capsys, variable):
     """(stop - start) * i overflows before the division by steps - 1."""

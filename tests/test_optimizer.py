@@ -39,11 +39,15 @@ class TestOptimizationSpec:
 
 
 class TestOptimize:
-    def test_no_fading_pins_squeezing_at_cap(self):
-        spec = OptimizationSpec(vs_cap_db=-10.0,
+    @pytest.mark.parametrize("cap_db", [-10.0, -4.1, -8.2])
+    def test_no_fading_pins_squeezing_at_cap(self, cap_db):
+        """The optimum is the cap itself, never a point below it: 10 ** log10(V_cap)
+        rounds an ulp below V_cap at -4.1 and -8.2 dB."""
+        spec = OptimizationSpec(vs_cap_db=cap_db,
                                 vm_range=(0.0, 60.0), grid=(13, 13))
         out = optimize(spec, SQ_TEMPLATE, fading_channel(0.5, 0.0))
-        assert out.v_s == pytest.approx(0.1, rel=1e-6)
+        assert out.v_s == spec.vs_min
+        assert all(v_s >= spec.vs_min for v_s, _, _ in out.trace)
         assert out.rate > 0.0
 
     def test_short_link_regime_pins_at_cap(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -251,10 +252,18 @@ class TestResolution:
         assert swept == pytest.approx([0.0, 0.01], rel=1e-12)
 
     def test_sweep_values(self):
+        """A range's ends are its start and stop exactly, which the formulas
+        miss by an ulp for many ranges."""
         assert sweep_values({"values": [1, 2, 3]}) == [1.0, 2.0, 3.0]
         assert sweep_values({"start": 0.0, "stop": 1.0, "steps": 3}) == [0.0, 0.5, 1.0]
         logv = sweep_values({"start": 1.0, "stop": 100.0, "steps": 3, "spacing": "log"})
         assert logv == pytest.approx([1.0, 10.0, 100.0])
+        rng = random.Random(38)
+        for spacing in ("linear", "log") * 300:
+            start, stop, steps = rng.uniform(1e-3, 10.0), rng.uniform(1e-3, 10.0), rng.randint(2, 40)
+            values = sweep_values({"start": start, "stop": stop, "steps": steps, "spacing": spacing})
+            assert len(values) == steps and (values[0], values[-1]) == (start, stop)
+        assert repr(sweep_values({"start": 0.24604820415283, "stop": 1, "steps": 8, "spacing": "log"})[-1]) == "1.0"
 
 
 GEOMETRY = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02, "distance": 1000.0}
