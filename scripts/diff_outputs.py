@@ -44,7 +44,10 @@ scenario files:
                     lines 4096-4097 of the body numpy reads, the first
                     block's end; a comment line and a blank line before a
                     last line `abc`; and a quoted cell over a line end
-                    before a last line `abc`
+                    before a last line `abc`; and two whose head the
+                    sample lines' reader leaves to the text route: every
+                    CRLF replaced by a lone CR, and a comment line holding
+                    a lone CR (`# a<CR># b`) before the header
   keyrate --trace   on a scenario generated in the temporary directory whose
                     fading segment is simulate's output as a samples_file
   sweep --trace     over a fading variable whose section the scenario lacks,
@@ -103,6 +106,8 @@ QUOTED = "eta_quoted.csv"  # every cell quoted
 QUOTE_AT_BLOCK = "eta_quote_at_block.csv"  # a comment line, and a quoted cell over body lines 4096-4097
 COMMENT_BEFORE_ABC = "eta_comment_abc.csv"  # a comment line and a blank line before a last line `abc`
 QUOTE_BEFORE_ABC = "eta_quote_abc.csv"  # a quoted cell over a line end before a last line `abc`
+LONE_CR = "eta_lone_cr.csv"  # every CRLF replaced by a lone CR
+CR_IN_COMMENT = "eta_cr_in_comment.csv"  # a comment line holding a lone CR before the header
 
 # two scenarios that set every optional key, each to a value other than its default in some
 # variant, one of near-pure states and one whose channel keys are integers
@@ -266,7 +271,7 @@ def commands():
     runs.append(("stats_eta", ["stats", "eta.csv", "--out", "stats.json"]))
     runs += [(f"stats_{Path(copy).stem}", ["stats", copy, "--out", f"stats_{Path(copy).stem}.json"])
              for copy in (COMMENTED, LAST_ONE, REJECTED, NOT_UTF8, SHORT, QUOTED, QUOTE_AT_BLOCK,
-                          COMMENT_BEFORE_ABC, QUOTE_BEFORE_ABC)]
+                          COMMENT_BEFORE_ABC, QUOTE_BEFORE_ABC, LONE_CR, CR_IN_COMMENT)]
     runs.append(("keyrate_samples_file", ["keyrate", "--config", "samples_file.scenario",
                                           "--out", "keyrate_samples_file.csv", "--trace"]))
     runs += [(f"sweep_{name}", ["sweep", "--config", f"{name}.scenario", "--out", f"sweep_{name}.csv", "--trace"])
@@ -305,6 +310,8 @@ def sample_copies(out: Path):
     (out / QUOTE_AT_BLOCK).write_bytes(b"\r\n".join([head, header, b"# a comment", *lines, b""]))
     (out / COMMENT_BEFORE_ABC).write_bytes(text + b"# a comment\r\n\r\nabc\r\n")
     (out / QUOTE_BEFORE_ABC).write_bytes(text + b'"0.5\r\n"\r\nabc\r\n')
+    (out / LONE_CR).write_bytes(text.replace(b"\r\n", b"\r"))
+    (out / CR_IN_COMMENT).write_bytes(b"\r\n".join([head, b"# a\r# b", header, body]))
 
 
 def run_all(tree: Path, out: Path):

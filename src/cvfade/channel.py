@@ -2,24 +2,20 @@
 
 Only the first two moments of sqrt(eta) enter the security computation; the
 state after the channel is the zero-mean Gaussian mixture over subchannels,
-whose covariance is the subchannel average.
+whose covariance is the subchannel average.  outputs reads sample files.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .gaussian import CovarianceMatrix, require_physical
-from .outputs import read_fractions
+from .outputs import sample_blocks
 
 
 @dataclass(frozen=True)
@@ -96,146 +92,11 @@ def fading_stats(samples) -> FadingStats:
     return _moments(arr[i:i + _LEAF] for i in range(0, arr.size, _LEAF)).stats
 
 
-_LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
-_BLOCK = 4096  # lines per numpy call, which reads on past them to the end of its _BLOCK-th row
-
-
-def _load_body(lines, max_rows: int) -> np.ndarray:
-    """numpy's C reader over the lines after the header: at most max_rows rows,
-    one per data line.  It decides where each record ends: from an iterator it
-    takes the lines through its last row, or through the row it rejects, and
-    leaves the rest unread."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # rows are what max_rows counts
-        return np.loadtxt(lines, max_rows=max_rows, **_LOADTXT)
-
-
-def _recorded(lines, taken: list):
-    """Yield the lines of an iterator, appending each to taken as it goes."""
-    for line in lines:
-        taken.append(line)
-        yield line
-
-
-def _body_rows(lines: list, more, encoding, max_rows: int) -> np.ndarray:
-    """numpy's first max_rows rows of text lines after the header, one cell
-    each: the list `lines`, then those numpy takes from iterator `more`, which
-    join `lines`.  Else ValueError(the reason, as said of one record) if the
-    lines do not decode as `encoding`, a cell is not a number or a row has
-    other than one cell."""
-    try:
-        try:
-            rows = _load_body(chain(lines, _recorded(more, lines)), max_rows)
-        finally:  # a line that does not decode is the reason, before a cell it spoils
-            "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
-    except UnicodeEncodeError:
-        raise ValueError(f"does not decode as {encoding}") from None
-    except ValueError as exc:
-        raise ValueError("is not a number") from exc
-    if rows.shape[1] != 1:
-        raise ValueError(f"has {rows.shape[1]} cells, expected one")
-    return rows
-
-
-def _no_row(line) -> bool:
-    """Whether numpy's reader reads line alone as no row: a blank line or a comment."""
-    try:
-        return not _load_body([line], 1).size
-    except ValueError:
-        return False
-
-
-def _first_rejected(lines, encoding):
-    """(index, reason) of the first record of lines that _body_rows rejects
-    alone.  A line that numpy's reader reads alone as no row is a record of
-    its own; any other record is the lines numpy takes for its next row.
-    Lines that _body_rows rejects hold one: they are their records end to end."""
-    rest, start = iter(lines), 0
-    while start < len(lines):
-        record = []
-        try:
-            _body_rows(record, islice(rest, 1) if _no_row(lines[start]) else rest, encoding, 1)
-        except ValueError as exc:
-            return start, exc.args[0]
-        start += len(record)
-    raise InternalError(f"numpy's reader rejects {len(lines)} lines but none of their records alone")
-
-
-def _fraction_file(fh) -> int:
-    """Read the comment lines and the header of binary file fh, at its start:
-    how many they are if they are ASCII, end in LF or CRLF (text mode splits
-    a line at any CR) and the header is exactly `eta`; else 0."""
-    line, n = fh.readline(), 1
-    while line.startswith(b"#"):
-        if not line.isascii() or b"\r" in line[:-2]:
-            return 0
-        line, n = fh.readline(), n + 1
-    return n if line in (b"eta\n", b"eta\r\n") else 0
-
-
-def _read_head(fh, path) -> int:
-    """Read the comment lines and the header of text file fh, at its start:
-    how many lines they are.  DomainError at the first that does not decode,
-    else if the header is not `eta`."""
-    line, n = "", 0
-    for n, line in enumerate(fh, 1):
-        try:
-            line.encode(fh.encoding)
-        except UnicodeEncodeError:
-            raise DomainError(f"cannot parse samples in {path}: line {n} does not decode as {fh.encoding}") from None
-        if not line.startswith("#"):
-            break
-    try:
-        header = next(csv.reader([line]), [])
-    except csv.Error as exc:
-        raise DomainError(f"cannot parse samples in {path}: {exc}") from exc
-    if [h.strip() for h in header] != ["eta"]:
-        raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
-    return n
-
-
-def _read_body(fh, before: int, done: int, path):
-    """Yield the samples of text file fh from its position, line before + 1,
-    after `done` samples, as numpy reads them: _BLOCK lines a call, and on to
-    the end of its _BLOCK-th row.  A failing call's first record that fails
-    alone is named, after the samples before it."""
-    while lines := list(islice(fh, _BLOCK)):
-        try:
-            rows = _body_rows(lines, fh, fh.encoding, _BLOCK)[:, 0]
-        except ValueError as exc:
-            i, reason = _first_rejected(lines, fh.encoding)
-            yield _load_body(lines[:i], i)[:, 0]  # a sample outside [0, 1] among them is the first fault
-            raise DomainError(f"cannot parse samples in {path}: line {before + 1 + i} {reason}") from exc
-        yield rows
-        done, before = done + rows.size, before + len(lines)
-    if not done:
-        raise DomainError(f"no samples found in {path}")
-
-
-def _sample_blocks(path):
-    """Yield the samples of the file at path, an array per block, each line read
-    once: outputs.read_fractions's in `simulate`'s form (ASCII comments, a header
-    of exactly `eta`), then numpy's.  DomainError names the first fault: a line
-    not decoding, a header not `eta`, a row of 2+ cells, a non-number, no sample."""
-    with io.TextIOWrapper(open(path, "rb"), newline="", errors="surrogateescape") as fh:
-        raw, done = fh.buffer, 0  # the kernel reads raw before any text is read
-        if head := _fraction_file(raw):
-            for x in read_fractions(raw):
-                done += x.size
-                yield x
-        else:
-            raw.seek(0)
-        yield from _read_body(fh, head + done if head else _read_head(fh, path), done, path)
-
-
 def read_eta_csv(path) -> SampleMoments:
     """SampleMoments of the samples in a CSV with single column `eta`, summed
-    block by block from _sample_blocks: no array of them is held.  Lines
-    starting with '#' are comments; after the header a '#' anywhere starts
-    one, and blank lines are skipped.  A sample outside [0, 1] before a line
-    that does not parse is the fault named."""
-    with contextlib.closing(_sample_blocks(path)) as blocks:
+    block by block from outputs.sample_blocks: no array of them is held.  A
+    sample outside [0, 1] before a line that does not parse is the fault named."""
+    with contextlib.closing(sample_blocks(path)) as blocks:
         return _moments(blocks)
 
 

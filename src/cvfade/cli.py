@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .channel import read_eta_csv
 from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
-from .outputs import remove_file, write_csv, write_json
+from .outputs import remove_file, write_csv, write_json, write_samples
 
 
 def _bind_lazily(*names: str) -> None:
@@ -233,9 +233,9 @@ def cmd_simulate(args) -> int:
 
     meta = _meta(config, seed, {"n": n, "generator": beam.GENERATOR_NAME})
     try:
-        write_csv(args.out, meta, ["eta"], ([chunk] for chunk in chunks))
+        write_samples(args.out, meta, chunks)
     except BaseException:
-        if not os.path.lexists(args.out):  # write_csv removed the file it opened: an older sidecar describes none
+        if not os.path.lexists(args.out):  # write_samples removed the file it opened: an older sidecar describes none
             remove_file(f"{args.out}.json")
         raise
     sidecar = beam.sample_metadata(scen, n, seed)
@@ -330,6 +330,7 @@ def cmd_daily(args) -> int:
         rates = evaluated.rates
         columns += [evaluated.v_s, evaluated.v_m, rates.rate_asymptotic,
                     [None] * len(stats) if rates.rate_finite is None else rates.rate_finite]
+    del evaluated  # the last variant's searches and their traces: the table needs only its columns
     return _write_rate_table(args, config, columns, extra_meta={"cn2_rows": len(stats)}, header=header)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON writers shared by the CLI commands.
+"""Deterministic CSV/JSON writers for the CLI, and the sample-file reader.
 
 Every CSV starts with a `# metadata:` comment line (config hash, seed, and
 for sample files the generator) followed by an RFC-4180-style header row.
@@ -10,9 +10,7 @@ header field, and writes each chunk of about _CHUNK cells of a block to the
 open file before it renders the next: no whole-table str is built, the
 kernel's temporaries stay near 0.35 MB whatever the table's size, and a
 sample file's blocks can come from a generator.  Rate tables pass one block.
-render_csv returns one block's table as one str; both take their pieces from
-_csv_pieces, which checks the first block before the file is opened.  A
-column is a float array or a sequence of str, int, float or None cells,
+A column is a float array or a sequence of str, int, float or None cells,
 written as csv.writer's default dialect writes them (str cells quoted when
 they hold a comma, a quote, CR or LF), floats as '%.17g', None as ''.
 
@@ -39,13 +37,15 @@ cell's slot, which is wide enough for any of them.
 A run of adjacent cell columns takes one marker word per row in the same
 rows; the text of the runs, joined in Python, replaces the markers in order.
 
-read_fractions is the read side of that text for the lines of a sample file:
-`0.` and 1-20 digits, at most 18 of them significant, ending in LF or CRLF.
-It yields the doubles of a block of _READ_BLOCK bytes at a time and stops at
-the first line of the first block that leaves that form, where numpy's reader
-goes on.  The 8-byte little-endian words that end at a line's last digit,
-their bytes before the digits set to '0', are checked and folded into the
-integer D of its digits with the SWAR steps of D. Lemire,
+sample_blocks reads a sample file (write_samples) or any CSV of one column
+`eta` back, an array per block: lines starting with '#' are comments, after
+the header a '#' anywhere starts one, and blank lines are skipped.  Lines
+of the kernel's text, `0.` and 1-20 digits, at most 18 of them significant,
+ending in LF or CRLF, go to read_fractions, a block of _READ_BLOCK bytes at a
+time, up to the first line of the first block that leaves that form, where
+numpy's reader goes on.  The 8-byte little-endian words that end at a line's
+last digit, their bytes before the digits set to '0', are checked and folded
+into the integer D of its digits with the SWAR steps of D. Lemire,
 "Number parsing at a gigabyte per second", Softw. Pract. Exper. 51 (2021).  Its
 value x = D / 10^k, k digits, then follows W. D. Clinger, "How to read
 floating point numbers accurately", PLDI 1990: q = fl(D) / 10^k is the
@@ -60,13 +60,18 @@ none in a million '%.17g' lines of samples, are read by float().
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
+import io
 import itertools
 import json
 import os
 import stat
+import warnings
 
 import numpy as np
+
+from .errors import DomainError, InternalError
 
 # Cells per chunk of a table: large enough to amortize numpy's per-call
 # cost, small enough that the kernel's temporaries stay near 0.35 MB (1.4 MB
@@ -432,6 +437,143 @@ def read_fractions(fh):
             x[i] = float(buf[starts[i]:stop[i]])
         buf[_CARRY - carry:_CARRY] = buf[end - carry:end]
         yield x
+
+
+def write_samples(path, meta: dict, chunks):
+    write_csv(path, meta, ["eta"], ([chunk] for chunk in chunks))
+
+
+_LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
+_BLOCK = 4096  # lines per numpy call, which reads on past them to the end of its _BLOCK-th row
+
+
+def _load_body(lines, max_rows: int) -> np.ndarray:
+    """numpy's C reader over the lines after the header: at most max_rows rows,
+    one per data line.  It decides where each record ends: from an iterator it
+    takes the lines through its last row, or through the row it rejects, and
+    leaves the rest unread."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # rows are what max_rows counts
+        return np.loadtxt(lines, max_rows=max_rows, **_LOADTXT)
+
+
+def _recorded(lines, taken: list):
+    """Yield the lines of an iterator, appending each to taken as it goes."""
+    for line in lines:
+        taken.append(line)
+        yield line
+
+
+def _body_rows(lines: list, more, encoding, max_rows: int) -> np.ndarray:
+    """numpy's first max_rows rows of text lines after the header, one cell
+    each: the list `lines`, then those numpy takes from iterator `more`, which
+    join `lines`.  Else ValueError(the reason, as said of one record) if the
+    lines do not decode as `encoding`, a cell is not a number or a row has
+    other than one cell."""
+    try:
+        try:
+            rows = _load_body(itertools.chain(lines, _recorded(more, lines)), max_rows)
+        finally:  # a line that does not decode is the reason, before a cell it spoils
+            "".join(lines).encode(encoding)  # the lines were decoded with errors="surrogateescape"
+    except UnicodeEncodeError:
+        raise ValueError(f"does not decode as {encoding}") from None
+    except ValueError as exc:
+        raise ValueError("is not a number") from exc
+    if rows.shape[1] != 1:
+        raise ValueError(f"has {rows.shape[1]} cells, expected one")
+    return rows
+
+
+def _no_row(line) -> bool:
+    """Whether numpy's reader reads line alone as no row: a blank line or a comment."""
+    try:
+        return not _load_body([line], 1).size
+    except ValueError:
+        return False
+
+
+def _first_rejected(lines, encoding):
+    """(index, reason) of the first record of lines that _body_rows rejects
+    alone.  A line that numpy's reader reads alone as no row is a record of
+    its own; any other record is the lines numpy takes for its next row.
+    Lines that _body_rows rejects hold one: they are their records end to end."""
+    rest, start = iter(lines), 0
+    while start < len(lines):
+        record = []
+        try:
+            _body_rows(record, itertools.islice(rest, 1) if _no_row(lines[start]) else rest, encoding, 1)
+        except ValueError as exc:
+            return start, exc.args[0]
+        start += len(record)
+    raise InternalError(f"numpy's reader rejects {len(lines)} lines but none of their records alone")
+
+
+def _fraction_file(fh) -> int:
+    """Read the comment lines and the header of binary file fh, at its start:
+    how many they are if they are ASCII, end in LF or CRLF (text mode splits
+    a line at any CR) and the header is exactly `eta`; else 0."""
+    line, n = fh.readline(), 1
+    while line.startswith(b"#"):
+        if not line.isascii() or b"\r" in line[:-2]:
+            return 0
+        line, n = fh.readline(), n + 1
+    return n if line in (b"eta\n", b"eta\r\n") else 0
+
+
+def _read_head(fh, path) -> int:
+    """Read the comment lines and the header of text file fh, at its start:
+    how many lines they are.  DomainError at the first that does not decode,
+    else if the header is not `eta`."""
+    line, n = "", 0
+    for n, line in enumerate(fh, 1):
+        try:
+            line.encode(fh.encoding)
+        except UnicodeEncodeError:
+            raise DomainError(f"cannot parse samples in {path}: line {n} does not decode as {fh.encoding}") from None
+        if not line.startswith("#"):
+            break
+    try:
+        header = next(csv.reader([line]), [])
+    except csv.Error as exc:
+        raise DomainError(f"cannot parse samples in {path}: {exc}") from exc
+    if [h.strip() for h in header] != ["eta"]:
+        raise DomainError(f"expected single-column CSV with header 'eta' in {path}")
+    return n
+
+
+def _read_body(fh, before: int, done: int, path):
+    """Yield the samples of text file fh from its position, line before + 1,
+    after `done` samples, as numpy reads them: _BLOCK lines a call, and on to
+    the end of its _BLOCK-th row.  A failing call's first record that fails
+    alone is named, after the samples before it."""
+    while lines := list(itertools.islice(fh, _BLOCK)):
+        try:
+            rows = _body_rows(lines, fh, fh.encoding, _BLOCK)[:, 0]
+        except ValueError as exc:
+            i, reason = _first_rejected(lines, fh.encoding)
+            yield _load_body(lines[:i], i)[:, 0]  # a sample outside [0, 1] among them is the first fault
+            raise DomainError(f"cannot parse samples in {path}: line {before + 1 + i} {reason}") from exc
+        yield rows
+        done, before = done + rows.size, before + len(lines)
+    if not done:
+        raise DomainError(f"no samples found in {path}")
+
+
+def sample_blocks(path):
+    """Yield the samples of the file at path, an array per block, each line read
+    once: read_fractions's in `simulate`'s form (ASCII comments, a header
+    of exactly `eta`), then numpy's.  DomainError names the first fault: a line
+    not decoding, a header not `eta`, a row of 2+ cells, a non-number, no sample."""
+    with io.TextIOWrapper(open(path, "rb"), newline="", errors="surrogateescape") as fh:
+        raw, done = fh.buffer, 0  # the kernel reads raw before any text is read
+        if head := _fraction_file(raw):
+            for x in read_fractions(raw):
+                done += x.size
+                yield x
+        else:
+            raw.seek(0)
+        yield from _read_body(fh, head + done if head else _read_head(fh, path), done, path)
 
 
 def write_text(path, text: str):

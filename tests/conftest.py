@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cvfade import channel
+from cvfade import outputs
 from cvfade.channel import FadingStats
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -104,8 +104,8 @@ BLOCK_OF_LINES = b"".join(b"%.17g\r\n" % v for v in np.random.default_rng(15).un
 
 def read_samples(path):
     """The samples of a sample file as one array: the blocks of
-    channel._sample_blocks, the stream that read_eta_csv sums, joined."""
-    with contextlib.closing(channel._sample_blocks(path)) as blocks:
+    outputs.sample_blocks, the stream that read_eta_csv sums, joined."""
+    with contextlib.closing(outputs.sample_blocks(path)) as blocks:
         return np.concatenate(list(blocks))
 
 

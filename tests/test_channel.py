@@ -359,15 +359,15 @@ def record_reads(monkeypatch):
     """Lists that fill as the block stream runs: the files it opens, and for
     each call of numpy's reader, its max_rows and the lines it takes."""
     opened, calls = [], []
-    load_body = channel._load_body
+    load_body = outputs._load_body
 
     def load(lines, max_rows):
         taken = []
         calls.append((max_rows, taken))
         return load_body((taken.append(line) or line for line in lines), max_rows)
 
-    monkeypatch.setattr(channel, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw), raising=False)
-    monkeypatch.setattr(channel, "_load_body", load)
+    monkeypatch.setattr(outputs, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw), raising=False)
+    monkeypatch.setattr(outputs, "_load_body", load)
     return opened, calls
 
 
@@ -378,7 +378,7 @@ def assert_single_pass(opened, calls, path, end=None):
     through line `end` (the last line if None)."""
     assert len(opened) == 1, opened
     assert all(FIRST_OF_BLOCK not in taken for _, taken in calls)
-    streamed = [line for max_rows, taken in calls if max_rows == channel._BLOCK for line in taken]
+    streamed = [line for max_rows, taken in calls if max_rows == outputs._BLOCK for line in taken]
     with open(path, newline="", errors="surrogateescape") as fh:
         lines = fh.readlines()[:end]
     assert streamed and streamed == lines[len(lines) - len(streamed):]
@@ -457,7 +457,7 @@ def test_quoted_cell_across_a_block_boundary_is_one_cell(tmp_path):
 def test_quoted_cells_over_lines_read_alike_in_any_block(tmp_path, monkeypatch, block):
     path = tmp_path / "quoted.csv"
     path.write_bytes(b'eta\n"0.5\n"# a "comment\n0.25\n"0.125\n "\n0.75\n')
-    monkeypatch.setattr(channel, "_BLOCK", block)
+    monkeypatch.setattr(outputs, "_BLOCK", block)
     assert read_samples(path).tolist() == [0.5, 0.25, 0.125, 0.75]
 
 
@@ -475,7 +475,7 @@ def test_block_rejected_with_no_record_rejected_alone_exits_3(tmp_path, monkeypa
     stats exits 3 with one line instead of quoting numpy's text."""
     path = tmp_path / "eta.csv"
     path.write_bytes(b"eta\n# c\n0.5\n0.25\n")
-    load_body = channel._load_body
+    load_body = outputs._load_body
 
     def reject_blocks(lines, max_rows):
         if max_rows > 1:
@@ -483,7 +483,7 @@ def test_block_rejected_with_no_record_rejected_alone_exits_3(tmp_path, monkeypa
             raise ValueError("rejected as a block")
         return load_body(lines, max_rows)
 
-    monkeypatch.setattr(channel, "_load_body", reject_blocks)
+    monkeypatch.setattr(outputs, "_load_body", reject_blocks)
     assert main(["stats", str(path), "--out", str(tmp_path / "stats.json")]) == 3
     assert capsys.readouterr().err == ("numerical failure: numpy's reader rejects 3 lines "
                                        "but none of their records alone\n")
@@ -511,9 +511,9 @@ def test_load_body_takes_the_lines_through_its_last_row(name):
     rest = iter(lines)
     if values is None:
         with pytest.raises(ValueError):
-            channel._load_body(rest, rows)
+            outputs._load_body(rest, rows)
     else:
-        assert channel._load_body(rest, rows)[:, 0].tolist() == values
+        assert outputs._load_body(rest, rows)[:, 0].tolist() == values
     assert list(rest) == lines[taken:]
 
 
@@ -572,7 +572,7 @@ def test_fraction_reader_matches_csv_float_oracle(tmp_path_factory, lines, eol, 
     path = tmp_path_factory.mktemp("eta") / "samples.csv"
     fraction_file(path, lines, eol, final_eol)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel, "_load_body", must_not_load)
+        mp.setattr(outputs, "_load_body", must_not_load)
         mp.setattr(outputs, "_READ_BLOCK", block)
         got = read_samples(path)
     assert hex_values(got) == hex_values(csv_float_reader(path)) == hex_values(map(float, lines))
@@ -612,7 +612,7 @@ def line_oracle(body: bytes, first: int):
        tail=st.lists(st.one_of(fraction_lines().map(str.encode), st.sampled_from(FALLBACK_LINES)),
                      min_size=1, max_size=12),
        eol=st.sampled_from([b"\n", b"\r\n"]), final_eol=st.booleans(),
-       block=st.sampled_from([1, 5, 24, 100]), lines=st.sampled_from([1, 2, 3, channel._BLOCK]))
+       block=st.sampled_from([1, 5, 24, 100]), lines=st.sampled_from([1, 2, 3, outputs._BLOCK]))
 def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, final_eol, block, lines):
     """Files of simulate's lines followed by lines the kernel leaves to
     numpy's reader, at small kernel and numpy blocks: the doubles of
@@ -623,7 +623,7 @@ def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, fina
     want = line_oracle(body, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(outputs, "_READ_BLOCK", block)
-        mp.setattr(channel, "_BLOCK", lines)
+        mp.setattr(outputs, "_BLOCK", lines)
         if isinstance(want, int):
             with pytest.raises(DomainError, match=f"{re.escape(str(path))}: line {want} "):
                 read_samples(path)
@@ -710,7 +710,7 @@ def test_fraction_reader_reads_many_blocks_as_float(tmp_path, monkeypatch):
     lines += ["%.17g" % v for v in rng.uniform(1e-4, 1.0, 8000)] + list(NEAR_TIES)
     fraction_file(tmp_path / "samples.csv", lines, "\r\n", True)
     assert (tmp_path / "samples.csv").stat().st_size > 2 * outputs._READ_BLOCK
-    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    monkeypatch.setattr(outputs, "_load_body", must_not_load)
     got = read_samples(tmp_path / "samples.csv")
     assert hex_values(got) == hex_values(map(float, lines))
 
@@ -720,7 +720,7 @@ def test_fraction_reader_carries_lines_across_blocks(tmp_path, monkeypatch):
     and CRLF) and the shortest."""
     lines = ["0.00012345678901234567", "0.5", "0.00099999999999999991", "0.1", "0.00010000000000000002", "0.5"]
     fraction_file(tmp_path / "samples.csv", lines, "\r\n", False)
-    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    monkeypatch.setattr(outputs, "_load_body", must_not_load)
     for block in range(1, 31):
         monkeypatch.setattr(outputs, "_READ_BLOCK", block)
         assert hex_values(read_samples(tmp_path / "samples.csv")) == hex_values(map(float, lines)), block
@@ -741,7 +741,7 @@ def test_flagged_lines_are_read_by_float(tmp_path, monkeypatch):
     """A value _nearest flags is replaced by float() of its line."""
     lines = ["%.17g" % v for v in np.random.default_rng(3).uniform(1e-4, 1.0, 50)]
     fraction_file(tmp_path / "samples.csv", lines, "\n", True)
-    monkeypatch.setattr(channel, "_load_body", must_not_load)
+    monkeypatch.setattr(outputs, "_load_body", must_not_load)
     monkeypatch.setattr(outputs, "_nearest", lambda d, k: (np.full(d.size, np.nan), np.arange(d.size)))
     assert hex_values(read_samples(tmp_path / "samples.csv")) == hex_values(map(float, lines))
 
@@ -790,8 +790,8 @@ def test_other_heads_take_the_numpy_reader(tmp_path, monkeypatch, head):
     path = tmp_path / "samples.csv"
     path.write_bytes(head + b"0.5\r\n0.25\r\n")
     calls = []
-    load_body = channel._load_body
-    monkeypatch.setattr(channel, "_load_body", lambda lines, max_rows: calls.append(1) or load_body(lines, max_rows))
+    load_body = outputs._load_body
+    monkeypatch.setattr(outputs, "_load_body", lambda lines, max_rows: calls.append(1) or load_body(lines, max_rows))
     assert hex_values(read_samples(path)) == [0.5.hex(), 0.25.hex()]
     assert calls
 
@@ -916,7 +916,7 @@ FAULTS = ("abc", "0.5,0.25", '"EOLabc"', '"0.5EOL",1')
                                 st.booleans()), min_size=1, max_size=14),
        fault=st.one_of(st.none(), st.tuples(st.sampled_from(FAULTS), st.integers(0, 14))),
        eol=st.sampled_from(["\n", "\r\n"]), block=st.sampled_from([1, 5, 24, 100]),
-       lines=st.sampled_from([1, 2, 3, 5, channel._BLOCK]))
+       lines=st.sampled_from([1, 2, 3, 5, outputs._BLOCK]))
 def test_quoted_cells_over_line_ends_match_record_oracle(tmp_path_factory, head, cells, fault, eol, block,
                                                          lines):
     """Files of simulate's lines, then numbers plain and quoted, quotes that
@@ -933,7 +933,7 @@ def test_quoted_cells_over_line_ends_match_record_oracle(tmp_path_factory, head,
     want = record_oracle(body, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(outputs, "_READ_BLOCK", block)
-        mp.setattr(channel, "_BLOCK", lines)
+        mp.setattr(outputs, "_BLOCK", lines)
         if isinstance(want, int):
             for read in (read_samples, read_eta_csv):
                 with pytest.raises(DomainError, match=f"^cannot parse samples in {re.escape(str(path))}: line {want} "):

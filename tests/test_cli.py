@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLOCK_OF_LINES, MALFORMED_CN2, hex_values, number_keys, read_samples, sample_values
-from cvfade import __version__, beam
+from cvfade import __version__, beam, cli, optimizer
 from cvfade.beam import simulate
 from cvfade.cli import main
 from cvfade.errors import DomainError, NumericalFailure
@@ -341,6 +342,20 @@ class TestDailyCommand:
         for b, d in zip(base_rows, dbl_rows):
             for col in ("coherent_rate_finite", "squeezed3_rate_finite"):
                 assert float(d[col]) <= float(b[col]) + 1e-9
+
+    def test_daily_releases_its_searches_before_writing(self, tmp_path, monkeypatch):
+        """No OptimizationResult, and so no search trace, is alive when daily
+        writes its table: 24 were, the last variant's, one per hour."""
+        def live_results():
+            gc.collect()
+            return sum(isinstance(o, optimizer.OptimizationResult) for o in gc.get_objects())
+
+        counts, write_csv = [], cli.write_csv
+        monkeypatch.setattr(cli, "write_csv", lambda *args: counts.append(live_results()) or write_csv(*args))
+        before = live_results()
+        assert main(["daily", str(SCENARIOS / "prague-like.csv"), "--config", reduced_daily_cfg(tmp_path),
+                     "--out", str(tmp_path / "daily.csv")]) == 0
+        assert [count - before for count in counts] == [0]
 
     def test_daily_rejects_fixed_turbulence(self, tmp_path):
         doc = json.loads(Path(reduced_daily_cfg(tmp_path)).read_text())
