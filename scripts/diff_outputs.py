@@ -66,6 +66,13 @@ scenario files:
                     (a / w0 = 1.25), which sends 172 rule nodes and 48
                     samples' Bessel arguments past the series cutoff, to
                     the asymptotic expansion
+  daily             on prague-like.csv x two beam links generated in the
+                    temporary directory: one without distance, which daily
+                    puts at 2200 m, and one with sigma_r2, which it rejects
+  simulate, daily   and sweep --trace on scenarios that lack the section the
+                    command needs, each exiting 2: simulate and daily on the
+                    first stats scenario above, sweep on it without its
+                    sweep section
   keyrate           on six scenarios generated in the temporary directory
                     that the schema rejects, each with one fault: a wrong
                     type, an out-of-bound number, a bad enum value, an
@@ -228,6 +235,18 @@ MISSING_SECTION = {
     "samples_file_over_var_sqrt": {**SAMPLES_FILE, "sweep": {"variable": "var_sqrt", "values": [0.0, 0.01]}},
 }
 
+# daily on a beam link without distance (2200 m) and on one that fixes its
+# turbulence; sweep on a scenario without a sweep section
+DAILY_LINK = {"wavelength": 1.55e-6, "w0": 0.04, "aperture": 0.02}
+COMMAND_SECTIONS = {
+    "daily_no_distance": {**BEAM_GENERATED["beam_tracking"], "description": "daily's beam link at 2200 m",
+                          "channel": {"eta1_db": -2.0, "eps2": 0.01, "fading": {"beam": DAILY_LINK}}},
+    "daily_sigma_r2": {**BEAM_GENERATED["beam_tracking"], "description": "daily's beam link, fixed turbulence",
+                       "channel": {"eta1_db": -2.0, "eps2": 0.01,
+                                   "fading": {"beam": {**DAILY_LINK, "sigma_r2": 0.56}}}},
+    "no_sweep": {key: value for key, value in GENERATED["all_keys_linear"].items() if key != "sweep"},
+}
+
 # scenario texts that the schema rejects, one fault each
 VALID = {"protocol": {"family": "coherent", "v_m": 3.0}, "channel": {"fading": {"stats": {"mean_eta": 0.5}}}}
 
@@ -287,6 +306,15 @@ def commands():
                  (f"simulate_{name}", ["simulate", "--config", f"{name}.scenario", "--n", "20000",
                                        "--out", f"eta_{short}.csv"]),
                  (f"stats_eta_{short}", ["stats", f"eta_{short}.csv", "--out", f"stats_eta_{short}.json"])]
+    runs += [(name, ["daily", "{tree}/scenarios/prague-like.csv", "--config", f"{name}.scenario",
+                     "--out", f"{name}.csv"])
+             for name in ("daily_no_distance", "daily_sigma_r2")]
+    runs += [("simulate_all_keys_linear", ["simulate", "--config", "all_keys_linear.scenario",
+                                           "--n", "100", "--out", "eta_all_keys_linear.csv"]),
+             ("daily_all_keys_linear", ["daily", "{tree}/scenarios/prague-like.csv", "--config",
+                                        "all_keys_linear.scenario", "--out", "daily_all_keys_linear.csv"]),
+             ("sweep_no_sweep", ["sweep", "--config", "no_sweep.scenario", "--out", "sweep_no_sweep.csv",
+                                 "--trace"])]
     runs += [(f"keyrate_malformed_{name}", ["keyrate", "--config", f"malformed_{name}.scenario",
                                             "--out", f"keyrate_malformed_{name}.csv"])
              for name in MALFORMED]
@@ -318,7 +346,7 @@ def run_all(tree: Path, out: Path):
     """Run every command on `tree` with `out` as the working directory."""
     out.mkdir()
     for name, doc in {**GENERATED, "block_size": BLOCK_SIZE, **BEAM_GENERATED, **BEAM_SAMPLED,
-                      "samples_file": SAMPLES_FILE, **MISSING_SECTION}.items():
+                      "samples_file": SAMPLES_FILE, **MISSING_SECTION, **COMMAND_SECTIONS}.items():
         (out / f"{name}.scenario").write_text(json.dumps(doc, indent=1))
     for name, text in MALFORMED.items():
         (out / f"malformed_{name}.scenario").write_text(text)

@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 from importlib.util import LazyLoader, find_spec, module_from_spec
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channel import read_eta_csv
-from .errors import ConfigError, CvfadeError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
+from .errors import ConfigError, DegenerateInput, DomainError, InternalError, NonPhysicalState, NumericalFailure
 from .outputs import remove_file, write_csv, write_json, write_samples
 
 
@@ -104,14 +105,11 @@ def _load(args) -> scenario.ScenarioConfig:
     return scenario.load_scenario(path)  # which reports a miss
 
 
-def _effective_seed(config: scenario.ScenarioConfig, args) -> int:
-    return args.seed if getattr(args, "seed", None) is not None else config.seed
-
-
-def _meta(config: scenario.ScenarioConfig, seed: int, extra: dict | None = None) -> dict:
+def _meta(config: scenario.ScenarioConfig, args, extra: dict | None = None) -> dict:
+    """An output's metadata; its seed is --seed, else the scenario's."""
     meta = {
         "config_sha256": config.config_hash(),
-        "seed": seed,
+        "seed": config.seed if args.seed is None else args.seed,
         "package": f"cvfade {__version__}",
     }
     if extra:
@@ -119,16 +117,9 @@ def _meta(config: scenario.ScenarioConfig, seed: int, extra: dict | None = None)
     return meta
 
 
-@dataclass(frozen=True)
-class _VariantRates:
-    """One protocol variant's key rates at every point of a sweep, one array
-    element per point; `optimized` holds each point's OptimizationResult."""
-
-    v_s: np.ndarray
-    v_m: np.ndarray
-    rates: keyrate.KeyRates
-    flags: list[str]
-    optimized: list[optimizer.OptimizationResult] | None = None
+# One variant's key rates at every point of a sweep, an array element per point: v_s, v_m,
+# a keyrate.KeyRates, and each point's flags and OptimizationResult (None for a fixed variant).
+_VariantRates = namedtuple("_VariantRates", ["v_s", "v_m", "rates", "flags", "optimized"])
 
 
 def _evaluate_points(points) -> list[_VariantRates]:
@@ -223,22 +214,18 @@ def _rate_columns(points, sweep_variable="", values=("",), trace_sink=None):
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    fading = config.channel_doc["fading"]
-    if "beam" not in fading:
-        raise ConfigError("simulate requires channel.fading.beam in the scenario")
-    seed = _effective_seed(config, args)
-    n = int(args.n if args.n is not None else fading["beam"].get("n_samples", 100000))
-    scen = scenario.beam_scenario(config)
-    chunks = beam.sample_chunks(scen, n, seed)  # checks n, seed and the moments before the file is opened
+    scen, n_samples = scenario.beam_sampling(config)
+    n = n_samples if args.n is None else args.n
+    meta = _meta(config, args, {"n": n, "generator": beam.GENERATOR_NAME})
+    chunks = beam.sample_chunks(scen, n, meta["seed"])  # checks n, seed and the moments before the file is opened
 
-    meta = _meta(config, seed, {"n": n, "generator": beam.GENERATOR_NAME})
     try:
         write_samples(args.out, meta, chunks)
     except BaseException:
         if not os.path.lexists(args.out):  # write_samples removed the file it opened: an older sidecar describes none
             remove_file(f"{args.out}.json")
         raise
-    sidecar = beam.sample_metadata(scen, n, seed)
+    sidecar = beam.sample_metadata(scen, n, meta["seed"])
     sidecar["config_sha256"] = config.config_hash()
     write_json(f"{args.out}.json", sidecar)
     print(f"wrote {args.out} ({n} samples) and {args.out}.json", file=sys.stderr)
@@ -263,7 +250,7 @@ def cmd_stats(args) -> int:
 
 
 def _write_rate_table(args, config, columns, extra_meta=None, traces=None, header=ROW_FIELDS):
-    meta = _meta(config, _effective_seed(config, args), extra_meta)
+    meta = _meta(config, args, extra_meta)
     write_csv(args.out, meta, header, [columns])
     if traces is not None:
         write_json(str(args.out) + ".trace.json", {"traces": traces})
@@ -287,13 +274,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    if config.sweep is None:
-        raise ConfigError("sweep command requires a sweep section")
-    variable = config.sweep["variable"]
-    values = scenario.sweep_values(config.sweep)
+    variable, values, points = scenario.sweep_plan(config)
     traces = [] if args.trace else None
-    columns = _rate_columns(scenario.sweep_points(config, variable, values), sweep_variable=variable,
-                            values=values, trace_sink=traces)
+    columns = _rate_columns(points, sweep_variable=variable, values=values, trace_sink=traces)
     return _write_rate_table(args, config, columns, extra_meta={"sweep_variable": variable},
                              traces=traces)
 
@@ -301,21 +284,8 @@ def cmd_sweep(args) -> int:
 def cmd_daily(args) -> int:
     config = _load(args)
     series = scenario.read_cn2_csv(args.cn2)
-    fading = config.channel_doc["fading"]
-    if "beam" not in fading:
-        raise ConfigError("daily requires channel.fading.beam geometry in the scenario")
-    if "cn2" in fading["beam"] or "sigma_r2" in fading["beam"]:
-        raise ConfigError(
-            "daily drives turbulence from the cn2 series; remove cn2/sigma_r2 from the beam section"
-        )
-    distance = fading["beam"].get("distance", 2200.0)
-
-    rytov, stats, points = [], [], []
-    for cn2 in series.cn2:
-        scen = scenario.beam_scenario(config, distance=distance, cn2=cn2)
-        stats.append(beam.fading_moments(scen))
-        points.append((config, scenario.build_channel(config, stats[-1])))
-        rytov.append(scen.rytov_variance)
+    points, rytov = scenario.daily_points(config, series.cn2)
+    stats = [chan.fading for _, chan in points]
     header = ["label", "cn2", "sigma_r2", "mean_eta", "mean_sqrt_eta", "var_sqrt"]
     columns = [
         list(series.labels),
@@ -357,9 +327,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CvfadeError as exc:  # pragma: no cover - catch-all for package errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

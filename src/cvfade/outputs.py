@@ -445,6 +445,7 @@ def write_samples(path, meta: dict, chunks):
 
 _LOADTXT = {"dtype": float, "delimiter": ",", "comments": "#", "quotechar": '"', "ndmin": 2}
 _BLOCK = 4096  # lines per numpy call, which reads on past them to the end of its _BLOCK-th row
+_HEAD_LINE = 1 << 16  # bytes _fraction_file reads of a head line; simulate's metadata line has about 150
 
 
 def _load_body(lines, max_rows: int) -> np.ndarray:
@@ -511,13 +512,13 @@ def _first_rejected(lines, encoding):
 
 def _fraction_file(fh) -> int:
     """Read the comment lines and the header of binary file fh, at its start:
-    how many they are if they are ASCII, end in LF or CRLF (text mode splits
-    a line at any CR) and the header is exactly `eta`; else 0."""
-    line, n = fh.readline(), 1
+    how many if each is ASCII and ends in LF or CRLF within _HEAD_LINE bytes
+    (text mode splits a line at any CR) and the header is exactly `eta`; else 0."""
+    line, n = fh.readline(_HEAD_LINE), 1
     while line.startswith(b"#"):
-        if not line.isascii() or b"\r" in line[:-2]:
+        if not line.isascii() or b"\r" in line[:-2] or not line.endswith(b"\n"):
             return 0
-        line, n = fh.readline(), n + 1
+        line, n = fh.readline(_HEAD_LINE), n + 1
     return n if line in (b"eta\n", b"eta\r\n") else 0
 
 

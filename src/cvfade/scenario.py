@@ -2,9 +2,9 @@
 
 A scenario describes one or more protocol variants, a composite channel whose
 fading segment comes from explicit moments, a sample file, or an elliptic-beam
-link, plus optional finite-size and sweep sections.  Rate commands take a beam
-link's moments from the fixed quadrature rule of beam.fading_moments; only
-`simulate` draws samples from it.  Unknown keys are rejected.
+link, plus optional finite-size and sweep sections; unknown keys are rejected.
+Each command takes its inputs from one function here; a beam link reaches the
+rate commands as beam.fading_moments' quadrature moments, `simulate` as samples.
 SCHEMA below is written in the vocabulary docs/scenario_schema.json publishes,
 and schema_document() wraps it unchanged; regenerate the file with
 
@@ -411,6 +411,15 @@ def sweep_values(sweep: dict) -> list[float]:
     return values
 
 
+def sweep_plan(config: ScenarioConfig) -> tuple[str, list[float], list[tuple[ScenarioConfig, CompositeChannel]]]:
+    """`sweep`'s variable, its values and the sweep_points at them."""
+    if config.sweep is None:
+        raise ConfigError("sweep command requires a sweep section")
+    variable = config.sweep["variable"]
+    values = sweep_values(config.sweep)
+    return variable, values, sweep_points(config, variable, values)
+
+
 def sweep_points(config: ScenarioConfig, variable: str, values) -> list[tuple[ScenarioConfig, CompositeChannel]]:
     """The (scenario, channel) of each sweep value.  A fading variable resolves
     the fading segment per point; block_size, v_s and v_m share one channel.
@@ -447,6 +456,14 @@ def beam_scenario(config: ScenarioConfig, **override) -> BeamScenario:
     if "distance" not in beam:
         raise ConfigError("fading.beam: distance is required (except for the daily command)")
     return _section(BeamScenario, beam, "fading.beam")
+
+
+def beam_sampling(config: ScenarioConfig) -> tuple[BeamScenario, int]:
+    """`simulate`'s beam link and its n_samples (default 100000)."""
+    beam = config.channel_doc["fading"].get("beam")
+    if beam is None:
+        raise ConfigError("simulate requires channel.fading.beam in the scenario")
+    return beam_scenario(config), beam.get("n_samples", 100000)
 
 
 _STATS_ALTERNATIVE = {"mean_eta": "mean_eta_db", "mean_eta_db": "mean_eta",
@@ -493,6 +510,21 @@ def resolve_fading(config: ScenarioConfig, **override) -> FadingStats:
 
 def build_channel(config: ScenarioConfig, stats: FadingStats) -> CompositeChannel:
     return _section(CompositeChannel, config.channel_doc, "channel", _FIXED_SEGMENTS, fading=stats)
+
+
+def daily_points(config: ScenarioConfig, cn2_values) -> tuple[list[tuple[ScenarioConfig, CompositeChannel]], list[float]]:
+    """`daily`'s (scenario, channel) at each of the cn2_values and its Rytov
+    variance: the beam link at its distance (default 2200 m) and that cn2."""
+    beam = config.channel_doc["fading"].get("beam")
+    if beam is None:
+        raise ConfigError("daily requires channel.fading.beam geometry in the scenario")
+    if "cn2" in beam or "sigma_r2" in beam:
+        raise ConfigError("daily drives turbulence from the cn2 series; "
+                          "remove cn2/sigma_r2 from the beam section")
+    distance = beam.get("distance", 2200.0)
+    points = [(config, build_channel(config, resolve_fading(config, distance=distance, cn2=cn2)))
+              for cn2 in cn2_values]
+    return points, [beam_scenario(config, distance=distance, cn2=cn2).rytov_variance for cn2 in cn2_values]
 
 
 @dataclass(frozen=True)

@@ -633,8 +633,10 @@ def test_reader_seam_matches_line_oracle(tmp_path_factory, head, tail, eol, fina
 
 # comment lines: ASCII, UTF-8 but not ASCII, not UTF-8, and holding a lone
 # CR, which text mode splits into two lines: the second a comment, a header
-# `eta` (so that the real header is a row), or another header
-HEAD_COMMENTS = (b"# metadata: {}", "# \u00e9t\u00e9".encode(), b"# \xff\xfe", b"# a\r# b", b"# a\reta", b"# a\rb")
+# `eta` (so that the real header is a row), or another header; and ending in
+# `eta`, whose tail a head line cut at _HEAD_LINE = 4 bytes must not take for the header
+HEAD_COMMENTS = (b"# metadata: {}", "# \u00e9t\u00e9".encode(), b"# \xff\xfe", b"# a\r# b", b"# a\reta", b"# a\rb",
+                 b"# c eta")
 # headers, None for a file that ends after its comments
 HEADERS = (b"eta", b" eta ", b'"eta"', b"eta,x", b"x", b"\xef\xbb\xbfeta", None)
 
@@ -673,12 +675,12 @@ def head_oracle(body: bytes):
 @settings(max_examples=300, deadline=None)
 @given(comments=st.lists(st.sampled_from(HEAD_COMMENTS), max_size=3), header=st.sampled_from(HEADERS),
        lines=st.lists(fraction_lines(), min_size=1, max_size=10), eol=st.sampled_from([b"\n", b"\r\n"]),
-       block=st.sampled_from([1, 5, 24, outputs._READ_BLOCK]))
-def test_reader_head_matches_line_oracle(tmp_path_factory, comments, header, lines, eol, block):
+       block=st.sampled_from([1, 5, 24, outputs._READ_BLOCK]), head_line=st.sampled_from([4, 8, outputs._HEAD_LINE]))
+def test_reader_head_matches_line_oracle(tmp_path_factory, comments, header, lines, eol, block, head_line):
     """Files of 0-3 comment lines and a header, or none, before simulate's
     lines: the doubles of csv.reader and float(), or a DomainError naming the
     first fault, whichever reader (the kernel or numpy's) the head sends the
-    file to."""
+    file to, a head line longer than _HEAD_LINE included."""
     head = comments + ([header] if header is not None else [])
     body = b"".join(line + eol for line in head)
     if header is not None:
@@ -690,6 +692,7 @@ def test_reader_head_matches_line_oracle(tmp_path_factory, comments, header, lin
               "empty": f"no samples found in {path}"}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(outputs, "_READ_BLOCK", block)
+        mp.setattr(outputs, "_HEAD_LINE", head_line)
         if isinstance(want, list):
             assert hex_values(read_samples(path)) == hex_values(want)
         else:
@@ -809,9 +812,11 @@ def simulate_text(samples) -> str:
 
 # simulate's text as such, which the kernel reads, and with a change that
 # takes its body to numpy's reader: a comment line or a blank line after the
-# header, or a last line `1`; and the samples each file then holds
+# header, a last line `1`, or every CRLF a lone CR, which also takes its head
+# to the text route; and the samples each file then holds
 ROUTES = {
     "kernel": (lambda text: text, lambda a: a),
+    "lone_cr": (lambda text: text.replace("\r\n", "\r"), lambda a: a),
     "comment": (lambda text: text.replace("\r\neta\r\n", "\r\neta\r\n# a comment\r\n", 1), lambda a: a),
     "blank": (lambda text: text.replace("\r\neta\r\n", "\r\neta\r\n\r\n", 1), lambda a: a),
     "last_one": (lambda text: text + "1\r\n", lambda a: np.append(a, 1.0)),

@@ -357,6 +357,20 @@ class TestDailyCommand:
                      "--out", str(tmp_path / "daily.csv")]) == 0
         assert [count - before for count in counts] == [0]
 
+    def test_default_distance_is_2200_m(self, tmp_path):
+        """A beam section without distance gives the table of the same section at 2200 m."""
+        series = tmp_path / "cn2.csv"
+        series.write_text("hour,cn2\n00,4.0e-15\n12,2.5e-14\n")
+        doc = json.loads(Path(reduced_daily_cfg(tmp_path)).read_text())
+        tables = []
+        for name, beam in (("default", {}), ("explicit", {"distance": 2200.0})):
+            doc["channel"]["fading"]["beam"].update(beam)
+            out = tmp_path / f"{name}.csv"
+            assert main(["daily", str(series), "--config", write_cfg(tmp_path, doc, f"{name}.scenario"),
+                         "--out", str(out)]) == 0
+            tables.append(out.read_bytes().split(b"\n", 1)[1])  # the metadata lines differ in their config hash
+        assert tables[0] == tables[1]
+
     def test_daily_rejects_fixed_turbulence(self, tmp_path):
         doc = json.loads(Path(reduced_daily_cfg(tmp_path)).read_text())
         doc["channel"]["fading"]["beam"]["sigma_r2"] = 0.5
@@ -1100,6 +1114,13 @@ VALIDATION_CASES = {
     "cn2_header_only": ("daily", edited({"channel.fading": {"beam": GEOMETRY}}), b"hour,cn2\n",
                         "cn2 series must be non-empty with matching labels"),
     "daily_without_beam": ("daily", STATS_DOC, b"hour,cn2\n00,1e-15\n", "daily requires channel.fading.beam"),
+    # each command's own checks on the scenario's sections
+    "simulate_on_stats": ("simulate", STATS_DOC, None, "error: simulate requires channel.fading.beam"),
+    "daily_sigma_r2": ("daily", edited({"channel.fading": {"beam": {**GEOMETRY, "sigma_r2": 0.5}}}),
+                       b"hour,cn2\n00,1e-15\n", "error: daily drives turbulence from the cn2 series"),
+    "daily_cn2": ("daily", edited({"channel.fading": {"beam": {**GEOMETRY, "cn2": 1e-15}}}),
+                  b"hour,cn2\n00,1e-15\n", "error: daily drives turbulence from the cn2 series"),
+    "sweep_without_section": ("sweep", STATS_DOC, None, "error: sweep command requires a sweep section"),
     # the sweep's fading override needs the section it overrides
     "distance_on_stats": ("sweep", edited({"sweep": {"variable": "distance", "values": [500.0, 1000.0]}}), None,
                           "sweep over distance requires channel.fading.beam"),

@@ -96,6 +96,15 @@ def test_cli_imports_only_at_module_level():
     assert not nested, f"imports below module level at lines {nested}"
 
 
+def test_cli_reads_no_scenario_document():
+    """Each command takes its inputs from a scenario function: cli reads no
+    document attribute of a ScenarioConfig and computes no fading moments."""
+    tree = ast.parse((SRC / "cvfade" / "cli.py").read_text())
+    names = {*names_in_code(tree), *(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))}
+    found = sorted(names & {"channel_doc", "sweep", "raw", "fading_moments"})
+    assert not found, found
+
+
 def test_no_module_imports_hashlib_at_module_level():
     found = {path.name: names for path in sorted(SRC.glob("cvfade/**/*.py"))
              if (names := {"hashlib", "_hashlib"}.intersection(imports_at_import_time(ast.parse(path.read_text()).body)))}
